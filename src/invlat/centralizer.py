@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import CapExceededError, InfiniteFieldError, UndecidedError
-from .matrix import Matrix, mat_vec, rank
+from .matrix import Matrix, rank
 from .subspace import kernel_basis
 
 __all__ = [
@@ -38,6 +38,14 @@ class CentralizerBasis:
     @property
     def dim(self):
         return len(self.elements)
+
+    def combination(self, coords):
+        """The element sum_t coords[t] * elements[t] of Z(A)."""
+        acc = Matrix.zeros(self.matrix.field, self.matrix.nrows)
+        for c, B in zip(coords, self.elements):
+            if c:
+                acc = acc + B * c
+        return acc
 
 
 def centralizer_basis(A):
@@ -77,16 +85,6 @@ def centralizer_basis(A):
     return CentralizerBasis(A, mats)
 
 
-def _combo(Z, coords):
-    field = Z.matrix.field
-    n = Z.matrix.nrows
-    acc = Matrix.zeros(field, n)
-    for c, B in zip(coords, Z.elements):
-        if c:
-            acc = acc + B * c
-    return acc
-
-
 def unit_elements(Z, cap=DEFAULT_UNIT_CAP):
     """All invertible elements of Z, exactly once, in coordinate order."""
     field = Z.matrix.field
@@ -103,20 +101,16 @@ def unit_elements(Z, cap=DEFAULT_UNIT_CAP):
     n = Z.matrix.nrows
     elems = tuple(field.elements())
     for coords in product(elems, repeat=d):
-        B = _combo(Z, coords)
+        B = Z.combination(coords)
         if rank(B) == n:
             yield B
-
-
-def _stabilizes(B, W):
-    return all(W.member(mat_vec(B, row)) for row in W.basis)
 
 
 def is_hyperinvariant(W, A, Z=None):
     """True iff BW <= W for every element of the centralizer of A."""
     if Z is None:
         Z = centralizer_basis(A)
-    return all(_stabilizes(B, W) for B in Z.elements)
+    return all(W.is_invariant_under(B) for B in Z.elements)
 
 
 def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
@@ -127,7 +121,7 @@ def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
     decidable here and raises (the lattice engine's theorem dispatch
     covers those cases).
     """
-    if not _stabilizes(A, W):
+    if not W.is_invariant_under(A):
         return False
     if Z is None:
         Z = centralizer_basis(A)
@@ -139,7 +133,7 @@ def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
         )
     try:
         for B in unit_elements(Z, cap=cap):
-            if not _stabilizes(B, W):
+            if not W.is_invariant_under(B):
                 return False
     except CapExceededError as exc:
         raise UndecidedError(

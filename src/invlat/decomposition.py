@@ -18,7 +18,7 @@ before a value is returned.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import FieldMismatchError, InseparableFactorError
 from .fields import ExtensionField, FiniteField, RationalField
@@ -83,32 +83,28 @@ def primary_decomposition(A, factorization):
         raise ValueError("primary decomposition requires a square matrix")
     field = A.field
     n = A.nrows
-    m = minimal_polynomial(A)
-    prod = Poly.one(field)
-    for p, k in factorization:
-        prod = prod * p**k
-    if prod != m:
-        raise ValueError("factorization inconsistent with the minimal polynomial")
     comps = []
     total = 0
     all_rows = []
     for p, k in factorization:
-        M = poly_at_matrix(p**k, A)
-        V = kernel_basis(M)
+        V = kernel_basis(poly_at_matrix(p**k, A))
+        if V.is_zero:
+            raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
         # restriction: solve for the coordinates of A*b in the basis of V
         B_cols = Matrix.from_cols(field, V.basis)
         cols = []
         for b in V.basis:
             cols.append(solve(B_cols, mat_vec(A, b)))
         Ai = Matrix.from_cols(field, cols)
-        mi = minimal_polynomial(Ai)
-        if mi != (p**k).monic():
-            raise AssertionError("restricted minimal polynomial mismatch")
+        # with the direct-sum check below this proves prod p^k = m_A: the
+        # factors are coprime, so m_A is the lcm of the restricted ones
+        if minimal_polynomial(Ai) != p**k:
+            raise ValueError("factorization inconsistent with the minimal polynomial")
         comps.append(PrimaryComponent(p, k, V, Ai))
         total += V.dim
         all_rows.extend(V.basis)
     if total != n or span(all_rows, field, n).dim != n:
-        raise AssertionError("primary components do not sum directly to the whole space")
+        raise ValueError("factorization inconsistent with the minimal polynomial")
     return comps
 
 
@@ -122,11 +118,16 @@ class JCDecomposition:
 
     def verify(self, A, p):
         n = A.nrows
-        assert self.S + self.N == A
-        assert self.S @ self.N == self.N @ self.S
-        assert (self.N ** n).is_zero
-        assert poly_at_matrix(p, self.S).is_zero
-        assert poly_at_matrix(self.certificate, A) == self.S
+        if self.S + self.N != A:
+            raise AssertionError("S + N != A")
+        if self.S @ self.N != self.N @ self.S:
+            raise AssertionError("S and N do not commute")
+        if not (self.N ** n).is_zero:
+            raise AssertionError("N is not nilpotent")
+        if not poly_at_matrix(p, self.S).is_zero:
+            raise AssertionError("p(S) != 0")
+        if poly_at_matrix(self.certificate, A) != self.S:
+            raise AssertionError("certificate q(A) != S")
 
 
 def jordan_chevalley(A, p, r, start=None):
@@ -158,17 +159,20 @@ def jordan_chevalley(A, p, r, start=None):
     else:
         raise AssertionError("Newton iteration failed to terminate")
     N = A - S
-    q = _polynomial_certificate(A, S)
+    q = _polynomial_certificate(A, S, r * p.degree)
     dec = JCDecomposition(S, N, q)
     dec.verify(A, p)
     return dec
 
 
-def _polynomial_certificate(A, S):
-    """q with q(A) = S, solved in the Krylov span I, A, ..., A^(d-1)."""
+def _polynomial_certificate(A, S, d):
+    """q with q(A) = S, solved in the Krylov span I, A, ..., A^(d-1).
+
+    Any d >= deg m_A gives the same q: the solver sets free variables to
+    zero and pivots leftmost, so the powers beyond deg m_A stay unused.
+    """
     field = A.field
     n = A.nrows
-    d = minimal_polynomial(A).degree
     powers = [Matrix.identity(field, n)]
     for _ in range(d - 1):
         powers.append(powers[-1] @ A)
@@ -201,7 +205,8 @@ def segre_characteristic(N):
         nxt = ge_counts[j] if j < len(ge_counts) else 0
         parts.extend([j] * (c - nxt))
     parts.sort(reverse=True)
-    assert sum(parts) == n
+    if sum(parts) != n:
+        raise AssertionError("Segre characteristic does not sum to the dimension")
     return tuple(parts)
 
 
@@ -227,7 +232,7 @@ class KStructure:
 
     @property
     def k_dim(self):
-        return self.nk.nrows
+        return self.f_basis.nrows // self.s
 
     def to_k(self, v):
         """F^n vector -> K^{n/s} coordinate vector."""
@@ -324,35 +329,11 @@ def build_k_structure(S, N, p):
     f_basis = Matrix.from_cols(field, blocks)
     f_basis_inv = inverse(f_basis)
 
-    m = n // s
-
-    def to_k(v):
-        x = mat_vec(f_basis_inv, v)
-        out = []
-        for j in range(m):
-            block = x[j * s : (j + 1) * s]
-            if s == 1:
-                out.append(block[0])
-            elif isinstance(K, FiniteField):
-                out.append(K.element([c.c[0] for c in block]))
-            else:
-                out.append(K.element(list(block)))
-        return tuple(out)
-
-    cols = [to_k(mat_vec(N, g)) for g in generators]
-    nk = Matrix.from_cols(K, cols)
+    # coordinates first: nk, its Segre characteristic and chains need to_k
+    coords = KStructure(s, K, tuple(generators), f_basis, f_basis_inv, None, (), ())
+    nk = Matrix.from_cols(K, [coords.to_k(mat_vec(N, g)) for g in generators])
     segre = segre_characteristic(nk)
-    chains = _jordan_chains(nk, segre)
-    result = KStructure(
-        s=s,
-        field_k=K,
-        generators=tuple(generators),
-        f_basis=f_basis,
-        f_basis_inv=f_basis_inv,
-        nk=nk,
-        segre=segre,
-        chains=chains,
-    )
+    result = replace(coords, nk=nk, segre=segre, chains=_jordan_chains(nk, segre))
     _verify_k_structure(result, S, N)
     return result
 
@@ -392,15 +373,16 @@ def _jordan_chains(nk, segre):
 
 def _verify_k_structure(ks, S, N):
     n = S.nrows
-    assert ks.s * sum(ks.segre) == n
+    if ks.s * sum(ks.segre) != n:
+        raise AssertionError("K-structure dimensions do not add up")
     # N is K-linear and nk represents it: check on every generator block
     for j, g in enumerate(ks.generators):
-        img = ks.to_k(mat_vec(N, g))
-        col = ks.nk.col(j)
-        assert img == col
+        if ks.to_k(mat_vec(N, g)) != ks.nk.col(j):
+            raise AssertionError("nk does not represent N over K")
     # round trip of coordinates
     for g in ks.generators:
-        assert ks.to_f(ks.to_k(g)) == g
+        if ks.to_f(ks.to_k(g)) != g:
+            raise AssertionError("K coordinates do not round-trip")
 
 
 # ----------------------------------------------------------------------
@@ -454,6 +436,8 @@ def analyze_operator(A, *, hint=None, seed=0):
     B = Matrix.from_cols(field, basis_cols)
     S_glob = Matrix.from_cols(field, s_images) @ inverse(B)
     N_glob = A - S_glob
-    assert S_glob @ N_glob == N_glob @ S_glob
-    assert (N_glob ** n).is_zero
+    if S_glob @ N_glob != N_glob @ S_glob:
+        raise AssertionError("global S and N do not commute")
+    if not (N_glob ** n).is_zero:
+        raise AssertionError("global N is not nilpotent")
     return OperatorAnalysis(A, m, fact, tuple(analyses), S_glob, N_glob)

@@ -9,12 +9,18 @@ Three kinds of field are supported:
   length k over Z_p.  ``gf_build(p, k)`` picks the modulus
   deterministically (numerically least monic irreducible, coefficients
   read as base-p digits, constant term least significant) so results are
-  reproducible.
+  reproducible.  The characteristic must be below 3.3e24, the range in
+  which the Miller-Rabin test of ``is_prime`` is exact.
 * ``ExtensionField(modulus)`` -- a simple extension Q[t]/(m(t)) for a
   monic irreducible m over Q; elements are residue coefficient vectors of
   Fractions.  Used for the field generated by a semisimple operator over
   the rationals; the caller is responsible for m being irreducible
   (non-invertible residues raise).
+
+Both residue-class fields multiply through one multiply-and-reduce helper.
+Inverses use Fermat's little theorem in GF(p^k) and ``poly.poly_xgcd`` in
+Q[t]/(m); moduli are checked with ``poly.is_irreducible`` over GF(p).
+``poly`` imports this module, so those imports are local.
 
 All values are immutable; all operations are pure functions.
 """
@@ -34,153 +40,73 @@ __all__ = [
     "is_prime",
 ]
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Least strong pseudoprime to all of _MR_BASES: the test is exact below it.
+_MR_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n):
+    """Deterministic Miller-Rabin primality; n >= 3.3e24 raises ValueError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the supported prime range (below {_MR_LIMIT})")
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
-# ----------------------------------------------------------------------
-# Polynomials over Z_p as int tuples (ascending degree, no trailing zeros).
-# Internal helpers only: they bootstrap GF(p^k) arithmetic and the modulus
-# search without depending on the generic Poly class.
-
-
-def _zp_trim(c):
+def _trim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
 
-def _zp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _zp_trim(
-        ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)
-    )
+def _mulmod(a, b, mod, zero):
+    """Coefficients of a*b modulo the monic ``mod`` (a, b of length deg mod)."""
+    k = len(mod) - 1
+    out = [zero] * (2 * k - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(k):
+                out[i - k + j] -= c * mod[j]
+    return out[:k]
 
 
-def _zp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _zp_trim(
-        ((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)
-    )
-
-
-def _zp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _zp_trim(out)
-
-
-def _zp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(da - db + 1, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        coef = (a[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _zp_trim(q), _zp_trim(a)
-
-
-def _zp_rem(a, b, p):
-    return _zp_divmod(a, b, p)[1]
-
-
-def _zp_monic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return _zp_trim((c * inv) % p for c in a)
-
-
-def _zp_gcd(a, b, p):
-    while b:
-        a, b = b, _zp_rem(a, b, p)
-    return _zp_monic(a, p)
-
-
-def _zp_xgcd(a, b, p):
-    # returns (g, u, v) with u*a + v*b = g, g monic
-    r0, r1 = a, b
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _zp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _zp_sub(u0, _zp_mul(q, u1, p), p)
-        v0, v1 = v1, _zp_sub(v0, _zp_mul(q, v1, p), p)
-    if not r0:
-        return (), u0, v0
-    inv = pow(r0[-1], -1, p)
-    scale = (inv % p,)
-    return _zp_monic(r0, p), _zp_mul(scale, u0, p), _zp_mul(scale, v0, p)
-
-
-def _zp_powmod(a, e, mod, p):
-    result = (1,)
-    base = _zp_rem(a, mod, p)
-    while e:
-        if e & 1:
-            result = _zp_rem(_zp_mul(result, base, p), mod, p)
-        base = _zp_rem(_zp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _zp_is_irreducible(f, p):
-    """Rabin irreducibility test for f over Z_p."""
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    x = (0, 1)
-    # x^(p^d) == x (mod f)
-    if _zp_powmod(x, p**d, f, p) != _zp_rem(x, f, p):
-        return False
-    for t in _prime_divisors(d):
-        h = _zp_sub(_zp_powmod(x, p ** (d // t), f, p), x, p)
-        if _zp_gcd(h, f, p) != (1,):
-            return False
-    return True
+def _format_terms(c, var):
+    """Coefficient vector (ascending degree) as text, highest term first."""
+    terms = []
+    for i in range(len(c) - 1, -1, -1):
+        ci = c[i]
+        if ci == 0:
+            continue
+        if i == 0:
+            terms.append(str(ci))
+        else:
+            v = var if i == 1 else f"{var}^{i}"
+            terms.append(v if ci == 1 else f"{ci}{v}")
+    return "+".join(terms) if terms else "0"
 
 
 # ----------------------------------------------------------------------
@@ -258,31 +184,31 @@ class GFElem:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        prod = _zp_mul(_zp_trim(self.c), _zp_trim(other.c), f.p)
-        red = _zp_rem(prod, f.modulus, f.p)
-        return GFElem(f, red + (0,) * (f.k - len(red)))
+        p = f.p
+        return GFElem(f, tuple(x % p for x in _mulmod(self.c, other.c, f.modulus, 0)))
 
     def inverse(self):
         f = self.field
-        a = _zp_trim(self.c)
-        if not a:
+        if not self:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
-        g, u, _ = _zp_xgcd(a, f.modulus, f.p)
-        if g != (1,):
-            raise ZeroDivisionError(f"{self!r} is not invertible (modulus not irreducible?)")
-        u = _zp_rem(u, f.modulus, f.p)
-        return GFElem(f, u + (0,) * (f.k - len(u)))
+        if f.k == 1:
+            return GFElem(f, (pow(self.c[0], -1, f.p),))
+        return self ** (f.order - 2)
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def __pow__(self, e):
-        f = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        r = _zp_powmod(_zp_trim(self.c), e, f.modulus, f.p) if e else (1,)
-        return GFElem(f, r + (0,) * (f.k - len(r)))
+        result, base = self.field.one(), self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
 
     def __bool__(self):
         return any(self.c)
@@ -314,10 +240,10 @@ class FiniteField:
             raise ValueError("extension degree must be a positive integer")
         if modulus is None:
             modulus = _find_modulus(p, k)
-        modulus = _zp_trim(int(c) % p for c in modulus)
+        modulus = _trim(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _zp_is_irreducible(modulus, p):
+        if not _is_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible over GF(%d)" % p)
         self.p = p
         self.k = k
@@ -380,19 +306,7 @@ class FiniteField:
         return self.index_of(a)
 
     def format_element(self, a):
-        if self.k == 1:
-            return str(a.c[0])
-        terms = []
-        for i in range(self.k - 1, -1, -1):
-            c = a.c[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _format_terms(a.c, "a")
 
     def __eq__(self, other):
         return (
@@ -408,34 +322,26 @@ class FiniteField:
     def __repr__(self):
         if self.k == 1:
             return f"GF({self.p})"
-        mod = _format_zp_poly(self.modulus)
-        return f"GF({self.p}^{self.k})[{mod}]"
+        return f"GF({self.p}^{self.k})[{_format_terms(self.modulus, 'x')}]"
 
 
-def _format_zp_poly(c):
-    terms = []
-    for i in range(len(c) - 1, -1, -1):
-        ci = c[i]
-        if ci == 0:
-            continue
-        if i == 0:
-            terms.append(str(ci))
-        else:
-            var = "x" if i == 1 else f"x^{i}"
-            terms.append(var if ci == 1 else f"{ci}{var}")
-    return "+".join(terms) if terms else "0"
+def _is_irreducible(c, p):
+    """Rabin's test of the int coefficient tuple c over GF(p).
+
+    Degree one needs no test, which also keeps GF(p) itself out of a loop.
+    """
+    if len(c) == 2:
+        return True
+    from .poly import Poly, is_irreducible
+
+    return is_irreducible(Poly(FiniteField(p), c))
 
 
 def _find_modulus(p, k):
     """Numerically least monic irreducible of degree k over Z_p."""
     for idx in range(p**k):
-        digits = []
-        i = idx
-        for _ in range(k):
-            digits.append(i % p)
-            i //= p
-        cand = _zp_trim(tuple(digits) + (1,))
-        if _zp_is_irreducible(cand, p):
+        cand = tuple(idx // p**i % p for i in range(k)) + (1,)
+        if _is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible modulus found (impossible for prime p)")
 
@@ -446,60 +352,6 @@ def gf_build(p, k=1):
 
 
 # ----------------------------------------------------------------------
-# Q[t]/(m): helpers over Fraction coefficient tuples.
-
-
-def _q_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _q_trim(out)
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    return _q_trim(
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def _q_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        coef = a[-1] / b[-1]
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] -= coef * bi
-        while a and a[-1] == 0:
-            a.pop()
-    return _q_trim(q), _q_trim(a)
-
-
-def _q_xgcd(a, b):
-    r0, r1 = a, b
-    u0, u1 = (Fraction(1),), ()
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _q_sub(u0, _q_mul(q, u1))
-    return r0, u0
 
 
 class ExtElem:
@@ -529,21 +381,19 @@ class ExtElem:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        prod = _q_mul(_q_trim(self.c), _q_trim(other.c))
-        _, red = _q_divmod(prod, f.modulus)
-        return ExtElem(f, red + (Fraction(0),) * (f.k - len(red)))
+        return ExtElem(f, tuple(_mulmod(self.c, other.c, f.modulus, Fraction(0))))
 
     def inverse(self):
+        from .poly import Poly, poly_xgcd
+
         f = self.field
-        a = _q_trim(self.c)
-        if not a:
+        if not self:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
-        g, u = _q_xgcd(a, f.modulus)
-        if len(g) != 1:
+        m = Poly(QQ, f.modulus)
+        g, u, _ = poly_xgcd(Poly(QQ, self.c), m)
+        if g.degree != 0:
             raise ZeroDivisionError(f"{self!r} not invertible: modulus is reducible")
-        u = _q_mul(u, (Fraction(1) / g[0],))
-        _, u = _q_divmod(u, f.modulus)
-        return ExtElem(f, u + (Fraction(0),) * (f.k - len(u)))
+        return f.element(list((u % m).coeffs))
 
     def __truediv__(self, other):
         self._check(other)
@@ -570,7 +420,7 @@ class ExtensionField:
     order = None
 
     def __init__(self, modulus):
-        mod = _q_trim(Fraction(c) for c in modulus)
+        mod = _trim(Fraction(c) for c in modulus)
         if len(mod) < 2:
             raise ValueError("extension modulus must have degree >= 1")
         if mod[-1] != 1:
@@ -605,17 +455,7 @@ class ExtensionField:
         return a.c
 
     def format_element(self, a):
-        terms = []
-        for i in range(self.k - 1, -1, -1):
-            c = a.c[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _format_terms(a.c, "t")
 
     def elements(self):
         raise InfiniteFieldError("infinite field: " + repr(self))
@@ -627,18 +467,4 @@ class ExtensionField:
         return hash(("QQext", self.modulus))
 
     def __repr__(self):
-        return f"QQ[t]/({_format_q_poly(self.modulus)})"
-
-
-def _format_q_poly(c):
-    terms = []
-    for i in range(len(c) - 1, -1, -1):
-        ci = c[i]
-        if ci == 0:
-            continue
-        if i == 0:
-            terms.append(str(ci))
-        else:
-            var = "t" if i == 1 else f"t^{i}"
-            terms.append(var if ci == 1 else f"{ci}{var}")
-    return "+".join(terms) if terms else "0"
+        return f"QQ[t]/({_format_terms(self.modulus, 't')})"

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .fields import QQ, ExtensionField, FiniteField
 from .matrix import Matrix
-from .poly import format_poly, parse_poly
+from .poly import parse_poly
 from .subspace import build_lattice, span, subspace_label
 
 __all__ = [
@@ -70,9 +70,16 @@ def entry_to_json(field, e):
 
 
 def _entry_from_json(field, v):
-    if isinstance(v, list):
+    """Decode one entry: over GF(p^k) an int or a list of ints, over Q an int
+    or an "a/b" string (lists of those over Q[t]/(m)); else ValueError."""
+    kinds = (int,) if field.is_finite else (int, str)
+
+    def scalar(x):
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    if scalar(v) or (isinstance(v, list) and field != QQ and all(map(scalar, v))):
         return field.element(v)
-    return field.element(v)
+    raise ValueError(f"invalid entry {v!r} for {field!r}")
 
 
 def matrix_to_json(M):
@@ -99,21 +106,21 @@ def subspace_from_json(rows, field, n):
     return span([[_entry_from_json(field, v) for v in row] for row in rows], field, n)
 
 
+def _members_to_json(members, flags):
+    out = []
+    for i, w in enumerate(members):
+        rec = {"dim": w.dim, "basis": subspace_to_json(w), "label": subspace_label(w)}
+        if flags is not None:
+            rec["flag"] = flags[i]
+        out.append(rec)
+    return out
+
+
 def lattice_to_json(lat, field, n):
-    members = []
-    for i, w in enumerate(lat.members):
-        rec = {
-            "dim": w.dim,
-            "basis": subspace_to_json(w),
-            "label": subspace_label(w),
-        }
-        if lat.flags is not None:
-            rec["flag"] = lat.flags[i]
-        members.append(rec)
     return {
         "field": field_to_json(field),
         "ambient_dim": n,
-        "members": members,
+        "members": _members_to_json(lat.members, lat.flags),
         "hasse_edges": [list(e) for e in lat.covers],
     }
 
@@ -139,17 +146,11 @@ def _component_meta_json(meta):
 
 
 def lattice_report_to_json(report, field, n):
-    members = []
-    for i, w in enumerate(report.members):
-        rec = {"dim": w.dim, "basis": subspace_to_json(w), "label": subspace_label(w)}
-        if report.member_flags is not None:
-            rec["flag"] = report.member_flags[i]
-        members.append(rec)
     return {
         "kind": report.kind,
         "finite": report.finite,
         "complete": report.complete,
-        "members": members,
+        "members": _members_to_json(report.members, report.member_flags),
         "lattice": lattice_to_json(report.lattice, field, n) if report.lattice else None,
         "member_count": len(report.members),
         "components": [_component_meta_json(m) for m in report.components],
@@ -171,10 +172,6 @@ def oracle_report_to_json(rep):
         "units_tested": rep.units_tested,
         "findings": list(rep.findings),
     }
-
-
-def poly_to_json(f):
-    return format_poly(f)
 
 
 def hint_from_json(obj, field):

@@ -33,11 +33,10 @@ from .centralizer import (
 )
 from .decomposition import analyze_operator
 from .errors import CapExceededError, UndecidedError
-from .matrix import Matrix, mat_vec, minimal_polynomial
+from .matrix import Matrix, minimal_polynomial
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
-    Lattice,
     build_lattice,
     enumerate_all_subspaces,
     image_basis,
@@ -125,11 +124,6 @@ class LatticeReport:
     def member_set(self):
         return set(self.members)
 
-    def flag_of(self, s):
-        if self.member_flags is None:
-            return None
-        return self.member_flags[self.members.index(s)]
-
 
 def _component_meta(ca):
     ks = ca.kstruct
@@ -193,7 +187,7 @@ def _invariant_k_subspaces(ks, cap):
     m = nk.nrows
     members = []
     for W in enumerate_all_subspaces(K, m, cap=cap):
-        if all(W.member(mat_vec(nk, row)) for row in W.basis):
+        if W.is_invariant_under(nk):
             members.append(W)
     return members
 
@@ -297,7 +291,7 @@ def inv_lattice(
     members, _ = _combine_components(per_comp, None, A.field, A.nrows)
 
     def predicate(W):
-        return all(W.member(mat_vec(A, row)) for row in W.basis)
+        return W.is_invariant_under(A)
 
     for s in members:
         if not predicate(s):
@@ -316,11 +310,11 @@ def inv_lattice(
     )
 
 
-def _hinv_members_component(ca):
-    ks = ca.kstruct
+def _hinv_k_members(ks):
+    """Hyperinvariant K-subspaces of one component, canonically sorted: the
+    closure of the kernel and image chains of N_K under sum and intersection."""
     kers, ims = _nk_powers_chain(ks)
-    closed = _closure(set(kers) | set(ims))
-    return _k_members_to_f(ca, sorted(closed, key=lambda s: s.sort_key()))
+    return sorted(_closure(set(kers) | set(ims)), key=lambda s: s.sort_key())
 
 
 def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
@@ -339,7 +333,7 @@ def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
             "equal those of the nilpotent part over K; computed as the closure of the kernel "
             "and image chains under sum and intersection"
         )
-        per_comp.append(_hinv_members_component(ca))
+        per_comp.append(_k_members_to_f(ca, _hinv_k_members(ca.kstruct)))
     members, _ = _combine_components(per_comp, None, A.field, A.nrows)
     Z = centralizer_basis(A)
     for s in members:
@@ -383,7 +377,9 @@ def chinv_lattice(
     for ca in ana.components:
         ks = ca.kstruct
         pname = format_poly(ca.component.factor)
-        hinv_members = _hinv_members_component(ca)
+        # in component coordinates, then lifted to F^n
+        local = [ks.k_subspace_to_f(w) for w in _hinv_k_members(ks)]
+        hinv_members = [ca.component.lift_subspace(w) for w in local]
         if not (ks.field_k.is_finite and ks.field_k.order == 2):
             provenance.append(
                 f"component {pname}: K has more than two elements, so every characteristic "
@@ -411,9 +407,9 @@ def chinv_lattice(
         try:
             members = []
             flags = {}
-            hset = set(_hinv_members_component_local(ca))
+            hset = set(local)
             for W in enumerate_all_subspaces(Ai.field, Ai.nrows, cap=cap_subspaces):
-                if not all(W.member(mat_vec(Ai, row)) for row in W.basis):
+                if not W.is_invariant_under(Ai):
                     continue
                 if not is_characteristic(W, Ai, Zi, cap=cap_units):
                     continue
@@ -443,14 +439,6 @@ def chinv_lattice(
         notes=tuple(notes),
         member_flags=flag_tuple,
     )
-
-
-def _hinv_members_component_local(ca):
-    """Hyperinvariant members in component coordinates (not lifted)."""
-    ks = ca.kstruct
-    kers, ims = _nk_powers_chain(ks)
-    closed = _closure(set(kers) | set(ims))
-    return [ks.k_subspace_to_f(w) for w in sorted(closed, key=lambda s: s.sort_key())]
 
 
 def direct_sum_lattices(lattices, matrices=None, check_closure=True):

@@ -23,8 +23,6 @@ __all__ = [
     "companion",
     "block_diag",
     "mat_vec",
-    "vec_add",
-    "vec_scale",
 ]
 
 
@@ -178,14 +176,6 @@ def mat_vec(M, v):
         raise ValueError("vector length does not match column count")
     zero = M.field.zero()
     return tuple(_dot(row, v, zero) for row in M.rows)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def rref(M):

@@ -191,10 +191,6 @@ def _gf2_unpack(field, n, packed):
 # ----------------------------------------------------------------------
 
 
-def _stabilizes(B, W):
-    return all(W.member(mat_vec(B, row)) for row in W.basis)
-
-
 def _stabilizer_coords(Z, W):
     """U_W = {x in F^d : (sum x_t Z_t) W <= W} as a subspace of F^d."""
     field = Z.matrix.field
@@ -206,15 +202,6 @@ def _stabilizer_coords(Z, W):
             rows.append(tuple(res[coord] for res in residues))
     M = Matrix(field, tuple(rows), _raw=True)
     return kernel_basis(M)
-
-
-def _combo_matrix(Z, coords):
-    field = Z.matrix.field
-    acc = Matrix.zeros(field, Z.matrix.nrows)
-    for c, B in zip(coords, Z.elements):
-        if c:
-            acc = acc + B * c
-    return acc
 
 
 def _classify_characteristic(A, Z, candidates, cap_units, seed):
@@ -232,11 +219,11 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
         tested = 0
         elems = tuple(field.elements())
         for coords in product(elems, repeat=d):
-            B = _combo_matrix(Z, coords)
+            B = Z.combination(coords)
             if rank(B) != n:
                 continue
             tested += 1
-            alive = {W for W in alive if _stabilizes(B, W)}
+            alive = {W for W in alive if W.is_invariant_under(B)}
             if not alive:
                 break
         return alive, ("full-enumeration", tested)
@@ -255,7 +242,7 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
             coords = tuple(elems[rng.randrange(q)] for _ in range(d))
             if UW.member(coords):
                 continue
-            B = _combo_matrix(Z, coords)
+            B = Z.combination(coords)
             tested += 1
             if rank(B) == n:
                 found = True  # a unit moving W
@@ -274,7 +261,7 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
         for c_coords in _nonzero_combos(comp, field):
             for u in uw_vectors:
                 coords = tuple(a + b for a, b in zip(c_coords, u))
-                B = _combo_matrix(Z, coords)
+                B = Z.combination(coords)
                 tested += 1
                 if rank(B) == n:
                     found = True
@@ -383,10 +370,10 @@ def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNI
         invariant = [
             W
             for W in enumerate_all_subspaces(field, n, cap=cap_subspaces)
-            if all(W.member(mat_vec(A, row)) for row in W.basis)
+            if W.is_invariant_under(A)
         ]
     Z = centralizer_basis(A)
-    hyper = [W for W in invariant if all(_stabilizes(B, W) for B in Z.elements)]
+    hyper = [W for W in invariant if all(W.is_invariant_under(B) for B in Z.elements)]
     hset = set(hyper)
     candidates = [W for W in invariant if W not in hset]
     extra, (mode, tested) = _classify_characteristic(A, Z, candidates, cap_units, seed)

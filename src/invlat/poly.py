@@ -378,10 +378,10 @@ def _verify_factorization(f, result):
         for j in range(i + 1, len(fs)):
             if poly_gcd(fs[i], fs[j]).degree != 0:
                 raise FactorHintError(f"factors {fs[i]!r} and {fs[j]!r} are not coprime")
-    if not result.trusted:
-        for p, _ in result.factors:
-            if not is_irreducible(p):
-                raise FactorHintError(f"claimed factor {p!r} is reducible")
+    for p, _ in result.factors:
+        # a trusted hint vouches only for its factors of degree > 3
+        if not (result.trusted and p.degree > 3) and not is_irreducible(p):
+            raise FactorHintError(f"claimed factor {p!r} is reducible")
 
 
 def _squarefree_decomposition(f):
@@ -549,7 +549,6 @@ def _factor_rationals(f, seed):
 
 def _verified_hint(f, hint, seed):
     pairs = []
-    trusted = False
     for p, m in hint:
         if not isinstance(p, Poly):
             raise FactorHintError("hint entries must be (Poly, multiplicity)")
@@ -559,22 +558,9 @@ def _verified_hint(f, hint, seed):
             raise FactorHintError("hint multiplicities must be positive")
         pairs.append((p.monic(), int(m)))
     pairs.sort(key=lambda pm: pm[0].sort_key())
-    for p, _ in pairs:
-        if p.degree > 3:
-            trusted = True
-        elif not is_irreducible(p):
-            raise FactorHintError(f"hint factor {p!r} is reducible over QQ")
+    trusted = any(p.degree > 3 for p, _ in pairs)
     result = Factorization(tuple(pairs), trusted=trusted, seed=seed)
-    # always verify product and coprimality; skip the (impossible) deg>3 check
-    prod = Poly.one(f.field)
-    for p, m in pairs:
-        prod = prod * p**m
-    if prod != f:
-        raise FactorHintError("hint product does not reproduce the polynomial")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if poly_gcd(pairs[i][0], pairs[j][0]).degree != 0:
-                raise FactorHintError("hint factors are not pairwise coprime")
+    _verify_factorization(f, result)
     return result
 
 

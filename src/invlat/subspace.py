@@ -11,7 +11,7 @@ exactly once.
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ClosureError, FieldMismatchError, InfiniteFieldError
-from .matrix import Matrix, rref
+from .matrix import Matrix, mat_vec, rref
 
 __all__ = [
     "Subspace",
@@ -76,6 +76,10 @@ class Subspace:
             raise ValueError("vector length does not match ambient dimension")
         v = tuple(self.field.element(e) for e in v)
         return not any(self.reduce(v))
+
+    def is_invariant_under(self, B):
+        """True iff the matrix B maps this subspace into itself."""
+        return all(self.member(mat_vec(B, row)) for row in self.basis)
 
     def contains(self, other):
         self._check(other)
@@ -200,7 +204,8 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP):
         )
     from itertools import combinations, product
 
-    elems = tuple(field.elements())
+    # F^1 has no free entries: skip listing a possibly huge field
+    elems = tuple(field.elements()) if n > 1 else ()
     zero, one = field.zero(), field.one()
     yield zero_subspace(field, n)
     for d in range(1, n + 1):
@@ -247,11 +252,6 @@ class Lattice:
 
     def top(self):
         return self.members[-1]
-
-    def flag_of(self, s):
-        if self.flags is None:
-            return None
-        return self.flags[self.members.index(s)]
 
 
 def build_lattice(subspaces, flags=None, check_closure=True):

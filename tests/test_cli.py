@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 from invlat.cli import main
 from invlat.jsonio import matrix_to_json
@@ -118,6 +120,42 @@ def test_input_error_exit_code(tmp_path):
     missing_hint = write_matrix(tmp_path, GOLD_RAT_A)
     # inseparable / unknown command also map to 2
     assert main(["--input", missing_hint, "--command", "nonsense"]) == 2
+    # entries of the wrong JSON type are rejected at the boundary, not coerced
+    for field, entry in (
+        ({"kind": "finite", "p": 2}, "1/2"),
+        ({"kind": "rationals"}, 1.5),
+        ({"kind": "rationals"}, None),
+        ({"kind": "finite", "p": 2}, True),
+    ):
+        bad.write_text(json.dumps({"field": field, "rows": [[entry, 0], [0, 1]]}))
+        assert main(["--input", str(bad), "--command", "analyze"]) == 2
+
+
+def test_huge_prime_field_answers_quickly(tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"rows": [[1, 2], [3, 4]]}))
+    field = json.dumps({"kind": "finite", "p": 2**61 - 1})
+    for command, code in (("shoda", 0), ("analyze", 0), ("lattice-chinv", 0), ("verify", 4)):
+        t0 = time.perf_counter()
+        assert main(["--input", str(path), "--field", field, "--command", command,
+                     "--out", str(tmp_path / "o.json")]) == code
+        assert time.perf_counter() - t0 < 10
+    field = json.dumps({"kind": "finite", "p": 2**89 - 1})  # beyond the exact prime test
+    assert main(["--input", str(path), "--field", field, "--command", "shoda"]) == 2
+
+
+def test_analyze_output_bytes_pinned(tmp_path):
+    # sha256 of the analyze report; guards against output drift between versions
+    expected = {
+        "GOLD_4": ("34d0a7d756ab37635296d65c75d4cb4e32ffe3bfbaa26b3f743d7b8db837ad03", GOLD_4_A),
+        "GOLD_RAT": ("7661b96eb6540193505a5db7c18907cc07d9061f15ea55b3d29e6e5cf967442e", GOLD_RAT_A),
+        "GOLD_8": ("635e246bc3704e38b21b6d619cfdf671a627aa60b679dd24acd182a4d66d8825", GOLD_8_A),
+    }
+    for name, (digest, M) in expected.items():
+        inp = write_matrix(tmp_path, M, f"{name}.json")
+        out = tmp_path / f"{name}.out.json"
+        assert main(["--input", inp, "--command", "analyze", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
 def test_cap_exit_code(tmp_path):

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +104,48 @@ def test_primary_decomposition_two_components():
     comps = primary_decomposition(A, fact)
     assert [c.dim for c in comps] == [1, 1]
     assert {repr(c.factor) for c in comps} == {"x", "x+1"}
+
+
+def test_primary_decomposition_rejects_inconsistent_factorization():
+    x1 = parse_poly("x+1", F2)
+    # (x+1)^2: kernels miss a vector; (x+1)^4: restriction has a smaller
+    # minimal polynomial; x: does not divide m_A at all
+    for bad in ([(x1, 2)], [(x1, 4)], [(parse_poly("x", F2), 1)]):
+        with pytest.raises(ValueError):
+            primary_decomposition(GOLD_4_A, bad)
+
+
+def test_jc_verify_rejects_tampered_s_under_python_O():
+    # the invariant checks must not be bare asserts, which -O strips
+    script = textwrap.dedent(
+        """
+        import sys
+        from fixtures import GOLD_4_A, F2
+        from invlat.decomposition import JCDecomposition, jordan_chevalley
+        from invlat.matrix import Matrix
+        from invlat.poly import parse_poly
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        p = parse_poly("x+1", F2)
+        dec = jordan_chevalley(GOLD_4_A, p, 3)
+        bad = JCDecomposition(dec.S + Matrix.identity(F2, 4), dec.N, dec.certificate)
+        try:
+            bad.verify(GOLD_4_A, p)
+        except AssertionError as exc:
+            print("rejected:", exc)
+        """
+    )
+    here = Path(__file__).resolve().parent
+    import invlat
+
+    path = [str(here), str(Path(invlat.__file__).resolve().parents[1])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:")
 
 
 def test_k_structure_rational_golden():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from invlat.errors import FieldMismatchError, InfiniteFieldError
-from invlat.fields import QQ, ExtensionField, FiniteField, gf_build
+from invlat.fields import QQ, ExtensionField, FiniteField, gf_build, is_prime
+from invlat.poly import Poly
 
 
 def test_gf2_modulus_is_x():
@@ -50,13 +51,85 @@ def test_field_axioms_randomized():
 
 
 def test_every_nonzero_element_invertible_exhaustive_gf9():
-    F = gf_build(3, 2)
-    seen = set()
-    for i in range(1, F.order):
-        a = F.element_from_index(i)
-        assert a * a.inverse() == F.one()
-        seen.add(a)
-    assert len(seen) == F.order - 1
+    for F in (gf_build(3, 2), gf_build(7), gf_build(2, 2), gf_build(2, 3), gf_build(5, 2)):
+        seen = set()
+        for i in range(1, F.order):
+            a = F.element_from_index(i)
+            assert a * a.inverse() == F.one()
+            assert a.inverse().inverse() == a
+            assert a ** -1 == a.inverse()
+            seen.add(a)
+        assert len(seen) == F.order - 1
+        with pytest.raises(ZeroDivisionError):
+            F.zero().inverse()
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_products_match_polynomial_arithmetic(p, k):
+    # independent route: multiply as polynomials over GF(p), reduce by the modulus
+    F = gf_build(p, k)
+    base = gf_build(p)
+    mod = Poly(base, F.modulus)
+    elems = list(F.elements())
+    for a in elems:
+        for b in elems:
+            r = (Poly(base, a.c) * Poly(base, b.c)) % mod
+            want = tuple(r.coefficient(i).c[0] for i in range(k))
+            assert (a * b).c == want
+
+
+def test_extension_inverses_cube_root_of_two():
+    K = ExtensionField((-2, 0, 0, 1))  # Q[t]/(t^3-2)
+    t = K.generator()
+    assert t.inverse() == K.element([0, 0, Fraction(1, 2)])
+    rng = random.Random(7)
+    for _ in range(30):
+        a = K.element([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
+        if not a:
+            continue
+        inv = a.inverse()
+        assert a * inv == K.one()
+        assert all(type(c) is Fraction for c in inv.c + (a * inv).c)
+    with pytest.raises(ZeroDivisionError):
+        K.zero().inverse()
+    reducible = ExtensionField((-1, 0, 1))  # t^2 - 1 = (t-1)(t+1)
+    with pytest.raises(ZeroDivisionError):
+        reducible.element([-1, 1]).inverse()
+
+
+def test_gf_build_moduli_pinned():
+    expected = {
+        (2, 3): (1, 1, 0, 1),
+        (2, 4): (1, 1, 0, 0, 1),
+        (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 2, 0, 1),
+        (5, 2): (2, 0, 1),
+        (7, 2): (1, 0, 1),
+        (5, 3): (1, 1, 0, 1),
+    }
+    for (p, k), modulus in expected.items():
+        assert gf_build(p, k).modulus == modulus
+
+
+def test_is_prime_matches_sieve_and_rejects_out_of_range():
+    limit = 5000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, limit):
+        if sieve[i]:
+            for j in range(i * i, limit, i):
+                sieve[j] = False
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # Carmichael numbers and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    with pytest.raises(ValueError, match="range"):
+        is_prime(2**89 - 1)
+    with pytest.raises(ValueError):
+        FiniteField(2**89 - 1)
 
 
 def test_rationals_normalized():
