@@ -36,6 +36,7 @@ from .errors import (
     InconsistentSystemError,
     InfiniteFieldError,
     InseparableFactorError,
+    InvariantError,
     InvlatError,
     SingularMatrixError,
     UndecidedError,

@@ -12,7 +12,7 @@ within a configured cap.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceededError, InfiniteFieldError, UndecidedError
+from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
 from .matrix import Matrix, rank
 from .subspace import kernel_basis
 
@@ -77,11 +77,11 @@ def centralizer_basis(A):
     )
     for B in mats:
         if A @ B != B @ A:
-            raise AssertionError("centralizer solver produced a non-commuting matrix")
+            raise InvariantError("centralizer solver produced a non-commuting matrix")
     # I and A always commute with A; make sure the solution space has them
     vec = lambda M: tuple(e for row in M.rows for e in row)
     if not ker.member(vec(Matrix.identity(field, n))) or not ker.member(vec(A)):
-        raise AssertionError("centralizer basis misses I or A")
+        raise InvariantError("centralizer basis misses I or A")
     return CentralizerBasis(A, mats)
 
 

@@ -15,7 +15,8 @@ emit deterministic JSON (and optionally DOT).  Commands:
 * ``dot``            re-render a stored lattice JSON as DOT.
 
 Exit codes: 0 success, 2 input error, 3 verification mismatch, 4 scale
-cap exceeded.
+cap exceeded, 5 internal invariant violated (a self-check on a computed
+result failed: a defect to report, never a property of the input).
 """
 
 import argparse
@@ -30,6 +31,7 @@ from .errors import (
     FieldMismatchError,
     InfiniteFieldError,
     InseparableFactorError,
+    InvariantError,
     UndecidedError,
 )
 from .jsonio import (
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_CAP = 4
+EXIT_INVARIANT = 5
 
 
 def _build_parser():
@@ -250,9 +253,9 @@ def _cmd_verify(A, args):
 
 def _cmd_dot(args):
     obj = _read_json(args.input)
-    if "report" in obj:
+    if isinstance(obj, dict) and "report" in obj:
         obj = obj["report"]
-    if "lattice" in obj and obj["lattice"] is not None:
+    if isinstance(obj, dict) and obj.get("lattice") is not None:
         obj = obj["lattice"]
     lat = lattice_from_json(obj)
     return {"command": "dot", "members": len(lat.members)}, to_dot(lat)
@@ -295,6 +298,9 @@ def main(argv=None):
     except (CapExceededError, UndecidedError) as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InvariantError as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (
         FactorHintError,
         FieldMismatchError,

@@ -20,7 +20,7 @@ before a value is returned.
 import math
 from dataclasses import dataclass, replace
 
-from .errors import FieldMismatchError, InseparableFactorError
+from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
 from .matrix import (
     Matrix,
@@ -119,15 +119,15 @@ class JCDecomposition:
     def verify(self, A, p):
         n = A.nrows
         if self.S + self.N != A:
-            raise AssertionError("S + N != A")
+            raise InvariantError("S + N != A")
         if self.S @ self.N != self.N @ self.S:
-            raise AssertionError("S and N do not commute")
+            raise InvariantError("S and N do not commute")
         if not (self.N ** n).is_zero:
-            raise AssertionError("N is not nilpotent")
+            raise InvariantError("N is not nilpotent")
         if not poly_at_matrix(p, self.S).is_zero:
-            raise AssertionError("p(S) != 0")
+            raise InvariantError("p(S) != 0")
         if poly_at_matrix(self.certificate, A) != self.S:
-            raise AssertionError("certificate q(A) != S")
+            raise InvariantError("certificate q(A) != S")
 
 
 def jordan_chevalley(A, p, r, start=None):
@@ -157,7 +157,7 @@ def jordan_chevalley(A, p, r, start=None):
             break
         S = S - P @ inverse(poly_at_matrix(dp, S))
     else:
-        raise AssertionError("Newton iteration failed to terminate")
+        raise InvariantError("Newton iteration failed to terminate")
     N = A - S
     q = _polynomial_certificate(A, S, r * p.degree)
     dec = JCDecomposition(S, N, q)
@@ -206,7 +206,7 @@ def segre_characteristic(N):
         parts.extend([j] * (c - nxt))
     parts.sort(reverse=True)
     if sum(parts) != n:
-        raise AssertionError("Segre characteristic does not sum to the dimension")
+        raise InvariantError("Segre characteristic does not sum to the dimension")
     return tuple(parts)
 
 
@@ -325,7 +325,7 @@ def build_k_structure(S, N, p):
         blocks.extend(block)
         covered = span(list(covered.basis) + block, field, n)
     if len(blocks) != n or covered.dim != n:
-        raise AssertionError("K-basis construction failed to exhaust the space")
+        raise InvariantError("K-basis construction failed to exhaust the space")
     f_basis = Matrix.from_cols(field, blocks)
     f_basis_inv = inverse(f_basis)
 
@@ -352,37 +352,32 @@ def _jordan_chains(nk, segre):
     for t in sorted(segre, reverse=True):
         big = kernels[t]
         small = kernels[t - 1]
-        pick = None
-        for cand in big.basis:
-            if not span(list(small.basis) + chosen + [cand], K, m).dim == span(
-                list(small.basis) + chosen, K, m
-            ).dim:
-                pick = cand
-                break
+        below = span(list(small.basis) + chosen, K, m)
+        pick = next((cand for cand in big.basis if not below.member(cand)), None)
         if pick is None:
-            raise AssertionError("Jordan chain extraction failed")
+            raise InvariantError("Jordan chain extraction failed")
         chain = [pick]
         for _ in range(t - 1):
             chain.append(mat_vec(nk, chain[-1]))
         chains.append(tuple(chain))
         chosen.extend(chain)
     if span(chosen, K, m).dim != m:
-        raise AssertionError("Jordan chains do not span")
+        raise InvariantError("Jordan chains do not span")
     return tuple(chains)
 
 
 def _verify_k_structure(ks, S, N):
     n = S.nrows
     if ks.s * sum(ks.segre) != n:
-        raise AssertionError("K-structure dimensions do not add up")
+        raise InvariantError("K-structure dimensions do not add up")
     # N is K-linear and nk represents it: check on every generator block
     for j, g in enumerate(ks.generators):
         if ks.to_k(mat_vec(N, g)) != ks.nk.col(j):
-            raise AssertionError("nk does not represent N over K")
+            raise InvariantError("nk does not represent N over K")
     # round trip of coordinates
     for g in ks.generators:
         if ks.to_f(ks.to_k(g)) != g:
-            raise AssertionError("K coordinates do not round-trip")
+            raise InvariantError("K coordinates do not round-trip")
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +432,7 @@ def analyze_operator(A, *, hint=None, seed=0):
     S_glob = Matrix.from_cols(field, s_images) @ inverse(B)
     N_glob = A - S_glob
     if S_glob @ N_glob != N_glob @ S_glob:
-        raise AssertionError("global S and N do not commute")
+        raise InvariantError("global S and N do not commute")
     if not (N_glob ** n).is_zero:
-        raise AssertionError("global N is not nilpotent")
+        raise InvariantError("global N is not nilpotent")
     return OperatorAnalysis(A, m, fact, tuple(analyses), S_glob, N_glob)

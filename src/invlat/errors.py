@@ -48,3 +48,7 @@ class SingularMatrixError(InvlatError):
 
 class ClosureError(InvlatError):
     """A collection of subspaces is not closed under sum/intersection."""
+
+
+class InvariantError(InvlatError, AssertionError):
+    """A self-check of a computed result failed (a defect, not bad input)."""

@@ -17,15 +17,23 @@ Three kinds of field are supported:
   the rationals; the caller is responsible for m being irreducible
   (non-invertible residues raise).
 
-Both residue-class fields multiply through one multiply-and-reduce helper.
-Inverses use Fermat's little theorem in GF(p^k) and ``poly.poly_xgcd`` in
-Q[t]/(m); moduli are checked with ``poly.is_irreducible`` over GF(p).
-``poly`` imports this module, so those imports are local.
+Both residue-class fields multiply through one multiply-and-reduce helper
+(GF(p) skips it).  Inverses use Fermat's little theorem in GF(p^k) and
+``poly.poly_xgcd`` in Q[t]/(m); moduli are checked with
+``poly.is_irreducible`` over GF(p); ``poly`` imports this module, so those
+imports are local.
 
-All values are immutable; all operations are pure functions.
+The row codec of ``matrix``'s kernels: a GF(p^k) element is coded by its
+index (coefficients as base-p digits, ``index_of`` / ``element_from_index``);
+for k > 1, ``zech_tables`` gives log/antilog/Zech tables over indices,
+built on first use and cached per (p, k, modulus); ``matrix`` uses them
+for orders <= 2^8.  Values are immutable and operations pure; the tables
+are a cache.
 """
 
+from array import array
 from fractions import Fraction
+from functools import cache
 
 from .errors import FieldMismatchError, InfiniteFieldError
 
@@ -164,18 +172,26 @@ class GFElem:
         self.c = c  # int tuple, length k, already reduced
 
     def _check(self, other):
+        if other.__class__ is GFElem and other.field is self.field:
+            return
         if not isinstance(other, GFElem) or other.field != self.field:
             raise FieldMismatchError(f"cannot combine {self!r} with {other!r}")
 
+    # k = 1 computes on c[0] directly (prime-field Matrix arithmetic)
+
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return GFElem(self.field, tuple((a + b) % p for a, b in zip(self.c, other.c)))
+        f = self.field
+        if f.k == 1:
+            return GFElem(f, ((self.c[0] + other.c[0]) % f.p,))
+        return GFElem(f, tuple((a + b) % f.p for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return GFElem(self.field, tuple((a - b) % p for a, b in zip(self.c, other.c)))
+        f = self.field
+        if f.k == 1:
+            return GFElem(f, ((self.c[0] - other.c[0]) % f.p,))
+        return GFElem(f, tuple((a - b) % f.p for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
         p = self.field.p
@@ -185,6 +201,8 @@ class GFElem:
         self._check(other)
         f = self.field
         p = f.p
+        if f.k == 1:
+            return GFElem(f, (self.c[0] * other.c[0] % p,))
         return GFElem(f, tuple(x % p for x in _mulmod(self.c, other.c, f.modulus, 0)))
 
     def inverse(self):
@@ -304,6 +322,30 @@ class FiniteField:
 
     def sort_key(self, a):
         return self.index_of(a)
+
+    @cache  # once per (p, k, modulus): equal fields share the tables
+    def zech_tables(self):
+        """16-bit (exp, log, zech): with g the least primitive element and
+        m = order - 1, exp[j] = g^j (j < 2m), log[exp[j]] = j, and
+        zech[d] = log(1 + g^d), or m where 1 + g^d = 0.  Meant for small
+        fields: time and memory grow with the order."""
+        p, m, one = self.p, self.order - 1, self.one()
+        for i in range(2, self.order):  # least index of a primitive element
+            g = self.element_from_index(i)
+            if all(g ** (m // r) != one for r in range(2, m + 1) if m % r == 0 and is_prime(r)):
+                break
+        exp, log = array("H", bytes(4 * m)), array("H", bytes(2 * m + 2))
+        zech = array("H", bytes(2 * m))
+        x = one
+        for j in range(m):
+            exp[j] = exp[j + m] = i = self.index_of(x)
+            log[i] = j
+            x = x * g
+        for d in range(m):
+            i = exp[d]
+            i += 1 if i % p != p - 1 else 1 - p  # add 1 to the constant coefficient
+            zech[d] = log[i] if i else m
+        return exp, log, zech
 
     def format_element(self, a):
         return _format_terms(a.c, "a")

@@ -15,6 +15,7 @@ Wire formats:
 
 from fractions import Fraction
 
+from .errors import ClosureError
 from .fields import QQ, ExtensionField, FiniteField
 from .matrix import Matrix
 from .poly import parse_poly
@@ -45,17 +46,35 @@ def field_to_json(field):
     raise TypeError(f"cannot serialize field {field!r}")
 
 
+def _scalar(x, kinds):
+    """x is a JSON value of one of ``kinds`` (a JSON bool is not an int)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _scalars(v, kinds):
+    return isinstance(v, list) and all(_scalar(x, kinds) for x in v)
+
+
+def _expect(ok, what, v):
+    """Validation at the JSON boundary: ValueError naming the bad value."""
+    if not ok:
+        raise ValueError(f"{what}, not {v!r}")
+
+
 def field_from_json(obj):
+    _expect(isinstance(obj, dict), "a field must be a JSON object", obj)
     kind = obj.get("kind")
     if kind == "rationals":
         return QQ
     if kind == "finite":
-        p = int(obj["p"])
-        k = int(obj.get("k", 1))
-        modulus = obj.get("modulus")
+        p, k, modulus = obj.get("p"), obj.get("k", 1), obj.get("modulus")
+        _expect(_scalar(p, int) and _scalar(k, int), "p and k must be integers", (p, k))
+        _expect(modulus is None or _scalars(modulus, int), "modulus must list integers", modulus)
         return FiniteField(p, k, modulus=tuple(modulus) if modulus else None)
     if kind == "extension":
-        return ExtensionField(tuple(Fraction(c) for c in obj["modulus"]))
+        modulus = obj.get("modulus")
+        _expect(_scalars(modulus, (int, str)), "modulus must list integers or strings", modulus)
+        return ExtensionField(tuple(Fraction(c) for c in modulus))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -73,13 +92,15 @@ def _entry_from_json(field, v):
     """Decode one entry: over GF(p^k) an int or a list of ints, over Q an int
     or an "a/b" string (lists of those over Q[t]/(m)); else ValueError."""
     kinds = (int,) if field.is_finite else (int, str)
-
-    def scalar(x):
-        return isinstance(x, kinds) and not isinstance(x, bool)
-
-    if scalar(v) or (isinstance(v, list) and field != QQ and all(map(scalar, v))):
+    if _scalar(v, kinds) or (field != QQ and _scalars(v, kinds)):
         return field.element(v)
     raise ValueError(f"invalid entry {v!r} for {field!r}")
+
+
+def _rows_from_json(rows, field):
+    _expect(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
+            "rows must be a list of lists", rows)
+    return [[_entry_from_json(field, v) for v in row] for row in rows]
 
 
 def matrix_to_json(M):
@@ -90,12 +111,12 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(obj, field=None):
+    _expect(isinstance(obj, dict), "a matrix must be a JSON object", obj)
     if field is None:
         if "field" not in obj:
             raise ValueError("matrix JSON lacks a field and none was supplied")
         field = field_from_json(obj["field"])
-    rows = obj["rows"]
-    return Matrix(field, [[_entry_from_json(field, v) for v in row] for row in rows])
+    return Matrix(field, _rows_from_json(obj.get("rows"), field))
 
 
 def subspace_to_json(W):
@@ -103,7 +124,7 @@ def subspace_to_json(W):
 
 
 def subspace_from_json(rows, field, n):
-    return span([[_entry_from_json(field, v) for v in row] for row in rows], field, n)
+    return span(_rows_from_json(rows, field), field, n)
 
 
 def _members_to_json(members, flags):
@@ -126,16 +147,20 @@ def lattice_to_json(lat, field, n):
 
 
 def lattice_from_json(obj):
-    field = field_from_json(obj["field"])
-    n = int(obj["ambient_dim"])
-    members = [subspace_from_json(rec["basis"], field, n) for rec in obj["members"]]
+    _expect(isinstance(obj, dict), "a lattice must be a JSON object", obj)
+    field = field_from_json(obj.get("field"))
+    n, recs = obj.get("ambient_dim"), obj.get("members")
+    _expect(_scalar(n, int) and n > 0, '"ambient_dim" must be a positive integer', n)
+    _expect(isinstance(recs, list) and all(isinstance(rec, dict) for rec in recs),
+            '"members" must be a list of objects', recs)
+    members = [subspace_from_json(rec.get("basis"), field, n) for rec in recs]
     flags = None
-    if any("flag" in rec for rec in obj["members"]):
-        flags = {
-            subspace_from_json(rec["basis"], field, n): rec.get("flag", "")
-            for rec in obj["members"]
-        }
-    return build_lattice(members, flags=flags)
+    if any("flag" in rec for rec in recs):
+        flags = {w: rec.get("flag", "") for w, rec in zip(members, recs)}
+    try:
+        return build_lattice(members, flags=flags)
+    except ClosureError as exc:
+        raise ValueError(f"the members do not form a lattice: {exc}") from exc
 
 
 def _component_meta_json(meta):
@@ -176,8 +201,8 @@ def oracle_report_to_json(rep):
 
 def hint_from_json(obj, field):
     """[["x^2+1", 2], ...] -> [(Poly, int), ...]"""
-    out = []
-    for item in obj:
-        text, mult = item
-        out.append((parse_poly(text, field), int(mult)))
-    return out
+    _expect(isinstance(obj, list) and all(
+        isinstance(x, list) and len(x) == 2 and _scalar(x[0], str) and _scalar(x[1], int)
+        for x in obj
+    ), 'a hint must be a list of ["polynomial", multiplicity] pairs', obj)
+    return [(parse_poly(text, field), mult) for text, mult in obj]

@@ -32,7 +32,7 @@ from .centralizer import (
     is_hyperinvariant,
 )
 from .decomposition import analyze_operator
-from .errors import CapExceededError, UndecidedError
+from .errors import CapExceededError, InvariantError, UndecidedError
 from .matrix import Matrix, minimal_polynomial
 from .poly import format_poly, poly_gcd
 from .subspace import (
@@ -204,7 +204,7 @@ def _combine_components(per_comp_members, per_comp_flags, field, n):
             total += w.dim
         s = span(rows, field, n)
         if s.dim != total:
-            raise AssertionError("component subspaces are not independent")
+            raise InvariantError("component subspaces are not independent")
         members.append(s)
         if flags is not None:
             labels = [fl[w] for fl, w in zip(per_comp_flags, combo)]
@@ -295,7 +295,7 @@ def inv_lattice(
 
     for s in members:
         if not predicate(s):
-            raise AssertionError("engine produced a non-invariant subspace")
+            raise InvariantError("engine produced a non-invariant subspace")
     members, _, lat = _finalize(members, None, detail_cap, notes)
     return LatticeReport(
         kind="invariant",
@@ -338,7 +338,7 @@ def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
     Z = centralizer_basis(A)
     for s in members:
         if not is_hyperinvariant(s, A, Z):
-            raise AssertionError("engine produced a non-hyperinvariant subspace")
+            raise InvariantError("engine produced a non-hyperinvariant subspace")
     members, _, lat = _finalize(members, None, detail_cap, notes)
     return LatticeReport(
         kind="hyperinvariant",

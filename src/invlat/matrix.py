@@ -1,15 +1,25 @@
-"""Dense exact matrices over a field.
+"""Dense exact matrices over a field, and the row kernels that reduce them.
 
 Rows are stored as a tuple of tuples of field elements, so matrices are
-immutable, hashable, and safe to share.  Row reduction uses the leftmost
-nonzero pivot with exact arithmetic; results are fully deterministic.
+immutable, hashable, and safe to share.  Row reduction (``rref``, ``rank``,
+so ``solve``, ``inverse``, ``kernel_basis`` and the subspace operations)
+runs in the field's row kernel on encoded rows, decoded at its boundary:
+GF(2) rows are int bitmasks, GF(p) rows int lists mod p, GF(p^k) rows
+(order <= TABLE_LIMIT) index lists combined through the tables of
+``fields``, and Q, Q[t]/(m) and larger GF(p^k) rows element lists.
+Pivots are leftmost and RREF is unique, so every kernel gives the element
+loop's result.
 """
+
+from bisect import bisect
 
 from .errors import (
     FieldMismatchError,
     InconsistentSystemError,
+    InvariantError,
     SingularMatrixError,
 )
+from .fields import GFElem
 from .poly import Poly, poly_lcm
 
 __all__ = [
@@ -178,38 +188,190 @@ def mat_vec(M, v):
     return tuple(_dot(row, v, zero) for row in M.rows)
 
 
+# ----------------------------------------------------------------------
+# Row kernels: encode, echelon (RREF), reduce against RREF rows, decode.
+# TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
+# indices: each process builds the tables on first use, in time linear in
+# the order, and no workload uses a field between GF(9) and GF(2^16).
+TABLE_LIMIT = 1 << 8
+
+
+def _gf2_reduce(v, rows, pivots):
+    for r, p in zip(rows, pivots):
+        if (v >> p) & 1:
+            v ^= r
+    return v
+
+
+class _GF2Rows:
+    """GF(2): a row is an int whose bit j is coordinate j."""
+
+    nonzero = bool
+    reduce = staticmethod(_gf2_reduce)
+
+    def __init__(self, field):
+        self.elements = (field.zero(), field.one())
+
+    def encode(self, row):
+        v, bit = 0, 1
+        for e in row:
+            if e.c[0]:
+                v |= bit
+            bit <<= 1
+        return v
+
+    def decode(self, v, n):
+        return tuple(self.elements[(v >> j) & 1] for j in range(n))
+
+    def tail(self, v, n):  # the coordinates from n on, as a row
+        return v >> n
+
+    def echelon(self, vectors, n):
+        rows, pivots = [], []
+        for v in vectors:
+            v = _gf2_reduce(v, rows, pivots)
+            if v:
+                low = v & -v
+                rows = [r ^ v if r & low else r for r in rows]
+                i = bisect(pivots, low.bit_length() - 1)
+                rows.insert(i, v)
+                pivots.insert(i, low.bit_length() - 1)
+        return rows, pivots
+
+
+class _ElementRows:
+    """Q, Q[t]/(m) and GF(p^k) beyond the tables: lists of field elements.
+    Subclasses change the encoding and the row operations row / x (scale)
+    and a - f b (submul)."""
+
+    nonzero = any
+    encode = staticmethod(list)
+
+    def __init__(self, field):
+        self.field, self.one = field, field.one()
+
+    def decode(self, v, n):
+        return tuple(v)
+
+    def tail(self, v, n):
+        return v[n:]
+
+    def scale(self, row, x):
+        inv = self.one / x
+        return [a * inv for a in row]
+
+    def submul(self, a, f, b):
+        return [x - f * y if y else x for x, y in zip(a, b)]
+
+    def echelon(self, rows, n):
+        """The nonzero rows of the RREF of ``rows`` and their pivot columns."""
+        rows, m, pivots = list(rows), len(rows), []
+        for c in range(n):
+            r = len(pivots)
+            for i in range(r, m):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            if rows[r][c] != self.one:
+                rows[r] = self.scale(rows[r], rows[r][c])
+            for i in range(m):
+                if rows[i][c] and i != r:
+                    rows[i] = self.submul(rows[i], rows[i][c], rows[r])
+            pivots.append(c)
+            if r + 1 == m:
+                break
+        return rows[: len(pivots)], pivots
+
+    def reduce(self, v, rows, pivots):
+        for row, c in zip(rows, pivots):
+            if v[c]:
+                v = self.submul(v, v[c], row)
+        return v
+
+
+class _PrimeRows(_ElementRows):
+    """GF(p): lists of ints mod p; inverses by pow(x, -1, p), no tables."""
+
+    def __init__(self, field):
+        self.field, self.p, self.one = field, field.p, 1
+
+    def encode(self, row):
+        return [e.c[0] for e in row]
+
+    def decode(self, v, n):
+        return tuple(GFElem(self.field, (x,)) for x in v)
+
+    def scale(self, row, x):
+        p, inv = self.p, pow(x, -1, self.p)
+        return [a * inv % p for a in row]
+
+    def submul(self, a, f, b):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(a, b)]
+
+
+class _ZechRows(_ElementRows):
+    """GF(p^k), k > 1, order <= TABLE_LIMIT: lists of element indices;
+    products through the log/antilog tables, sums through Zech logarithms."""
+
+    def __init__(self, field):
+        self.field, self.one, self.m = field, 1, field.order - 1
+        self.exp, self.log, self.zech = field.zech_tables()
+        self.neg = 0 if field.p == 2 else self.m // 2  # log of -1
+
+    def encode(self, row):
+        return [self.field.index_of(e) for e in row]
+
+    def decode(self, v, n):
+        return tuple(self.field.element_from_index(i) for i in v)
+
+    def scale(self, row, x):
+        exp, log, li = self.exp, self.log, self.m - self.log[x]
+        return [exp[log[a] + li] if a else 0 for a in row]
+
+    def submul(self, a, f, b):
+        exp, log, zech, m = self.exp, self.log, self.zech, self.m
+        lf = (log[f] + self.neg) % m  # log of -f
+        out = []
+        for x, y in zip(a, b):
+            if y:
+                t = log[y] + lf
+                if x:  # x + g^t = g^lx (1 + g^(t - lx))
+                    z = zech[(t - log[x]) % m]
+                    x = 0 if z == m else exp[log[x] + z]
+                else:
+                    x = exp[t]
+            out.append(x)
+        return out
+
+
+def row_kernel(field):
+    """The row kernel of ``field``, made on first use and kept on the field."""
+    kern = getattr(field, "_row_kernel", None)
+    if kern is None:
+        if not field.is_finite or (field.k > 1 and field.order > TABLE_LIMIT):
+            kern = _ElementRows(field)
+        elif field.k > 1:
+            kern = _ZechRows(field)
+        else:
+            kern = _GF2Rows(field) if field.p == 2 else _PrimeRows(field)
+        field._row_kernel = kern
+    return kern
+
+
 def rref(M):
     """(reduced row-echelon form, rank, pivot column tuple)."""
-    field = M.field
-    rows = [list(r) for r in M.rows]
-    m, n = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.one() / rows[r][c]
-        if rows[r][c] != field.one():
-            rows[r] = [a * inv for a in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return Matrix(field, tuple(tuple(row) for row in rows), _raw=True), r, tuple(pivots)
+    kern, n = row_kernel(M.field), M.ncols
+    rows, pivots = kern.echelon([kern.encode(r) for r in M.rows], n)
+    R = [kern.decode(r, n) for r in rows] + [(M.field.zero(),) * n] * (M.nrows - len(rows))
+    return Matrix(M.field, tuple(R), _raw=True), len(rows), tuple(pivots)
 
 
 def rank(M):
-    return rref(M)[1]
+    kern = row_kernel(M.field)
+    return len(kern.echelon([kern.encode(r) for r in M.rows], M.ncols)[0])
 
 
 def solve(M, b):
@@ -228,7 +390,7 @@ def solve(M, b):
         x[c] = R.rows[i][n]
     x = tuple(x)
     if mat_vec(M, x) != b:
-        raise AssertionError("solver self-check failed")
+        raise InvariantError("solver self-check failed")
     return x
 
 
@@ -244,7 +406,7 @@ def inverse(M):
         raise SingularMatrixError("matrix is singular")
     inv = Matrix(field, tuple(r[n:] for r in R.rows), _raw=True)
     if M @ inv != ident:
-        raise AssertionError("inverse self-check failed")
+        raise InvariantError("inverse self-check failed")
     return inv
 
 
@@ -284,7 +446,7 @@ def minimal_polynomial(A):
         m = poly_lcm(m, g)
         m_at = poly_at_matrix(m, A)
     if not m_at.is_zero:
-        raise AssertionError("minimal polynomial self-check failed")
+        raise InvariantError("minimal polynomial self-check failed")
     return m
 
 

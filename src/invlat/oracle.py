@@ -18,8 +18,8 @@ the units violating W are precisely the units of Z(A) outside U_W; so
   coset scan certifies the rest (tier 2; scans beyond the unit cap raise
   an explicit "undecided" error instead of guessing).
 
-GF(2) instances use a bit-packed enumeration core; everything else runs
-on the generic exact types.
+GF(2) instances enumerate on the bitmask rows of the GF(2) row kernel;
+all other row reduction runs in the field's row kernel as well.
 """
 
 import time
@@ -28,8 +28,16 @@ from itertools import combinations, product
 from random import Random
 
 from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis
-from .errors import CapExceededError, InfiniteFieldError, UndecidedError
-from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, rank
+from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
+from .matrix import (
+    Matrix,
+    _gf2_reduce,
+    inverse,
+    mat_vec,
+    minimal_polynomial,
+    rank,
+    row_kernel,
+)
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
     Subspace,
@@ -74,17 +82,9 @@ class OracleReport:
 
 
 # ----------------------------------------------------------------------
-# Bit-packed GF(2) helpers: a vector of GF(2)^n is an int with bit j for
-# coordinate j; a subspace is a tuple of RREF row ints plus pivot columns.
-
-
-def _gf2_pack(row):
-    return sum(1 << j for j, e in enumerate(row) if e)
-
-
-def _gf2_cols(A):
-    n = A.nrows
-    return [sum(1 << i for i in range(n) if A.rows[i][j]) for j in range(n)]
+# Bit-packed GF(2) enumeration on the GF(2) row kernel of ``matrix``: a
+# vector of GF(2)^n is an int with bit j for coordinate j; a subspace is a
+# tuple of RREF row ints plus pivot columns.
 
 
 def _gf2_apply(cols, w):
@@ -96,44 +96,6 @@ def _gf2_apply(cols, w):
     return v
 
 
-def _gf2_reduce(v, rows, pivots):
-    for r, p in zip(rows, pivots):
-        if (v >> p) & 1:
-            v ^= r
-    return v
-
-
-def _gf2_rref(vectors):
-    rows = []
-    pivots = []
-    for v in vectors:
-        v = _gf2_reduce(v, rows, pivots)
-        if v:
-            rows.append(v)
-            pivots.append((v & -v).bit_length() - 1)
-    order = sorted(range(len(rows)), key=lambda i: pivots[i])
-    rows = [rows[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    for i in range(len(rows)):
-        for j in range(len(rows)):
-            if i != j and (rows[j] >> pivots[i]) & 1:
-                rows[j] ^= rows[i]
-    return rows, pivots
-
-
-def _gf2_sum(a, b):
-    rows, pivots = _gf2_rref(list(a) + list(b))
-    return tuple(rows)
-
-
-def _gf2_intersect(a, b, n):
-    stacked = [r | (r << n) for r in a] + list(b)
-    rows, pivots = _gf2_rref(stacked)
-    inter = [r >> n for r, p in zip(rows, pivots) if p >= n]
-    rows2, _ = _gf2_rref(inter)
-    return tuple(rows2)
-
-
 def _gf2_enumerate_invariant(A, cap):
     """(total_count, [(rows, pivots) of every A-invariant subspace])."""
     n = A.nrows
@@ -142,7 +104,7 @@ def _gf2_enumerate_invariant(A, cap):
         raise CapExceededError(
             f"subspace count {total} exceeds cap {cap}", count=total, cap=cap
         )
-    cols = _gf2_cols(A)
+    cols = [row_kernel(A.field).encode(col) for col in zip(*A.rows)]
     out = [((), ())]
     seen = 1
     for d in range(1, n + 1):
@@ -175,17 +137,8 @@ def _gf2_enumerate_invariant(A, cap):
                 if ok:
                     out.append((tuple(rows), piv))
     if seen != total:
-        raise AssertionError("enumeration miscount against the Gaussian binomial total")
+        raise InvariantError("enumeration miscount against the Gaussian binomial total")
     return total, out
-
-
-def _gf2_unpack(field, n, packed):
-    rows, piv = packed
-    one, zero = field.one(), field.zero()
-    basis = tuple(
-        tuple(one if (r >> j) & 1 else zero for j in range(n)) for r in rows
-    )
-    return Subspace(field, n, basis, piv)
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +210,7 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
                 f"stabilizer of a candidate exceed cap {cap_units}"
             )
         comp = _complement_basis(UW, field, d)
-        uw_vectors = _all_vectors(UW, field)
+        uw_vectors = [(field.zero(),) * d, *_nonzero_combos(UW.basis, field)]
         for c_coords in _nonzero_combos(comp, field):
             for u in uw_vectors:
                 coords = tuple(a + b for a, b in zip(c_coords, u))
@@ -275,30 +228,12 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
 
 def _complement_basis(U, field, d):
     """Coordinate vectors extending U's basis to all of F^d."""
-    rows = list(U.basis)
     comp = []
     for j in range(d):
         e = tuple(field.one() if t == j else field.zero() for t in range(d))
-        cand = span(rows + comp + [e], field, d)
-        if cand.dim > len(rows) + len(comp):
+        if not span(list(U.basis) + comp, field, d).member(e):
             comp.append(e)
     return comp
-
-
-def _all_vectors(U, field):
-    """Every vector of a subspace U (field finite, |U| small)."""
-    if U.dim == 0:
-        return [tuple(field.zero() for _ in range(U.n))]
-    elems = tuple(field.elements())
-    out = []
-    for coords in product(elems, repeat=U.dim):
-        v = [field.zero()] * U.n
-        for c, row in zip(coords, U.basis):
-            if c:
-                for j in range(U.n):
-                    v[j] = v[j] + c * row[j]
-        out.append(tuple(v))
-    return out
 
 
 def _nonzero_combos(vectors, field):
@@ -323,18 +258,6 @@ def _closed_under_ops(members, n, field, findings, label, pair_cap=300_000):
     if pairs > pair_cap:
         findings.append(f"{label}: closure check skipped ({pairs} pairs over budget)")
         return
-    if field.order == 2:
-        packed = {tuple(_gf2_pack(r) for r in w.basis) for w in members}
-        plist = sorted(packed)
-        for i in range(len(plist)):
-            for j in range(i + 1, len(plist)):
-                if _gf2_sum(plist[i], plist[j]) not in packed:
-                    findings.append(f"{label}: not closed under sum")
-                    return
-                if _gf2_intersect(plist[i], plist[j], n) not in packed:
-                    findings.append(f"{label}: not closed under intersection")
-                    return
-        return
     mlist = list(members)
     for i in range(len(mlist)):
         for j in range(i + 1, len(mlist)):
@@ -358,7 +281,11 @@ def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNI
     n = A.nrows
     if field.order == 2:
         total, packed_inv = _gf2_enumerate_invariant(A, cap_subspaces)
-        invariant = [_gf2_unpack(field, n, p) for p in packed_inv]
+        decode = row_kernel(field).decode
+        invariant = [
+            Subspace(field, n, tuple(decode(r, n) for r in rows), piv, list(rows))
+            for rows, piv in packed_inv
+        ]
     else:
         total = subspace_count(n, field.order)
         if total > cap_subspaces:

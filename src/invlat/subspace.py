@@ -2,16 +2,23 @@
 
 A Subspace is identified by the reduced row-echelon basis of its row
 space, so equality, hashing and ordering are structural: two subspaces
-are equal iff their canonical bases agree entrywise.  Intersections use
-the Zassenhaus stacked-basis trick; enumeration walks RREF shapes
-(dimension, pivot-column set, free entries) so every subspace appears
-exactly once.
+are equal iff their canonical bases agree entrywise.  Membership,
+containment, sums and intersections (the Zassenhaus stacked-basis trick)
+eliminate in the field's row kernel (``matrix.row_kernel``) on the basis
+rows, encoded once per subspace; enumeration walks RREF shapes (dimension,
+pivot-column set, free entries) so every subspace appears exactly once.
 """
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ClosureError, FieldMismatchError, InfiniteFieldError
-from .matrix import Matrix, mat_vec, rref
+from .errors import (
+    CapExceededError,
+    ClosureError,
+    FieldMismatchError,
+    InfiniteFieldError,
+    InvariantError,
+)
+from .matrix import Matrix, mat_vec, row_kernel, rref
 
 __all__ = [
     "Subspace",
@@ -34,14 +41,16 @@ DEFAULT_SUBSPACE_CAP = 2_000_000
 
 
 class Subspace:
-    __slots__ = ("field", "n", "basis", "pivots")
+    __slots__ = ("field", "n", "basis", "pivots", "_rows")
 
-    def __init__(self, field, n, basis, pivots):
-        # internal: use span() to construct from arbitrary generators
+    def __init__(self, field, n, basis, pivots, rows=None):
+        # internal: use span() to construct from arbitrary generators;
+        # ``rows`` is the basis in the field's row encoding, when at hand
         self.field = field
         self.n = n
         self.basis = basis
         self.pivots = pivots
+        self._rows = rows
 
     @property
     def dim(self):
@@ -61,54 +70,58 @@ class Subspace:
         if other.field != self.field or other.n != self.n:
             raise FieldMismatchError("subspaces of different ambient spaces")
 
+    def _encoded(self):
+        """(row kernel, encoded basis rows), encoding on first use."""
+        kern = row_kernel(self.field)
+        if self._rows is None:
+            self._rows = [kern.encode(r) for r in self.basis]
+        return kern, self._rows
+
+    def _residue(self, v):
+        """Encoded residue of the element vector v against the basis."""
+        kern, rows = self._encoded()
+        return kern.reduce(kern.encode(v), rows, self.pivots)
+
     def reduce(self, v):
         """Residue of v after elimination against the canonical basis."""
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.n):
-                    v[j] = v[j] - c * row[j]
-        return tuple(v)
+        return row_kernel(self.field).decode(self._residue(v), self.n)
 
     def member(self, v):
         if len(v) != self.n:
             raise ValueError("vector length does not match ambient dimension")
         v = tuple(self.field.element(e) for e in v)
-        return not any(self.reduce(v))
+        return not row_kernel(self.field).nonzero(self._residue(v))
 
     def is_invariant_under(self, B):
         """True iff the matrix B maps this subspace into itself."""
-        return all(self.member(mat_vec(B, row)) for row in self.basis)
+        nonzero = row_kernel(self.field).nonzero
+        return not any(nonzero(self._residue(mat_vec(B, row))) for row in self.basis)
 
     def contains(self, other):
         self._check(other)
-        return all(not any(self.reduce(row)) for row in other.basis)
+        kern, rows = self._encoded()
+        others = other._encoded()[1]
+        return not any(kern.nonzero(kern.reduce(w, rows, self.pivots)) for w in others)
 
     def sum(self, other):
         self._check(other)
-        return span(self.basis + other.basis, self.field, self.n)
+        kern, rows = self._encoded()
+        return _from_rows(self.field, self.n, kern, rows + other._encoded()[1])
 
     def intersect(self, other):
         """Zassenhaus: rref of [U|U; W|0]; zero-left rows carry the intersection."""
         self._check(other)
-        field = self.field
         n = self.n
-        zero = field.zero()
-        stacked = [row + row for row in self.basis]
-        stacked += [row + (zero,) * n for row in other.basis]
-        if not stacked:
-            return zero_subspace(field, n)
-        R, rk, piv = rref(Matrix(field, tuple(stacked), _raw=True))
-        inter_rows = []
-        for row, p in zip(R.rows[:rk], piv):
-            if p >= n:
-                inter_rows.append(row[n:])
-        result = span(inter_rows, field, n)
-        # rank-nullity sanity on every call
-        total = span(self.basis + other.basis, field, n)
-        if total.dim + result.dim != self.dim + other.dim:
-            raise AssertionError("modular law violated: intersection is wrong")
+        kern = row_kernel(self.field)
+        pad = (self.field.zero(),) * n
+        stacked = [u + u for u in self.basis] + [w + pad for w in other.basis]
+        rows, piv = kern.echelon([kern.encode(r) for r in stacked], 2 * n)
+        inter = [kern.tail(r, n) for r, p in zip(rows, piv) if p >= n]
+        result = _from_rows(self.field, n, kern, inter)
+        # modular law, from an independent elimination of U + W, on every call
+        total = len(kern.echelon(self._encoded()[1] + other._encoded()[1], n)[0])
+        if total + result.dim != self.dim + other.dim:
+            raise InvariantError("modular law violated: intersection is wrong")
         return result
 
     def __eq__(self, other):
@@ -136,11 +149,14 @@ def span(vectors, field, n):
     for v in vecs:
         if len(v) != n:
             raise ValueError("generator length does not match ambient dimension")
-    vecs = [v for v in vecs if any(v)]
-    if not vecs:
-        return zero_subspace(field, n)
-    R, rk, piv = rref(Matrix(field, tuple(vecs), _raw=True))
-    return Subspace(field, n, R.rows[:rk], piv)
+    kern = row_kernel(field)
+    return _from_rows(field, n, kern, [kern.encode(v) for v in vecs])
+
+
+def _from_rows(field, n, kern, rows):
+    """Canonical subspace spanned by encoded rows."""
+    rows, piv = kern.echelon(rows, n)
+    return Subspace(field, n, tuple(kern.decode(r, n) for r in rows), tuple(piv), rows)
 
 
 def zero_subspace(field, n):

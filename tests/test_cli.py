@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import json
+import random
 import time
 
 from invlat.cli import main
+from invlat.errors import InvariantError
 from invlat.jsonio import matrix_to_json
 
 from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A
@@ -129,6 +132,116 @@ def test_input_error_exit_code(tmp_path):
     ):
         bad.write_text(json.dumps({"field": field, "rows": [[entry, 0], [0, 1]]}))
         assert main(["--input", str(bad), "--command", "analyze"]) == 2
+    # malformed shapes are input errors too, not TypeError / AttributeError
+    for obj in (
+        {"field": {"kind": "finite", "p": 2}, "rows": 5},
+        {"field": {"kind": "finite", "p": 2}, "rows": [5]},
+        {"field": 7, "rows": [[1, 0], [0, 1]]},
+    ):
+        bad.write_text(json.dumps(obj))
+        assert main(["--input", str(bad), "--command", "analyze"]) == 2
+    # and so are malformed lattices given to ``dot``
+    lattice = {"field": {"kind": "finite", "p": 2}, "ambient_dim": 1,
+               "members": [{"basis": []}, {"basis": [[1]]}]}
+    for obj in (
+        {"report": 5},
+        [1],
+        dict(lattice, members=3),
+        dict(lattice, members=[{"basis": 5}]),
+        dict(lattice, ambient_dim="1"),
+        dict(lattice, members=[{"basis": [[1]]}]),  # no zero subspace
+    ):
+        bad.write_text(json.dumps(obj))
+        assert main(["--input", str(bad), "--command", "dot"]) == 2, obj
+    bad.write_text(json.dumps(lattice))
+    assert main(["--input", str(bad), "--command", "dot"]) == 0
+
+
+_ODD_VALUES = (
+    None, True, False, 0, -1, 3, 2**64 + 1, 1.5, "", "x", "1/2", [], [[]], [0], {},
+    {"kind": "rationals"},
+)
+
+
+def _json_paths(v, path=()):
+    yield path
+    if isinstance(v, dict):
+        for key in v:
+            yield from _json_paths(v[key], path + (key,))
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _json_paths(x, path + (i,))
+
+
+def _mutate(obj, rng):
+    """``obj`` with one node replaced by a value of another type, wrapped in
+    a list, unwrapped, deleted or duplicated."""
+    obj = copy.deepcopy(obj)
+    path = rng.choice(list(_json_paths(obj)))
+    op = rng.choice(("replace", "replace", "wrap", "unwrap", "delete", "duplicate"))
+
+    def changed(old):
+        if op == "wrap":
+            return [old]
+        if op == "unwrap" and isinstance(old, list) and old:
+            return old[0]
+        return copy.deepcopy(rng.choice(_ODD_VALUES))
+
+    if not path:
+        return changed(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "delete":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = changed(parent[key])
+    return obj
+
+
+def _fuzz(base, commands, count, seed, tmp_path, capsys):
+    """``count`` seeded mutations of ``base``, each run as the next command:
+    exit 0, 2, 3 or 4 within 2 s and no traceback."""
+    rng = random.Random(seed)
+    path = tmp_path / "m.json"
+    for i in range(count):
+        obj = _mutate(base, rng)
+        path.write_text(json.dumps(obj))
+        t0 = time.perf_counter()
+        code = main(["--input", str(path), "--command", commands[i % len(commands)],
+                     "--out", str(tmp_path / "o.json")])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (obj, code, err)
+        assert elapsed < 2, (obj, elapsed)
+        assert "Traceback" not in err, obj
+
+
+def test_malformed_input_fuzz(tmp_path, capsys):
+    base = matrix_to_json(GOLD_4_A)
+    _fuzz(base, ("analyze", "verify", "lattice-chinv", "shoda"), 200, 2018, tmp_path, capsys)
+
+
+def test_malformed_lattice_fuzz(tmp_path, capsys):
+    code, payload = run(tmp_path, GOLD_4_A, "lattice-chinv")
+    assert code == 0
+    _fuzz(payload["report"]["lattice"], ("dot",), 200, 2019, tmp_path, capsys)
+
+
+def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
+    import invlat.cli
+
+    def broken(*args, **kwargs):
+        raise InvariantError("S + N != A")
+
+    monkeypatch.setattr(invlat.cli, "analyze_operator", broken)
+    inp = write_matrix(tmp_path, GOLD_4_A)
+    assert main(["--input", inp, "--command", "analyze"]) == 5
+    err = capsys.readouterr().err
+    assert err == "internal invariant violated: S + N != A\n"
 
 
 def test_huge_prime_field_answers_quickly(tmp_path):
@@ -156,6 +269,29 @@ def test_analyze_output_bytes_pinned(tmp_path):
         out = tmp_path / f"{name}.out.json"
         assert main(["--input", inp, "--command", "analyze", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+def test_lattice_and_verify_output_bytes_pinned(tmp_path):
+    # sha256 of the lattice-* and verify reports as the element loop wrote
+    # them: GF(2), Q and GF(4) (the K of GOLD_8) run in their row kernels
+    expected = {
+        ("GOLD_4", "lattice-inv"): "0952f45b682b333687e27d63167f67df8f31a44270cf9161b7d21816ac027b8c",
+        ("GOLD_4", "lattice-hinv"): "acffd6efa6bf811a605b6059e7f41648bec508315c7bc2f50f2ec9e5dbaf63a6",
+        ("GOLD_4", "lattice-chinv"): "898f4bb833ea2cc8a8e90ad9be9542fd408fb0354b90bc81cb0db6fa47f7ddc5",
+        ("GOLD_4", "verify"): "d3fc1d642654d20dc5c8ed9ae58aa127d25f31c4c700ed55ba21b7b2b26c07a1",
+        ("GOLD_8", "lattice-inv"): "c791362326a52f32e8391ed2a74aa6a389d416809aa4e18682b6e92d48633d20",
+        ("GOLD_8", "lattice-hinv"): "5c895bf7a53a7d90bcf22d1b6c07fc7e973749f1ea7e520385b8adba8641a968",
+        ("GOLD_8", "lattice-chinv"): "e2bd0759333062f57ba4ed7fb8b27cc8bd14fa0f9b20cebaec16b8a6359a5f21",
+        ("GOLD_RAT", "lattice-inv"): "01d47718abb140e1518fcdad3cc49c6ec9cbcd895ce3796985c69db917087384",
+        ("GOLD_RAT", "lattice-hinv"): "db6b639933c69436f4c9d8b8514ccd0ea0c55f9818b424e1df9f5d5c0854c3e6",
+        ("GOLD_RAT", "lattice-chinv"): "1f62975fdf63130fdae1bd866033f2490f1e1d1df5e0db12e967cedbc0fb2821",
+    }
+    matrices = {"GOLD_4": GOLD_4_A, "GOLD_8": GOLD_8_A, "GOLD_RAT": GOLD_RAT_A}
+    for (name, command), digest in expected.items():
+        inp = write_matrix(tmp_path, matrices[name], f"{name}.json")
+        out = tmp_path / f"{name}.{command}.json"
+        assert main(["--input", inp, "--command", command, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, command)
 
 
 def test_cap_exit_code(tmp_path):

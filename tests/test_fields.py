@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -143,6 +144,35 @@ def test_field_mismatch_detected():
     F2, F3 = gf_build(2), gf_build(3)
     with pytest.raises(FieldMismatchError):
         F2.one() + F3.one()
+
+
+def test_prime_fields_do_not_mix_on_the_fast_path():
+    F3, F5 = gf_build(3), gf_build(5)
+    a, b = F3.element(2), F5.element(2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(a, b)
+        with pytest.raises(FieldMismatchError):
+            op(a, 2)
+    assert a != b
+    # a separately built equal field still combines
+    assert a * FiniteField(3).element(2) == F3.one()
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
+def test_zech_tables_match_element_arithmetic(p, k):
+    F = gf_build(p, k)
+    exp, log, zech = F.zech_tables()
+    m = F.order - 1
+    assert sorted(exp[:m]) == list(range(1, F.order))  # g is primitive
+    assert F.zech_tables() is gf_build(p, k).zech_tables()  # built once
+    for i in range(1, F.order):
+        a = F.element_from_index(i)
+        for j in range(1, F.order):
+            b = F.element_from_index(j)
+            assert exp[log[i] + log[j]] == F.index_of(a * b)
+            z = zech[(log[j] - log[i]) % m]
+            assert (0 if z == m else exp[log[i] + z]) == F.index_of(a + b)
 
 
 def test_elements_enumeration_order_and_indexing():

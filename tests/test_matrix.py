@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from invlat.errors import InconsistentSystemError, SingularMatrixError
-from invlat.fields import QQ
+from invlat.fields import QQ, gf_build
 from invlat.matrix import (
+    _ElementRows,
+    _ZechRows,
     Matrix,
     block_diag,
     companion,
@@ -13,10 +16,12 @@ from invlat.matrix import (
     minimal_polynomial,
     poly_at_matrix,
     rank,
+    row_kernel,
     rref,
     solve,
 )
 from invlat.poly import Poly, parse_poly
+from invlat.subspace import kernel_basis, span
 
 from fixtures import GOLD_4_N, GOLD_8_A, GOLD_RAT_A, F2, F3
 
@@ -117,3 +122,204 @@ def test_block_diag_and_matvec():
     D = block_diag(F2, [A, B])
     assert D.nrows == 3
     assert mat_vec(D, (F2.one(), F2.zero(), F2.one())) == (F2.one(), F2.zero(), F2.one())
+
+
+# ----------------------------------------------------------------------
+# Row kernels against the element loop they replaced.
+
+
+def _reference_rref(M):
+    """Gauss-Jordan on field elements, leftmost pivot: the loop every field
+    used before the row kernels, kept as the reference."""
+    field = M.field
+    rows = [list(r) for r in M.rows]
+    m, n = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.one() / rows[r][c]
+        if rows[r][c] != field.one():
+            rows[r] = [a * inv for a in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return Matrix(field, tuple(tuple(row) for row in rows), _raw=True), r, tuple(pivots)
+
+
+KERNEL_FIELDS = [
+    F2,
+    F3,
+    gf_build(7),
+    gf_build(2**61 - 1),
+    gf_build(2, 2),
+    gf_build(2, 3),
+    gf_build(3, 2),
+    gf_build(5, 2),
+    gf_build(2, 8),  # order 256, the largest on tables
+    gf_build(2, 9),  # order 512: element loop
+    gf_build(3, 11),
+    QQ,
+]
+
+
+def test_table_limit_selects_kernel():
+    assert isinstance(row_kernel(gf_build(2, 8)), _ZechRows)
+    assert type(row_kernel(gf_build(2, 9))) is _ElementRows
+
+
+def _random_entry(field, rng, density):
+    if rng.random() > density:
+        return field.zero()
+    if field == QQ:
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    return field.element_from_index(rng.randrange(field.order))
+
+
+def _random_matrix(field, m, n, rng, rank_cap=None, density=1.0):
+    """Random m x n matrix; with ``rank_cap`` a product (m x r)(r x n)."""
+    if rank_cap is None:
+        return Matrix(field, [[_random_entry(field, rng, density) for _ in range(n)] for _ in range(m)])
+    left = _random_matrix(field, m, rank_cap, rng, density=density)
+    return left @ _random_matrix(field, rank_cap, n, rng, density=density)
+
+
+def _kernel_cases(field, seed):
+    rng = random.Random(seed)
+    yield Matrix.zeros(field, 1, 1)
+    yield Matrix.zeros(field, 5, 7)
+    yield _random_matrix(field, 1, 1, rng)
+    yield _random_matrix(field, 12, 16, rng)
+    yield _random_matrix(field, 12, 16, rng, rank_cap=5)
+    for _ in range(12):
+        m, n = rng.randrange(1, 13), rng.randrange(1, 17)
+        yield _random_matrix(
+            field, m, n, rng, rank_cap=rng.choice((None, 1, 2, 4)), density=rng.choice((0.3, 1.0))
+        )
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_row_kernel_matches_element_loop(field):
+    for M in _kernel_cases(field, 41):
+        R, rk, piv = rref(M)
+        assert (R, rk, piv) == _reference_rref(M)
+        assert rank(M) == rk
+        # the kernel's null space is the reference's and has the right size
+        K = kernel_basis(M)
+        assert K.dim == M.ncols - rk
+        for v in K.basis:
+            assert not any(mat_vec(M, v))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_solve_and_inverse_through_the_kernel(field):
+    rng = random.Random(43)
+    for n in (1, 3, 6):
+        while True:
+            M = _random_matrix(field, n, n, rng)
+            if rank(M) == n:
+                break
+        assert M @ inverse(M) == Matrix.identity(field, n)
+        b = tuple(_random_entry(field, rng, 1.0) for _ in range(n))
+        assert mat_vec(M, solve(M, b)) == b
+
+
+def _reference_intersection(U, W):
+    """U ∩ W by the Zassenhaus trick on the reference element loop."""
+    field, n = U.field, U.n
+    zero = field.zero()
+    stacked = [row + row for row in U.basis] + [row + (zero,) * n for row in W.basis]
+    if not stacked:
+        return span([], field, n)
+    R, rk, piv = _reference_rref(Matrix(field, tuple(stacked), _raw=True))
+    return span([R.rows[i][n:] for i, p in enumerate(piv) if p >= n], field, n)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_sum_intersect_modular_law_random_pairs(field):
+    rng = random.Random(47)
+    n = 6
+    for _ in range(12):
+        U = span(_random_matrix(field, rng.randrange(1, 5), n, rng, density=0.6).rows, field, n)
+        W = span(_random_matrix(field, rng.randrange(1, 5), n, rng, density=0.6).rows, field, n)
+        if rng.random() < 0.3:  # force a large overlap
+            W = W.sum(span(U.basis[:1], field, n))
+        S, I = U.sum(W), U.intersect(W)
+        assert S.dim + I.dim == U.dim + W.dim
+        assert S.contains(U) and S.contains(W) and U.contains(I) and W.contains(I)
+        assert I == _reference_intersection(U, W)
+        assert S == span(U.basis + W.basis, field, n)
+        R, rk, _ = _reference_rref(Matrix(field, U.basis + W.basis, _raw=True))
+        assert S.basis == R.rows[:rk]
+
+
+def test_rref_canonical_property_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = [F2, F3, gf_build(5), gf_build(2, 2), gf_build(3, 2), QQ]
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        field = data.draw(st.sampled_from(fields))
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        if field == QQ:
+            entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        else:
+            entry = st.integers(0, field.order - 1).map(field.element_from_index)
+        M = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                             min_size=m, max_size=m)))
+        R, rk, piv = rref(M)
+        assert (R, rk, piv) == _reference_rref(M)
+        assert rref(R) == (R, rk, piv)
+        # any invertible recombination of the rows has the same RREF
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        while True:
+            P = _random_matrix(field, m, m, rng)
+            if rank(P) == m:
+                break
+        assert rref(P @ M) == (R, rk, piv)
+
+    check()
+
+
+def test_rank_and_rref_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy import GF as SGF, QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(53)
+    for p in (2, 3, 7, 2**61 - 1):
+        F, K = gf_build(p), SGF(p)
+        for _ in range(15):
+            m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+            M = _random_matrix(F, m, n, rng, rank_cap=rng.choice((None, 2, 3)), density=0.7)
+            D = DomainMatrix([[K(e.c[0]) for e in row] for row in M.rows], (m, n), K)
+            R, rk, piv = rref(M)
+            SR, spiv = D.rref()
+            assert rk == D.rank() and piv == tuple(spiv)
+            assert [[e.c[0] for e in row] for row in R.rows] == [
+                [int(x) % p for x in row] for row in SR.to_list()
+            ]
+    for _ in range(15):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+        M = _random_matrix(QQ, m, n, rng, rank_cap=rng.choice((None, 2)), density=0.7)
+        D = DomainMatrix([[SQQ(e.numerator, e.denominator) for e in row] for row in M.rows],
+                         (m, n), SQQ)
+        R, rk, piv = rref(M)
+        SR, spiv = D.rref()
+        assert rk == D.rank() and piv == tuple(spiv)
+        assert [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+                for row in SR.to_list()] == [list(row) for row in R.rows]
