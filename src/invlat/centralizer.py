@@ -4,22 +4,25 @@
 linear system.  A subspace is hyperinvariant when every basis element of
 Z(A) maps it into itself (linearity makes basis checking sufficient),
 and characteristic when A and every *invertible* element of Z(A) do.
-Unit enumeration walks all coordinate tuples over the basis and filters
-by nonsingularity, so it is exact but only available over finite fields
+By the same linearity, invariance under the units is invariance under
+their span: ``unit_span`` computes a basis of it in one pass over the
+unit group, and that basis decides membership for every subspace.  Unit
+enumeration walks all coordinate tuples over the basis and filters by
+nonsingularity, so it is exact but only available over finite fields
 within a configured cap.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
 from .matrix import Matrix, rank
-from .subspace import kernel_basis
+from .subspace import kernel_basis, span
 
 __all__ = [
     "CentralizerBasis",
     "centralizer_basis",
     "unit_elements",
+    "unit_span",
     "is_hyperinvariant",
     "is_characteristic",
     "DEFAULT_UNIT_CAP",
@@ -99,11 +102,19 @@ def unit_elements(Z, cap=DEFAULT_UNIT_CAP):
             cap=cap,
         )
     n = Z.matrix.nrows
-    elems = tuple(field.elements())
-    for coords in product(elems, repeat=d):
-        B = Z.combination(coords)
-        if rank(B) == n:
-            yield B
+    # c * B_t for the nonzero c; a walk over the coordinates adds one per step
+    multiples = [[B * c for c in tuple(field.elements())[1:]] for B in Z.elements]
+
+    def walk(t, acc):
+        if t == d:
+            if rank(acc) == n:
+                yield acc
+            return
+        yield from walk(t + 1, acc)
+        for M in multiples[t]:
+            yield from walk(t + 1, acc + M)
+
+    yield from walk(0, Matrix.zeros(field, n))
 
 
 def is_hyperinvariant(W, A, Z=None):
@@ -113,13 +124,36 @@ def is_hyperinvariant(W, A, Z=None):
     return all(W.is_invariant_under(B) for B in Z.elements)
 
 
+def unit_span(Z, cap=DEFAULT_UNIT_CAP):
+    """A basis, as matrices, of the span of the invertible elements of Z.
+
+    One pass over ``unit_elements``, stopping once the span is all of Z.
+    Beyond the unit cap the span is not decidable here: UndecidedError.
+    """
+    field, m = Z.matrix.field, Z.matrix.nrows ** 2
+    basis, vecs = [], span((), field, m)
+    try:
+        for B in unit_elements(Z, cap=cap):
+            v = [e for row in B.rows for e in row]
+            if not vecs.member(v):
+                basis.append(B)
+                vecs = vecs.sum(span([v], field, m))
+                if vecs.dim == Z.dim:
+                    break
+    except CapExceededError as exc:
+        raise UndecidedError(
+            f"undecided at this scale: unit enumeration needs {exc.count} > cap {exc.cap}"
+        ) from exc
+    return tuple(basis)
+
+
 def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
     """True iff AW <= W and BW <= W for every invertible B commuting with A.
 
-    Enumerates the unit group directly (early exit on the first violating
-    unit); over an infinite field or beyond the cap this predicate is not
-    decidable here and raises (the lattice engine's theorem dispatch
-    covers those cases).
+    Invariance under the units is tested on a basis of their span
+    (``unit_span``); over an infinite field or beyond the cap this
+    predicate is not decidable here and raises (the lattice engine's
+    theorem dispatch covers those cases).
     """
     if not W.is_invariant_under(A):
         return False
@@ -127,16 +161,4 @@ def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
         Z = centralizer_basis(A)
     if is_hyperinvariant(W, A, Z):
         return True
-    if not A.field.is_finite:
-        raise InfiniteFieldError(
-            "infinite field: characteristic membership needs the theorem dispatch"
-        )
-    try:
-        for B in unit_elements(Z, cap=cap):
-            if not W.is_invariant_under(B):
-                return False
-    except CapExceededError as exc:
-        raise UndecidedError(
-            f"undecided at this scale: unit enumeration needs {exc.count} > cap {exc.cap}"
-        ) from exc
-    return True
+    return all(W.is_invariant_under(B) for B in unit_span(Z, cap))

@@ -128,16 +128,21 @@ def _component_report(ca):
     }
 
 
-def _cmd_analyze(A, args):
-    hint = _load_hint(args, A.field)
-    ana = analyze_operator(A, hint=hint, seed=args.seed)
-    reports = {
+def _engine_reports(A, ana, args):
+    """The three lattice reports of one analysis, under the CLI caps."""
+    return {
         "invariant": inv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
         "hyperinvariant": hinv_lattice(A, analysis=ana),
         "characteristic": chinv_lattice(
             A, analysis=ana, cap_subspaces=args.cap_subspaces, cap_units=args.cap_units
         ),
     }
+
+
+def _cmd_analyze(A, args):
+    hint = _load_hint(args, A.field)
+    ana = analyze_operator(A, hint=hint, seed=args.seed)
+    reports = _engine_reports(A, ana, args)
     chinv = reports["characteristic"]
     extra = 0
     if chinv.member_flags is not None:
@@ -204,13 +209,7 @@ def _cmd_shoda(A, args):
 def _cmd_verify(A, args):
     hint = _load_hint(args, A.field)
     ana = analyze_operator(A, hint=hint, seed=args.seed)
-    engine = {
-        "invariant": inv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
-        "hyperinvariant": hinv_lattice(A, analysis=ana),
-        "characteristic": chinv_lattice(
-            A, analysis=ana, cap_subspaces=args.cap_subspaces, cap_units=args.cap_units
-        ),
-    }
+    engine = _engine_reports(A, ana, args)
     for kind, rep in engine.items():
         if not rep.complete:
             if A.field.is_finite:

@@ -281,10 +281,6 @@ class KStructure:
                     scaled = tuple(alpha * c for c in scaled)
         return span(rows, field, n)
 
-    def f_subspace_to_k(self, W):
-        """F-subspace closed under S -> K-subspace of K^{n/s}."""
-        return span([self.to_k(r) for r in W.basis], self.field_k, self.k_dim)
-
 
 def build_k_structure(S, N, p):
     """K-structure of the space for a verified decomposition (S, N) and factor p."""

@@ -10,7 +10,10 @@ Three kinds of field are supported:
   deterministically (numerically least monic irreducible, coefficients
   read as base-p digits, constant term least significant) so results are
   reproducible.  The characteristic must be below 3.3e24, the range in
-  which the Miller-Rabin test of ``is_prime`` is exact.
+  which the Miller-Rabin test of ``is_prime`` is exact.  For k > 1 the
+  size is bounded before any modulus is searched or tested:
+  k^3 log2(p) <= ``MAX_EXTENSION_COST``, and p^k <= ``MAX_SEARCH_ORDER``
+  when no modulus is given.
 * ``ExtensionField(modulus)`` -- a simple extension Q[t]/(m(t)) for a
   monic irreducible m over Q; elements are residue coefficient vectors of
   Fractions.  Used for the field generated by a semisimple operator over
@@ -34,6 +37,7 @@ are a cache.
 from array import array
 from fractions import Fraction
 from functools import cache
+from math import log2
 
 from .errors import FieldMismatchError, InfiniteFieldError
 
@@ -47,6 +51,12 @@ __all__ = [
     "gf_build",
     "is_prime",
 ]
+
+# GF(p^k), k > 1: Rabin's test of a modulus takes about k^3 log2(p) coefficient
+# products and a modulus search may test up to p^k candidates, so FiniteField
+# refuses fields beyond these bounds (gf_build(2, 32) takes seconds).
+MAX_EXTENSION_COST = 1 << 16
+MAX_SEARCH_ORDER = 1 << 24
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Least strong pseudoprime to all of _MR_BASES: the test is exact below it.
@@ -256,6 +266,14 @@ class FiniteField:
             raise ValueError(f"{p} is not prime")
         if not isinstance(k, int) or k < 1:
             raise ValueError("extension degree must be a positive integer")
+        if k > 1 and log2(p) > MAX_EXTENSION_COST / k**3:  # no float overflow for huge k
+            raise ValueError(
+                f"GF({p}^{k}) is beyond the supported size (k^3 log2 p <= {MAX_EXTENSION_COST})"
+            )
+        if modulus is None and k > 1 and p**k > MAX_SEARCH_ORDER:
+            raise ValueError(
+                f"GF({p}^{k}): no modulus search beyond order {MAX_SEARCH_ORDER}; give the modulus"
+            )
         if modulus is None:
             modulus = _find_modulus(p, k)
         modulus = _trim(int(c) % p for c in modulus)

@@ -14,8 +14,10 @@ K = F[S] attached to that component's semisimple part:
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
-  decides whether extra members can exist, and if so they are found by
-  exhaustive invariant-subspace filtering with exact unit checks.
+  decides whether extra members can exist, and if so they are the
+  invariant subspaces of the component (the enumerate-and-filter helper
+  of ``inv``) invariant under a basis of the span of its centralizer's
+  units, computed once per component.
 
 Components combine by direct sums because the primary factors are
 coprime.  Reports carry provenance notes describing the fact used at
@@ -25,12 +27,7 @@ each step.
 from dataclasses import dataclass
 from itertools import product
 
-from .centralizer import (
-    DEFAULT_UNIT_CAP,
-    centralizer_basis,
-    is_characteristic,
-    is_hyperinvariant,
-)
+from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, is_hyperinvariant, unit_span
 from .decomposition import analyze_operator
 from .errors import CapExceededError, InvariantError, UndecidedError
 from .matrix import Matrix, minimal_polynomial
@@ -156,12 +153,7 @@ def _nk_powers_chain(ks):
 
 def _k_members_to_f(ca, members_k):
     """K-subspaces of the component -> F-subspaces of F^n."""
-    comp = ca.component
-    ks = ca.kstruct
-    out = []
-    for w in members_k:
-        out.append(comp.lift_subspace(ks.k_subspace_to_f(w)))
-    return out
+    return [ca.component.lift_subspace(ca.kstruct.k_subspace_to_f(w)) for w in members_k]
 
 
 def _closure(subspaces):
@@ -181,15 +173,10 @@ def _closure(subspaces):
     return current
 
 
-def _invariant_k_subspaces(ks, cap):
-    nk = ks.nk
-    K = nk.field
-    m = nk.nrows
-    members = []
-    for W in enumerate_all_subspaces(K, m, cap=cap):
-        if W.is_invariant_under(nk):
-            members.append(W)
-    return members
+def _invariant_subspaces(mats, field, n, cap):
+    """Every subspace of field^n invariant under each matrix in ``mats``."""
+    candidates = enumerate_all_subspaces(field, n, cap=cap)
+    return [W for W in candidates if all(W.is_invariant_under(M) for M in mats)]
 
 
 def _combine_components(per_comp_members, per_comp_flags, field, n):
@@ -250,38 +237,38 @@ def inv_lattice(
     finite_flags = []
     for ca in ana.components:
         ks = ca.kstruct
+        pname = format_poly(ca.component.factor)
         provenance.append(
-            f"component {format_poly(ca.component.factor)}: invariant subspaces are the "
+            f"component {pname}: invariant subspaces are the "
             "K-subspaces invariant under the nilpotent part, K the field generated by the "
             "semisimple part"
         )
-        kers, _ = _nk_powers_chain(ks)
-        chain_k = list(dict.fromkeys(kers))
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            members_k = _invariant_k_subspaces(ks, cap_subspaces)
+            members_k = _invariant_subspaces([ks.nk], ks.nk.field, ks.nk.nrows, cap_subspaces)
             per_comp.append(_k_members_to_f(ca, members_k))
             finite_flags.append(True)
-        elif len(ks.segre) <= 1:
+            continue
+        # the kernel chain: all of the lattice when N_K is cyclic, a part otherwise
+        if len(ks.segre) <= 1:
             provenance.append(
-                f"component {format_poly(ca.component.factor)}: nilpotent part is cyclic over K, "
+                f"component {pname}: nilpotent part is cyclic over K, "
                 "so its invariant subspaces form the kernel chain"
             )
-            per_comp.append(_k_members_to_f(ca, chain_k))
             finite_flags.append(True)
         elif ks.field_k.is_finite:
             notes.append(
-                f"component {format_poly(ca.component.factor)}: finite lattice not materialized "
+                f"component {pname}: finite lattice not materialized "
                 f"(subspace count exceeds cap {cap_subspaces}); kernel chain reported"
             )
-            per_comp.append(_k_members_to_f(ca, chain_k))
             finite_flags.append(None)
         else:
             notes.append(
-                f"component {format_poly(ca.component.factor)}: infinitely many invariant "
+                f"component {pname}: infinitely many invariant "
                 "subspaces (several Jordan blocks over an infinite field); kernel chain reported"
             )
-            per_comp.append(_k_members_to_f(ca, chain_k))
             finite_flags.append(False)
+        kers, _ = _nk_powers_chain(ks)
+        per_comp.append(_k_members_to_f(ca, list(dict.fromkeys(kers))))
     if all(f is True for f in finite_flags):
         finite, complete = True, True
     elif any(f is False for f in finite_flags):
@@ -379,53 +366,42 @@ def chinv_lattice(
         pname = format_poly(ca.component.factor)
         # in component coordinates, then lifted to F^n
         local = [ks.k_subspace_to_f(w) for w in _hinv_k_members(ks)]
-        hinv_members = [ca.component.lift_subspace(w) for w in local]
+        members = local  # the characteristic members, unless a witness adds some
         if not (ks.field_k.is_finite and ks.field_k.order == 2):
             provenance.append(
                 f"component {pname}: K has more than two elements, so every characteristic "
                 "subspace is hyperinvariant"
             )
-            per_comp.append(hinv_members)
-            per_flags.append({w: "hyperinvariant" for w in hinv_members})
-            continue
-        witness = shoda_witness(ks.segre)
-        if witness is None:
+        elif (witness := shoda_witness(ks.segre)) is None:
             provenance.append(
                 f"component {pname}: K = GF(2) but no block-size witness (two sizes, each "
                 "exactly once, gap at least two), so characteristic = hyperinvariant"
             )
-            per_comp.append(hinv_members)
-            per_flags.append({w: "hyperinvariant" for w in hinv_members})
-            continue
-        provenance.append(
-            f"component {pname}: K = GF(2) with block sizes ({witness.big},{witness.small}) "
-            "each of multiplicity one and gap >= 2: characteristic non-hyperinvariant "
-            "subspaces exist; found by exhaustive invariant-subspace filtering"
-        )
-        Ai = ca.component.restriction
-        Zi = centralizer_basis(Ai)
-        try:
-            members = []
-            flags = {}
-            hset = set(local)
-            for W in enumerate_all_subspaces(Ai.field, Ai.nrows, cap=cap_subspaces):
-                if not W.is_invariant_under(Ai):
-                    continue
-                if not is_characteristic(W, Ai, Zi, cap=cap_units):
-                    continue
-                members.append(W)
-                flags[W] = "hyperinvariant" if W in hset else "characteristic-only"
-            lifted = [ca.component.lift_subspace(w) for w in members]
-            per_comp.append(lifted)
-            per_flags.append({lw: flags[w] for lw, w in zip(lifted, members)})
-        except (CapExceededError, UndecidedError) as exc:
-            notes.append(
-                f"component {pname}: characteristic-only portion not computed at this scale "
-                f"({exc}); hyperinvariant members reported"
+        else:
+            provenance.append(
+                f"component {pname}: K = GF(2) with block sizes ({witness.big},{witness.small}) "
+                "each of multiplicity one and gap >= 2: characteristic non-hyperinvariant "
+                "subspaces exist; found by exhaustive invariant-subspace filtering"
             )
-            complete = False
-            per_comp.append(hinv_members)
-            per_flags.append({w: "hyperinvariant" for w in hinv_members})
+            Ai = ca.component.restriction
+            try:
+                invariant = _invariant_subspaces([Ai], Ai.field, Ai.nrows, cap_subspaces)
+                units = unit_span(centralizer_basis(Ai), cap_units)
+            except (CapExceededError, UndecidedError) as exc:
+                notes.append(
+                    f"component {pname}: characteristic-only portion not computed at this "
+                    f"scale ({exc}); hyperinvariant members reported"
+                )
+                complete = False
+            else:
+                members = [W for W in invariant if all(W.is_invariant_under(B) for B in units)]
+        hset = set(local)
+        lifted = [ca.component.lift_subspace(w) for w in members]
+        per_comp.append(lifted)
+        per_flags.append(
+            {lw: "hyperinvariant" if w in hset else "characteristic-only"
+             for lw, w in zip(lifted, members)}
+        )
     members, flags = _combine_components(per_comp, per_flags, A.field, A.nrows)
     members, flag_tuple, lat = _finalize(members, flags, detail_cap, notes)
     return LatticeReport(

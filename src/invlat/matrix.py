@@ -84,14 +84,8 @@ class Matrix:
     def is_zero(self):
         return not any(any(e for e in row) for row in self.rows)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def col(self, j):
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self):
-        return Matrix(self.field, tuple(zip(*self.rows)), _raw=True)
 
     def _check(self, other):
         if not isinstance(other, Matrix):

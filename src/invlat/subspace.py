@@ -260,15 +260,6 @@ class Lattice:
     def __len__(self):
         return len(self.members)
 
-    def subspaces(self):
-        return set(self.members)
-
-    def bottom(self):
-        return self.members[0]
-
-    def top(self):
-        return self.members[-1]
-
 
 def build_lattice(subspaces, flags=None, check_closure=True):
     """Assemble a Lattice, verifying distinctness, bounds and closure.

@@ -247,6 +247,20 @@ def test_criterion_5_oracle_equivalence():
           f"seeded conjugates); zero mismatches ({elapsed:.1f}s)")
 
 
+def test_engine_matches_oracle_gf2_nilpotent_5_2():
+    # n = 7, beyond criterion 5's n <= 5: a witness component whose
+    # characteristic members come from the span of the units
+    A = _jordan_nilpotent(F2, (5, 2))
+    rep = classify_all(A)
+    rc = chinv_lattice(A)
+    assert rep.findings == ()
+    assert inv_lattice(A).member_set() == set(rep.invariant)
+    assert hinv_lattice(A).member_set() == set(rep.hyperinvariant)
+    assert rc.member_set() == set(rep.characteristic)
+    extra = {w for w, f in zip(rc.members, rc.member_flags) if f == "characteristic-only"}
+    assert extra == set(rep.characteristic) - set(rep.hyperinvariant) != set()
+
+
 def test_criterion_6_extended_shoda_equivalence():
     from invlat.lattices import shoda_witness
 

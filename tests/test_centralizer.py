@@ -7,8 +7,9 @@ from invlat.centralizer import (
     is_characteristic,
     is_hyperinvariant,
     unit_elements,
+    unit_span,
 )
-from invlat.errors import InfiniteFieldError
+from invlat.errors import InfiniteFieldError, UndecidedError
 from invlat.fields import QQ
 from invlat.matrix import Matrix, block_diag, rank
 from invlat.subspace import full_space, span, zero_subspace
@@ -46,17 +47,18 @@ def test_centralizer_of_single_jordan_block_matches_bruteforce():
         assert count == 2**Z.dim
 
 
+def partitions(n, cap=None):
+    cap = cap or n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
 def test_centralizer_dimension_formula_small_partitions():
     # dim Z(J_lambda) = sum_{i,j} min(lambda_i, lambda_j)
-    def partitions(n, cap=None):
-        cap = cap or n
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, cap), 0, -1):
-            for rest in partitions(n - first, first):
-                yield (first,) + rest
-
     for field in (F2, F3):
         for n in range(1, 7):
             for lam in partitions(n):
@@ -85,6 +87,55 @@ def test_unit_elements_of_golden_nilpotent():
     seen = set(units)
     assert len(seen) == len(units)
     assert all(rank(B) == 4 for B in units)
+
+
+def test_unit_elements_in_coordinate_order():
+    # the walk over coordinates yields what filtering every combination does
+    Z = centralizer_basis(GOLD_4_N)
+    elems = tuple(F2.elements())
+    expected = [
+        B for B in (Z.combination(c) for c in product(elems, repeat=Z.dim)) if rank(B) == 4
+    ]
+    assert list(unit_elements(Z)) == expected
+    Z3 = centralizer_basis(nilpotent_jordan(F3, (2, 1)))
+    elems = tuple(F3.elements())
+    expected = [
+        B for B in (Z3.combination(c) for c in product(elems, repeat=Z3.dim)) if rank(B) == 3
+    ]
+    assert list(unit_elements(Z3)) == expected
+
+
+def test_unit_span_dimension_structure_theorem():
+    # Z/J(Z) is the product of M_m(K) over the block sizes, m the multiplicity.
+    # Over GF(2) a factor with m = 1 is GF(2), whose only unit is 1, so the
+    # units span dim Z - max(u - 1, 0), u the number of sizes with m = 1;
+    # over GF(3) they span all of Z.
+    for n in range(1, 14):
+        for lam in partitions(n):
+            dim_z = sum(min(a, b) for a in lam for b in lam)
+            if dim_z > 13:
+                continue
+            u = sum(1 for t in set(lam) if lam.count(t) == 1)
+            basis = unit_span(centralizer_basis(nilpotent_jordan(F2, lam)))
+            assert len(basis) == dim_z - max(u - 1, 0), lam
+            assert all(rank(B) == n for B in basis), lam
+            if dim_z <= 9:
+                Z3 = centralizer_basis(nilpotent_jordan(F3, lam))
+                assert len(unit_span(Z3)) == dim_z, lam
+    # the basis is linearly independent
+    Z = centralizer_basis(nilpotent_jordan(F2, (5, 2)))
+    flat = [tuple(e for row in B.rows for e in row) for B in unit_span(Z)]
+    assert span(flat, F2, 49).dim == len(flat) == 10
+
+
+def test_unit_span_beyond_cap_is_undecided():
+    Z = centralizer_basis(GOLD_4_N)
+    with pytest.raises(UndecidedError) as exc:
+        unit_span(Z, cap=63)
+    assert str(exc.value) == "undecided at this scale: unit enumeration needs 64 > cap 63"
+    assert len(unit_span(Z, cap=64)) == 5
+    with pytest.raises(InfiniteFieldError):
+        unit_span(centralizer_basis(GOLD_RAT_A))
 
 
 def test_unit_elements_rejects_infinite_field():

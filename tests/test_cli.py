@@ -116,7 +116,7 @@ def test_determinism_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_input_error_exit_code(tmp_path):
+def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--input", str(bad), "--command", "analyze"]) == 2
@@ -155,6 +155,17 @@ def test_input_error_exit_code(tmp_path):
         assert main(["--input", str(bad), "--command", "dot"]) == 2, obj
     bad.write_text(json.dumps(lattice))
     assert main(["--input", str(bad), "--command", "dot"]) == 0
+    # finite fields beyond the size bounds are refused before any modulus search
+    capsys.readouterr()
+    for field in ({"kind": "finite", "p": 2, "k": 1000},
+                  {"kind": "finite", "p": 2, "k": 32},
+                  {"kind": "finite", "p": 2, "k": 1000, "modulus": [1, 1] + [0] * 998 + [1]}):
+        bad.write_text(json.dumps({"field": field, "rows": [[1]]}))
+        t0 = time.perf_counter()
+        assert main(["--input", str(bad), "--command", "shoda"]) == 2, field
+        assert time.perf_counter() - t0 < 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("input error: GF(2^") and err.count("\n") == 1, err
 
 
 _ODD_VALUES = (

@@ -133,6 +133,23 @@ def test_is_prime_matches_sieve_and_rejects_out_of_range():
         FiniteField(2**89 - 1)
 
 
+def test_extension_size_bounds():
+    # refused before any search or irreducibility test
+    for p, k in ((2, 41), (2, 1000), (2**61 - 1, 11)):
+        with pytest.raises(ValueError, match="beyond the supported size"):
+            FiniteField(p, k, modulus=(1,) + (0,) * (k - 1) + (1,))
+    with pytest.raises(ValueError, match="beyond the supported size"):
+        FiniteField(3, 10**400)
+    with pytest.raises(ValueError, match="no modulus search"):
+        gf_build(2, 25)  # order 2^25
+    with pytest.raises(ValueError, match="no modulus search"):
+        gf_build(65537, 2)
+    # with a modulus the same orders are accepted: a component's field K
+    assert FiniteField(2, 25, modulus=(1, 0, 0, 1) + (0,) * 21 + (1,)).order == 2**25
+    assert FiniteField(65537, 2, modulus=(65534, 0, 1)).order == 65537**2
+    assert gf_build(2, 24).order == 2**24 and gf_build(3, 15).order == 3**15
+
+
 def test_rationals_normalized():
     a = QQ.element("6/4")
     assert a == Fraction(3, 2)

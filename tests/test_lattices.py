@@ -198,3 +198,53 @@ def test_inv_lattice_members_all_invariant_by_construction():
     assert rep.finite is True
     # spot totals: every member passes the predicate (engine asserts too)
     assert all(rep.member_predicate(w) for w in rep.members)
+
+
+def test_chinv_incomplete_notes_pinned():
+    # GOLD_4 is a GF(2) witness component: dim Z = 6 (64 elements), and
+    # GF(2)^4 has 67 subspaces; the notes are those of the per-candidate
+    # unit scan this engine replaced, byte for byte
+    witness = (
+        "component x+1: K = GF(2) with block sizes (3,1) each of multiplicity one and "
+        "gap >= 2: characteristic non-hyperinvariant subspaces exist; found by "
+        "exhaustive invariant-subspace filtering"
+    )
+    cases = (
+        ({"cap_units": 63}, "undecided at this scale: unit enumeration needs 64 > cap 63"),
+        ({"cap_subspaces": 66}, "subspace count 67 exceeds cap 66"),
+        ({"cap_units": 8, "cap_subspaces": 5}, "subspace count 67 exceeds cap 5"),
+    )
+    for caps, reason in cases:
+        rep = chinv_lattice(GOLD_4_A, **caps)
+        assert rep.complete is False and rep.finite is True, caps
+        assert rep.notes == (
+            f"component x+1: characteristic-only portion not computed at this scale "
+            f"({reason}); hyperinvariant members reported",
+        ), caps
+        assert rep.provenance == (witness,)
+        assert members_of(rep) == expected_hinv_4()
+        assert rep.member_flags == ("hyperinvariant",) * 6
+    assert chinv_lattice(GOLD_4_A, cap_units=64, cap_subspaces=67).complete
+
+
+def test_chinv_scans_units_once_per_witness_component(monkeypatch):
+    import invlat.centralizer
+
+    calls = []
+    original = invlat.centralizer.unit_elements
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invlat.centralizer, "unit_elements", counted)
+    # two witness components, (3,1) at x+1 and (3,1) at x
+    A = block_diag(F2, [GOLD_4_A, Matrix(F2, [[0, 0, 0, 0], [1, 0, 0, 0],
+                                               [0, 1, 0, 0], [0, 0, 0, 0]])])
+    rep = chinv_lattice(A)
+    assert rep.complete
+    assert len(rep.members) == 49  # 7 characteristic members per component
+    assert len(calls) == 2
+    calls.clear()
+    chinv_lattice(GOLD_8_A)  # K = GF(4): no unit scan at all
+    assert calls == []
