@@ -15,9 +15,9 @@ K = F[S] attached to that component's semisimple part:
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
   decides whether extra members can exist, and if so they are the
-  invariant subspaces of the component (the enumerate-and-filter helper
-  of ``inv``) invariant under a basis of the span of its centralizer's
-  units, computed once per component.
+  invariant subspaces of the component (enumerated as for ``inv``)
+  invariant under a basis of the span of its centralizer's units,
+  computed once per component.
 
 Components combine by direct sums because the primary factors are
 coprime.  Reports carry provenance notes describing the fact used at
@@ -173,12 +173,6 @@ def _closure(subspaces):
     return current
 
 
-def _invariant_subspaces(mats, field, n, cap):
-    """Every subspace of field^n invariant under each matrix in ``mats``."""
-    candidates = enumerate_all_subspaces(field, n, cap=cap)
-    return [W for W in candidates if all(W.is_invariant_under(M) for M in mats)]
-
-
 def _combine_components(per_comp_members, per_comp_flags, field, n):
     """All direct sums W_1 + ... + W_r, with combined flags."""
     members = []
@@ -244,7 +238,7 @@ def inv_lattice(
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            members_k = _invariant_subspaces([ks.nk], ks.nk.field, ks.nk.nrows, cap_subspaces)
+            members_k = enumerate_all_subspaces(ks.nk.field, ks.nk.nrows, cap_subspaces, [ks.nk])
             per_comp.append(_k_members_to_f(ca, members_k))
             finite_flags.append(True)
             continue
@@ -385,7 +379,7 @@ def chinv_lattice(
             )
             Ai = ca.component.restriction
             try:
-                invariant = _invariant_subspaces([Ai], Ai.field, Ai.nrows, cap_subspaces)
+                invariant = list(enumerate_all_subspaces(Ai.field, Ai.nrows, cap_subspaces, [Ai]))
                 units = unit_span(centralizer_basis(Ai), cap_units)
             except (CapExceededError, UndecidedError) as exc:
                 notes.append(

@@ -183,28 +183,37 @@ def mat_vec(M, v):
 
 
 # ----------------------------------------------------------------------
-# Row kernels: encode, echelon (RREF), reduce against RREF rows, decode.
+# Row kernels: encode, echelon (RREF), reduce against RREF rows, apply a
+# matrix given by its encoded columns, decode.
 # TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
 # indices: each process builds the tables on first use, in time linear in
 # the order, and no workload uses a field between GF(9) and GF(2^16).
 TABLE_LIMIT = 1 << 8
 
 
-def _gf2_reduce(v, rows, pivots):
-    for r, p in zip(rows, pivots):
-        if (v >> p) & 1:
-            v ^= r
-    return v
-
-
 class _GF2Rows:
     """GF(2): a row is an int whose bit j is coordinate j."""
 
     nonzero = bool
-    reduce = staticmethod(_gf2_reduce)
 
     def __init__(self, field):
         self.elements = (field.zero(), field.one())
+
+    @staticmethod
+    def reduce(v, rows, pivots):
+        for r, p in zip(rows, pivots):
+            if (v >> p) & 1:
+                v ^= r
+        return v
+
+    @staticmethod
+    def apply(cols, v):  # M v, from the encoded columns of M
+        w = 0
+        while v:
+            low = v & -v
+            w ^= cols[low.bit_length() - 1]
+            v ^= low
+        return w
 
     def encode(self, row):
         v, bit = 0, 1
@@ -223,7 +232,7 @@ class _GF2Rows:
     def echelon(self, vectors, n):
         rows, pivots = [], []
         for v in vectors:
-            v = _gf2_reduce(v, rows, pivots)
+            v = self.reduce(v, rows, pivots)
             if v:
                 low = v & -v
                 rows = [r ^ v if r & low else r for r in rows]
@@ -242,7 +251,7 @@ class _ElementRows:
     encode = staticmethod(list)
 
     def __init__(self, field):
-        self.field, self.one = field, field.one()
+        self.field, self.zero, self.one = field, field.zero(), field.one()
 
     def decode(self, v, n):
         return tuple(v)
@@ -284,12 +293,21 @@ class _ElementRows:
                 v = self.submul(v, v[c], row)
         return v
 
+    def apply(self, cols, v):
+        """-(M v), from the encoded columns of M: its residue against a
+        subspace is zero exactly when the residue of M v is."""
+        acc = [self.zero] * len(v)
+        for x, col in zip(v, cols):
+            if x:
+                acc = self.submul(acc, x, col)
+        return acc
+
 
 class _PrimeRows(_ElementRows):
     """GF(p): lists of ints mod p; inverses by pow(x, -1, p), no tables."""
 
     def __init__(self, field):
-        self.field, self.p, self.one = field, field.p, 1
+        self.field, self.p, self.zero, self.one = field, field.p, 0, 1
 
     def encode(self, row):
         return [e.c[0] for e in row]
@@ -311,7 +329,7 @@ class _ZechRows(_ElementRows):
     products through the log/antilog tables, sums through Zech logarithms."""
 
     def __init__(self, field):
-        self.field, self.one, self.m = field, 1, field.order - 1
+        self.field, self.zero, self.one, self.m = field, 0, 1, field.order - 1
         self.exp, self.log, self.zech = field.zech_tables()
         self.neg = 0 if field.p == 2 else self.m // 2  # log of -1
 

@@ -18,29 +18,21 @@ the units violating W are precisely the units of Z(A) outside U_W; so
   coset scan certifies the rest (tier 2; scans beyond the unit cap raise
   an explicit "undecided" error instead of guessing).
 
-GF(2) instances enumerate on the bitmask rows of the GF(2) row kernel;
-all other row reduction runs in the field's row kernel as well.
+The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
+the encoded rows of the field's row kernel, for every finite field; all
+other row reduction runs in that kernel as well.
 """
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from random import Random
 
-from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis
-from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
-from .matrix import (
-    Matrix,
-    _gf2_reduce,
-    inverse,
-    mat_vec,
-    minimal_polynomial,
-    rank,
-    row_kernel,
-)
+from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, unit_elements
+from .errors import InfiniteFieldError, UndecidedError
+from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, rank
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
-    Subspace,
     enumerate_all_subspaces,
     kernel_basis,
     span,
@@ -81,69 +73,6 @@ class OracleReport:
         }
 
 
-# ----------------------------------------------------------------------
-# Bit-packed GF(2) enumeration on the GF(2) row kernel of ``matrix``: a
-# vector of GF(2)^n is an int with bit j for coordinate j; a subspace is a
-# tuple of RREF row ints plus pivot columns.
-
-
-def _gf2_apply(cols, w):
-    v = 0
-    while w:
-        lsb = w & -w
-        v ^= cols[lsb.bit_length() - 1]
-        w ^= lsb
-    return v
-
-
-def _gf2_enumerate_invariant(A, cap):
-    """(total_count, [(rows, pivots) of every A-invariant subspace])."""
-    n = A.nrows
-    total = subspace_count(n, 2)
-    if total > cap:
-        raise CapExceededError(
-            f"subspace count {total} exceeds cap {cap}", count=total, cap=cap
-        )
-    cols = [row_kernel(A.field).encode(col) for col in zip(*A.rows)]
-    out = [((), ())]
-    seen = 1
-    for d in range(1, n + 1):
-        for piv in combinations(range(n), d):
-            pivset = set(piv)
-            free = [
-                (i, j)
-                for i in range(d)
-                for j in range(piv[i] + 1, n)
-                if j not in pivset
-            ]
-            base = [1 << p for p in piv]
-            for mask in range(1 << len(free)):
-                rows = base.copy()
-                m = mask
-                t = 0
-                while m:
-                    if m & 1:
-                        i, j = free[t]
-                        rows[i] |= 1 << j
-                    m >>= 1
-                    t += 1
-                seen += 1
-                ok = True
-                for w in rows:
-                    v = _gf2_reduce(_gf2_apply(cols, w), rows, piv)
-                    if v:
-                        ok = False
-                        break
-                if ok:
-                    out.append((tuple(rows), piv))
-    if seen != total:
-        raise InvariantError("enumeration miscount against the Gaussian binomial total")
-    return total, out
-
-
-# ----------------------------------------------------------------------
-
-
 def _stabilizer_coords(Z, W):
     """U_W = {x in F^d : (sum x_t Z_t) W <= W} as a subspace of F^d."""
     field = Z.matrix.field
@@ -170,11 +99,7 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
     if q**d <= min(tier1_cap, cap_units):
         alive = set(candidates)
         tested = 0
-        elems = tuple(field.elements())
-        for coords in product(elems, repeat=d):
-            B = Z.combination(coords)
-            if rank(B) != n:
-                continue
+        for B in unit_elements(Z, cap=cap_units):
             tested += 1
             alive = {W for W in alive if W.is_invariant_under(B)}
             if not alive:
@@ -279,26 +204,7 @@ def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNI
         raise ValueError("square matrix required")
     t0 = time.perf_counter()
     n = A.nrows
-    if field.order == 2:
-        total, packed_inv = _gf2_enumerate_invariant(A, cap_subspaces)
-        decode = row_kernel(field).decode
-        invariant = [
-            Subspace(field, n, tuple(decode(r, n) for r in rows), piv, list(rows))
-            for rows, piv in packed_inv
-        ]
-    else:
-        total = subspace_count(n, field.order)
-        if total > cap_subspaces:
-            raise CapExceededError(
-                f"subspace count {total} exceeds cap {cap_subspaces}",
-                count=total,
-                cap=cap_subspaces,
-            )
-        invariant = [
-            W
-            for W in enumerate_all_subspaces(field, n, cap=cap_subspaces)
-            if W.is_invariant_under(A)
-        ]
+    invariant = list(enumerate_all_subspaces(field, n, cap_subspaces, [A]))
     Z = centralizer_basis(A)
     hyper = [W for W in invariant if all(W.is_invariant_under(B) for B in Z.elements)]
     hset = set(hyper)
@@ -315,7 +221,7 @@ def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNI
     key = lambda s: s.sort_key()
     return OracleReport(
         matrix=A,
-        total_subspaces=total,
+        total_subspaces=subspace_count(n, field.order),
         invariant=tuple(sorted(invariant, key=key)),
         hyperinvariant=tuple(sorted(hyper, key=key)),
         characteristic=tuple(sorted(char, key=key)),

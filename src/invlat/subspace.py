@@ -5,11 +5,15 @@ space, so equality, hashing and ordering are structural: two subspaces
 are equal iff their canonical bases agree entrywise.  Membership,
 containment, sums and intersections (the Zassenhaus stacked-basis trick)
 eliminate in the field's row kernel (``matrix.row_kernel``) on the basis
-rows, encoded once per subspace; enumeration walks RREF shapes (dimension,
-pivot-column set, free entries) so every subspace appears exactly once.
+rows, encoded once per subspace.  Enumeration walks RREF shapes (dimension,
+pivot-column set, free entries) on encoded rows, so every subspace appears
+exactly once; given matrices, it keeps the subspaces invariant under them,
+reducing each encoded row image against the candidate's rows.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, product
+from math import prod
 
 from .errors import (
     CapExceededError,
@@ -205,11 +209,17 @@ def subspace_count(n, q):
     return sum(gaussian_binomial(n, d, q) for d in range(n + 1))
 
 
-def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP):
-    """Every subspace of F^n exactly once, ordered by (dim, pivot set, free entries).
+def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=()):
+    """Every subspace of F^n invariant under each matrix in ``invariant_under``
+    (every subspace when it is empty), exactly once, ordered by (dim, pivot
+    set, free entries).
 
-    Walks all RREF shapes; the field must be finite and the total count
-    must stay within ``cap``.
+    Walks all RREF shapes in the field's row kernel; the field must be
+    finite, the total count must stay within ``cap``, and the count walked
+    is checked against it.  Per pivot set, each basis row's choices are
+    encoded once, with their images under the matrices; a candidate is one
+    choice per row, and it survives when every image reduces to zero
+    against its rows.
     """
     if not field.is_finite:
         raise InfiniteFieldError("infinite field: cannot enumerate subspaces over " + repr(field))
@@ -218,26 +228,37 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP):
         raise CapExceededError(
             f"subspace count {total} exceeds cap {cap}", count=total, cap=cap
         )
-    from itertools import combinations, product
-
+    if any(M.field != field or (M.nrows, M.ncols) != (n, n) for M in invariant_under):
+        raise FieldMismatchError(f"the matrices must act on {field!r}^{n}")
+    kern = row_kernel(field)
+    reduce, nonzero, apply = kern.reduce, kern.nonzero, kern.apply
+    cols = [[kern.encode(c) for c in zip(*M.rows)] for M in invariant_under]
     # F^1 has no free entries: skip listing a possibly huge field
     elems = tuple(field.elements()) if n > 1 else ()
     zero, one = field.zero(), field.one()
     yield zero_subspace(field, n)
+    walked = 1
     for d in range(1, n + 1):
         for piv in combinations(range(n), d):
-            free_slots = []
-            for i, p in enumerate(piv):
-                for j in range(p + 1, n):
-                    if j not in piv:
-                        free_slots.append((i, j))
-            for assignment in product(elems, repeat=len(free_slots)):
-                rows = [[zero] * n for _ in range(d)]
-                for i, p in enumerate(piv):
-                    rows[i][p] = one
-                for (i, j), val in zip(free_slots, assignment):
-                    rows[i][j] = val
-                yield Subspace(field, n, tuple(tuple(r) for r in rows), piv)
+            choices = []  # per basis row: (element row, encoded row, encoded images)
+            for p in piv:
+                free = [j for j in range(p + 1, n) if j not in piv]
+                row_choices = []
+                for values in product(elems, repeat=len(free)):
+                    row = [zero] * n
+                    row[p] = one
+                    for j, x in zip(free, values):
+                        row[j] = x
+                    v = kern.encode(row)
+                    row_choices.append((tuple(row), v, [apply(c, v) for c in cols]))
+                choices.append(row_choices)
+            walked += prod(map(len, choices))
+            for combo in product(*choices):
+                rows = [c[1] for c in combo]
+                if not any(nonzero(reduce(w, rows, piv)) for c in combo for w in c[2]):
+                    yield Subspace(field, n, tuple(c[0] for c in combo), piv, rows)
+    if walked != total:
+        raise InvariantError("enumeration miscount against the Gaussian binomial total")
 
 
 # ----------------------------------------------------------------------

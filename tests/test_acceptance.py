@@ -261,6 +261,16 @@ def test_engine_matches_oracle_gf2_nilpotent_5_2():
     assert extra == set(rep.characteristic) - set(rep.hyperinvariant) != set()
 
 
+def test_engine_matches_oracle_gf2_nilpotent_5_3():
+    # n = 8: the witness component enumerates its A-invariant subspaces
+    # among all 417,199 of GF(2)^8 before the unit-span filter
+    A = _jordan_nilpotent(F2, (5, 3))
+    rc = chinv_lattice(A)
+    assert rc.complete and len(rc.members) == 15
+    assert rc.member_flags.count("characteristic-only") == 3
+    assert rc.member_set() == set(classify_all(A).characteristic)
+
+
 def test_criterion_6_extended_shoda_equivalence():
     from invlat.lattices import shoda_witness
 

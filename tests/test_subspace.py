@@ -1,11 +1,19 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
-from invlat.errors import CapExceededError, ClosureError, InfiniteFieldError
+from invlat.errors import (
+    CapExceededError,
+    ClosureError,
+    FieldMismatchError,
+    InfiniteFieldError,
+    InvariantError,
+)
 from invlat.fields import QQ, gf_build
 from invlat.matrix import Matrix
 from invlat.subspace import (
+    Subspace,
     build_lattice,
     enumerate_all_subspaces,
     full_space,
@@ -124,6 +132,59 @@ def test_enumeration_matches_gaussian_binomials():
             by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
         for d in range(n + 1):
             assert by_dim.get(d, 0) == gaussian_binomial(n, d, q)
+
+
+def _reference_walk(field, n, mats):
+    """Every subspace as element-tuple RREF shapes, in (dim, pivot set, free
+    entries) order, filtered by ``Subspace.is_invariant_under``."""
+    elems = tuple(field.elements())
+    zero, one = field.zero(), field.one()
+    out = [zero_subspace(field, n)]
+    for d in range(1, n + 1):
+        for piv in combinations(range(n), d):
+            slots = [(i, j) for i, p in enumerate(piv) for j in range(p + 1, n) if j not in piv]
+            for values in product(elems, repeat=len(slots)):
+                rows = [[zero] * n for _ in range(d)]
+                for i, p in enumerate(piv):
+                    rows[i][p] = one
+                for (i, j), x in zip(slots, values):
+                    rows[i][j] = x
+                out.append(Subspace(field, n, tuple(map(tuple, rows)), piv))
+    return [W for W in out if all(W.is_invariant_under(M) for M in mats)]
+
+
+def test_filtered_enumeration_matches_reference_walk():
+    # a random matrix, two random upper triangular ones (they share the
+    # flag of span(e1..ek), so pairs keep more than 0 and V) and a nilpotent
+    rng = random.Random(5)
+    for field in (F2, F3, gf_build(2, 2), gf_build(5), gf_build(3, 2)):
+        elems = tuple(field.elements())
+        for n in range(1, 5):
+            def rand(lower=True):
+                return Matrix(field, [[rng.choice(elems) if lower or j >= i else 0
+                                       for j in range(n)] for i in range(n)])
+
+            M, U1, U2 = rand(), rand(False), rand(False)
+            N = Matrix(field, [[1 if i == j + 1 and j != 1 else 0 for j in range(n)]
+                               for i in range(n)])
+            for mats in ((), (M,), (U1,), (N,), (U1, U2), (M, N)):
+                got = list(enumerate_all_subspaces(field, n, invariant_under=mats))
+                assert got == _reference_walk(field, n, mats), (field, n, mats)
+
+
+def test_enumeration_checks_walked_count(monkeypatch):
+    import invlat.subspace
+
+    monkeypatch.setattr(invlat.subspace, "subspace_count", lambda n, q: 68)
+    with pytest.raises(InvariantError, match="miscount"):
+        list(enumerate_all_subspaces(F2, 4))
+
+
+def test_filtered_enumeration_rejects_foreign_matrices():
+    with pytest.raises(FieldMismatchError):
+        list(enumerate_all_subspaces(F2, 3, invariant_under=[Matrix.identity(F3, 3)]))
+    with pytest.raises(FieldMismatchError):
+        list(enumerate_all_subspaces(F2, 3, invariant_under=[Matrix.identity(F2, 2)]))
 
 
 def test_build_lattice_chain():
