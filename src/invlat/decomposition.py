@@ -72,10 +72,6 @@ class PrimaryComponent:
                     out[j] = out[j] + coef * row[j]
         return tuple(out)
 
-    def lift_subspace(self, W):
-        """Subspace of F^dim (V_i coordinates) -> Subspace of F^n."""
-        return span([self.lift_vector(r) for r in W.basis], self.restriction.field, self.subspace.n)
-
 
 def primary_decomposition(A, factorization):
     """Components of V under A for a verified factorization of m_A."""

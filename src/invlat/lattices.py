@@ -9,8 +9,12 @@ K = F[S] attached to that component's semisimple part:
   cyclic, and provably an infinite family otherwise (two or more Jordan
   blocks over an infinite field);
 * hyperinvariant subspaces over K are the closure of the kernel and image
-  chains of N_K under sum and intersection (each member re-verified
-  against the centralizer of the original operator over F);
+  chains of N_K under sum and intersection, each member re-verified in
+  component coordinates against a basis of the centralizer Z(A_i) of the
+  restriction A_i.  That certifies the direct sum against Z(A): every X
+  commuting with A commutes with p_i(A)^k_i, so it maps each primary
+  component V_i into itself, and Z(A) = Z(A_1) + ... + Z(A_r) block
+  diagonally in the primary basis;
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
@@ -20,20 +24,22 @@ K = F[S] attached to that component's semisimple part:
   computed once per component.
 
 Components combine by direct sums because the primary factors are
-coprime.  Reports carry provenance notes describing the fact used at
-each step.
+coprime; closure and covers are proved per component (``_assemble``).
+Reports carry provenance notes describing the fact used at each step.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, is_hyperinvariant, unit_span
 from .decomposition import analyze_operator
-from .errors import CapExceededError, InvariantError, UndecidedError
+from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
 from .matrix import Matrix, minimal_polynomial
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
+    Lattice,
     build_lattice,
     enumerate_all_subspaces,
     image_basis,
@@ -151,11 +157,6 @@ def _nk_powers_chain(ks):
     return kers, ims
 
 
-def _k_members_to_f(ca, members_k):
-    """K-subspaces of the component -> F-subspaces of F^n."""
-    return [ca.component.lift_subspace(ca.kstruct.k_subspace_to_f(w)) for w in members_k]
-
-
 def _closure(subspaces):
     """Closure of a finite set of subspaces under sum and intersection."""
     current = set(subspaces)
@@ -173,41 +174,64 @@ def _closure(subspaces):
     return current
 
 
-def _combine_components(per_comp_members, per_comp_flags, field, n):
-    """All direct sums W_1 + ... + W_r, with combined flags."""
-    members = []
-    flags = {} if per_comp_flags is not None else None
-    for combo in product(*per_comp_members):
-        rows = []
-        total = 0
-        for w in combo:
-            rows.extend(w.basis)
-            total += w.dim
-        s = span(rows, field, n)
-        if s.dim != total:
+def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None):
+    """The direct sums W_1 + ... + W_r, one W_c from each factor: the sorted
+    member tuple, its aligned flags, and (within ``detail_cap``) the Lattice.
+
+    ``factors[c]`` lists subspaces in the c-th summand's own coordinates,
+    ``factor_flags[c]`` maps them to labels (or is None), and ``embed(c, w)``
+    gives rows spanning w inside F^n.  The rank of each sum re-checks that
+    the summands are independent, so sum and intersection of two direct
+    sums are taken summand by summand: the product is closed once every
+    factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
+    (prod M_c)^2), and its covers are the pairs of tuples that differ in
+    one summand only, where they are a cover of that factor.
+    """
+    lats = None
+    if detail_cap is None or prod(map(len, factors)) <= detail_cap:
+        lats = [build_lattice(f, flags=fl) for f, fl in zip(factors, factor_flags)]
+        factors = [lat.members for lat in lats]
+    rows = [[embed(c, w) for w in f] for c, f in enumerate(factors)]
+    tuples = {}
+    for combo in product(*(range(len(f)) for f in factors)):
+        parts = [rows[c][i] for c, i in enumerate(combo)]
+        s = span([r for part in parts for r in part], field, n)
+        if s.dim != sum(map(len, parts)):
             raise InvariantError("component subspaces are not independent")
-        members.append(s)
-        if flags is not None:
-            labels = [fl[w] for fl, w in zip(per_comp_flags, combo)]
-            flags[s] = (
-                "characteristic-only" if "characteristic-only" in labels else "hyperinvariant"
-            )
-    return members, flags
-
-
-def _finalize(members, flags, detail_cap, notes):
-    """Sorted member tuple, aligned flags, and (when small) a full Lattice."""
-    members = sorted(set(members), key=lambda s: s.sort_key())
-    flag_tuple = tuple(flags[s] for s in members) if flags is not None else None
-    lattice = None
-    if len(members) <= detail_cap:
-        lattice = build_lattice(members, flags=flags)
-    else:
+        tuples[s] = combo
+    members = sorted(tuples, key=lambda s: s.sort_key())
+    flags = None
+    if factor_flags[0] is not None:
+        flags = tuple(
+            "characteristic-only"
+            if any(factor_flags[c][factors[c][i]] == "characteristic-only"
+                   for c, i in enumerate(tuples[s]))
+            else "hyperinvariant"
+            for s in members
+        )
+    if lats is None:
         notes.append(
             f"Hasse structure and closure re-check skipped for {len(members)} members "
             f"(detail cap {detail_cap}); member list is complete"
         )
-    return tuple(members), flag_tuple, lattice
+        return tuple(members), flags, None
+    if members[-1].dim != n:
+        raise ClosureError("lattice misses the full space")
+    index = {tuples[s]: k for k, s in enumerate(members)}
+    covers = sorted(
+        (k, index[t[:c] + (j,) + t[c + 1 :]])
+        for t, k in index.items()
+        for c, lat in enumerate(lats)
+        for i, j in lat.covers
+        if t[c] == i
+    )
+    return tuple(members), flags, Lattice(tuple(members), tuple(covers), flags)
+
+
+def _lifts(ana):
+    """``embed`` for ``_assemble``: component coordinates -> rows in F^n."""
+    comps = [ca.component for ca in ana.components]
+    return lambda c, w: [comps[c].lift_vector(r) for r in w.basis]
 
 
 def inv_lattice(
@@ -239,7 +263,7 @@ def inv_lattice(
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
             members_k = enumerate_all_subspaces(ks.nk.field, ks.nk.nrows, cap_subspaces, [ks.nk])
-            per_comp.append(_k_members_to_f(ca, members_k))
+            per_comp.append([ks.k_subspace_to_f(w) for w in members_k])
             finite_flags.append(True)
             continue
         # the kernel chain: all of the lattice when N_K is cyclic, a part otherwise
@@ -262,14 +286,16 @@ def inv_lattice(
             )
             finite_flags.append(False)
         kers, _ = _nk_powers_chain(ks)
-        per_comp.append(_k_members_to_f(ca, list(dict.fromkeys(kers))))
+        per_comp.append([ks.k_subspace_to_f(w) for w in dict.fromkeys(kers)])
     if all(f is True for f in finite_flags):
         finite, complete = True, True
     elif any(f is False for f in finite_flags):
         finite, complete = False, False
     else:
         finite, complete = None, False
-    members, _ = _combine_components(per_comp, None, A.field, A.nrows)
+    members, _, lat = _assemble(
+        per_comp, [None] * len(per_comp), _lifts(ana), A.field, A.nrows, detail_cap, notes
+    )
 
     def predicate(W):
         return W.is_invariant_under(A)
@@ -277,7 +303,6 @@ def inv_lattice(
     for s in members:
         if not predicate(s):
             raise InvariantError("engine produced a non-invariant subspace")
-    members, _, lat = _finalize(members, None, detail_cap, notes)
     return LatticeReport(
         kind="invariant",
         finite=finite,
@@ -291,11 +316,13 @@ def inv_lattice(
     )
 
 
-def _hinv_k_members(ks):
-    """Hyperinvariant K-subspaces of one component, canonically sorted: the
-    closure of the kernel and image chains of N_K under sum and intersection."""
+def _hinv_local(ks):
+    """Hyperinvariant subspaces of one component, in its coordinates over F:
+    the closure of the kernel and image chains of N_K under sum and
+    intersection, in canonical order over K."""
     kers, ims = _nk_powers_chain(ks)
-    return sorted(_closure(set(kers) | set(ims)), key=lambda s: s.sort_key())
+    closed = sorted(_closure(set(kers) | set(ims)), key=lambda s: s.sort_key())
+    return [ks.k_subspace_to_f(w) for w in closed]
 
 
 def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
@@ -314,13 +341,17 @@ def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
             "equal those of the nilpotent part over K; computed as the closure of the kernel "
             "and image chains under sum and intersection"
         )
-        per_comp.append(_k_members_to_f(ca, _hinv_k_members(ca.kstruct)))
-    members, _ = _combine_components(per_comp, None, A.field, A.nrows)
-    Z = centralizer_basis(A)
-    for s in members:
-        if not is_hyperinvariant(s, A, Z):
+        # Z(A) is block diagonal over the components: checking Z(A_i) on
+        # each component's members certifies their direct sums against Z(A)
+        local = _hinv_local(ca.kstruct)
+        Ai = ca.component.restriction
+        Z = centralizer_basis(Ai)
+        if not all(is_hyperinvariant(W, Ai, Z) for W in local):
             raise InvariantError("engine produced a non-hyperinvariant subspace")
-    members, _, lat = _finalize(members, None, detail_cap, notes)
+        per_comp.append(local)
+    members, _, lat = _assemble(
+        per_comp, [None] * len(per_comp), _lifts(ana), A.field, A.nrows, detail_cap, notes
+    )
     return LatticeReport(
         kind="hyperinvariant",
         finite=True,
@@ -358,8 +389,7 @@ def chinv_lattice(
     for ca in ana.components:
         ks = ca.kstruct
         pname = format_poly(ca.component.factor)
-        # in component coordinates, then lifted to F^n
-        local = [ks.k_subspace_to_f(w) for w in _hinv_k_members(ks)]
+        local = _hinv_local(ks)  # in component coordinates
         members = local  # the characteristic members, unless a witness adds some
         if not (ks.field_k.is_finite and ks.field_k.order == 2):
             provenance.append(
@@ -390,14 +420,13 @@ def chinv_lattice(
             else:
                 members = [W for W in invariant if all(W.is_invariant_under(B) for B in units)]
         hset = set(local)
-        lifted = [ca.component.lift_subspace(w) for w in members]
-        per_comp.append(lifted)
+        per_comp.append(members)
         per_flags.append(
-            {lw: "hyperinvariant" if w in hset else "characteristic-only"
-             for lw, w in zip(lifted, members)}
+            {w: "hyperinvariant" if w in hset else "characteristic-only" for w in members}
         )
-    members, flags = _combine_components(per_comp, per_flags, A.field, A.nrows)
-    members, flag_tuple, lat = _finalize(members, flags, detail_cap, notes)
+    members, flag_tuple, lat = _assemble(
+        per_comp, per_flags, _lifts(ana), A.field, A.nrows, detail_cap, notes
+    )
     return LatticeReport(
         kind="characteristic",
         finite=True,
@@ -411,14 +440,16 @@ def chinv_lattice(
     )
 
 
-def direct_sum_lattices(lattices, matrices=None, check_closure=True):
+def direct_sum_lattices(lattices, matrices=None):
     """Product lattice of operators acting on independent blocks.
 
     Members of the i-th lattice are embedded into the block of
     coordinates belonging to the i-th summand; every member of the result
     is a direct sum of members.  When ``matrices`` is given, the blocks'
     minimal polynomials must be pairwise coprime (the decomposition laws
-    need it), otherwise an error is raised.
+    need it), otherwise an error is raised.  Each lattice is rebuilt from
+    its members alone (closure re-checked, covers recomputed) before the
+    product is assembled.
     """
     if not lattices:
         raise ValueError("no lattices to combine")
@@ -436,24 +467,18 @@ def direct_sum_lattices(lattices, matrices=None, check_closure=True):
                         f"{format_poly(poly_gcd(polys[i], polys[j]))}"
                     )
     n = sum(dims)
+    offsets = [sum(dims[:c]) for c in range(len(dims))]
     zero = field.zero()
-    per = []
-    per_flags = []
-    any_flags = any(lat.flags is not None for lat in lattices)
-    offset = 0
-    for lat, d in zip(lattices, dims):
-        embedded = []
-        flags = {}
-        for idx, w in enumerate(lat.members):
-            rows = [
-                (zero,) * offset + tuple(row) + (zero,) * (n - offset - d) for row in w.basis
-            ]
-            e = span(rows, field, n)
-            embedded.append(e)
-            if any_flags:
-                flags[e] = lat.flags[idx] if lat.flags is not None else "hyperinvariant"
-        per.append(embedded)
-        per_flags.append(flags)
-        offset += d
-    members, flags = _combine_components(per, per_flags if any_flags else None, field, n)
-    return build_lattice(members, flags=flags, check_closure=check_closure)
+
+    def embed(c, w):
+        return [(zero,) * offsets[c] + tuple(r) + (zero,) * (n - offsets[c] - dims[c])
+                for r in w.basis]
+
+    factor_flags = [None] * len(lattices)
+    if any(lat.flags is not None for lat in lattices):
+        factor_flags = [
+            dict(zip(lat.members, lat.flags or ("hyperinvariant",) * len(lat.members)))
+            for lat in lattices
+        ]
+    members, _, lat = _assemble([lat.members for lat in lattices], factor_flags, embed, field, n)
+    return lat

@@ -13,10 +13,11 @@ the units violating W are precisely the units of Z(A) outside U_W; so
 * with a small centralizer, all units are enumerated once and candidates
   are pruned against each (tier 1; survivors of the full scan are
   certified);
-* otherwise Z(A) \\ U_W is searched for a unit: deterministic seeded
-  sampling finds a violator quickly when one exists, and an exhaustive
-  coset scan certifies the rest (tier 2; scans beyond the unit cap raise
-  an explicit "undecided" error instead of guessing).
+* otherwise Z(A) \\ U_W is searched for a unit: sampling seeded from the
+  seed and W's ``sort_key`` (so the units tried do not depend on the order
+  of the candidates) finds a violator quickly when one exists, and an
+  exhaustive coset scan certifies the rest (tier 2; scans beyond the unit
+  cap raise an explicit "undecided" error instead of guessing).
 
 The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
 the encoded rows of the field's row kernel, for every finite field; all
@@ -106,7 +107,6 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
                 break
         return alive, ("full-enumeration", tested)
     # tier 2: per-candidate stabilizer subalgebra
-    rng = Random(seed)
     certified = set()
     tested = 0
     elems = tuple(field.elements())
@@ -116,6 +116,7 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
             certified.add(W)  # all of Z stabilizes W
             continue
         found = False
+        rng = Random(f"{seed}:{W.sort_key()}")
         for _ in range(_SAMPLE_TRIES):
             coords = tuple(elems[rng.randrange(q)] for _ in range(d))
             if UW.member(coords):

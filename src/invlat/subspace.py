@@ -282,7 +282,7 @@ class Lattice:
         return len(self.members)
 
 
-def build_lattice(subspaces, flags=None, check_closure=True):
+def build_lattice(subspaces, flags=None):
     """Assemble a Lattice, verifying distinctness, bounds and closure.
 
     ``flags`` maps Subspace -> str (optional).  Cover relations are the
@@ -303,18 +303,17 @@ def build_lattice(subspaces, flags=None, check_closure=True):
         raise ClosureError("lattice misses the zero subspace")
     if members[-1].dim != n:
         raise ClosureError("lattice misses the full space")
-    if check_closure:
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                u, w = members[i], members[j]
-                if u.sum(w) not in mset:
-                    raise ClosureError(
-                        f"not closed under sum: {subspace_label(u)} + {subspace_label(w)}"
-                    )
-                if u.intersect(w) not in mset:
-                    raise ClosureError(
-                        f"not closed under intersection: {subspace_label(u)} ∩ {subspace_label(w)}"
-                    )
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            u, w = members[i], members[j]
+            if u.sum(w) not in mset:
+                raise ClosureError(
+                    f"not closed under sum: {subspace_label(u)} + {subspace_label(w)}"
+                )
+            if u.intersect(w) not in mset:
+                raise ClosureError(
+                    f"not closed under intersection: {subspace_label(u)} ∩ {subspace_label(w)}"
+                )
     less = [[False] * len(members) for _ in members]
     for i, u in enumerate(members):
         for j, w in enumerate(members):

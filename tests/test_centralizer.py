@@ -9,9 +9,12 @@ from invlat.centralizer import (
     unit_elements,
     unit_span,
 )
+from invlat.decomposition import analyze_operator
 from invlat.errors import InfiniteFieldError, UndecidedError
-from invlat.fields import QQ
-from invlat.matrix import Matrix, block_diag, rank
+from invlat.fields import QQ, gf_build
+from invlat.matrix import Matrix, block_diag, companion, inverse, rank
+from invlat.oracle import random_instance
+from invlat.poly import parse_poly
 from invlat.subspace import full_space, span, zero_subspace
 
 from fixtures import GOLD_4_N, GOLD_RAT_A, e_rows, F2, F3
@@ -197,3 +200,20 @@ def test_centralizer_unchanged_by_adding_semisimple_constraint():
     assert Z.dim == 12
     for B in Z.elements:
         assert B @ dec.S == dec.S @ B
+
+
+def test_centralizer_dimension_adds_over_primary_components():
+    # Z(A) is the direct sum of the Z(A_i): what lets hinv solve per component
+    P = Matrix(QQ, [[1 if j <= i else 0 for j in range(7)] for i in range(7)])
+    blocks = [companion(parse_poly("x^2+1", QQ)), Matrix(QQ, [[1, 0], [1, 1]]),
+              companion(parse_poly("x^3-2", QQ))]
+    hint = [(parse_poly(p, QQ), k) for p, k in (("x^2+1", 1), ("x-1", 2), ("x^3-2", 1))]
+    cases = [(P @ block_diag(QQ, blocks) @ inverse(P), hint)]
+    for field, n, seed in ((F2, 5, 1), (F2, 4, 10), (F3, 4, 1), (F3, 5, 10),
+                           (gf_build(2, 2), 4, 13), (gf_build(2, 2), 3, 17)):
+        cases.append((random_instance(field, n, "general", seed).matrix, None))
+    for A, hint in cases:
+        comps = analyze_operator(A, hint=hint).components
+        assert len(comps) >= 2
+        local = sum(centralizer_basis(ca.component.restriction).dim for ca in comps)
+        assert local == centralizer_basis(A).dim

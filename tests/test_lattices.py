@@ -1,5 +1,7 @@
 import pytest
 
+from invlat.decomposition import analyze_operator
+from invlat.errors import ClosureError
 from invlat.fields import QQ, gf_build
 from invlat.lattices import (
     characteristic_dispatch,
@@ -10,8 +12,9 @@ from invlat.lattices import (
     shoda_witness,
 )
 from invlat.matrix import Matrix, block_diag, companion
+from invlat.oracle import random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import full_space, span, zero_subspace
+from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
 
 from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A, e_rows, F2, F3
 
@@ -248,3 +251,64 @@ def test_chinv_scans_units_once_per_witness_component(monkeypatch):
     calls.clear()
     chinv_lattice(GOLD_8_A)  # K = GF(4): no unit scan at all
     assert calls == []
+
+
+def q_three_components():
+    """Companions of x^2+1 and x^3-2 around a Jordan block of (x-1)^2 over
+    Q, with the factorization hint the degree-5 root-free part needs."""
+    A = block_diag(QQ, [companion(parse_poly("x^2+1", QQ)), Matrix(QQ, [[1, 0], [1, 1]]),
+                        companion(parse_poly("x^3-2", QQ))])
+    return A, [(parse_poly(p, QQ), k) for p, k in (("x^2+1", 1), ("x-1", 2), ("x^3-2", 1))]
+
+
+def test_assembled_lattices_match_a_full_build():
+    # the product assembled per component has the members, covers and
+    # flags that building the combined member list from scratch gives
+    q3, hint = q_three_components()
+    cases = (
+        ("Q", q3, hint),
+        ("GOLD_4 + [0]", block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]), None),
+        ("GF(3)", random_instance(F3, 4, "general", 1).matrix, None),
+        ("GF(4)", random_instance(gf_build(2, 2), 4, "general", 13).matrix, None),
+    )
+    for name, A, hint in cases:
+        ana = analyze_operator(A, hint=hint)
+        assert len(ana.components) >= 2, name
+        for fn in (inv_lattice, hinv_lattice, chinv_lattice):
+            rep = fn(A, analysis=ana)
+            flags = None
+            if rep.member_flags is not None:
+                flags = dict(zip(rep.members, rep.member_flags))
+            assert rep.lattice == build_lattice(rep.members, flags=flags), (name, fn.__name__)
+    rep = chinv_lattice(block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]))
+    assert rep.lattice.flags.count("characteristic-only") == 2
+    prod = direct_sum_lattices(
+        [chinv_lattice(GOLD_4_A).lattice, chinv_lattice(Matrix(F2, [[0]])).lattice]
+    )
+    assert prod == rep.lattice
+    assert prod == build_lattice(prod.members, flags=dict(zip(prod.members, prod.flags)))
+
+
+def test_direct_sum_rechecks_each_factor():
+    # a factor whose members miss <e1> + <e2> is refused, whatever its covers say
+    lines = [span(e_rows(3, [i], F2), F2, 3) for i in (1, 2)]
+    bad = Lattice((zero_subspace(F2, 3), *lines, full_space(F2, 3)), ((0, 1), (0, 2)))
+    good = inv_lattice(Matrix(F2, [[1]])).lattice
+    with pytest.raises(ClosureError, match="not closed under sum"):
+        direct_sum_lattices([good, bad])
+
+
+def test_hinv_solves_the_centralizer_per_component(monkeypatch):
+    import invlat.lattices
+
+    sizes = []
+    original = invlat.lattices.centralizer_basis
+
+    def recorded(M):
+        sizes.append(M.nrows)
+        return original(M)
+
+    monkeypatch.setattr(invlat.lattices, "centralizer_basis", recorded)
+    rep = hinv_lattice(block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]))
+    assert len(rep.members) == 12  # 6 hyperinvariant members x 2
+    assert sorted(sizes) == [1, 4]  # never the 5x5 operator itself

@@ -141,3 +141,20 @@ def test_random_instance_general_1x1():
     inst = random_instance(F3, 1, "general", 0)
     assert inst.matrix.nrows == 1
     assert inst.min_poly.degree == 1
+
+
+def test_tier2_sampling_does_not_depend_on_candidate_order():
+    from invlat.centralizer import centralizer_basis
+    from invlat.oracle import _classify_characteristic
+    from invlat.subspace import enumerate_all_subspaces
+
+    from fixtures import GOLD_8_A
+
+    # cap_units 8 puts GOLD_8's 2^d-element centralizer on tier 2
+    Z = centralizer_basis(GOLD_8_A)
+    invariant = enumerate_all_subspaces(F2, 8, 10**6, [GOLD_8_A])
+    candidates = [W for W in invariant if not all(W.is_invariant_under(B) for B in Z.elements)]
+    listed = _classify_characteristic(GOLD_8_A, Z, candidates, 8, 0)
+    reversed_ = _classify_characteristic(GOLD_8_A, Z, candidates[::-1], 8, 0)
+    assert listed[1][0] == "stabilizer-subalgebra" and listed[1][1] > 0
+    assert listed == reversed_
