@@ -15,7 +15,6 @@ from .centralizer import (
     is_characteristic,
     is_hyperinvariant,
     unit_elements,
-    unit_span,
 )
 from .decomposition import (
     ComponentAnalysis,

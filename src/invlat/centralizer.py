@@ -4,25 +4,23 @@
 linear system.  A subspace is hyperinvariant when every basis element of
 Z(A) maps it into itself (linearity makes basis checking sufficient),
 and characteristic when A and every *invertible* element of Z(A) do.
-By the same linearity, invariance under the units is invariance under
-their span: ``unit_span`` computes a basis of it in one pass over the
-unit group, and that basis decides membership for every subspace.  Unit
-enumeration walks all coordinate tuples over the basis and filters by
-nonsingularity, so it is exact but only available over finite fields
-within a configured cap.
+``is_characteristic`` decides the latter by definition, walking the unit
+group: ``unit_elements`` runs over all coordinate tuples of the basis and
+keeps the nonsingular ones, so it is exact but only available over
+finite fields within a configured cap.  The lattice engine does not walk
+units; it reads their span off the Jordan structure (``lattices``).
 """
 
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
 from .matrix import Matrix, rank
-from .subspace import kernel_basis, span
+from .subspace import kernel_basis
 
 __all__ = [
     "CentralizerBasis",
     "centralizer_basis",
     "unit_elements",
-    "unit_span",
     "is_hyperinvariant",
     "is_characteristic",
     "DEFAULT_UNIT_CAP",
@@ -124,36 +122,11 @@ def is_hyperinvariant(W, A, Z=None):
     return all(W.is_invariant_under(B) for B in Z.elements)
 
 
-def unit_span(Z, cap=DEFAULT_UNIT_CAP):
-    """A basis, as matrices, of the span of the invertible elements of Z.
-
-    One pass over ``unit_elements``, stopping once the span is all of Z.
-    Beyond the unit cap the span is not decidable here: UndecidedError.
-    """
-    field, m = Z.matrix.field, Z.matrix.nrows ** 2
-    basis, vecs = [], span((), field, m)
-    try:
-        for B in unit_elements(Z, cap=cap):
-            v = [e for row in B.rows for e in row]
-            if not vecs.member(v):
-                basis.append(B)
-                vecs = vecs.sum(span([v], field, m))
-                if vecs.dim == Z.dim:
-                    break
-    except CapExceededError as exc:
-        raise UndecidedError(
-            f"undecided at this scale: unit enumeration needs {exc.count} > cap {exc.cap}"
-        ) from exc
-    return tuple(basis)
-
-
 def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
     """True iff AW <= W and BW <= W for every invertible B commuting with A.
 
-    Invariance under the units is tested on a basis of their span
-    (``unit_span``); over an infinite field or beyond the cap this
-    predicate is not decidable here and raises (the lattice engine's
-    theorem dispatch covers those cases).
+    Walks ``unit_elements``: over an infinite field or beyond the cap it is
+    undecidable here and raises (the engine's theorem dispatch covers those).
     """
     if not W.is_invariant_under(A):
         return False
@@ -161,4 +134,9 @@ def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
         Z = centralizer_basis(A)
     if is_hyperinvariant(W, A, Z):
         return True
-    return all(W.is_invariant_under(B) for B in unit_span(Z, cap))
+    try:
+        return all(W.is_invariant_under(B) for B in unit_elements(Z, cap))
+    except CapExceededError as exc:
+        raise UndecidedError(
+            f"undecided at this scale: unit enumeration needs {exc.count} > cap {exc.cap}"
+        ) from exc

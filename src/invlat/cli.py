@@ -133,9 +133,7 @@ def _engine_reports(A, ana, args):
     return {
         "invariant": inv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
         "hyperinvariant": hinv_lattice(A, analysis=ana),
-        "characteristic": chinv_lattice(
-            A, analysis=ana, cap_subspaces=args.cap_subspaces, cap_units=args.cap_units
-        ),
+        "characteristic": chinv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
     }
 
 
@@ -173,12 +171,8 @@ def _cmd_analyze(A, args):
 def _cmd_lattice(A, args, kind):
     hint = _load_hint(args, A.field)
     fn = {"inv": inv_lattice, "hinv": hinv_lattice, "chinv": chinv_lattice}[kind]
-    kwargs = {"hint": hint, "seed": args.seed}
-    if kind in ("inv", "chinv"):
-        kwargs["cap_subspaces"] = args.cap_subspaces
-    if kind == "chinv":
-        kwargs["cap_units"] = args.cap_units
-    rep = fn(A, **kwargs)
+    caps = {} if kind == "hinv" else {"cap_subspaces": args.cap_subspaces}
+    rep = fn(A, hint=hint, seed=args.seed, **caps)
     payload = {
         "command": f"lattice-{kind}",
         "seed": args.seed,

@@ -13,8 +13,6 @@ Wire formats:
   under ``json.dumps(sort_keys=True)``.
 """
 
-from fractions import Fraction
-
 from .errors import ClosureError
 from .fields import QQ, ExtensionField, FiniteField
 from .matrix import Matrix
@@ -71,10 +69,6 @@ def field_from_json(obj):
         _expect(_scalar(p, int) and _scalar(k, int), "p and k must be integers", (p, k))
         _expect(modulus is None or _scalars(modulus, int), "modulus must list integers", modulus)
         return FiniteField(p, k, modulus=tuple(modulus) if modulus else None)
-    if kind == "extension":
-        modulus = obj.get("modulus")
-        _expect(_scalars(modulus, (int, str)), "modulus must list integers or strings", modulus)
-        return ExtensionField(tuple(Fraction(c) for c in modulus))
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -83,8 +77,6 @@ def entry_to_json(field, e):
         return e.numerator if e.denominator == 1 else str(e)
     if isinstance(field, FiniteField):
         return e.c[0] if field.k == 1 else list(e.c)
-    if isinstance(field, ExtensionField):
-        return [str(c) for c in e.c]
     raise TypeError(f"cannot serialize entries of {field!r}")
 
 

@@ -19,9 +19,9 @@ K = F[S] attached to that component's semisimple part:
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
   decides whether extra members can exist, and if so they are the
-  invariant subspaces of the component (enumerated as for ``inv``)
-  invariant under a basis of the span of its centralizer's units,
-  computed once per component.
+  K-subspaces invariant under the span of the units of Z(N_K), enumerated
+  as for ``inv``; that span is read off the kernel chain in closed form and
+  certified by seeded units (``_unit_span``), so no unit group is walked.
 
 Components combine by direct sums because the primary factors are
 coprime; closure and covers are proved per component (``_assemble``).
@@ -31,11 +31,12 @@ Reports carry provenance notes describing the fact used at each step.
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from random import Random
 
-from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, is_hyperinvariant, unit_span
+from .centralizer import centralizer_basis, is_hyperinvariant
 from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
-from .matrix import Matrix, minimal_polynomial
+from .matrix import Matrix, mat_vec, minimal_polynomial, rank
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
@@ -98,6 +99,7 @@ def characteristic_dispatch(field_k, segre):
 
 
 DETAIL_CAP = 150
+UNIT_DRAWS = 2000  # seeded draws allowed to certify the closed-form unit span
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,41 @@ def _nk_powers_chain(ks):
         kers.append(kernel_basis(P))
         ims.append(image_basis(P))
     return kers, ims
+
+
+def _unit_span(ks, seed):
+    """A basis, as matrices over K = GF(2), of the span L of the units of Z(N_K).
+
+    Z maps onto the product of the End(Q_t), Q_t = ker N^t / W, W = ker N^(t-1)
+    + N ker N^(t+1), with nilpotent kernel.  A unit acts as 1 on each Q_t of
+    dimension one (t of multiplicity one; g, the top of the size-t chain,
+    spans it), and units span M_m(GF(2)) for m >= 2: so L is where the scalars
+    [X g not in W] agree.  Seeded units certify they span L, or it is undecided.
+    """
+    nk, K, m = ks.nk, ks.nk.field, ks.nk.nrows
+    Z = centralizer_basis(nk)
+    kers, ims = _nk_powers_chain(ks)
+    scalars = []
+    for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
+        W = kers[t - 1].sum(kers[t].intersect(ims[1]))  # N ker N^(t+1) = ker N^t meet im N
+        scalars.append([K.zero() if W.member(mat_vec(B, g)) else K.one() for B in Z.elements])
+    conditions = [[a - b for a, b in zip(scalars[0], row)] for row in scalars[1:]]
+    L = Z.elements
+    if conditions:
+        L = tuple(Z.combination(c) for c in kernel_basis(Matrix(K, conditions)).basis)
+    if len(L) != Z.dim - len(conditions):
+        raise InvariantError("unit-span conditions are not independent")
+    rng, units = Random(seed), []  # units by their coordinates in L
+    for _ in range(UNIT_DRAWS):
+        c = [rng.randrange(2) for _ in L]
+        if rank(sum((B for B, x in zip(L, c) if x), Matrix.zeros(K, m))) == m:
+            units.append(c)
+            if span(units, K, len(L)).dim == len(L):
+                return L
+    raise UndecidedError(
+        f"undecided at this scale: {UNIT_DRAWS} seeded draws found units spanning "
+        f"{span(units, K, len(L)).dim} of the {len(L)} dimensions of the unit span"
+    )
 
 
 def _closure(subspaces):
@@ -370,7 +407,6 @@ def chinv_lattice(
     hint=None,
     seed=0,
     cap_subspaces=DEFAULT_SUBSPACE_CAP,
-    cap_units=DEFAULT_UNIT_CAP,
     detail_cap=DETAIL_CAP,
     analysis=None,
 ):
@@ -407,18 +443,17 @@ def chinv_lattice(
                 "each of multiplicity one and gap >= 2: characteristic non-hyperinvariant "
                 "subspaces exist; found by exhaustive invariant-subspace filtering"
             )
-            Ai = ca.component.restriction
-            try:
-                invariant = list(enumerate_all_subspaces(Ai.field, Ai.nrows, cap_subspaces, [Ai]))
-                units = unit_span(centralizer_basis(Ai), cap_units)
+            try:  # L holds I and N_K, so its invariant subspaces are A_i-invariant
+                next(enumerate_all_subspaces(ks.field_k, ks.k_dim, cap_subspaces))  # cap first
+                L = _unit_span(ks, seed)
+                members = [ks.k_subspace_to_f(w) for w in
+                           enumerate_all_subspaces(ks.field_k, ks.k_dim, cap_subspaces, L)]
             except (CapExceededError, UndecidedError) as exc:
                 notes.append(
                     f"component {pname}: characteristic-only portion not computed at this "
                     f"scale ({exc}); hyperinvariant members reported"
                 )
                 complete = False
-            else:
-                members = [W for W in invariant if all(W.is_invariant_under(B) for B in units)]
         hset = set(local)
         per_comp.append(members)
         per_flags.append(

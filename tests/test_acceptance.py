@@ -248,17 +248,19 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_engine_matches_oracle_gf2_nilpotent_5_2():
-    # n = 7, beyond criterion 5's n <= 5: a witness component whose
-    # characteristic members come from the span of the units
-    A = _jordan_nilpotent(F2, (5, 2))
-    rep = classify_all(A)
-    rc = chinv_lattice(A)
-    assert rep.findings == ()
-    assert inv_lattice(A).member_set() == set(rep.invariant)
-    assert hinv_lattice(A).member_set() == set(rep.hyperinvariant)
-    assert rc.member_set() == set(rep.characteristic)
-    extra = {w for w, f in zip(rc.members, rc.member_flags) if f == "characteristic-only"}
-    assert extra == set(rep.characteristic) - set(rep.hyperinvariant) != set()
+    # n = 6-7, beyond criterion 5's n <= 5: witness components whose
+    # characteristic members come from the span of the units; (3,2,1) and
+    # (4,2,1) have three sizes of multiplicity one, so two conditions cut it
+    for lam in ((5, 2), (3, 2, 1), (4, 2, 1)):
+        A = _jordan_nilpotent(F2, lam)
+        rep = classify_all(A)
+        rc = chinv_lattice(A)
+        assert rep.findings == (), lam
+        assert inv_lattice(A).member_set() == set(rep.invariant), lam
+        assert hinv_lattice(A).member_set() == set(rep.hyperinvariant), lam
+        assert rc.member_set() == set(rep.characteristic), lam
+        extra = {w for w, f in zip(rc.members, rc.member_flags) if f == "characteristic-only"}
+        assert extra == set(rep.characteristic) - set(rep.hyperinvariant) != set(), lam
 
 
 def test_engine_matches_oracle_gf2_nilpotent_5_3():
@@ -269,6 +271,18 @@ def test_engine_matches_oracle_gf2_nilpotent_5_3():
     assert rc.complete and len(rc.members) == 15
     assert rc.member_flags.count("characteristic-only") == 3
     assert rc.member_set() == set(classify_all(A).characteristic)
+
+
+def test_chinv_complete_beyond_the_unit_cap():
+    # dim Z = 22 and 26, over the 2^20 unit cap a unit walk would need
+    for lam, members, extra in (((4, 2, 1, 1), 14, 2), ((3, 2, 2, 1), 9, 1)):
+        A = _jordan_nilpotent(F2, lam)
+        rc = chinv_lattice(A)
+        assert rc.complete and len(rc.members) == members, lam
+        assert rc.member_flags.count("characteristic-only") == extra, lam
+        hinv, inv = hinv_lattice(A).member_set(), inv_lattice(A).member_set()
+        assert hinv <= rc.member_set() <= inv, lam
+        assert len(hinv) == members - extra, lam
 
 
 def test_criterion_6_extended_shoda_equivalence():

@@ -7,11 +7,11 @@ from invlat.centralizer import (
     is_characteristic,
     is_hyperinvariant,
     unit_elements,
-    unit_span,
 )
 from invlat.decomposition import analyze_operator
 from invlat.errors import InfiniteFieldError, UndecidedError
 from invlat.fields import QQ, gf_build
+from invlat.lattices import _unit_span
 from invlat.matrix import Matrix, block_diag, companion, inverse, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
@@ -108,37 +108,51 @@ def test_unit_elements_in_coordinate_order():
     assert list(unit_elements(Z3)) == expected
 
 
-def test_unit_span_dimension_structure_theorem():
+def unit_walk_span(Z, stop=None):
+    """Span of the units of Z, flattened, by the definition: one walk over
+    ``unit_elements``, cut short once the span has dimension ``stop``."""
+    field, m = Z.matrix.field, Z.matrix.nrows
+    found = span((), field, m * m)
+    for B in unit_elements(Z):
+        v = [e for row in B.rows for e in row]
+        if not found.member(v):
+            found = found.sum(span([v], field, m * m))
+            if found.dim == stop:
+                break
+    return found
+
+
+def test_closed_form_unit_span_matches_unit_walk():
     # Z/J(Z) is the product of M_m(K) over the block sizes, m the multiplicity.
     # Over GF(2) a factor with m = 1 is GF(2), whose only unit is 1, so the
     # units span dim Z - max(u - 1, 0), u the number of sizes with m = 1;
-    # over GF(3) they span all of Z.
+    # the closed form spans what the units do.  Over GF(3) they span all of Z.
     for n in range(1, 14):
         for lam in partitions(n):
             dim_z = sum(min(a, b) for a in lam for b in lam)
             if dim_z > 13:
                 continue
             u = sum(1 for t in set(lam) if lam.count(t) == 1)
-            basis = unit_span(centralizer_basis(nilpotent_jordan(F2, lam)))
-            assert len(basis) == dim_z - max(u - 1, 0), lam
-            assert all(rank(B) == n for B in basis), lam
+            ks = analyze_operator(nilpotent_jordan(F2, lam)).components[0].kstruct
+            basis = _unit_span(ks, seed=0)
+            flat = span([[e for row in B.rows for e in row] for B in basis], F2, n * n)
+            assert flat.dim == len(basis) == dim_z - max(u - 1, 0), lam
+            assert flat == unit_walk_span(centralizer_basis(ks.nk)), lam
             if dim_z <= 9:
                 Z3 = centralizer_basis(nilpotent_jordan(F3, lam))
-                assert len(unit_span(Z3)) == dim_z, lam
-    # the basis is linearly independent
-    Z = centralizer_basis(nilpotent_jordan(F2, (5, 2)))
-    flat = [tuple(e for row in B.rows for e in row) for B in unit_span(Z)]
-    assert span(flat, F2, 49).dim == len(flat) == 10
+                assert unit_walk_span(Z3, stop=dim_z).dim == dim_z, lam
 
 
-def test_unit_span_beyond_cap_is_undecided():
-    Z = centralizer_basis(GOLD_4_N)
+def test_characteristic_beyond_cap_is_undecided():
+    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)  # characteristic, not hyperinvariant
     with pytest.raises(UndecidedError) as exc:
-        unit_span(Z, cap=63)
+        is_characteristic(odd, GOLD_4_N, cap=63)
     assert str(exc.value) == "undecided at this scale: unit enumeration needs 64 > cap 63"
-    assert len(unit_span(Z, cap=64)) == 5
+    assert is_characteristic(odd, GOLD_4_N, cap=64)
+    # <e1> is invariant under the zero map but not under all of Z = M_2(Q)
+    line = span(e_rows(2, [1], QQ), QQ, 2)
     with pytest.raises(InfiniteFieldError):
-        unit_span(centralizer_basis(GOLD_RAT_A))
+        is_characteristic(line, Matrix.zeros(QQ, 2))
 
 
 def test_unit_elements_rejects_infinite_field():

@@ -137,9 +137,13 @@ def test_input_error_exit_code(tmp_path, capsys):
         {"field": {"kind": "finite", "p": 2}, "rows": 5},
         {"field": {"kind": "finite", "p": 2}, "rows": [5]},
         {"field": 7, "rows": [[1, 0], [0, 1]]},
+        # Q[t]/(t^2+1) is no input field: factoring over it is not supported
+        {"field": {"kind": "extension", "modulus": [1, 0, 1]}, "rows": [[[1, 0]]]},
     ):
         bad.write_text(json.dumps(obj))
         assert main(["--input", str(bad), "--command", "analyze"]) == 2
+    assert main(["--input", missing_hint, "--command", "analyze",
+                 "--field", '{"kind": "extension", "modulus": [1, 0, 1]}']) == 2
     # and so are malformed lattices given to ``dot``
     lattice = {"field": {"kind": "finite", "p": 2}, "ambient_dim": 1,
                "members": [{"basis": []}, {"basis": [[1]]}]}

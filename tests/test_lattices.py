@@ -204,18 +204,17 @@ def test_inv_lattice_members_all_invariant_by_construction():
 
 
 def test_chinv_incomplete_notes_pinned():
-    # GOLD_4 is a GF(2) witness component: dim Z = 6 (64 elements), and
-    # GF(2)^4 has 67 subspaces; the notes are those of the per-candidate
-    # unit scan this engine replaced, byte for byte
+    # GOLD_4 is a GF(2) witness component, and GF(2)^4 has 67 subspaces;
+    # the notes are those of the per-candidate unit scan this engine
+    # replaced, byte for byte
     witness = (
         "component x+1: K = GF(2) with block sizes (3,1) each of multiplicity one and "
         "gap >= 2: characteristic non-hyperinvariant subspaces exist; found by "
         "exhaustive invariant-subspace filtering"
     )
     cases = (
-        ({"cap_units": 63}, "undecided at this scale: unit enumeration needs 64 > cap 63"),
         ({"cap_subspaces": 66}, "subspace count 67 exceeds cap 66"),
-        ({"cap_units": 8, "cap_subspaces": 5}, "subspace count 67 exceeds cap 5"),
+        ({"cap_subspaces": 5}, "subspace count 67 exceeds cap 5"),
     )
     for caps, reason in cases:
         rep = chinv_lattice(GOLD_4_A, **caps)
@@ -227,7 +226,24 @@ def test_chinv_incomplete_notes_pinned():
         assert rep.provenance == (witness,)
         assert members_of(rep) == expected_hinv_4()
         assert rep.member_flags == ("hyperinvariant",) * 6
-    assert chinv_lattice(GOLD_4_A, cap_units=64, cap_subspaces=67).complete
+    assert chinv_lattice(GOLD_4_A, cap_subspaces=67).complete
+
+
+def test_chinv_without_certified_units_is_incomplete(monkeypatch):
+    # every seeded draw singular: the closed-form span is not certified, so
+    # only the hyperinvariant members are reported, never a guessed list
+    import invlat.lattices
+
+    monkeypatch.setattr(invlat.lattices, "rank", lambda M: 0)
+    rep = chinv_lattice(GOLD_4_A)
+    assert rep.complete is False and rep.finite is True
+    assert rep.notes == (
+        "component x+1: characteristic-only portion not computed at this scale "
+        "(undecided at this scale: 2000 seeded draws found units spanning 0 of the 5 "
+        "dimensions of the unit span); hyperinvariant members reported",
+    )
+    assert members_of(rep) == expected_hinv_4()
+    assert rep.member_flags == ("hyperinvariant",) * 6
 
 
 def test_chinv_scans_units_once_per_witness_component(monkeypatch):
@@ -241,14 +257,14 @@ def test_chinv_scans_units_once_per_witness_component(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(invlat.centralizer, "unit_elements", counted)
-    # two witness components, (3,1) at x+1 and (3,1) at x
+    # two witness components, (3,1) at x+1 and (3,1) at x: their unit spans
+    # are read off the kernel chains, so no unit group is walked
     A = block_diag(F2, [GOLD_4_A, Matrix(F2, [[0, 0, 0, 0], [1, 0, 0, 0],
                                                [0, 1, 0, 0], [0, 0, 0, 0]])])
     rep = chinv_lattice(A)
     assert rep.complete
     assert len(rep.members) == 49  # 7 characteristic members per component
-    assert len(calls) == 2
-    calls.clear()
+    assert calls == []
     chinv_lattice(GOLD_8_A)  # K = GF(4): no unit scan at all
     assert calls == []
 
