@@ -22,6 +22,7 @@ result failed: a defect to report, never a property of the input).
 import argparse
 import json
 import sys
+from functools import partial
 
 from .centralizer import DEFAULT_UNIT_CAP
 from .decomposition import analyze_operator
@@ -46,7 +47,13 @@ from .jsonio import (
     oracle_report_to_json,
     subspace_to_json,
 )
-from .lattices import characteristic_dispatch, chinv_lattice, hinv_lattice, inv_lattice
+from .lattices import (
+    characteristic_dispatch,
+    chinv_lattice,
+    component_meta,
+    hinv_lattice,
+    inv_lattice,
+)
 from .oracle import classify_all
 from .poly import format_poly
 from .subspace import DEFAULT_SUBSPACE_CAP, subspace_label, to_dot
@@ -92,33 +99,19 @@ def _load_matrix(args):
     return matrix_from_json(obj, field=field)
 
 
-def _load_hint(args, field):
-    if not args.hint:
-        return None
-    return hint_from_json(json.loads(args.hint), field)
-
-
 def _component_report(ca):
     ks = ca.kstruct
-    comp = ca.component
-    field = comp.restriction.field
+    field = ca.component.restriction.field
     disp = characteristic_dispatch(ks.field_k, ks.segre)
     witness = disp["shoda_witness"]
     return {
-        "factor": format_poly(comp.factor),
-        "multiplicity": comp.multiplicity,
-        "dim": comp.dim,
-        "basis": subspace_to_json(comp.subspace),
+        **component_meta(ca),
+        "field_k": field_to_json(ks.field_k),
+        "basis": subspace_to_json(ca.component.subspace),
         "S": matrix_to_json(ca.jc.S)["rows"],
         "N": matrix_to_json(ca.jc.N)["rows"],
         "certificate": format_poly(ca.jc.certificate),
-        "s": ks.s,
-        "field_k": field_to_json(ks.field_k),
-        "segre_k": list(ks.segre),
-        "segre_f": sorted((p for p in ks.segre for _ in range(ks.s)), reverse=True),
-        "k_generators": [
-            [entry_to_json(field, e) for e in g] for g in ks.generators
-        ],
+        "k_generators": [[entry_to_json(field, e) for e in g] for g in ks.generators],
         "shoda": {
             "witness": [witness.big, witness.small] if witness else None,
             "field_k_is_gf2": disp["field_k_is_gf2"],
@@ -128,18 +121,24 @@ def _component_report(ca):
     }
 
 
+_LATTICES = {"inv": "invariant", "hinv": "hyperinvariant", "chinv": "characteristic"}
+
+
+def _engine_report(A, ana, args, kind):
+    """One lattice report of the analysis, under the CLI caps and seed (the
+    functions are looked up when called, so wrappers put on them are seen)."""
+    if kind == "hinv":
+        return hinv_lattice(A, analysis=ana, seed=args.seed)
+    fn = inv_lattice if kind == "inv" else chinv_lattice
+    return fn(A, analysis=ana, seed=args.seed, cap_subspaces=args.cap_subspaces)
+
+
 def _engine_reports(A, ana, args):
-    """The three lattice reports of one analysis, under the CLI caps."""
-    return {
-        "invariant": inv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
-        "hyperinvariant": hinv_lattice(A, analysis=ana),
-        "characteristic": chinv_lattice(A, analysis=ana, cap_subspaces=args.cap_subspaces),
-    }
+    """The three lattice reports of one analysis, by kind."""
+    return {name: _engine_report(A, ana, args, kind) for kind, name in _LATTICES.items()}
 
 
-def _cmd_analyze(A, args):
-    hint = _load_hint(args, A.field)
-    ana = analyze_operator(A, hint=hint, seed=args.seed)
+def _cmd_analyze(A, ana, args):
     reports = _engine_reports(A, ana, args)
     chinv = reports["characteristic"]
     extra = 0
@@ -168,11 +167,8 @@ def _cmd_analyze(A, args):
     return payload, None
 
 
-def _cmd_lattice(A, args, kind):
-    hint = _load_hint(args, A.field)
-    fn = {"inv": inv_lattice, "hinv": hinv_lattice, "chinv": chinv_lattice}[kind]
-    caps = {} if kind == "hinv" else {"cap_subspaces": args.cap_subspaces}
-    rep = fn(A, hint=hint, seed=args.seed, **caps)
+def _cmd_lattice(A, ana, args, kind):
+    rep = _engine_report(A, ana, args, kind)
     payload = {
         "command": f"lattice-{kind}",
         "seed": args.seed,
@@ -182,9 +178,7 @@ def _cmd_lattice(A, args, kind):
     return payload, dot
 
 
-def _cmd_shoda(A, args):
-    hint = _load_hint(args, A.field)
-    ana = analyze_operator(A, hint=hint, seed=args.seed)
+def _cmd_shoda(A, ana, args):
     comps = [_component_report(ca) for ca in ana.components]
     payload = {
         "command": "shoda",
@@ -200,9 +194,7 @@ def _cmd_shoda(A, args):
     return payload, None
 
 
-def _cmd_verify(A, args):
-    hint = _load_hint(args, A.field)
-    ana = analyze_operator(A, hint=hint, seed=args.seed)
+def _cmd_verify(A, ana, args):
     engine = _engine_reports(A, ana, args)
     for kind, rep in engine.items():
         if not rep.complete:
@@ -266,28 +258,33 @@ def _emit(payload, dot, args):
             fh.write(dot)
 
 
+_COMMANDS = {
+    "analyze": _cmd_analyze,
+    "shoda": _cmd_shoda,
+    "verify": _cmd_verify,
+    **{f"lattice-{kind}": partial(_cmd_lattice, kind=kind) for kind in _LATTICES},
+}
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     command = args.command.replace(" ", "-")
     if args.cap_subspaces < 1 or args.cap_units < 1:
         print("input error: caps must be positive", file=sys.stderr)
         return EXIT_INPUT
+    if command != "dot" and command not in _COMMANDS:
+        print(f"unknown command: {args.command}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if command == "dot":
             payload, dot = _cmd_dot(args)
         else:
             A = _load_matrix(args)
-            if command == "analyze":
-                payload, dot = _cmd_analyze(A, args)
-            elif command in ("lattice-inv", "lattice-hinv", "lattice-chinv"):
-                payload, dot = _cmd_lattice(A, args, command.split("-", 1)[1])
-            elif command == "shoda":
-                payload, dot = _cmd_shoda(A, args)
-            elif command == "verify":
-                payload, dot = _cmd_verify(A, args)
-            else:
-                print(f"unknown command: {args.command}", file=sys.stderr)
-                return EXIT_INPUT
+            hint = None
+            if args.hint:
+                hint = hint_from_json(json.loads(args.hint), A.field, max_degree=A.nrows)
+            ana = analyze_operator(A, hint=hint, seed=args.seed)
+            payload, dot = _COMMANDS[command](A, ana, args)
     except (CapExceededError, UndecidedError) as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -10,8 +10,11 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   SN = NS, N nilpotent, and both parts polynomials in A (a certificate
   q with S = q(A) is recovered and checked).
 * ``build_k_structure`` turns F^n into a vector space over K = F[S]
-  (a field because p is irreducible), computes the matrix of N as a
-  K-linear map, its Segre characteristic, and Jordan chain generators.
+  (a field because p is irreducible) and computes the matrix N_K of N as a
+  K-linear map.  One pass over the powers of N_K gives the kernel and
+  image chains ker N_K^j, im N_K^j; the Segre characteristic is read off
+  the kernel dimensions and the Jordan chain generators off the kernels,
+  and the lattice code reuses both chains.
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
@@ -28,11 +31,10 @@ from .matrix import (
     mat_vec,
     minimal_polynomial,
     poly_at_matrix,
-    rank,
     solve,
 )
 from .poly import Poly, factor, is_separable
-from .subspace import Subspace, kernel_basis, span
+from .subspace import Subspace, full_space, image_basis, kernel_basis, span, zero_subspace
 
 __all__ = [
     "PrimaryComponent",
@@ -181,29 +183,32 @@ def _polynomial_certificate(A, S, d):
 # ----------------------------------------------------------------------
 
 
-def segre_characteristic(N):
-    """Jordan block sizes of a nilpotent matrix, largest first.
-
-    Derived from kernel dimensions of powers: the number of blocks of
-    size >= j is dim ker N^j - dim ker N^(j-1).
-    """
-    n = N.nrows
-    kdims = [0]
-    P = Matrix.identity(N.field, n)
-    while kdims[-1] < n:
-        P = P @ N
-        kdims.append(n - rank(P))
-        if len(kdims) > n + 1:
+def _power_chains(N):
+    """ker N^j and im N^j for j = 0, ..., r, with N^r the first zero power."""
+    K, n = N.field, N.nrows
+    P = Matrix.identity(K, n)
+    kernels, images = [zero_subspace(K, n)], [full_space(K, n)]
+    while kernels[-1].dim < n:
+        if len(kernels) > n:
             raise ValueError("matrix is not nilpotent")
-    ge_counts = [kdims[j] - kdims[j - 1] for j in range(1, len(kdims))]
-    parts = []
-    for j, c in enumerate(ge_counts, start=1):
-        nxt = ge_counts[j] if j < len(ge_counts) else 0
-        parts.extend([j] * (c - nxt))
-    parts.sort(reverse=True)
+        P = P @ N
+        kernels.append(kernel_basis(P))
+        images.append(image_basis(P))
+    return tuple(kernels), tuple(images)
+
+
+def _segre(kernels, n):
+    """Block sizes, largest first: ge[j-1] = dim ker N^j - dim ker N^(j-1) have size >= j."""
+    ge = [b.dim - a.dim for a, b in zip(kernels, kernels[1:])] + [0]
+    parts = [j for j in range(len(ge) - 1, 0, -1) for _ in range(ge[j - 1] - ge[j])]
     if sum(parts) != n:
         raise InvariantError("Segre characteristic does not sum to the dimension")
     return tuple(parts)
+
+
+def segre_characteristic(N):
+    """Jordan block sizes of a nilpotent matrix, largest first."""
+    return _segre(_power_chains(N)[0], N.nrows)
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,10 @@ class KStructure:
     vectors, deterministic); the F-basis groups each generator g with
     S g, ..., S^(s-1) g.  ``nk`` is the matrix of N over K in that basis,
     ``segre`` its Segre characteristic over K, ``chains`` Jordan chain
-    generators over K (each chain listed generator first).
+    generators over K (each chain listed generator first), and ``kernels``
+    / ``images`` the K-subspaces ker N_K^j / im N_K^j for j = 0, ..., r
+    (N_K^r = 0): every lattice is read off these, so the powers of N_K are
+    formed here once.
     """
 
     s: int
@@ -225,6 +233,8 @@ class KStructure:
     nk: Matrix
     segre: tuple
     chains: tuple
+    kernels: tuple
+    images: tuple
 
     @property
     def k_dim(self):
@@ -322,23 +332,21 @@ def build_k_structure(S, N, p):
     f_basis_inv = inverse(f_basis)
 
     # coordinates first: nk, its Segre characteristic and chains need to_k
-    coords = KStructure(s, K, tuple(generators), f_basis, f_basis_inv, None, (), ())
+    coords = KStructure(s, K, tuple(generators), f_basis, f_basis_inv, None, (), (), (), ())
     nk = Matrix.from_cols(K, [coords.to_k(mat_vec(N, g)) for g in generators])
-    segre = segre_characteristic(nk)
-    result = replace(coords, nk=nk, segre=segre, chains=_jordan_chains(nk, segre))
+    kernels, images = _power_chains(nk)
+    segre = _segre(kernels, nk.nrows)
+    result = replace(coords, nk=nk, segre=segre, chains=_jordan_chains(nk, segre, kernels),
+                     kernels=kernels, images=images)
     _verify_k_structure(result, S, N)
     return result
 
 
-def _jordan_chains(nk, segre):
+def _jordan_chains(nk, segre, kernels):
     """Chain generators over K: for each block size t (descending), a vector of
     height exactly t independent from earlier chains; chain = (v, Nv, ...)."""
     K = nk.field
     m = nk.nrows
-    powers = [Matrix.identity(K, m)]
-    for _ in range(segre[0] if segre else 0):
-        powers.append(powers[-1] @ nk)
-    kernels = [kernel_basis(P) for P in powers]
     chains = []
     chosen = []  # every vector of every chain so far
     for t in sorted(segre, reverse=True):

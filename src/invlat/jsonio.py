@@ -155,13 +155,6 @@ def lattice_from_json(obj):
         raise ValueError(f"the members do not form a lattice: {exc}") from exc
 
 
-def _component_meta_json(meta):
-    out = dict(meta)
-    out["segre_k"] = list(meta["segre_k"])
-    out["segre_f"] = list(meta["segre_f"])
-    return out
-
-
 def lattice_report_to_json(report, field, n):
     return {
         "kind": report.kind,
@@ -170,7 +163,7 @@ def lattice_report_to_json(report, field, n):
         "members": _members_to_json(report.members, report.member_flags),
         "lattice": lattice_to_json(report.lattice, field, n) if report.lattice else None,
         "member_count": len(report.members),
-        "components": [_component_meta_json(m) for m in report.components],
+        "components": [dict(m) for m in report.components],
         "provenance": list(report.provenance),
         "notes": list(report.notes),
     }
@@ -191,10 +184,14 @@ def oracle_report_to_json(rep):
     }
 
 
-def hint_from_json(obj, field):
-    """[["x^2+1", 2], ...] -> [(Poly, int), ...]"""
+def hint_from_json(obj, field, max_degree=None):
+    """[["x^2+1", 2], ...] -> [(Poly, int), ...]; exponents above ``max_degree``
+    (the matrix dimension bounds them) are refused before a polynomial is built."""
     _expect(isinstance(obj, list) and all(
         isinstance(x, list) and len(x) == 2 and _scalar(x[0], str) and _scalar(x[1], int)
         for x in obj
     ), 'a hint must be a list of ["polynomial", multiplicity] pairs', obj)
-    return [(parse_poly(text, field), mult) for text, mult in obj]
+    for _, mult in obj:
+        _expect(max_degree is None or mult <= max_degree,
+                f"a hint multiplicity must be at most {max_degree}", mult)
+    return [(parse_poly(text, field, max_degree=max_degree), mult) for text, mult in obj]

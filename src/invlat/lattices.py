@@ -1,7 +1,8 @@
 """Invariant, hyperinvariant, and characteristic subspace lattices.
 
 The computation is per primary component, over the commutative field
-K = F[S] attached to that component's semisimple part:
+K = F[S] attached to that component's semisimple part, from the kernel
+and image chains of N_K that ``build_k_structure`` formed once:
 
 * invariant subspaces of the component operator are exactly the
   K-subspaces invariant under the nilpotent part N_K -- enumerated when K
@@ -23,12 +24,14 @@ K = F[S] attached to that component's semisimple part:
   as for ``inv``; that span is read off the kernel chain in closed form and
   certified by seeded units (``_unit_span``), so no unit group is walked.
 
-Components combine by direct sums because the primary factors are
-coprime; closure and covers are proved per component (``_assemble``).
+Each lattice is a rule for one component, run on every component by one
+driver (``_report``).  Components combine by direct sums because the
+primary factors are coprime; closure and covers are proved per component
+(``_assemble``).
 Reports carry provenance notes describing the fact used at each step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import prod
 from random import Random
@@ -43,11 +46,9 @@ from .subspace import (
     Lattice,
     build_lattice,
     enumerate_all_subspaces,
-    image_basis,
     kernel_basis,
     span,
     subspace_count,
-    zero_subspace,
 )
 
 __all__ = [
@@ -130,7 +131,8 @@ class LatticeReport:
         return set(self.members)
 
 
-def _component_meta(ca):
+def component_meta(ca):
+    """The description of one component that every report carries."""
     ks = ca.kstruct
     return {
         "factor": format_poly(ca.component.factor),
@@ -141,22 +143,6 @@ def _component_meta(ca):
         "segre_k": ks.segre,
         "segre_f": tuple(sorted((p for p in ks.segre for _ in range(ks.s)), reverse=True)),
     }
-
-
-def _nk_powers_chain(ks):
-    """Kernel and image chains of N_K over K, as K-subspaces."""
-    nk = ks.nk
-    K = nk.field
-    m = nk.nrows
-    r = ks.segre[0] if ks.segre else 0
-    kers = [zero_subspace(K, m)]
-    ims = [span(Matrix.identity(K, m).rows, K, m)]
-    P = Matrix.identity(K, m)
-    for _ in range(r):
-        P = P @ nk
-        kers.append(kernel_basis(P))
-        ims.append(image_basis(P))
-    return kers, ims
 
 
 def _unit_span(ks, seed):
@@ -170,10 +156,10 @@ def _unit_span(ks, seed):
     """
     nk, K, m = ks.nk, ks.nk.field, ks.nk.nrows
     Z = centralizer_basis(nk)
-    kers, ims = _nk_powers_chain(ks)
+    kers = ks.kernels
     scalars = []
     for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
-        W = kers[t - 1].sum(kers[t].intersect(ims[1]))  # N ker N^(t+1) = ker N^t meet im N
+        W = kers[t - 1].sum(kers[t].intersect(ks.images[1]))  # N ker N^(t+1) = ker N^t meet im N
         scalars.append([K.zero() if W.member(mat_vec(B, g)) else K.one() for B in Z.elements])
     conditions = [[a - b for a, b in zip(scalars[0], row)] for row in scalars[1:]]
     L = Z.elements
@@ -265,32 +251,43 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
     return tuple(members), flags, Lattice(tuple(members), tuple(covers), flags)
 
 
-def _lifts(ana):
-    """``embed`` for ``_assemble``: component coordinates -> rows in F^n."""
+def _report(kind, A, ana, detail_cap, sum_note, component):
+    """The LatticeReport of ``kind`` for A, built per primary component.
+
+    ``component(ca, provenance, notes)`` appends its provenance and notes and
+    returns, in the component's own coordinates, its members, their flags
+    (a dict, or None), ``finite`` (True, None when the lattice is finite but
+    over a cap, False) and whether the members are all of its lattice.  The
+    components combine by direct sums (``_assemble``): the whole is infinite
+    if one part is, finite if every part is, and complete if every part is.
+    """
+    provenance, notes = [], []
+    if len(ana.components) > 1:
+        provenance.append(f"coprime primary factors: {sum_note}")
+    parts = [component(ca, provenance, notes) for ca in ana.components]
+    factors, factor_flags, finites, completes = zip(*parts)
     comps = [ca.component for ca in ana.components]
-    return lambda c, w: [comps[c].lift_vector(r) for r in w.basis]
+    members, flags, lat = _assemble(
+        factors, factor_flags, lambda c, w: [comps[c].lift_vector(r) for r in w.basis],
+        A.field, A.nrows, detail_cap, notes,
+    )
+    finite = False if False in finites else None if None in finites else True
+    return LatticeReport(
+        kind=kind, finite=finite, complete=all(completes), members=members, lattice=lat,
+        components=tuple(component_meta(ca) for ca in ana.components),
+        provenance=tuple(provenance), notes=tuple(notes), member_flags=flags,
+    )
 
 
-def inv_lattice(
-    A,
-    *,
-    hint=None,
-    seed=0,
-    cap_subspaces=DEFAULT_SUBSPACE_CAP,
-    detail_cap=DETAIL_CAP,
-    analysis=None,
-):
+_DIRECT_SUM = "the lattice is the direct sum of the component lattices"
+
+
+def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
+                detail_cap=DETAIL_CAP, analysis=None):
     """Lattice of A-invariant subspaces of F^n."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
-    provenance = []
-    notes = []
-    if len(ana.components) > 1:
-        provenance.append(
-            "coprime primary factors: the lattice is the direct sum of the component lattices"
-        )
-    per_comp = []
-    finite_flags = []
-    for ca in ana.components:
+
+    def component(ca, provenance, notes):
         ks = ca.kstruct
         pname = format_poly(ca.component.factor)
         provenance.append(
@@ -299,80 +296,53 @@ def inv_lattice(
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            members_k = enumerate_all_subspaces(ks.nk.field, ks.nk.nrows, cap_subspaces, [ks.nk])
-            per_comp.append([ks.k_subspace_to_f(w) for w in members_k])
-            finite_flags.append(True)
-            continue
-        # the kernel chain: all of the lattice when N_K is cyclic, a part otherwise
-        if len(ks.segre) <= 1:
-            provenance.append(
-                f"component {pname}: nilpotent part is cyclic over K, "
-                "so its invariant subspaces form the kernel chain"
-            )
-            finite_flags.append(True)
-        elif ks.field_k.is_finite:
-            notes.append(
-                f"component {pname}: finite lattice not materialized "
-                f"(subspace count exceeds cap {cap_subspaces}); kernel chain reported"
-            )
-            finite_flags.append(None)
-        else:
-            notes.append(
-                f"component {pname}: infinitely many invariant "
-                "subspaces (several Jordan blocks over an infinite field); kernel chain reported"
-            )
-            finite_flags.append(False)
-        kers, _ = _nk_powers_chain(ks)
-        per_comp.append([ks.k_subspace_to_f(w) for w in dict.fromkeys(kers)])
-    if all(f is True for f in finite_flags):
-        finite, complete = True, True
-    elif any(f is False for f in finite_flags):
-        finite, complete = False, False
-    else:
-        finite, complete = None, False
-    members, _, lat = _assemble(
-        per_comp, [None] * len(per_comp), _lifts(ana), A.field, A.nrows, detail_cap, notes
-    )
+            members = enumerate_all_subspaces(ks.nk.field, ks.nk.nrows, cap_subspaces, [ks.nk])
+            finite = True
+        else:  # the kernel chain: all of the lattice when N_K is cyclic, a part otherwise
+            members = ks.kernels  # strictly increasing, so no repeats
+            if len(ks.segre) <= 1:
+                provenance.append(
+                    f"component {pname}: nilpotent part is cyclic over K, "
+                    "so its invariant subspaces form the kernel chain"
+                )
+                finite = True
+            elif ks.field_k.is_finite:
+                notes.append(
+                    f"component {pname}: finite lattice not materialized "
+                    f"(subspace count exceeds cap {cap_subspaces}); kernel chain reported"
+                )
+                finite = None
+            else:
+                notes.append(
+                    f"component {pname}: infinitely many invariant subspaces (several "
+                    "Jordan blocks over an infinite field); kernel chain reported"
+                )
+                finite = False
+        return [ks.k_subspace_to_f(w) for w in members], None, finite, finite is True
+
+    rep = _report("invariant", A, ana, detail_cap, _DIRECT_SUM, component)
 
     def predicate(W):
         return W.is_invariant_under(A)
 
-    for s in members:
-        if not predicate(s):
-            raise InvariantError("engine produced a non-invariant subspace")
-    return LatticeReport(
-        kind="invariant",
-        finite=finite,
-        complete=complete,
-        members=members,
-        lattice=lat,
-        components=tuple(_component_meta(ca) for ca in ana.components),
-        provenance=tuple(provenance),
-        notes=tuple(notes),
-        member_predicate=predicate,
-    )
+    if not all(predicate(s) for s in rep.members):
+        raise InvariantError("engine produced a non-invariant subspace")
+    return replace(rep, member_predicate=predicate)
 
 
 def _hinv_local(ks):
     """Hyperinvariant subspaces of one component, in its coordinates over F:
     the closure of the kernel and image chains of N_K under sum and
     intersection, in canonical order over K."""
-    kers, ims = _nk_powers_chain(ks)
-    closed = sorted(_closure(set(kers) | set(ims)), key=lambda s: s.sort_key())
+    closed = sorted(_closure(set(ks.kernels) | set(ks.images)), key=lambda s: s.sort_key())
     return [ks.k_subspace_to_f(w) for w in closed]
 
 
 def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
     """Lattice of subspaces invariant under everything commuting with A."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
-    provenance = []
-    notes = []
-    if len(ana.components) > 1:
-        provenance.append(
-            "coprime primary factors: the lattice is the direct sum of the component lattices"
-        )
-    per_comp = []
-    for ca in ana.components:
+
+    def component(ca, provenance, notes):
         provenance.append(
             f"component {format_poly(ca.component.factor)}: hyperinvariant subspaces over F "
             "equal those of the nilpotent part over K; computed as the closure of the kernel "
@@ -385,48 +355,21 @@ def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
         Z = centralizer_basis(Ai)
         if not all(is_hyperinvariant(W, Ai, Z) for W in local):
             raise InvariantError("engine produced a non-hyperinvariant subspace")
-        per_comp.append(local)
-    members, _, lat = _assemble(
-        per_comp, [None] * len(per_comp), _lifts(ana), A.field, A.nrows, detail_cap, notes
-    )
-    return LatticeReport(
-        kind="hyperinvariant",
-        finite=True,
-        complete=True,
-        members=members,
-        lattice=lat,
-        components=tuple(_component_meta(ca) for ca in ana.components),
-        provenance=tuple(provenance),
-        notes=tuple(notes),
-    )
+        return local, None, True, True
+
+    return _report("hyperinvariant", A, ana, detail_cap, _DIRECT_SUM, component)
 
 
-def chinv_lattice(
-    A,
-    *,
-    hint=None,
-    seed=0,
-    cap_subspaces=DEFAULT_SUBSPACE_CAP,
-    detail_cap=DETAIL_CAP,
-    analysis=None,
-):
+def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
+                  detail_cap=DETAIL_CAP, analysis=None):
     """Lattice of subspaces invariant under A and all invertible commutants."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
-    provenance = []
-    notes = []
-    complete = True
-    if len(ana.components) > 1:
-        provenance.append(
-            "coprime primary factors: characteristic lattices combine as direct sums "
-            "(commuting automorphisms of the sum are block diagonal)"
-        )
-    per_comp = []
-    per_flags = []
-    for ca in ana.components:
+
+    def component(ca, provenance, notes):
         ks = ca.kstruct
         pname = format_poly(ca.component.factor)
-        local = _hinv_local(ks)  # in component coordinates
-        members = local  # the characteristic members, unless a witness adds some
+        local = _hinv_local(ks)
+        members, complete = local, True  # unless a witness adds members
         if not (ks.field_k.is_finite and ks.field_k.order == 2):
             provenance.append(
                 f"component {pname}: K has more than two elements, so every characteristic "
@@ -455,23 +398,14 @@ def chinv_lattice(
                 )
                 complete = False
         hset = set(local)
-        per_comp.append(members)
-        per_flags.append(
-            {w: "hyperinvariant" if w in hset else "characteristic-only" for w in members}
-        )
-    members, flag_tuple, lat = _assemble(
-        per_comp, per_flags, _lifts(ana), A.field, A.nrows, detail_cap, notes
-    )
-    return LatticeReport(
-        kind="characteristic",
-        finite=True,
-        complete=complete,
-        members=members,
-        lattice=lat,
-        components=tuple(_component_meta(ca) for ca in ana.components),
-        provenance=tuple(provenance),
-        notes=tuple(notes),
-        member_flags=flag_tuple,
+        flags = {w: "hyperinvariant" if w in hset else "characteristic-only" for w in members}
+        return members, flags, True, complete
+
+    return _report(
+        "characteristic", A, ana, detail_cap,
+        "characteristic lattices combine as direct sums "
+        "(commuting automorphisms of the sum are block diagonal)",
+        component,
     )
 
 

@@ -557,6 +557,8 @@ def _verified_hint(f, hint, seed):
         if int(m) < 1:
             raise FactorHintError("hint multiplicities must be positive")
         pairs.append((p.monic(), int(m)))
+    if sum(m * p.degree for p, m in pairs) != f.degree:  # before any p**m is expanded
+        raise FactorHintError(f"hint degrees do not add up to the degree {f.degree} of {f!r}")
     pairs.sort(key=lambda pm: pm[0].sort_key())
     trusted = any(p.degree > 3 for p, _ in pairs)
     result = Factorization(tuple(pairs), trusted=trusted, seed=seed)
@@ -598,8 +600,9 @@ def _format_coeff(fld, c):
     return str(c)
 
 
-def parse_poly(text, field, var="x"):
-    """Parse the CLI polynomial syntax into a Poly over ``field``."""
+def parse_poly(text, field, var="x", max_degree=None):
+    """Parse the CLI polynomial syntax into a Poly over ``field``; an exponent
+    above ``max_degree`` is a ValueError, raised before any term is built."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -635,6 +638,8 @@ def parse_poly(text, field, var="x"):
                 if not tail.startswith("^"):
                     raise ValueError(f"malformed term {term!r}")
                 exp = int(tail[1:])
+            if max_degree is not None and exp > max_degree:
+                raise ValueError(f"exponent {exp} in {term!r} exceeds {max_degree}")
             cstr = head if head else "1"
         else:
             cstr = t
@@ -648,11 +653,15 @@ def parse_poly(text, field, var="x"):
 
 
 def _parse_coeff(s, field):
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ValueError(f"malformed coefficient vector {s!r}")
-        parts = [p for p in s[1:-1].split(",") if p]
-        return field.element([int(p) for p in parts])
-    if "/" in s:
-        return field.element(Fraction(s))
-    return field.element(int(s))
+    """One coefficient over ``field``; ValueError for anything that is not one."""
+    try:
+        if s.startswith("["):
+            if not s.endswith("]"):
+                raise ValueError(f"malformed coefficient vector {s!r}")
+            parts = [p for p in s[1:-1].split(",") if p]
+            return field.element([int(p) for p in parts])
+        if "/" in s:
+            return field.element(Fraction(s))
+        return field.element(int(s))
+    except (ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"invalid coefficient {s!r} over {field!r}: {exc}") from exc

@@ -6,7 +6,9 @@ import time
 
 from invlat.cli import main
 from invlat.errors import InvariantError
+from invlat.fields import QQ
 from invlat.jsonio import matrix_to_json
+from invlat.matrix import Matrix
 
 from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A
 
@@ -170,6 +172,18 @@ def test_input_error_exit_code(tmp_path, capsys):
         assert time.perf_counter() - t0 < 2, field
         err = capsys.readouterr().err
         assert err.startswith("input error: GF(2^") and err.count("\n") == 1, err
+    # hints: exponents above the dimension are refused before any polynomial
+    # is built or expanded, and malformed coefficients are input errors
+    rot = write_matrix(tmp_path, Matrix(QQ, [[0, 1], [-1, 0]]), "rot.json")  # x^2+1
+    gf2 = write_matrix(tmp_path, GOLD_4_A, "gf2.json")
+    for inp, hint in ((rot, '[["x^2+1", 2000]]'), (rot, '[["x^3", 1]]'),
+                      (rot, '[["1/0x^2", 1]]'), (rot, '[["[1,2]x", 1]]'),
+                      (gf2, '[["1/2x+1", 1]]')):
+        t0 = time.perf_counter()
+        assert main(["--input", inp, "--command", "analyze", "--hint", hint]) == 2, hint
+        assert time.perf_counter() - t0 < 2, hint
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 _ODD_VALUES = (
@@ -350,3 +364,20 @@ def test_field_flag_supplies_missing_field(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["minimal_polynomial"] == "x^2"
+
+
+def test_analyze_and_verify_pass_the_seed_to_chinv(tmp_path, monkeypatch):
+    import invlat.lattices
+
+    seeds = []
+    original = invlat.lattices._unit_span
+
+    def recorded(ks, seed):
+        seeds.append(seed)
+        return original(ks, seed)
+
+    monkeypatch.setattr(invlat.lattices, "_unit_span", recorded)
+    for command in ("analyze", "verify", "lattice-chinv"):
+        seeds.clear()
+        code, _ = run(tmp_path, GOLD_4_A, command, "--seed", "5")
+        assert code == 0 and seeds == [5], command

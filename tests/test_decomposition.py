@@ -18,7 +18,7 @@ from invlat.errors import InseparableFactorError
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.matrix import Matrix, block_diag, companion, mat_vec, poly_at_matrix
 from invlat.poly import factor, parse_poly
-from invlat.subspace import span
+from invlat.subspace import image_basis, kernel_basis, span
 
 from fixtures import (
     GOLD_4_A,
@@ -249,3 +249,18 @@ def test_segre_characteristic_basics():
     assert segre_characteristic(J3) == (3,)
     with pytest.raises(ValueError, match="not nilpotent"):
         segre_characteristic(Matrix.identity(F2, 2))
+
+
+def test_k_structure_kernel_and_image_chains():
+    for A in (GOLD_4_A, GOLD_8_A, GOLD_RAT_A):
+        ks = analyze_operator(A).components[0].kstruct
+        m = ks.nk.nrows
+        powers = [Matrix.identity(ks.field_k, m)]
+        while not powers[-1].is_zero:
+            powers.append(powers[-1] @ ks.nk)
+        assert ks.kernels == tuple(kernel_basis(P) for P in powers)
+        assert ks.images == tuple(image_basis(P) for P in powers)
+        assert ks.segre == segre_characteristic(ks.nk)
+        # sizes >= j count dim ker N^j - dim ker N^(j-1)
+        for j in range(1, len(powers)):
+            assert sum(1 for t in ks.segre if t >= j) == ks.kernels[j].dim - ks.kernels[j - 1].dim

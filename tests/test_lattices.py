@@ -328,3 +328,24 @@ def test_hinv_solves_the_centralizer_per_component(monkeypatch):
     rep = hinv_lattice(block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]))
     assert len(rep.members) == 12  # 6 hyperinvariant members x 2
     assert sorted(sizes) == [1, 4]  # never the 5x5 operator itself
+
+
+def test_inv_combines_finiteness_and_completeness_per_component():
+    # GOLD_4's component is over the cap and not cyclic, [0]'s is enumerated:
+    # the whole lattice is finite but not materialized
+    rep = inv_lattice(block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]), cap_subspaces=5)
+    assert rep.finite is None and rep.complete is False
+    assert rep.notes == (
+        "component x+1: finite lattice not materialized (subspace count exceeds cap 5); "
+        "kernel chain reported",
+    )
+    assert len(rep.members) == 4 * 2  # the kernel chain 0 < ker N < ker N^2 < V, times 2
+    # over Q, one infinite component makes the whole lattice infinite, though
+    # the Jordan block of x-1 is cyclic
+    rep = inv_lattice(block_diag(QQ, [Matrix.zeros(QQ, 2), Matrix(QQ, [[1, 0], [1, 1]])]))
+    assert rep.finite is False and rep.complete is False
+    assert (
+        "component x-1: nilpotent part is cyclic over K, so its invariant subspaces form "
+        "the kernel chain"
+    ) in rep.provenance
+    assert len(rep.notes) == 1 and "infinitely many" in rep.notes[0]

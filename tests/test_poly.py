@@ -147,6 +147,18 @@ def test_bad_hints_rejected():
     g = P(QQ, "x^2-1")
     with pytest.raises(FactorHintError):
         factor(g, hint=[(P(QQ, "x^2-1"), 1)])  # reducible "factor"
+    # degrees are compared before any power is expanded
+    with pytest.raises(FactorHintError, match="do not add up"):
+        factor(P(QQ, "x^2+1"), hint=[(P(QQ, "x^2+1"), 2000)])
+
+
+def test_parse_poly_bounds_and_coefficients():
+    assert parse_poly("x^4+1", QQ, max_degree=4) == P(QQ, "x^4+1")
+    with pytest.raises(ValueError, match="exceeds 4"):
+        parse_poly("x^5+1", QQ, max_degree=4)
+    for text, field in (("1/0x^2", QQ), ("[1,2]x", QQ), ("1/2x+1", gf_build(2))):
+        with pytest.raises(ValueError, match="invalid coefficient"):
+            parse_poly(text, field)
 
 
 def test_poly_text_round_trip():
