@@ -9,9 +9,24 @@ GF(2) rows are int bitmasks, GF(p) rows int lists mod p, GF(p^k) rows
 ``fields``, and Q, Q[t]/(m) and larger GF(p^k) rows element lists.
 Pivots are leftmost and RREF is unique, so every kernel gives the element
 loop's result.
+
+Products (``@``, so powers and the self-checks) and polynomial evaluation
+(``poly_at_matrix``, by Horner's rule) run in the same kernels: operands are
+encoded once, multiplied on encoded rows and decoded once.  GF(2) XORs the
+rows of B that a row of A picks; GF(p) takes int dot products with one
+reduction mod p per entry; GF(p^k) sums table entries that hold the base-p
+digits of each product.  Over Q each operand is scaled to ints by the lcm
+of its denominators, and Horner's rule runs on ints (A = A'/d, L the lcm of
+the coefficient denominators: L d^D f(A) = sum_k L c_k d^(D-k) A'^k), with
+one division at the end.  Q[t]/(m) and larger GF(p^k) keep the element
+loop.  ``minimal_polynomial`` evaluates m(A) at the whole matrix once, to
+certify its result.
 """
 
 from bisect import bisect
+from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from .errors import (
     FieldMismatchError,
@@ -19,7 +34,7 @@ from .errors import (
     InvariantError,
     SingularMatrixError,
 )
-from .fields import GFElem
+from .fields import QQ, GFElem
 from .poly import Poly, poly_lcm
 
 __all__ = [
@@ -128,14 +143,9 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        cols = tuple(zip(*other.rows))
-        zero = self.field.zero()
-        out = []
-        for r in self.rows:
-            out.append(
-                tuple(_dot(r, c, zero) for c in cols)
-            )
-        return Matrix(self.field, tuple(out), _raw=True)
+        kern, n = row_kernel(self.field), other.ncols
+        rows = kern.matmul([kern.encode(r) for r in self.rows], [kern.encode(r) for r in other.rows], n)
+        return Matrix(self.field, tuple(kern.decode(r, n) for r in rows), _raw=True)
 
     def __pow__(self, e):
         if not self.is_square:
@@ -184,20 +194,53 @@ def mat_vec(M, v):
 
 # ----------------------------------------------------------------------
 # Row kernels: encode, echelon (RREF), reduce against RREF rows, apply a
-# matrix given by its encoded columns, decode.
+# matrix given by its encoded columns, multiply (matmul), evaluate a
+# polynomial (polyval), decode.  matmul(a, b, n, c, first) gives the rows of
+# AB + cE with E the rows first, first + 1, ... of I (c a field element or
+# None): A B + cI by default, and the Horner step of ``polyval``.
 # TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
 # indices: each process builds the tables on first use, in time linear in
 # the order, and no workload uses a field between GF(9) and GF(2^16).
 TABLE_LIMIT = 1 << 8
 
 
-class _GF2Rows:
+class _Rows:
+    """Horner's rule on a kernel's matmul, shared by the row kernels."""
+
+    def polyval(self, coeffs, a, n, first=0, count=None):
+        """Encoded rows first, ..., first + count - 1 (default all) of f(A) by
+        Horner's rule, f given by its coefficients (lowest first, at least
+        one) and A (n x n) by its encoded rows."""
+        zero, lead = self.field.zero(), coeffs[-1]
+        rows = range(first, n if count is None else first + count)
+        acc = [self.encode([lead if j == i else zero for j in range(n)]) for i in rows]
+        for c in reversed(coeffs[:-1]):
+            acc = self.matmul(acc, a, n, c, first)
+        return acc
+
+
+def _int_matmul(a, b, c=0, first=0):
+    """Rows of AB + cE (as for the kernels' matmul) for int rows."""
+    cols = list(zip(*b))
+    out = [[sum(map(mul, r, col)) for col in cols] for r in a]
+    if c:
+        for i, row in enumerate(out, first):
+            row[i] += c
+    return out
+
+
+class _GF2Rows(_Rows):
     """GF(2): a row is an int whose bit j is coordinate j."""
 
     nonzero = bool
 
     def __init__(self, field):
-        self.elements = (field.zero(), field.one())
+        self.field, self.elements = field, (field.zero(), field.one())
+
+    def matmul(self, a, b, n, c=None, first=0):
+        # row i of AB: the XOR of the rows of B picked by the bits of row i of A
+        out = [self.apply(b, r) for r in a]
+        return [r ^ (1 << i) for i, r in enumerate(out, first)] if c else out
 
     @staticmethod
     def reduce(v, rows, pivots):
@@ -242,10 +285,10 @@ class _GF2Rows:
         return rows, pivots
 
 
-class _ElementRows:
-    """Q, Q[t]/(m) and GF(p^k) beyond the tables: lists of field elements.
-    Subclasses change the encoding and the row operations row / x (scale)
-    and a - f b (submul)."""
+class _ElementRows(_Rows):
+    """Q[t]/(m) and GF(p^k) beyond the tables: lists of field elements.
+    Subclasses change the encoding, the row operations row / x (scale) and
+    a - f b (submul), and the products (matmul)."""
 
     nonzero = any
     encode = staticmethod(list)
@@ -302,6 +345,44 @@ class _ElementRows:
                 acc = self.submul(acc, x, col)
         return acc
 
+    def matmul(self, a, b, n, c=None, first=0):
+        zero, cols = self.zero, list(zip(*b))
+        out = [[_dot(r, col, zero) for col in cols] for r in a]
+        if c:
+            for i, row in enumerate(out, first):
+                row[i] += c
+        return out
+
+
+def _integral(rows):
+    """(int rows, d): the Fraction rows are the int rows over d, the lcm of
+    their denominators."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+class _RationalRows(_ElementRows):
+    """Q: lists of Fractions, reduced by the element loop; products clear
+    each operand's denominators once and multiply ints."""
+
+    def matmul(self, a, b, n, c=None, first=0):
+        (a, da), (b, db) = _integral(a), _integral(b)
+        d = da * db
+        return [[Fraction(s, d) for s in row] for row in _int_matmul(a, b, c * d if c else 0, first)]
+
+    def polyval(self, coeffs, a, n, first=0, count=None):
+        # With A = A'/d and L the lcm of the coefficient denominators,
+        # L d^D f(A) = sum_k (L c_k d^(D-k)) A'^k: Horner on ints, one division.
+        a, d = _integral(a)
+        D, L = len(coeffs) - 1, lcm(*(c.denominator for c in coeffs))
+        ks = [c.numerator * (L // c.denominator) * d ** (D - k) for k, c in enumerate(coeffs)]
+        rows = range(first, n if count is None else first + count)
+        acc = [[ks[-1] if j == i else 0 for j in range(n)] for i in rows]
+        for x in reversed(ks[:-1]):
+            acc = _int_matmul(acc, a, x, first)
+        den = L * d**D
+        return [[Fraction(s, den) for s in row] for row in acc]
+
 
 class _PrimeRows(_ElementRows):
     """GF(p): lists of ints mod p; inverses by pow(x, -1, p), no tables."""
@@ -323,6 +404,10 @@ class _PrimeRows(_ElementRows):
         p = self.p
         return [(x - f * y) % p for x, y in zip(a, b)]
 
+    def matmul(self, a, b, n, c=None, first=0):
+        p = self.p
+        return [[x % p for x in row] for row in _int_matmul(a, b, c.c[0] if c else 0, first)]
+
 
 class _ZechRows(_ElementRows):
     """GF(p^k), k > 1, order <= TABLE_LIMIT: lists of element indices;
@@ -332,6 +417,31 @@ class _ZechRows(_ElementRows):
         self.field, self.zero, self.one, self.m = field, 0, 1, field.order - 1
         self.exp, self.log, self.zech = field.zech_tables()
         self.neg = 0 if field.p == 2 else self.m // 2  # log of -1
+        # Products: lg[x] is the log of index x, 2m for x = 0, and
+        # spread[lg[x] + lg[y]] is xy with its base-p digits in 32-bit slots
+        # (0 when x or y is 0), so a dot product is one sum of table entries.
+        p, k, m = field.p, field.k, self.m
+        self.lg = [2 * m] + list(self.log[1 : m + 1])
+        self.spread = [sum(i // p**t % p << 32 * t for t in range(k)) for i in self.exp]
+        self.spread += [0] * (2 * m + 1)
+
+    def _code(self, s):  # the index of a digit-spread sum
+        i, p = 0, self.field.p
+        for t in range(32 * self.field.k - 32, -1, -32):
+            i = i * p + (s >> t & 0xFFFFFFFF) % p
+        return i
+
+    def matmul(self, a, b, n, c=None, first=0):
+        lg, get = self.lg, self.spread.__getitem__
+        cols = [[lg[y] for y in col] for col in zip(*b)]
+        out = []
+        for i, r in enumerate(a, first):
+            r = [lg[x] for x in r]
+            row = [sum(map(get, map(add, r, col))) for col in cols]
+            if c:
+                row[i] += get(lg[self.field.index_of(c)])
+            out.append([self._code(s) for s in row])
+        return out
 
     def encode(self, row):
         return [self.field.index_of(e) for e in row]
@@ -363,7 +473,9 @@ def row_kernel(field):
     """The row kernel of ``field``, made on first use and kept on the field."""
     kern = getattr(field, "_row_kernel", None)
     if kern is None:
-        if not field.is_finite or (field.k > 1 and field.order > TABLE_LIMIT):
+        if field == QQ:
+            kern = _RationalRows(field)
+        elif not field.is_finite or (field.k > 1 and field.order > TABLE_LIMIT):
             kern = _ElementRows(field)
         elif field.k > 1:
             kern = _ZechRows(field)
@@ -423,41 +535,42 @@ def inverse(M):
 
 
 def poly_at_matrix(f, A):
-    """Horner evaluation f(A)."""
+    """f(A) by Horner's rule on A's encoded rows (``polyval``), decoded once."""
     if not A.is_square:
         raise ValueError("polynomial evaluation requires a square matrix")
     if f.field != A.field:
         raise FieldMismatchError("polynomial and matrix over different fields")
-    n = A.nrows
-    acc = Matrix.zeros(A.field, n)
-    for c in reversed(f.coeffs):
-        acc = acc @ A + Matrix.identity(A.field, n) * c
-    return acc
+    field, n = A.field, A.nrows
+    if f.is_zero:
+        return Matrix.zeros(field, n)
+    kern = row_kernel(field)
+    rows = kern.polyval(f.coeffs, [kern.encode(r) for r in A.rows], n)
+    return Matrix(field, tuple(kern.decode(r, n) for r in rows), _raw=True)
 
 
 def minimal_polynomial(A):
     """Least-degree monic m with m(A) = 0.
 
     Computed as the lcm over standard basis vectors of the annihilator of
-    each Krylov sequence e, Ae, A^2 e, ...; the result is re-verified by
-    evaluating it at A.
+    each Krylov sequence e, Ae, A^2 e, ...; a vector the current m already
+    annihilates is skipped, and the result is re-verified by evaluating it
+    at A once.
     """
     if not A.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     field = A.field
     n = A.nrows
+    kern = row_kernel(field)
+    at = [kern.encode(c) for c in zip(*A.rows)]  # m(A) e_i is row i of m(A^T)
     m = Poly.one(field)
-    m_at = Matrix.identity(field, n)
     for i in range(n):
         if m.degree == n:
             break
+        if not kern.nonzero(kern.polyval(m.coeffs, at, n, i, 1)[0]):
+            continue
         e = tuple(field.one() if j == i else field.zero() for j in range(n))
-        if not any(mat_vec(m_at, e)):
-            continue  # the current m already annihilates this vector
-        g = _krylov_annihilator(A, e)
-        m = poly_lcm(m, g)
-        m_at = poly_at_matrix(m, A)
-    if not m_at.is_zero:
+        m = poly_lcm(m, _krylov_annihilator(A, e))
+    if not poly_at_matrix(m, A).is_zero:
         raise InvariantError("minimal polynomial self-check failed")
     return m
 

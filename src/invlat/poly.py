@@ -8,14 +8,16 @@ Besides ring arithmetic this module provides monic gcd, separability
 testing, and full factorization: over a finite field by squarefree
 decomposition + distinct-degree splitting + seeded Cantor-Zassenhaus,
 over Q by squarefree decomposition + rational-root extraction for the
-easy degrees, with a verified user hint for anything harder.
+easy degrees, with a verified user hint for anything harder.  The
+rational-root search refuses integer end coefficients beyond
+ROOT_SEARCH_BOUND (CapExceededError), since it trial-divides them.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FactorHintError, FieldMismatchError
+from .errors import CapExceededError, FactorHintError, FieldMismatchError
 from .fields import QQ, FiniteField, RationalField
 
 __all__ = [
@@ -473,8 +475,17 @@ def _equal_degree_split(f, d, rng):
     return sorted(left + right, key=lambda p: p.sort_key())
 
 
+# The rational-root search trial-divides up to the square root of the lowest
+# and the leading integer coefficient: at most about 10^6 steps each.
+ROOT_SEARCH_BOUND = 10**12
+
+
 def _rational_roots(f):
-    """All rational roots of f with multiplicity, via the rational root theorem."""
+    """All rational roots of f with multiplicity, via the rational root theorem.
+
+    Raises CapExceededError when the lowest or the leading coefficient of the
+    integer form exceeds ROOT_SEARCH_BOUND.
+    """
     from math import gcd
 
     den = 1
@@ -497,6 +508,13 @@ def _rational_roots(f):
     if len(ints) <= 1:
         return roots
     a0, aN = abs(ints[0]), abs(ints[-1])
+    if max(a0, aN) > ROOT_SEARCH_BOUND:
+        raise CapExceededError(
+            f"rational-root search refused: a coefficient of {format_poly(f)} exceeds "
+            f"{ROOT_SEARCH_BOUND} after clearing denominators; give the factorization with --hint",
+            count=max(a0, aN),
+            cap=ROOT_SEARCH_BOUND,
+        )
     cands = set()
     for pnum in _divisors(a0):
         for pden in _divisors(aN):

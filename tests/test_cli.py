@@ -328,6 +328,27 @@ def test_cap_exit_code(tmp_path):
     assert main(["--input", inp, "--command", "verify", "--cap-subspaces", "5"]) == 4
 
 
+def test_root_search_bound_exit_code(tmp_path, capsys):
+    # a huge rational coefficient would make the rational-root search
+    # trial-divide up to its square root; it is refused at once, and --hint
+    # gets past it
+    cases = (
+        ("shoda", Matrix(QQ, [[10**19, 0], [0, 1]]), '[["x-10000000000000000000", 1], ["x-1", 1]]'),
+        ("analyze", Matrix(QQ, [["123456789012345678901234567890/7", 1], [0, 1]]),
+         '[["x-17636684144620811271604938270", 1], ["x-1", 1]]'),
+    )
+    for command, M, hint in cases:
+        inp = write_matrix(tmp_path, M)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(["--input", inp, "--command", command]) == 4
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--hint" in err
+        assert main(["--input", inp, "--command", command, "--hint", hint,
+                     "--out", str(tmp_path / "o.json")]) == 0
+
+
 def test_nonpositive_caps_rejected(tmp_path):
     inp = write_matrix(tmp_path, GOLD_4_A)
     assert main(["--input", inp, "--command", "analyze", "--cap-units", "0"]) == 2

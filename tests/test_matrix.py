@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from invlat.errors import InconsistentSystemError, SingularMatrixError
-from invlat.fields import QQ, gf_build
+from invlat import matrix
+from invlat.errors import InconsistentSystemError, InvariantError, SingularMatrixError
+from invlat.fields import QQ, ExtensionField, gf_build
 from invlat.matrix import (
     _ElementRows,
     _ZechRows,
@@ -20,7 +21,7 @@ from invlat.matrix import (
     rref,
     solve,
 )
-from invlat.poly import Poly, parse_poly
+from invlat.poly import Poly, parse_poly, poly_lcm
 from invlat.subspace import kernel_basis, span
 
 from fixtures import GOLD_4_N, GOLD_8_A, GOLD_RAT_A, F2, F3
@@ -185,6 +186,8 @@ def _random_entry(field, rng, density):
         return field.zero()
     if field == QQ:
         return Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+    if isinstance(field, ExtensionField):
+        return field.element([Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(field.k)])
     return field.element_from_index(rng.randrange(field.order))
 
 
@@ -323,3 +326,105 @@ def test_rank_and_rref_against_sympy():
         assert rk == D.rank() and piv == tuple(spiv)
         assert [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
                 for row in SR.to_list()] == [list(row) for row in R.rows]
+
+
+# ----------------------------------------------------------------------
+# Products and polynomial evaluation on the row kernels against the element
+# loop they replaced.
+
+PRODUCT_FIELDS = KERNEL_FIELDS + [ExtensionField((1, 0, 1))]  # Q[t]/(t^2+1): element loop
+
+
+def _reference_matmul(A, B):
+    """The element loop every field used for products before the row kernels."""
+    zero, cols, rows = A.field.zero(), list(zip(*B.rows)), []
+    for r in A.rows:
+        row = []
+        for c in cols:
+            acc = zero
+            for a, b in zip(r, c):
+                if a and b:
+                    acc = acc + a * b
+            row.append(acc)
+        rows.append(tuple(row))
+    return Matrix(A.field, tuple(rows), _raw=True)
+
+
+def _reference_poly_at(f, A):
+    """sum_k c_k A^k, the powers by the reference product."""
+    n = A.nrows
+    acc, power = Matrix.zeros(A.field, n), Matrix.identity(A.field, n)
+    for c in f.coeffs:
+        acc = acc + power * c
+        power = _reference_matmul(power, A)
+    return acc
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+def test_products_match_element_loop(field):
+    rng = random.Random(59)
+    shapes = [(1, 1, 1), (1, 6, 1), (5, 1, 3), (4, 7, 2), (8, 8, 8)]
+    shapes += [(rng.randrange(1, 10), rng.randrange(1, 10), rng.randrange(1, 10)) for _ in range(6)]
+    for m, k, n in shapes:
+        for density in (0.3, 1.0):
+            A = _random_matrix(field, m, k, rng, density=density)
+            B = _random_matrix(field, k, n, rng, density=density)
+            assert A @ B == _reference_matmul(A, B), (m, k, n)
+        assert Matrix.zeros(field, m, k) @ B == Matrix.zeros(field, m, n)
+        assert A @ Matrix.zeros(field, k, n) == Matrix.zeros(field, m, n)
+    if field == QQ:  # mixed and large denominators, cleared per operand
+        A = Matrix(QQ, [[Fraction(rng.randrange(-99, 100), rng.randrange(1, 60)) for _ in range(5)]
+                        for _ in range(3)])
+        B = Matrix(QQ, [[Fraction(rng.randrange(-10**9, 10**9), rng.choice((1, 7, 10**12)))
+                         for _ in range(4)] for _ in range(5)])
+        assert A @ B == _reference_matmul(A, B)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+def test_poly_at_matrix_matches_element_loop(field):
+    rng = random.Random(61)
+    kern = row_kernel(field)
+    for n in (1, 2, 4, 6):
+        A = _random_matrix(field, n, n, rng, density=0.7)
+        c = field.one() + field.one()  # nonzero unless the characteristic is 2
+        polys = [Poly.zero(field), Poly.constant(field, c), Poly.x(field)]
+        polys += [Poly(field, [_random_entry(field, rng, 0.8) for _ in range(rng.randrange(2, 2 * n + 2))])
+                  for _ in range(4)]
+        for f in polys:
+            F = poly_at_matrix(f, A)
+            assert F == _reference_poly_at(f, A), (n, f)
+            if f.is_zero:
+                continue
+            # a single row of f(A), as minimal_polynomial asks for it
+            i = rng.randrange(n)
+            row = kern.polyval(f.coeffs, [kern.encode(r) for r in A.rows], n, i, 1)[0]
+            assert kern.decode(row, n) == F.rows[i]
+
+
+def _shift(field, n):
+    return Matrix(field, [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=repr)
+def test_minimal_polynomial_evaluates_m_at_a_once(field, monkeypatch):
+    calls = []
+
+    def counting(f, A):
+        calls.append(f)
+        return poly_at_matrix(f, A)
+
+    monkeypatch.setattr(matrix, "poly_at_matrix", counting)
+    # every e_i raises the degree, so each step of the lcm is a new m
+    assert minimal_polynomial(_shift(field, 12)) == Poly.x(field) ** 12
+    assert calls == [Poly.x(field) ** 12]
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=repr)
+def test_minimal_polynomial_keeps_its_certificate(field, monkeypatch):
+    def dropping(f, g):  # an lcm that loses a factor x
+        h = poly_lcm(f, g)
+        return h // Poly.x(field) if h.degree > 0 else h
+
+    monkeypatch.setattr(matrix, "poly_lcm", dropping)
+    with pytest.raises(InvariantError, match="minimal polynomial self-check"):
+        minimal_polynomial(_shift(field, 12))

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from invlat.errors import FactorHintError
+from invlat.errors import CapExceededError, FactorHintError
 from invlat.fields import QQ, gf_build
 from invlat.poly import (
+    ROOT_SEARCH_BOUND,
     Poly,
     factor,
     format_poly,
@@ -138,6 +140,20 @@ def test_factor_rationals_requires_hint_for_hard_degrees():
         factor(f.monic())
     res = factor(f.monic(), hint=[(P(QQ, "x^4+x^3+x^2+x+1"), 1), (P(QQ, "x^4+1"), 1)])
     assert res.trusted is True
+
+
+def test_rational_root_search_bound():
+    b = ROOT_SEARCH_BOUND
+    at = Poly(QQ, (b, -b - 1, 1))  # (x - b)(x - 1)
+    assert factor(at).factors == ((Poly(QQ, (-b, 1)), 1), (Poly(QQ, (-1, 1)), 1))
+    # the bound applies to the integer form: b/2 has leading coefficient 2
+    half = Poly(QQ, (Fraction(b, 2), Fraction(-b - 2, 2), 1))
+    assert factor(half).factors == ((Poly(QQ, (Fraction(-b, 2), 1)), 1), (Poly(QQ, (-1, 1)), 1))
+    for over in (Poly(QQ, (b + 1, -b - 2, 1)), Poly(QQ, (Fraction(b + 1, 2), Fraction(-b - 3, 2), 1))):
+        with pytest.raises(CapExceededError, match="--hint"):
+            factor(over)
+    assert factor(Poly(QQ, (b + 1, -b - 2, 1)), hint=[(Poly(QQ, (-b - 1, 1)), 1),
+                                                      (Poly(QQ, (-1, 1)), 1)]).factors
 
 
 def test_bad_hints_rejected():
