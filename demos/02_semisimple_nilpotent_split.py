@@ -1,8 +1,9 @@
 """Splitting an operator into commuting semisimple and nilpotent parts.
 
-The 4x4 matrix below over GF(2) has minimal polynomial (x+1)^3.  The
-Newton iteration finds the unique S with A = S + N, SN = NS, N nilpotent,
-and both parts polynomials in A; here S turns out to be the identity.
+The 4x4 matrix below over GF(2) has minimal polynomial (x+1)^3.  Newton's
+iteration q <- q - p(q) p'(q)^-1 mod (x+1)^3 on polynomials, from q = x,
+gives the certificate q, and S = q(A) is the unique S with A = S + N,
+SN = NS, N nilpotent; here q = 1, so S is the identity.
 """
 
 from invlat import Matrix, gf_build, jordan_chevalley, minimal_polynomial, parse_poly

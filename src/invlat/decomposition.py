@@ -4,11 +4,12 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
 
 * ``primary_decomposition`` produces the components V_i = ker p_i(A)^{k_i}
   together with the restriction A_i of A to V_i.
-* ``jordan_chevalley`` handles one separable p-primary component: the
-  Newton iteration S <- S - p(S) p'(S)^{-1} started at A converges in at
-  most ceil(log2 r) steps to the unique semisimple S with A = S + N,
-  SN = NS, N nilpotent, and both parts polynomials in A (a certificate
-  q with S = q(A) is recovered and checked).
+* ``analyze_operator`` splits A = S + N (S semisimple, N nilpotent,
+  SN = NS) with S = q(A): Newton's iteration q <- q - r(q) r'(q)^{-1}
+  mod m on polynomials, from q = x with r = p_1 ... p_r separable, needs
+  ceil(log2 max k_i) steps (Couty, Esterle & Zarouf 2011).  On V_i,
+  S_i = (q mod p_i^{k_i})(A_i), with that residue as checked certificate;
+  ``jordan_chevalley`` does the same for one p-primary matrix.
 * ``build_k_structure`` turns F^n into a vector space over K = F[S]
   (a field because p is irreducible) and computes the matrix N_K of N as a
   K-linear map.  One pass over the powers of N_K gives the kernel and
@@ -20,20 +21,13 @@ Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
 """
 
-import math
 from dataclasses import dataclass, replace
+from math import prod
 
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
-from .matrix import (
-    Matrix,
-    inverse,
-    mat_vec,
-    minimal_polynomial,
-    poly_at_matrix,
-    solve,
-)
-from .poly import Poly, factor, is_separable
+from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, poly_at_matrix
+from .poly import Poly, factor, is_separable, poly_xgcd
 from .subspace import Subspace, full_space, image_basis, kernel_basis, span, zero_subspace
 
 __all__ = [
@@ -63,17 +57,6 @@ class PrimaryComponent:
     def dim(self):
         return self.subspace.dim
 
-    def lift_vector(self, x):
-        """Coordinates in the V_i basis -> vector in F^n."""
-        field = self.restriction.field
-        n = self.subspace.n
-        out = [field.zero()] * n
-        for coef, row in zip(x, self.subspace.basis):
-            if coef:
-                for j in range(n):
-                    out[j] = out[j] + coef * row[j]
-        return tuple(out)
-
 
 def primary_decomposition(A, factorization):
     """Components of V under A for a verified factorization of m_A."""
@@ -88,12 +71,12 @@ def primary_decomposition(A, factorization):
         V = kernel_basis(poly_at_matrix(p**k, A))
         if V.is_zero:
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
-        # restriction: solve for the coordinates of A*b in the basis of V
-        B_cols = Matrix.from_cols(field, V.basis)
-        cols = []
-        for b in V.basis:
-            cols.append(solve(B_cols, mat_vec(A, b)))
-        Ai = Matrix.from_cols(field, cols)
+        # restriction: V's basis is in RREF, so the coordinates of A*b, once
+        # it is checked to lie in V, are its entries at V's pivot columns
+        AB = A @ Matrix.from_cols(field, V.basis)
+        if not all(V.member(v) for v in zip(*AB.rows)):
+            raise InvariantError("ker p(A)^k is not A-invariant")
+        Ai = Matrix(field, tuple(AB.rows[c] for c in V.pivots), _raw=True)
         # with the direct-sum check below this proves prod p^k = m_A: the
         # factors are coprime, so m_A is the lcm of the restricted ones
         if minimal_polynomial(Ai) != p**k:
@@ -128,56 +111,57 @@ class JCDecomposition:
             raise InvariantError("certificate q(A) != S")
 
 
-def jordan_chevalley(A, p, r, start=None):
-    """Semisimple + nilpotent splitting of A with m_A = p^r, p separable.
+def jordan_chevalley(A, p, r):
+    """Semisimple + nilpotent splitting of A with p(A)^r = 0, p separable.
 
-    Newton iteration S_{t+1} = S_t - p(S_t) p'(S_t)^{-1}; p'(S_t) is
-    invertible because gcd(p, p') = 1 and p(S_t) stays nilpotent.  The
-    optional ``start`` overrides the initial S_0 = A (used by the
-    uniqueness probe).
+    S = q(A) for the q of ``_semisimple_polynomial(p, p^r)``, reduced mod
+    p^r: the least-degree certificate when p^r is the minimal polynomial.
     """
     if not A.is_square:
         raise ValueError("square matrix required")
     if p.field != A.field:
         raise FieldMismatchError("factor and matrix over different fields")
-    if not is_separable(p):
-        raise InseparableFactorError(
-            f"Jordan-Chevalley unavailable: inseparable factor {p!r}"
-        )
+    _separable(p)
     if not poly_at_matrix(p**r, A).is_zero:
         raise ValueError("input contract violated: p(A)^r != 0")
-    dp = p.derivative()
-    S = A if start is None else start
-    max_iter = max(1, math.ceil(math.log2(max(r, 2)))) + 2
-    for _ in range(max_iter):
-        P = poly_at_matrix(p, S)
-        if P.is_zero:
-            break
-        S = S - P @ inverse(poly_at_matrix(dp, S))
-    else:
-        raise InvariantError("Newton iteration failed to terminate")
-    N = A - S
-    q = _polynomial_certificate(A, S, r * p.degree)
-    dec = JCDecomposition(S, N, q)
+    return _split(A, _semisimple_polynomial(p, p**r), p)
+
+
+def _separable(p):
+    if not is_separable(p):
+        raise InseparableFactorError(f"Jordan-Chevalley unavailable: inseparable factor {p!r}")
+    return p
+
+
+def _semisimple_polynomial(rad, m):
+    """q with rad(q) = 0 mod m (rad separable, m | rad^k), by Newton's iteration
+    q <- q - rad(q) rad'(q)^{-1} mod m from q = x.  Every iterate is x mod
+    rad, so rad'(q) is a unit mod m (inverted by ``poly_xgcd``), and each
+    step squares the power of rad dividing rad(q)."""
+    field = rad.field
+    drad = rad.derivative()
+
+    def at(f, q):  # f(q) mod m, by Horner's rule
+        acc = Poly.zero(field)
+        for c in reversed(f.coeffs):
+            acc = (acc * q + Poly.constant(field, c)) % m
+        return acc
+
+    q = Poly.x(field) % m
+    for _ in range(m.degree.bit_length() + 1):
+        residual = at(rad, q)
+        if residual.is_zero:
+            return q
+        q = (q - residual * poly_xgcd(at(drad, q), m)[1]) % m
+    raise InvariantError("Newton iteration failed to terminate")
+
+
+def _split(A, q, p):
+    """The verified decomposition S = q(A), N = A - S of A, with p(S) = 0 (p separable)."""
+    S = poly_at_matrix(q, A)
+    dec = JCDecomposition(S, A - S, q)
     dec.verify(A, p)
     return dec
-
-
-def _polynomial_certificate(A, S, d):
-    """q with q(A) = S, solved in the Krylov span I, A, ..., A^(d-1).
-
-    Any d >= deg m_A gives the same q: the solver sets free variables to
-    zero and pivots leftmost, so the powers beyond deg m_A stay unused.
-    """
-    field = A.field
-    n = A.nrows
-    powers = [Matrix.identity(field, n)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] @ A)
-    cols = [tuple(e for row in P.rows for e in row) for P in powers]
-    target = tuple(e for row in S.rows for e in row)
-    x = solve(Matrix.from_cols(field, cols), target)
-    return Poly(field, x)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +381,7 @@ class OperatorAnalysis:
     min_poly: Poly
     factorization: object
     components: tuple
-    S: Matrix  # semisimple part assembled on F^n
+    S: Matrix  # semisimple part q(A) on F^n
     N: Matrix
 
     @property
@@ -412,27 +396,13 @@ def analyze_operator(A, *, hint=None, seed=0):
     m = minimal_polynomial(A)
     fact = factor(m, hint=hint, seed=seed)
     comps = primary_decomposition(A, fact)
+    # the factors are coprime, so their product is separable once each one is
+    rad = prod((_separable(comp.factor) for comp in comps), start=Poly.one(A.field))
+    q = _semisimple_polynomial(rad, m)
     analyses = []
     for comp in comps:
-        dec = jordan_chevalley(comp.restriction, comp.factor, comp.multiplicity)
-        ks = build_k_structure(dec.S, dec.N, comp.factor)
-        analyses.append(ComponentAnalysis(comp, dec, ks))
-    field = A.field
-    n = A.nrows
-    # assemble the global S: it acts like S_i on each component
-    basis_cols = []
-    s_images = []
-    for ca in analyses:
-        comp = ca.component
-        for local_idx, b in enumerate(comp.subspace.basis):
-            basis_cols.append(b)
-            s_local = ca.jc.S.col(local_idx)
-            s_images.append(comp.lift_vector(s_local))
-    B = Matrix.from_cols(field, basis_cols)
-    S_glob = Matrix.from_cols(field, s_images) @ inverse(B)
-    N_glob = A - S_glob
-    if S_glob @ N_glob != N_glob @ S_glob:
-        raise InvariantError("global S and N do not commute")
-    if not (N_glob ** n).is_zero:
-        raise InvariantError("global N is not nilpotent")
-    return OperatorAnalysis(A, m, fact, tuple(analyses), S_glob, N_glob)
+        p = comp.factor
+        dec = _split(comp.restriction, q % p**comp.multiplicity, p)
+        analyses.append(ComponentAnalysis(comp, dec, build_k_structure(dec.S, dec.N, p)))
+    whole = _split(A, q, rad)  # checks rad(S) = 0 and N nilpotent on F^n
+    return OperatorAnalysis(A, m, fact, tuple(analyses), whole.S, whole.N)

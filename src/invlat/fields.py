@@ -52,9 +52,10 @@ __all__ = [
     "is_prime",
 ]
 
-# GF(p^k), k > 1: Rabin's test of a modulus takes about k^3 log2(p) coefficient
-# products and a modulus search may test up to p^k candidates, so FiniteField
-# refuses fields beyond these bounds (gf_build(2, 32) takes seconds).
+# GF(p^k), k > 1: the irreducibility test of a modulus (one distinct-degree
+# pass) takes about k^3 log2(p) coefficient products and a modulus search may
+# test up to p^k candidates, so FiniteField refuses fields beyond these bounds,
+# such as gf_build(2, 32).
 MAX_EXTENSION_COST = 1 << 16
 MAX_SEARCH_ORDER = 1 << 24
 
@@ -386,7 +387,7 @@ class FiniteField:
 
 
 def _is_irreducible(c, p):
-    """Rabin's test of the int coefficient tuple c over GF(p).
+    """Irreducibility of the int coefficient tuple c over GF(p) (``poly.is_irreducible``).
 
     Degree one needs no test, which also keeps GF(p) itself out of a loop.
     """

@@ -251,7 +251,7 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
     return tuple(members), flags, Lattice(tuple(members), tuple(covers), flags)
 
 
-def _report(kind, A, ana, detail_cap, sum_note, component):
+def _report(kind, A, ana, sum_note, component):
     """The LatticeReport of ``kind`` for A, built per primary component.
 
     ``component(ca, provenance, notes)`` appends its provenance and notes and
@@ -266,10 +266,11 @@ def _report(kind, A, ana, detail_cap, sum_note, component):
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
     factors, factor_flags, finites, completes = zip(*parts)
-    comps = [ca.component for ca in ana.components]
+    bases = [Matrix(A.field, ca.component.subspace.basis, _raw=True) for ca in ana.components]
     members, flags, lat = _assemble(
-        factors, factor_flags, lambda c, w: [comps[c].lift_vector(r) for r in w.basis],
-        A.field, A.nrows, detail_cap, notes,
+        factors, factor_flags,
+        lambda c, w: (Matrix(A.field, w.basis, _raw=True) @ bases[c]).rows if w.basis else (),
+        A.field, A.nrows, DETAIL_CAP, notes,
     )
     finite = False if False in finites else None if None in finites else True
     return LatticeReport(
@@ -282,8 +283,7 @@ def _report(kind, A, ana, detail_cap, sum_note, component):
 _DIRECT_SUM = "the lattice is the direct sum of the component lattices"
 
 
-def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
-                detail_cap=DETAIL_CAP, analysis=None):
+def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, analysis=None):
     """Lattice of A-invariant subspaces of F^n."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
 
@@ -320,7 +320,7 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
                 finite = False
         return [ks.k_subspace_to_f(w) for w in members], None, finite, finite is True
 
-    rep = _report("invariant", A, ana, detail_cap, _DIRECT_SUM, component)
+    rep = _report("invariant", A, ana, _DIRECT_SUM, component)
 
     def predicate(W):
         return W.is_invariant_under(A)
@@ -338,7 +338,7 @@ def _hinv_local(ks):
     return [ks.k_subspace_to_f(w) for w in closed]
 
 
-def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
+def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
     """Lattice of subspaces invariant under everything commuting with A."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
 
@@ -357,11 +357,10 @@ def hinv_lattice(A, *, hint=None, seed=0, detail_cap=DETAIL_CAP, analysis=None):
             raise InvariantError("engine produced a non-hyperinvariant subspace")
         return local, None, True, True
 
-    return _report("hyperinvariant", A, ana, detail_cap, _DIRECT_SUM, component)
+    return _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
 
 
-def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
-                  detail_cap=DETAIL_CAP, analysis=None):
+def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, analysis=None):
     """Lattice of subspaces invariant under A and all invertible commutants."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
 
@@ -402,7 +401,7 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP,
         return members, flags, True, complete
 
     return _report(
-        "characteristic", A, ana, detail_cap,
+        "characteristic", A, ana,
         "characteristic lattices combine as direct sums "
         "(commuting automorphisms of the sum are block diagonal)",
         component,

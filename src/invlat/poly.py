@@ -9,13 +9,14 @@ testing, and full factorization: over a finite field by squarefree
 decomposition + distinct-degree splitting + seeded Cantor-Zassenhaus,
 over Q by squarefree decomposition + rational-root extraction for the
 easy degrees, with a verified user hint for anything harder.  The
-rational-root search refuses integer end coefficients beyond
-ROOT_SEARCH_BOUND (CapExceededError), since it trial-divides them.
+rational-root search refuses (CapExceededError) integer end coefficients
+beyond ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import CapExceededError, FactorHintError, FieldMismatchError
 from .fields import QQ, FiniteField, RationalField
@@ -263,9 +264,9 @@ def is_separable(f):
 def is_irreducible(f):
     """Irreducibility over the polynomial's own field.
 
-    Finite fields: Rabin's criterion.  Q: decided for degree <= 3 via
-    rational roots; larger degrees raise (callers use factorization hints
-    there).
+    Finite fields: one distinct-degree pass finds no factor of degree at
+    most deg f / 2.  Q: decided for degree <= 3 via rational roots; larger
+    degrees raise (callers use factorization hints there).
     """
     if f.degree < 1:
         return False
@@ -273,27 +274,7 @@ def is_irreducible(f):
         return True
     fld = f.field
     if isinstance(fld, FiniteField):
-        q = fld.order
-        x = Poly.x(fld)
-        if _powmod(x, q**f.degree, f) != x % f:
-            return False
-        d = f.degree
-        t = 2
-        divs = []
-        dd = d
-        while t * t <= dd:
-            if dd % t == 0:
-                divs.append(t)
-                while dd % t == 0:
-                    dd //= t
-            t += 1
-        if dd > 1:
-            divs.append(dd)
-        for t in divs:
-            h = _powmod(x, q ** (d // t), f) - (x % f)
-            if poly_gcd(h, f).degree != 0:
-                return False
-        return True
+        return _distinct_degree_split(f) == [(f, f.degree)]
     if isinstance(fld, RationalField):
         if f.degree <= 3:
             return not _rational_roots(f)
@@ -476,18 +457,18 @@ def _equal_degree_split(f, d, rng):
 
 
 # The rational-root search trial-divides up to the square root of the lowest
-# and the leading integer coefficient: at most about 10^6 steps each.
+# and the leading integer coefficient, then tests a root per pair of their
+# divisors: at most about 10^6 steps each.
 ROOT_SEARCH_BOUND = 10**12
+ROOT_SEARCH_PAIRS = isqrt(ROOT_SEARCH_BOUND)
 
 
 def _rational_roots(f):
     """All rational roots of f with multiplicity, via the rational root theorem.
 
     Raises CapExceededError when the lowest or the leading coefficient of the
-    integer form exceeds ROOT_SEARCH_BOUND.
+    integer form exceeds ROOT_SEARCH_BOUND, or their divisor pairs ROOT_SEARCH_PAIRS.
     """
-    from math import gcd
-
     den = 1
     for c in f.coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
@@ -515,9 +496,18 @@ def _rational_roots(f):
             count=max(a0, aN),
             cap=ROOT_SEARCH_BOUND,
         )
+    nums, dens = _divisors(a0), _divisors(aN)
+    pairs = len(nums) * len(dens)
+    if pairs > ROOT_SEARCH_PAIRS:
+        raise CapExceededError(
+            f"rational-root search refused: the end coefficients of {format_poly(f)} have "
+            f"{pairs} divisor pairs, over {ROOT_SEARCH_PAIRS}; give the factorization with --hint",
+            count=pairs,
+            cap=ROOT_SEARCH_PAIRS,
+        )
     cands = set()
-    for pnum in _divisors(a0):
-        for pden in _divisors(aN):
+    for pnum in nums:
+        for pden in dens:
             cands.add(Fraction(pnum, pden))
             cands.add(Fraction(-pnum, pden))
     poly = Poly(QQ, [Fraction(c) for c in ints])

@@ -6,10 +6,24 @@ GOLD_4: 4x4 over GF(2), minimal polynomial (x+1)^3.
 """
 
 from invlat.fields import QQ, gf_build
-from invlat.matrix import Matrix
+from invlat.matrix import Matrix, inverse, poly_at_matrix
 
 F2 = gf_build(2)
 F3 = gf_build(3)
+
+
+def newton_semisimple(A, p):
+    """Reference semisimple part of A (p(A)^r = 0, p separable), independent
+    of the polynomial iteration: the matrix Newton iteration
+    S <- S - p(S) p'(S)^-1, started at A + p(A) rather than at A."""
+    dp = p.derivative()
+    S = A + poly_at_matrix(p, A)
+    for _ in range(A.nrows.bit_length() + 1):
+        P = poly_at_matrix(p, S)
+        if P.is_zero:
+            return S
+        S = S - P @ inverse(poly_at_matrix(dp, S))
+    raise AssertionError("matrix Newton iteration did not terminate")
 
 
 def e_rows(n, idxs, field):

@@ -44,6 +44,7 @@ from fixtures import (
     e_rows,
     F2,
     F3,
+    newton_semisimple,
 )
 
 F5 = gf_build(5)
@@ -203,14 +204,13 @@ def test_criterion_4_jordan_chevalley_property_suite():
         assert (dec.N ** n).is_zero
         assert poly_at_matrix(p, dec.S).is_zero
         assert poly_at_matrix(dec.certificate, A) == dec.S
-        alt = jordan_chevalley(A, p, r, start=A + poly_at_matrix(p, A))
-        if alt.S != dec.S or alt.N != dec.N:
+        if newton_semisimple(A, p) != dec.S:
             failures += 1
     assert failures == 0
     elapsed = time.perf_counter() - t0
     print(f"\n[criterion 4] PASS - 200 seeded p-primary instances over GF(2)/GF(3)/GF(5): "
-          f"all five decomposition properties and the alternative-start uniqueness probe "
-          f"hold, zero failures ({elapsed:.1f}s)")
+          f"all five decomposition properties and agreement with the matrix Newton iteration "
+          f"started at A + p(A) hold, zero failures ({elapsed:.1f}s)")
 
 
 def _engine_oracle_match(A):

@@ -3,12 +3,14 @@ import hashlib
 import json
 import random
 import time
+from fractions import Fraction
 
 from invlat.cli import main
 from invlat.errors import InvariantError
 from invlat.fields import QQ
 from invlat.jsonio import matrix_to_json
-from invlat.matrix import Matrix
+from invlat.matrix import Matrix, companion
+from invlat.poly import Poly, parse_poly
 
 from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A
 
@@ -347,6 +349,31 @@ def test_root_search_bound_exit_code(tmp_path, capsys):
         assert err.count("\n") == 1 and "--hint" in err
         assert main(["--input", inp, "--command", command, "--hint", hint,
                      "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_root_search_pair_cap_exit_code(tmp_path, capsys):
+    # x^2 + x/963761198400 + 1: the end coefficients of its integer form have
+    # 6720 divisors each, so the search would test about 9e7 candidates
+    inp = write_matrix(tmp_path, companion(Poly(QQ, (1, Fraction(1, 963761198400), 1))))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["--input", inp, "--command", "analyze"]) == 4
+    assert time.perf_counter() - t0 < 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "divisor pairs" in err
+
+
+def test_inseparable_trusted_hint_exit_code(tmp_path, capsys):
+    # the trusted degree-4 hint (x^2+1)^2 is not separable: no Jordan-Chevalley
+    # split may be reported for it
+    inp = write_matrix(tmp_path, companion(parse_poly("x^4+2x^2+1", QQ)))
+    for command in ("analyze", "shoda", "lattice-chinv"):
+        capsys.readouterr()
+        assert main(["--input", inp, "--command", command,
+                     "--hint", '[["x^4+2x^2+1",1]]']) == 2, command
+        assert capsys.readouterr().err == (
+            "input error: Jordan-Chevalley unavailable: inseparable factor x^4+2x^2+1\n"
+        )
 
 
 def test_nonpositive_caps_rejected(tmp_path):

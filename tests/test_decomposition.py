@@ -16,7 +16,7 @@ from invlat.decomposition import (
 )
 from invlat.errors import InseparableFactorError
 from invlat.fields import QQ, ExtensionField, FiniteField
-from invlat.matrix import Matrix, block_diag, companion, mat_vec, poly_at_matrix
+from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
 from invlat.poly import factor, parse_poly
 from invlat.subspace import image_basis, kernel_basis, span
 
@@ -33,6 +33,7 @@ from fixtures import (
     e_rows,
     F2,
     F3,
+    newton_semisimple,
 )
 
 
@@ -71,10 +72,9 @@ def test_jordan_chevalley_uniqueness_probe():
         (GOLD_8_A, parse_poly("x^2+x+1", F2), 3),
         (GOLD_4_A, parse_poly("x+1", F2), 3),
     ):
-        base = jordan_chevalley(A, p, r)
-        alt_start = A + poly_at_matrix(p, A)
-        alt = jordan_chevalley(A, p, r, start=alt_start)
-        assert alt.S == base.S and alt.N == base.N
+        dec = jordan_chevalley(A, p, r)
+        S = newton_semisimple(A, p)
+        assert dec.S == S and dec.N == A - S
 
 
 def test_jordan_chevalley_rejects_inseparable():
@@ -234,6 +234,26 @@ def test_analyze_operator_multi_component_global_parts():
     assert ana.S @ ana.N == ana.N @ ana.S
     assert (ana.N ** 3).is_zero
     assert ana.min_poly == parse_poly("x^2+x", F2) * parse_poly("x+1", F2)
+
+
+def test_analyze_operator_components_and_certificates():
+    # (x+1)^2, x^2+1 and x^2 over GF(3), mixed by a conjugation so that the
+    # pivots of the components are not their leading columns
+    blocks = [companion(parse_poly(f, F3)) for f in ("x^2+2x+1", "x^2+1", "x^2")]
+    B = block_diag(F3, blocks)
+    P = Matrix(F3, [[1 if j <= i else 0 for j in range(6)] for i in range(6)])
+    A = inverse(P) @ B @ P
+    ana = analyze_operator(A)
+    rad = parse_poly("1", F3)
+    for ca in ana.components:
+        comp, p, k = ca.component, ca.component.factor, ca.component.multiplicity
+        basis = Matrix.from_cols(F3, comp.subspace.basis)
+        assert A @ basis == basis @ comp.restriction
+        # q mod p^k is the least-degree certificate, as for the primary matrix alone
+        assert ca.jc.certificate.degree < k * p.degree
+        assert ca.jc == jordan_chevalley(comp.restriction, p, k)
+        rad = rad * p
+    assert ana.S == newton_semisimple(A, rad) and ana.N == A - ana.S
 
 
 def test_analyze_operator_rational_golden():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,9 +8,11 @@ from invlat.errors import CapExceededError, FactorHintError
 from invlat.fields import QQ, gf_build
 from invlat.poly import (
     ROOT_SEARCH_BOUND,
+    ROOT_SEARCH_PAIRS,
     Poly,
     factor,
     format_poly,
+    is_irreducible,
     is_separable,
     parse_poly,
     poly_gcd,
@@ -118,6 +121,26 @@ def test_separability_agrees_with_squarefreeness_exhaustively():
                 assert is_separable(f) == squarefree
 
 
+@pytest.mark.parametrize("p, k, top, leads", [
+    (2, 1, 8, None), (3, 1, 5, None), (2, 2, 4, None), (5, 1, 4, None), (7, 1, 3, None),
+    (3, 2, 3, 2),  # GF(9): two leading coefficients, 1 and one other, to keep it short
+])
+def test_is_irreducible_matches_trial_division(p, k, top, leads):
+    # every polynomial of degree 2..top over GF(p^k), monic or not: reducible
+    # iff some monic polynomial of at most half its degree divides it
+    F = gf_build(p, k)
+    elems = list(F.elements())
+
+    def polys(d, lead_coeffs):
+        return [Poly(F, tail + (c,)) for c in lead_coeffs for tail in product(elems, repeat=d)]
+
+    divisors = [g for d in range(1, top // 2 + 1) for g in polys(d, [F.one()])]
+    for d in range(2, top + 1):
+        for f in polys(d, [c for c in elems if c][:leads]):
+            reducible = any((f % g).is_zero for g in divisors if 2 * g.degree <= d)
+            assert is_irreducible(f) is not reducible, f
+
+
 def test_factor_rationals_auto_and_hint():
     f = P(QQ, "x^2+1") ** 2
     res = factor(f)
@@ -154,6 +177,11 @@ def test_rational_root_search_bound():
             factor(over)
     assert factor(Poly(QQ, (b + 1, -b - 2, 1)), hint=[(Poly(QQ, (-b - 1, 1)), 1),
                                                       (Poly(QQ, (-1, 1)), 1)]).factors
+    # 963761198400 has 6720 divisors: 6720^2 candidate pairs are refused at once
+    c = 963761198400
+    with pytest.raises(CapExceededError, match="divisor pairs") as exc:
+        factor(Poly(QQ, (1, Fraction(1, c), 1)))
+    assert exc.value.count == 6720**2 > ROOT_SEARCH_PAIRS
 
 
 def test_bad_hints_rejected():
