@@ -22,7 +22,7 @@ result failed: a defect to report, never a property of the input).
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .centralizer import DEFAULT_UNIT_CAP
 from .decomposition import analyze_operator
@@ -65,7 +65,8 @@ EXIT_CAP = 4
 EXIT_INVARIANT = 5
 
 
-def _build_parser():
+@cache  # built once: a parser is a web of cycles the collector would free per call
+def _parser():
     p = argparse.ArgumentParser(
         prog="invlat",
         description="Exact invariant / hyperinvariant / characteristic subspace lattices.",
@@ -267,7 +268,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = args.command.replace(" ", "-")
     if args.cap_subspaces < 1 or args.cap_units < 1:
         print("input error: caps must be positive", file=sys.stderr)

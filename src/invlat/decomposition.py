@@ -15,13 +15,16 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   K-linear map.  One pass over the powers of N_K gives the kernel and
   image chains ker N_K^j, im N_K^j; the Segre characteristic is read off
   the kernel dimensions and the Jordan chain generators off the kernels,
-  and the lattice code reuses both chains.
+  and the lattice code reuses both chains.  ``KStructure.hyperinvariant``
+  reads the hyperinvariant subspaces of N_K off them in closed form
+  (Fillmore, Herrero & Longstaff), once per analysis.
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import prod
 
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
@@ -270,6 +273,29 @@ class KStructure:
                     rows.append(self.to_f(scaled))
                     scaled = tuple(alpha * c for c in scaled)
         return span(rows, field, n)
+
+    @cached_property
+    def hyperinvariant(self):
+        """The hyperinvariant subspaces of N_K, as F-subspaces in canonical
+        order over K; formed on first use, so an analysis forms them once.
+
+        With t_1 < ... < t_m the distinct block sizes, they are exactly
+        W(r) = sum_j ker N^(r_j) meet im N^(t_j - r_j) with 0 <= r_j <= t_j and
+        both r and t - r nondecreasing, one subspace per tuple r (Fillmore,
+        Herrero & Longstaff, Linear Algebra Appl. 17, 1977, 125-132).  The
+        walk extends every prefix of r by one entry per size, adding its term
+        to the prefix's sum; taking t_0 = r_0 = 0, r_j runs over
+        r_(j-1) ... r_(j-1) + t_j - t_(j-1).  The bijection is checked.
+        """
+        walk, last = [(0, self.kernels[0])], 0  # (r_j, W of the prefix)
+        for t in sorted(set(self.segre)):
+            terms = [self.kernels[r].intersect(self.images[t - r]) for r in range(t + 1)]
+            walk = [(x, W.sum(terms[x])) for r, W in walk for x in range(r, r + t - last + 1)]
+            last = t
+        members = sorted({W for _, W in walk}, key=lambda W: W.sort_key())
+        if len(members) != len(walk):
+            raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
+        return tuple(self.k_subspace_to_f(W) for W in members)
 
 
 def build_k_structure(S, N, p):

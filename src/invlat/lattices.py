@@ -10,12 +10,17 @@ and image chains of N_K that ``build_k_structure`` formed once:
   cyclic, and provably an infinite family otherwise (two or more Jordan
   blocks over an infinite field);
 * hyperinvariant subspaces over K are the closure of the kernel and image
-  chains of N_K under sum and intersection, each member re-verified in
-  component coordinates against a basis of the centralizer Z(A_i) of the
-  restriction A_i.  That certifies the direct sum against Z(A): every X
-  commuting with A commutes with p_i(A)^k_i, so it maps each primary
-  component V_i into itself, and Z(A) = Z(A_1) + ... + Z(A_r) block
-  diagonally in the primary basis;
+  chains of N_K under sum and intersection, read off in closed form: with
+  t_1 < ... < t_m the distinct block sizes of N_K they are the sums
+  W(r) = sum_j ker N_K^(r_j) meet im N_K^(t_j - r_j) over the tuples r with
+  r and t - r nondecreasing, one member per tuple (Fillmore, Herrero &
+  Longstaff, Linear Algebra Appl. 17, 1977).  ``KStructure.hyperinvariant``
+  walks the tuples once per analysis, and hinv and chinv share its members.
+  Each member is re-verified in component coordinates against a basis of
+  the centralizer Z(A_i) of the restriction A_i.  That certifies the
+  direct sum against Z(A): every X commuting with A commutes with
+  p_i(A)^k_i, so it maps each primary component V_i into itself, and
+  Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis;
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
@@ -180,23 +185,6 @@ def _unit_span(ks, seed):
     )
 
 
-def _closure(subspaces):
-    """Closure of a finite set of subspaces under sum and intersection."""
-    current = set(subspaces)
-    frontier = list(current)
-    while frontier:
-        new = []
-        items = list(current)
-        for a in frontier:
-            for b in items:
-                for c in (a.sum(b), a.intersect(b)):
-                    if c not in current:
-                        current.add(c)
-                        new.append(c)
-        frontier = new
-    return current
-
-
 def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None):
     """The direct sums W_1 + ... + W_r, one W_c from each factor: the sorted
     member tuple, its aligned flags, and (within ``detail_cap``) the Lattice.
@@ -330,14 +318,6 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
     return replace(rep, member_predicate=predicate)
 
 
-def _hinv_local(ks):
-    """Hyperinvariant subspaces of one component, in its coordinates over F:
-    the closure of the kernel and image chains of N_K under sum and
-    intersection, in canonical order over K."""
-    closed = sorted(_closure(set(ks.kernels) | set(ks.images)), key=lambda s: s.sort_key())
-    return [ks.k_subspace_to_f(w) for w in closed]
-
-
 def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
     """Lattice of subspaces invariant under everything commuting with A."""
     ana = analysis if analysis is not None else analyze_operator(A, hint=hint, seed=seed)
@@ -350,7 +330,7 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
         )
         # Z(A) is block diagonal over the components: checking Z(A_i) on
         # each component's members certifies their direct sums against Z(A)
-        local = _hinv_local(ca.kstruct)
+        local = ca.kstruct.hyperinvariant
         Ai = ca.component.restriction
         Z = centralizer_basis(Ai)
         if not all(is_hyperinvariant(W, Ai, Z) for W in local):
@@ -367,7 +347,7 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
     def component(ca, provenance, notes):
         ks = ca.kstruct
         pname = format_poly(ca.component.factor)
-        local = _hinv_local(ks)
+        local = ks.hyperinvariant
         members, complete = local, True  # unless a witness adds members
         if not (ks.field_k.is_finite and ks.field_k.order == 2):
             provenance.append(

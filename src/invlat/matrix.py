@@ -6,7 +6,11 @@ so ``solve``, ``inverse``, ``kernel_basis`` and the subspace operations)
 runs in the field's row kernel on encoded rows, decoded at its boundary:
 GF(2) rows are int bitmasks, GF(p) rows int lists mod p, GF(p^k) rows
 (order <= TABLE_LIMIT) index lists combined through the tables of
-``fields``, and Q, Q[t]/(m) and larger GF(p^k) rows element lists.
+``fields``, and Q, Q[t]/(m) and larger GF(p^k) rows element lists.  Q rows
+are reduced fraction-free (Bareiss, Math. Comp. 22, 1968, in its
+content-dividing form): each row is scaled to a primitive int row,
+Gauss-Jordan runs on ints with every updated row divided by its content,
+and each output entry is one Fraction over its row's pivot.
 Pivots are leftmost and RREF is unique, so every kernel gives the element
 loop's result.
 
@@ -25,8 +29,9 @@ certify its result.
 
 from bisect import bisect
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
+import weakref
 
 from .errors import (
     FieldMismatchError,
@@ -205,7 +210,17 @@ TABLE_LIMIT = 1 << 8
 
 
 class _Rows:
-    """Horner's rule on a kernel's matmul, shared by the row kernels."""
+    """Horner's rule on a kernel's matmul, shared by the row kernels.  A
+    kernel reaches its field through a weak reference and keeps no field
+    elements: the field holds its kernel (``row_kernel``), and a reference
+    back would make every field a cycle that only the collector frees."""
+
+    def __init__(self, field):
+        self._field = weakref.ref(field)
+
+    @property
+    def field(self):
+        return self._field()
 
     def polyval(self, coeffs, a, n, first=0, count=None):
         """Encoded rows first, ..., first + count - 1 (default all) of f(A) by
@@ -233,9 +248,6 @@ class _GF2Rows(_Rows):
     """GF(2): a row is an int whose bit j is coordinate j."""
 
     nonzero = bool
-
-    def __init__(self, field):
-        self.field, self.elements = field, (field.zero(), field.one())
 
     def matmul(self, a, b, n, c=None, first=0):
         # row i of AB: the XOR of the rows of B picked by the bits of row i of A
@@ -267,7 +279,9 @@ class _GF2Rows(_Rows):
         return v
 
     def decode(self, v, n):
-        return tuple(self.elements[(v >> j) & 1] for j in range(n))
+        field = self.field
+        elements = (field.zero(), field.one())
+        return tuple(elements[(v >> j) & 1] for j in range(n))
 
     def tail(self, v, n):  # the coordinates from n on, as a row
         return v >> n
@@ -293,8 +307,13 @@ class _ElementRows(_Rows):
     nonzero = any
     encode = staticmethod(list)
 
-    def __init__(self, field):
-        self.field, self.zero, self.one = field, field.zero(), field.one()
+    @property
+    def zero(self):
+        return self.field.zero()
+
+    @property
+    def one(self):
+        return self.field.one()
 
     def decode(self, v, n):
         return tuple(v)
@@ -362,8 +381,46 @@ def _integral(rows):
 
 
 class _RationalRows(_ElementRows):
-    """Q: lists of Fractions, reduced by the element loop; products clear
-    each operand's denominators once and multiply ints."""
+    """Q: lists of Fractions.  Echelon forms and products clear denominators
+    once and compute on ints."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def echelon(self, rows, n):
+        """The nonzero rows of the RREF of ``rows`` and their pivot columns:
+        Gauss-Jordan on primitive int rows, each updated row divided by its
+        content, then one Fraction over the pivot per nonzero entry."""
+        work = []
+        for r in rows:
+            d = lcm(*(x.denominator for x in r))
+            v = [x.numerator * (d // x.denominator) for x in r]
+            g = gcd(*v)
+            if g:
+                work.append([x // g for x in v] if g > 1 else v)
+        m, pivots = len(work), []
+        for c in range(n):
+            k = len(pivots)
+            for i in range(k, m):
+                if work[i][c]:
+                    break
+            else:
+                continue
+            work[k], work[i] = work[i], work[k]
+            prow = work[k]
+            p = prow[c]
+            for i in range(m):
+                a = work[i][c]
+                if a and i != k:
+                    g = gcd(a, p)
+                    f, h = p // g, a // g
+                    v = [f * x - h * y for x, y in zip(work[i], prow)]
+                    g = gcd(*v)
+                    work[i] = [x // g for x in v] if g > 1 else v
+            pivots.append(c)
+            if k + 1 == m:
+                break
+        zero = self.zero
+        return [[Fraction(x, r[c]) if x else zero for x in r] for r, c in zip(work, pivots)], pivots
 
     def matmul(self, a, b, n, c=None, first=0):
         (a, da), (b, db) = _integral(a), _integral(b)
@@ -387,14 +444,18 @@ class _RationalRows(_ElementRows):
 class _PrimeRows(_ElementRows):
     """GF(p): lists of ints mod p; inverses by pow(x, -1, p), no tables."""
 
+    zero, one = 0, 1
+
     def __init__(self, field):
-        self.field, self.p, self.zero, self.one = field, field.p, 0, 1
+        super().__init__(field)
+        self.p = field.p
 
     def encode(self, row):
         return [e.c[0] for e in row]
 
     def decode(self, v, n):
-        return tuple(GFElem(self.field, (x,)) for x in v)
+        field = self.field
+        return tuple(GFElem(field, (x,)) for x in v)
 
     def scale(self, row, x):
         p, inv = self.p, pow(x, -1, self.p)
@@ -413,8 +474,11 @@ class _ZechRows(_ElementRows):
     """GF(p^k), k > 1, order <= TABLE_LIMIT: lists of element indices;
     products through the log/antilog tables, sums through Zech logarithms."""
 
+    zero, one = 0, 1
+
     def __init__(self, field):
-        self.field, self.zero, self.one, self.m = field, 0, 1, field.order - 1
+        super().__init__(field)
+        self.p, self.k, self.m = field.p, field.k, field.order - 1
         self.exp, self.log, self.zech = field.zech_tables()
         self.neg = 0 if field.p == 2 else self.m // 2  # log of -1
         # Products: lg[x] is the log of index x, 2m for x = 0, and
@@ -426,8 +490,8 @@ class _ZechRows(_ElementRows):
         self.spread += [0] * (2 * m + 1)
 
     def _code(self, s):  # the index of a digit-spread sum
-        i, p = 0, self.field.p
-        for t in range(32 * self.field.k - 32, -1, -32):
+        i, p = 0, self.p
+        for t in range(32 * self.k - 32, -1, -32):
             i = i * p + (s >> t & 0xFFFFFFFF) % p
         return i
 
@@ -444,10 +508,12 @@ class _ZechRows(_ElementRows):
         return out
 
     def encode(self, row):
-        return [self.field.index_of(e) for e in row]
+        index_of = self.field.index_of
+        return [index_of(e) for e in row]
 
     def decode(self, v, n):
-        return tuple(self.field.element_from_index(i) for i in v)
+        element_from_index = self.field.element_from_index
+        return tuple(element_from_index(i) for i in v)
 
     def scale(self, row, x):
         exp, log, li = self.exp, self.log, self.m - self.log[x]

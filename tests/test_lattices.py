@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from invlat.decomposition import analyze_operator
-from invlat.errors import ClosureError
+from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.lattices import (
     characteristic_dispatch,
@@ -11,7 +13,7 @@ from invlat.lattices import (
     inv_lattice,
     shoda_witness,
 )
-from invlat.matrix import Matrix, block_diag, companion
+from invlat.matrix import Matrix, block_diag, companion, inverse, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
 from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
@@ -349,3 +351,108 @@ def test_inv_combines_finiteness_and_completeness_per_component():
         "the kernel chain"
     ) in rep.provenance
     assert len(rep.notes) == 1 and "infinitely many" in rep.notes[0]
+
+
+# ----------------------------------------------------------------------
+# The Fillmore-Herrero-Longstaff tuple walk against the sum/intersection
+# closure of the kernel and image chains it replaced.
+
+
+def _closure(subspaces):
+    """Closure of a finite set of subspaces under sum and intersection: the
+    frontier loop the engine ran before the tuple walk, kept as the reference."""
+    current = set(subspaces)
+    frontier = list(current)
+    while frontier:
+        new = []
+        items = list(current)
+        for a in frontier:
+            for b in items:
+                for c in (a.sum(b), a.intersect(b)):
+                    if c not in current:
+                        current.add(c)
+                        new.append(c)
+        frontier = new
+    return current
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for t in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - t, t):
+            yield (t,) + rest
+
+
+def _conjugated_primary(field, block, sizes, rng):
+    """Jordan-type blocks C(p^t) of ``block`` = C(p) for t in ``sizes``
+    (superdiagonal identities), conjugated by a seeded invertible matrix."""
+    s = block.nrows
+    n = s * sum(sizes)
+    rows = [[field.zero()] * n for _ in range(n)]
+    at = 0
+    for t in sizes:
+        for b in range(t):
+            for i in range(s):
+                for j in range(s):
+                    rows[at + b * s + i][at + b * s + j] = block.rows[i][j]
+                if b + 1 < t:
+                    rows[at + b * s + i][at + (b + 1) * s + i] = field.one()
+        at += s * t
+    J = Matrix(field, rows)
+    while True:
+        P = Matrix(field, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)])
+        if rank(P) == n:
+            return P @ J @ inverse(P)
+
+
+def _walk_against_closure(field, block, sizes, rng):
+    A = _conjugated_primary(field, block, sizes, rng)
+    (ca,) = analyze_operator(A).components
+    ks = ca.kstruct
+    assert tuple(sorted(ks.segre)) == tuple(sorted(sizes))
+    closed = {ks.k_subspace_to_f(w) for w in _closure(ks.kernels + ks.images)}
+    walk = ks.hyperinvariant
+    assert len(walk) == len(closed) and set(walk) == closed, sizes
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=repr)
+def test_fhl_walk_matches_the_closure_on_every_small_partition(field):
+    rng = random.Random(101)
+    zero = Matrix.zeros(field, 1)
+    for n in range(1, 9):
+        for sizes in _partitions(n):
+            _walk_against_closure(field, zero, sizes, rng)
+
+
+def test_fhl_walk_matches_the_closure_over_an_extension():
+    # K = F[S] of degree 2: the walk runs on N_K over K
+    rng = random.Random(103)
+    for field, p in ((QQ, "x^2+1"), (F2, "x^2+x+1"), (F3, "x^2+1")):
+        block = companion(parse_poly(p, field))
+        for sizes in ((1,), (2, 1), (3, 1), (2, 1, 1), (3, 2, 1)):
+            _walk_against_closure(field, block, sizes, rng)
+
+
+def test_fhl_walk_is_formed_once_per_analysis():
+    ana = analyze_operator(GOLD_4_A)
+    ks = ana.components[0].kstruct
+    assert "hyperinvariant" not in vars(ks)  # the analysis (so shoda) does not walk
+    hinv = hinv_lattice(GOLD_4_A, analysis=ana)
+    walked = vars(ks)["hyperinvariant"]
+    chinv = chinv_lattice(GOLD_4_A, analysis=ana)
+    assert vars(ks)["hyperinvariant"] is walked
+    assert set(walked) == members_of(hinv)
+    assert chinv.member_flags.count("hyperinvariant") == len(hinv.members)
+
+
+def test_fhl_walk_refuses_two_tuples_with_one_subspace(monkeypatch):
+    # with ker N corrupted to 0, W(0,0) = W(0,1) = 0 for the sizes (1, 2)
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (2, 1), random.Random(7))
+    ks = analyze_operator(A).components[0].kstruct
+    kernels = list(ks.kernels)
+    kernels[1] = kernels[0]
+    monkeypatch.setitem(vars(ks), "kernels", tuple(kernels))
+    with pytest.raises(InvariantError, match="tuples give one subspace"):
+        ks.hyperinvariant

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -181,6 +183,23 @@ def test_table_limit_selects_kernel():
     assert type(row_kernel(gf_build(2, 9))) is _ElementRows
 
 
+def test_a_field_and_its_kernel_are_freed_without_the_collector():
+    # the kernel holds its field weakly, so no field <-> kernel cycle is left
+    makers = (lambda: gf_build(2), lambda: gf_build(5), lambda: gf_build(2, 9),
+              lambda: ExtensionField((1, 0, 1)))
+    gc.disable()
+    try:
+        for make in makers:
+            field = make()
+            rref(Matrix.identity(field, 2))
+            assert row_kernel(field).field is field
+            ref = weakref.ref(field)
+            del field
+            assert ref() is None, make()
+    finally:
+        gc.enable()
+
+
 def _random_entry(field, rng, density):
     if rng.random() > density:
         return field.zero()
@@ -326,6 +345,69 @@ def test_rank_and_rref_against_sympy():
         assert rk == D.rank() and piv == tuple(spiv)
         assert [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
                 for row in SR.to_list()] == [list(row) for row in R.rows]
+
+
+def _big_fraction(rng, size=10**30):
+    return Fraction(rng.randrange(-size, size + 1), rng.randrange(1, size + 1))
+
+
+def _hard_rational_cases(rng):
+    """Q matrices that stress the fraction-free echelon: entries near 10^30,
+    negative pivots, zero and duplicate rows, thin shapes, rank deficiency."""
+    big = _big_fraction
+    yield Matrix(QQ, [[big(rng) for _ in range(7)] for _ in range(5)])
+    yield Matrix(QQ, [[big(rng) for _ in range(4)] for _ in range(9)])
+    yield Matrix(QQ, [[big(rng) for _ in range(9)]])  # 1 x n
+    yield Matrix(QQ, [[big(rng)] for _ in range(6)])  # n x 1
+    yield Matrix(QQ, [[Fraction(-7, 3)]])
+    yield Matrix(QQ, [[-3, 1, 2], [-6, 2, 5], [9, -3, -6]])  # negative pivots
+    yield Matrix(QQ, [[-(10**30) - 1, 10**29, 3], [-2, Fraction(-1, 10**30), 0]])
+    row = [big(rng) for _ in range(6)]
+    half = [x / 2 for x in row]
+    zero = [0] * 6
+    yield Matrix(QQ, [zero, row, zero, row, half, [-x for x in row]])  # rank 1
+    yield Matrix(QQ, [zero, zero, zero])
+    for r in (1, 2, 3):  # (m x r)(r x n) with big entries: rank-deficient stacks
+        left = Matrix(QQ, [[big(rng, 10**15) for _ in range(r)] for _ in range(6)])
+        right = Matrix(QQ, [[big(rng, 10**15) for _ in range(8)] for _ in range(r)])
+        M = left @ right
+        yield Matrix(QQ, M.rows + M.rows[:2] + ((0,) * 8,))
+
+
+def test_rational_echelon_on_hard_inputs():
+    rng = random.Random(59)
+    for M in _hard_rational_cases(rng):
+        R, rk, piv = rref(M)
+        assert (R, rk, piv) == _reference_rref(M)
+        assert all(type(x) is Fraction for row in R.rows for x in row)
+        assert rank(M) == rk
+        # the null space is the reference's: the kernel of the reference RREF
+        ref, _, ref_piv = _reference_rref(M)
+        free = [j for j in range(M.ncols) if j not in ref_piv]
+        null = []
+        for j in free:
+            v = [Fraction(0)] * M.ncols
+            v[j] = Fraction(1)
+            for i, p in enumerate(ref_piv):
+                v[p] = -ref.rows[i][j]
+            null.append(v)
+        K = kernel_basis(M)
+        assert K == span(null, QQ, M.ncols)
+        assert all(not any(mat_vec(M, v)) for v in K.basis)
+
+
+def test_rational_intersection_on_hard_inputs():
+    rng = random.Random(61)
+    n = 6
+    for _ in range(8):
+        common = [[_big_fraction(rng) for _ in range(n)] for _ in range(rng.randrange(0, 3))]
+        U = span(common + [[_big_fraction(rng) for _ in range(n)]
+                           for _ in range(rng.randrange(0, 3))], QQ, n)
+        W = span([[-x for x in r] for r in common] + [[_big_fraction(rng) for _ in range(n)]
+                                                        for _ in range(rng.randrange(1, 4))], QQ, n)
+        I = U.intersect(W)
+        assert I == _reference_intersection(U, W)
+        assert I.contains(span(common, QQ, n))  # the rows both stacks share, up to sign
 
 
 # ----------------------------------------------------------------------
