@@ -31,7 +31,8 @@ from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
 from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
-from .subspace import Subspace, full_space, image_basis, kernel_basis, span, zero_subspace
+from .subspace import (Subspace, build_lattice, full_space, image_basis, kernel_basis, span,
+                       zero_subspace)
 
 __all__ = [
     "PrimaryComponent",
@@ -296,6 +297,11 @@ class KStructure:
         if len(members) != len(walk):
             raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
         return tuple(self.k_subspace_to_f(W) for W in members)
+
+    @cached_property
+    def hyperinvariant_lattice(self):
+        """``hyperinvariant`` as a Lattice, built (closure re-checked) once per analysis."""
+        return build_lattice(self.hyperinvariant)
 
 
 def build_k_structure(S, N, p):

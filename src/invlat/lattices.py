@@ -15,7 +15,8 @@ and image chains of N_K that ``build_k_structure`` formed once:
   W(r) = sum_j ker N_K^(r_j) meet im N_K^(t_j - r_j) over the tuples r with
   r and t - r nondecreasing, one member per tuple (Fillmore, Herrero &
   Longstaff, Linear Algebra Appl. 17, 1977).  ``KStructure.hyperinvariant``
-  walks the tuples once per analysis, and hinv and chinv share its members.
+  walks the tuples once per analysis, and hinv and chinv share its members
+  and their Lattice (``hyperinvariant_lattice``, closure re-checked once).
   Each member is re-verified in component coordinates against a basis of
   the centralizer Z(A_i) of the restriction A_i.  That certifies the
   direct sum against Z(A): every X commuting with A commutes with
@@ -37,14 +38,14 @@ Reports carry provenance notes describing the fact used at each step.
 """
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import compress, product
 from math import prod
 from random import Random
 
 from .centralizer import centralizer_basis, is_hyperinvariant
 from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
-from .matrix import Matrix, mat_vec, minimal_polynomial, rank
+from .matrix import Matrix, mat_vec, minimal_polynomial, row_kernel
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
@@ -172,20 +173,32 @@ def _unit_span(ks, seed):
         L = tuple(Z.combination(c) for c in kernel_basis(Matrix(K, conditions)).basis)
     if len(L) != Z.dim - len(conditions):
         raise InvariantError("unit-span conditions are not independent")
-    rng, units = Random(seed), []  # units by their coordinates in L
-    for _ in range(UNIT_DRAWS):
-        c = [rng.randrange(2) for _ in L]
-        if rank(sum((B for B, x in zip(L, c) if x), Matrix.zeros(K, m))) == m:
-            units.append(c)
-            if span(units, K, len(L)).dim == len(L):
-                return L
+    units = []  # units by their coordinates in L
+    for c in _unit_draws(L, K, m, seed):
+        units.append(c)
+        if span(units, K, len(L)).dim == len(L):
+            return L
     raise UndecidedError(
         f"undecided at this scale: {UNIT_DRAWS} seeded draws found units spanning "
         f"{span(units, K, len(L)).dim} of the {len(L)} dimensions of the unit span"
     )
 
 
-def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None):
+def _unit_draws(L, K, m, seed):
+    """In draw order, the coordinates c of the seeded draws sum c_t L_t (m x m,
+    over K = GF(2)) that are units: XORs of the L_t packed row-major in ints."""
+    kern, mask, rng = row_kernel(K), (1 << m) - 1, Random(seed)
+    packed = [kern.encode([e for row in B.rows for e in row]) for B in L]
+    for _ in range(UNIT_DRAWS):
+        c = [rng.randrange(2) for _ in L]
+        x = 0
+        for B in compress(packed, c):
+            x ^= B
+        if len(kern.echelon([x >> i * m & mask for i in range(m)], m)[0]) == m:
+            yield c
+
+
+def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None, shared=None):
     """The direct sums W_1 + ... + W_r, one W_c from each factor: the sorted
     member tuple, its aligned flags, and (within ``detail_cap``) the Lattice.
 
@@ -196,11 +209,13 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
     sums are taken summand by summand: the product is closed once every
     factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
     (prod M_c)^2), and its covers are the pairs of tuples that differ in
-    one summand only, where they are a cover of that factor.
+    one summand only, where they are a cover of that factor.  ``shared[c]``,
+    when given and not None, returns the c-th factor's Lattice already built.
     """
     lats = None
     if detail_cap is None or prod(map(len, factors)) <= detail_cap:
-        lats = [build_lattice(f, flags=fl) for f, fl in zip(factors, factor_flags)]
+        lats = [get() if get else build_lattice(f, flags=fl)
+                for f, fl, get in zip(factors, factor_flags, shared or [None] * len(factors))]
         factors = [lat.members for lat in lats]
     rows = [[embed(c, w) for w in f] for c, f in enumerate(factors)]
     tuples = {}
@@ -245,7 +260,8 @@ def _report(kind, A, ana, sum_note, component):
     ``component(ca, provenance, notes)`` appends its provenance and notes and
     returns, in the component's own coordinates, its members, their flags
     (a dict, or None), ``finite`` (True, None when the lattice is finite but
-    over a cap, False) and whether the members are all of its lattice.  The
+    over a cap, False), whether the members are all of its lattice, and
+    None or a function returning their Lattice built once per analysis.  The
     components combine by direct sums (``_assemble``): the whole is infinite
     if one part is, finite if every part is, and complete if every part is.
     """
@@ -253,12 +269,12 @@ def _report(kind, A, ana, sum_note, component):
     if len(ana.components) > 1:
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
-    factors, factor_flags, finites, completes = zip(*parts)
+    factors, factor_flags, finites, completes, shared = zip(*parts)
     bases = [Matrix(A.field, ca.component.subspace.basis, _raw=True) for ca in ana.components]
     members, flags, lat = _assemble(
         factors, factor_flags,
         lambda c, w: (Matrix(A.field, w.basis, _raw=True) @ bases[c]).rows if w.basis else (),
-        A.field, A.nrows, DETAIL_CAP, notes,
+        A.field, A.nrows, DETAIL_CAP, notes, shared,
     )
     finite = False if False in finites else None if None in finites else True
     return LatticeReport(
@@ -306,7 +322,7 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
                     "Jordan blocks over an infinite field); kernel chain reported"
                 )
                 finite = False
-        return [ks.k_subspace_to_f(w) for w in members], None, finite, finite is True
+        return [ks.k_subspace_to_f(w) for w in members], None, finite, finite is True, None
 
     rep = _report("invariant", A, ana, _DIRECT_SUM, component)
 
@@ -330,12 +346,12 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
         )
         # Z(A) is block diagonal over the components: checking Z(A_i) on
         # each component's members certifies their direct sums against Z(A)
-        local = ca.kstruct.hyperinvariant
+        ks = ca.kstruct
         Ai = ca.component.restriction
         Z = centralizer_basis(Ai)
-        if not all(is_hyperinvariant(W, Ai, Z) for W in local):
+        if not all(is_hyperinvariant(W, Ai, Z) for W in ks.hyperinvariant):
             raise InvariantError("engine produced a non-hyperinvariant subspace")
-        return local, None, True, True
+        return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
 
     return _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
 
@@ -378,7 +394,8 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
                 complete = False
         hset = set(local)
         flags = {w: "hyperinvariant" if w in hset else "characteristic-only" for w in members}
-        return members, flags, True, complete
+        shared = lambda: replace(ks.hyperinvariant_lattice, flags=("hyperinvariant",) * len(local))
+        return members, flags, True, complete, shared if members is local else None
 
     return _report(
         "characteristic", A, ana,

@@ -200,9 +200,10 @@ def mat_vec(M, v):
 # ----------------------------------------------------------------------
 # Row kernels: encode, echelon (RREF), reduce against RREF rows, apply a
 # matrix given by its encoded columns, multiply (matmul), evaluate a
-# polynomial (polyval), decode.  matmul(a, b, n, c, first) gives the rows of
-# AB + cE with E the rows first, first + 1, ... of I (c a field element or
-# None): A B + cI by default, and the Horner step of ``polyval``.
+# polynomial (polyval), decode, freeze (RREF rows as one hashable key) and
+# join (the row (a, b) of rows a, b).  matmul(a, b, n, c, first) gives the
+# rows of AB + cE with E the rows first, first + 1, ... of I (c a field
+# element or None): A B + cI by default, and the Horner step of ``polyval``.
 # TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
 # indices: each process builds the tables on first use, in time linear in
 # the order, and no workload uses a field between GF(9) and GF(2^16).
@@ -248,6 +249,7 @@ class _GF2Rows(_Rows):
     """GF(2): a row is an int whose bit j is coordinate j."""
 
     nonzero = bool
+    freeze = staticmethod(tuple)
 
     def matmul(self, a, b, n, c=None, first=0):
         # row i of AB: the XOR of the rows of B picked by the bits of row i of A
@@ -283,6 +285,8 @@ class _GF2Rows(_Rows):
         elements = (field.zero(), field.one())
         return tuple(elements[(v >> j) & 1] for j in range(n))
 
+    join = staticmethod(lambda a, b, n: a | b << n)
+
     def tail(self, v, n):  # the coordinates from n on, as a row
         return v >> n
 
@@ -306,6 +310,8 @@ class _ElementRows(_Rows):
 
     nonzero = any
     encode = staticmethod(list)
+    freeze = staticmethod(lambda rows: tuple(map(tuple, rows)))
+    join = staticmethod(lambda a, b, n: [*a, *b])
 
     @property
     def zero(self):

@@ -1,11 +1,14 @@
 """Canonical subspaces of F^n and finite lattices of them.
 
 A Subspace is identified by the reduced row-echelon basis of its row
-space, so equality, hashing and ordering are structural: two subspaces
-are equal iff their canonical bases agree entrywise.  Membership,
-containment, sums and intersections (the Zassenhaus stacked-basis trick)
-eliminate in the field's row kernel (``matrix.row_kernel``) on the basis
-rows, encoded once per subspace.  Enumeration walks RREF shapes (dimension,
+space, held in the encoding of the field's row kernel
+(``matrix.row_kernel``): ints for GF(2), int tuples for GF(p) and the
+table-coded GF(p^k), Fraction tuples for Q, element tuples otherwise.
+Equality and hashing are on those encoded canonical rows (two subspaces
+are equal iff the rows agree), and the element basis is decoded on
+demand, for ordering and output.  Membership, invariance, containment,
+sums and intersections (the Zassenhaus stacked-basis trick) eliminate on
+the encoded rows.  Enumeration walks RREF shapes (dimension,
 pivot-column set, free entries) on encoded rows, so every subspace appears
 exactly once; given matrices, it keeps the subspaces invariant under them,
 reducing each encoded row image against the candidate's rows.
@@ -22,7 +25,7 @@ from .errors import (
     InfiniteFieldError,
     InvariantError,
 )
-from .matrix import Matrix, mat_vec, row_kernel, rref
+from .matrix import Matrix, row_kernel, rref
 
 __all__ = [
     "Subspace",
@@ -45,28 +48,40 @@ DEFAULT_SUBSPACE_CAP = 2_000_000
 
 
 class Subspace:
-    __slots__ = ("field", "n", "basis", "pivots", "_rows")
+    __slots__ = ("field", "n", "pivots", "_rows", "_basis", "_hash")
 
     def __init__(self, field, n, basis, pivots, rows=None):
-        # internal: use span() to construct from arbitrary generators;
-        # ``rows`` is the basis in the field's row encoding, when at hand
+        # internal: use span() to construct from arbitrary generators; ``rows``
+        # (the encoded basis, frozen) keys it, and a None basis is decoded on use
         self.field = field
         self.n = n
-        self.basis = basis
         self.pivots = pivots
+        self._basis = basis
+        if rows is None:
+            kern = row_kernel(field)
+            rows = kern.freeze([kern.encode(r) for r in basis])
         self._rows = rows
+        self._hash = None
+
+    @property
+    def basis(self):
+        """The canonical (RREF) basis as tuples of field elements."""
+        if self._basis is None:
+            decode, n = row_kernel(self.field).decode, self.n
+            self._basis = tuple(decode(r, n) for r in self._rows)
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
     def is_zero(self):
-        return not self.basis
+        return not self.pivots
 
     @property
     def is_full(self):
-        return len(self.basis) == self.n
+        return len(self.pivots) == self.n
 
     def _check(self, other):
         if not isinstance(other, Subspace):
@@ -74,17 +89,10 @@ class Subspace:
         if other.field != self.field or other.n != self.n:
             raise FieldMismatchError("subspaces of different ambient spaces")
 
-    def _encoded(self):
-        """(row kernel, encoded basis rows), encoding on first use."""
-        kern = row_kernel(self.field)
-        if self._rows is None:
-            self._rows = [kern.encode(r) for r in self.basis]
-        return kern, self._rows
-
     def _residue(self, v):
         """Encoded residue of the element vector v against the basis."""
-        kern, rows = self._encoded()
-        return kern.reduce(kern.encode(v), rows, self.pivots)
+        kern = row_kernel(self.field)
+        return kern.reduce(kern.encode(v), self._rows, self.pivots)
 
     def reduce(self, v):
         """Residue of v after elimination against the canonical basis."""
@@ -98,32 +106,32 @@ class Subspace:
 
     def is_invariant_under(self, B):
         """True iff the matrix B maps this subspace into itself."""
-        nonzero = row_kernel(self.field).nonzero
-        return not any(nonzero(self._residue(mat_vec(B, row))) for row in self.basis)
+        if (B.nrows, B.ncols) != (self.n, self.n):
+            raise ValueError("matrix shape does not match ambient dimension")
+        kern, rows, piv = row_kernel(self.field), self._rows, self.pivots
+        cols = [kern.encode(c) for c in zip(*B.rows)]
+        return not any(kern.nonzero(kern.reduce(kern.apply(cols, r), rows, piv)) for r in rows)
 
     def contains(self, other):
         self._check(other)
-        kern, rows = self._encoded()
-        others = other._encoded()[1]
-        return not any(kern.nonzero(kern.reduce(w, rows, self.pivots)) for w in others)
+        kern, rows = row_kernel(self.field), self._rows
+        return not any(kern.nonzero(kern.reduce(w, rows, self.pivots)) for w in other._rows)
 
     def sum(self, other):
         self._check(other)
-        kern, rows = self._encoded()
-        return _from_rows(self.field, self.n, kern, rows + other._encoded()[1])
+        return _from_rows(self.field, self.n, row_kernel(self.field), self._rows + other._rows)
 
     def intersect(self, other):
         """Zassenhaus: rref of [U|U; W|0]; zero-left rows carry the intersection."""
         self._check(other)
-        n = self.n
-        kern = row_kernel(self.field)
-        pad = (self.field.zero(),) * n
-        stacked = [u + u for u in self.basis] + [w + pad for w in other.basis]
-        rows, piv = kern.echelon([kern.encode(r) for r in stacked], 2 * n)
+        n, kern = self.n, row_kernel(self.field)
+        join, pad = kern.join, kern.encode((self.field.zero(),) * n)
+        stacked = [join(u, u, n) for u in self._rows] + [join(w, pad, n) for w in other._rows]
+        rows, piv = kern.echelon(stacked, 2 * n)
         inter = [kern.tail(r, n) for r, p in zip(rows, piv) if p >= n]
         result = _from_rows(self.field, n, kern, inter)
         # modular law, from an independent elimination of U + W, on every call
-        total = len(kern.echelon(self._encoded()[1] + other._encoded()[1], n)[0])
+        total = len(kern.echelon(self._rows + other._rows, n)[0])
         if total + result.dim != self.dim + other.dim:
             raise InvariantError("modular law violated: intersection is wrong")
         return result
@@ -131,13 +139,15 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and other.field == self.field
+            and other._rows == self._rows
             and other.n == self.n
-            and other.basis == self.basis
+            and other.field == self.field
         )
 
     def __hash__(self):
-        return hash((self.field, self.n, self.basis))
+        if self._hash is None:
+            self._hash = hash((self.n, self._rows))
+        return self._hash
 
     def sort_key(self):
         fk = self.field.sort_key
@@ -160,7 +170,7 @@ def span(vectors, field, n):
 def _from_rows(field, n, kern, rows):
     """Canonical subspace spanned by encoded rows."""
     rows, piv = kern.echelon(rows, n)
-    return Subspace(field, n, tuple(kern.decode(r, n) for r in rows), tuple(piv), rows)
+    return Subspace(field, n, None, tuple(piv), kern.freeze(rows))
 
 
 def zero_subspace(field, n):
@@ -168,8 +178,7 @@ def zero_subspace(field, n):
 
 
 def full_space(field, n):
-    ident = Matrix.identity(field, n)
-    return Subspace(field, n, ident.rows, tuple(range(n)))
+    return Subspace(field, n, Matrix.identity(field, n).rows, tuple(range(n)))
 
 
 def kernel_basis(M):
@@ -231,7 +240,7 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
     if any(M.field != field or (M.nrows, M.ncols) != (n, n) for M in invariant_under):
         raise FieldMismatchError(f"the matrices must act on {field!r}^{n}")
     kern = row_kernel(field)
-    reduce, nonzero, apply = kern.reduce, kern.nonzero, kern.apply
+    reduce, nonzero, apply, freeze = kern.reduce, kern.nonzero, kern.apply, kern.freeze
     cols = [[kern.encode(c) for c in zip(*M.rows)] for M in invariant_under]
     # F^1 has no free entries: skip listing a possibly huge field
     elems = tuple(field.elements()) if n > 1 else ()
@@ -256,7 +265,7 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
             for combo in product(*choices):
                 rows = [c[1] for c in combo]
                 if not any(nonzero(reduce(w, rows, piv)) for c in combo for w in c[2]):
-                    yield Subspace(field, n, tuple(c[0] for c in combo), piv, rows)
+                    yield Subspace(field, n, tuple(c[0] for c in combo), piv, freeze(rows))
     if walked != total:
         raise InvariantError("enumeration miscount against the Gaussian binomial total")
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from invlat.decomposition import (
 from invlat.errors import InseparableFactorError
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
-from invlat.poly import factor, parse_poly
+from invlat.poly import Poly, factor, parse_poly
 from invlat.subspace import image_basis, kernel_basis, span
 
 from fixtures import (
@@ -284,3 +285,54 @@ def test_k_structure_kernel_and_image_chains():
         # sizes >= j count dim ker N^j - dim ker N^(j-1)
         for j in range(1, len(powers)):
             assert sum(1 for t in ks.segre if t >= j) == ks.kernels[j].dim - ks.kernels[j - 1].dim
+
+
+def _unit_triangular_conjugator(field, n, rng):
+    """L U with L, U unit triangular, entries in {-1, 0, 1}: invertible."""
+    L = Matrix(field, [[1 if i == j else rng.randrange(-1, 2) if j < i else 0
+                        for j in range(n)] for i in range(n)])
+    U = Matrix(field, [[1 if i == j else rng.randrange(-1, 2) if j > i else 0
+                        for j in range(n)] for i in range(n)])
+    return L @ U
+
+
+def test_jordan_chevalley_laws_on_several_components_hypothesis():
+    # the global q of analyze_operator splits A = S + N on operators with two
+    # or three primary components, and agrees with each component's S_i
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factors = {
+        QQ: ("x", "x-1", "x+2", "x^2+1", "x^2-2", "x^2+x+1"),
+        F2: ("x", "x+1", "x^2+x+1"),
+        F3: ("x", "x+1", "x+2", "x^2+1"),
+        FiniteField(5, 1): ("x", "x+1", "x+3", "x^2+2"),
+    }
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        field = data.draw(st.sampled_from(list(factors)))
+        texts = data.draw(st.lists(st.sampled_from(factors[field]), min_size=2, max_size=3,
+                                   unique=True))
+        ps = [parse_poly(t, field) for t in texts]
+        sizes = [data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)) for _ in ps]
+        n = sum(p.degree * sum(ts) for p, ts in zip(ps, sizes))
+        hypothesis.assume(n <= 9)
+        A0 = block_diag(field, [companion(p ** t) for p, ts in zip(ps, sizes) for t in ts])
+        P = _unit_triangular_conjugator(field, n, random.Random(data.draw(st.integers(0, 999))))
+        A = P @ A0 @ inverse(P)
+        hint = [(p, max(ts)) for p, ts in zip(ps, sizes)] if field == QQ else None
+        ana = analyze_operator(A, hint=hint)
+        S, N = ana.S, ana.N
+        assert S + N == A and S @ N == N @ S and (N ** n).is_zero
+        one = Poly.one(field)
+        assert poly_at_matrix(prod(ps, start=one), S).is_zero  # S is semisimple
+        expected = prod((p ** max(ts) for p, ts in zip(ps, sizes)), start=one)
+        assert ana.min_poly == expected and len(ana.components) == len(ps)
+        for ca in ana.components:
+            V, jc = ca.component.subspace, ca.jc
+            assert jc.S + jc.N == ca.component.restriction and jc.S @ jc.N == jc.N @ jc.S
+            SV = S @ Matrix.from_cols(field, V.basis)  # S on V_i, in V_i's coordinates
+            assert Matrix(field, [SV.rows[c] for c in V.pivots]) == jc.S
+
+    check()

@@ -236,7 +236,7 @@ def test_chinv_without_certified_units_is_incomplete(monkeypatch):
     # only the hyperinvariant members are reported, never a guessed list
     import invlat.lattices
 
-    monkeypatch.setattr(invlat.lattices, "rank", lambda M: 0)
+    monkeypatch.setattr(invlat.lattices, "_unit_draws", lambda L, K, m, seed: iter(()))
     rep = chinv_lattice(GOLD_4_A)
     assert rep.complete is False and rep.finite is True
     assert rep.notes == (
@@ -456,3 +456,66 @@ def test_fhl_walk_refuses_two_tuples_with_one_subspace(monkeypatch):
     monkeypatch.setitem(vars(ks), "kernels", tuple(kernels))
     with pytest.raises(InvariantError, match="tuples give one subspace"):
         ks.hyperinvariant
+
+
+def _matrix_sum_draws(L, K, m, seed, draws):
+    """Reference for ``_unit_draws``: each draw summed as a Matrix of field
+    elements, its rank taken by ``matrix.rank``."""
+    rng, accepted = random.Random(seed), []
+    for _ in range(draws):
+        c = [rng.randrange(2) for _ in L]
+        if rank(sum((B for B, x in zip(L, c) if x), Matrix.zeros(K, m))) == m:
+            accepted.append(c)
+    return accepted
+
+
+def test_encoded_unit_draws_match_the_matrix_sums(monkeypatch):
+    # the first DRAWS of each seed's stream: the element-level reference
+    # costs about a millisecond a draw
+    import invlat.lattices
+
+    rng = random.Random(107)
+    witnesses = [s for n in range(1, 9) for s in _partitions(n) if shoda_witness(s)]
+    assert len(witnesses) == 15
+    spans = []
+    for sizes in witnesses:
+        A = _conjugated_primary(F2, Matrix.zeros(F2, 1), sizes, rng)
+        ks = analyze_operator(A).components[0].kstruct
+        spans.append((sizes, invlat.lattices._unit_span(ks, 0), ks.nk.nrows))
+    DRAWS = 40
+    monkeypatch.setattr(invlat.lattices, "UNIT_DRAWS", DRAWS)
+    for sizes, L, m in spans:
+        for seed in range(21):
+            got = list(invlat.lattices._unit_draws(L, F2, m, seed))
+            assert got == _matrix_sum_draws(L, F2, m, seed, DRAWS), (sizes, seed)
+            assert 0 < len(got) < DRAWS, (sizes, seed)  # both outcomes are tested
+
+
+def test_component_lattice_is_built_once_per_analysis(monkeypatch):
+    # hinv and chinv share each non-witness component's Lattice; a witness
+    # component's characteristic lattice is its own
+    import invlat.decomposition
+
+    built = []
+
+    def counted(members, flags=None):
+        built.append(len(members))
+        return build_lattice(members, flags)
+
+    monkeypatch.setattr(invlat.lattices, "build_lattice", counted)
+    monkeypatch.setattr(invlat.decomposition, "build_lattice", counted)
+    x2 = companion(parse_poly("x^2+1", QQ))
+    for A, witnesses in (
+        (block_diag(QQ, [GOLD_RAT_A, x2, Matrix(QQ, [[2]])]), 0),
+        (block_diag(F3, [companion(parse_poly("x^2", F3)), Matrix(F3, [[1]])]), 0),
+        (block_diag(F2, [GOLD_4_A, GOLD_8_A]), 1),
+    ):
+        ana = analyze_operator(A)
+        built.clear()
+        hinv = hinv_lattice(A, analysis=ana)
+        chinv = chinv_lattice(A, analysis=ana)
+        assert len(built) == len(ana.components) + witnesses
+        assert hinv.lattice is not None and chinv.lattice is not None
+        if not witnesses:
+            assert chinv.lattice.members == hinv.lattice.members
+            assert chinv.lattice.covers == hinv.lattice.covers

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -510,3 +511,63 @@ def test_minimal_polynomial_keeps_its_certificate(field, monkeypatch):
     monkeypatch.setattr(matrix, "poly_lcm", dropping)
     with pytest.raises(InvariantError, match="minimal polynomial self-check"):
         minimal_polynomial(_shift(field, 12))
+
+
+def test_minimal_polynomial_divides_the_characteristic_polynomial_hypothesis():
+    # over Q and GF(p), on integral conjugates of block diagonals with
+    # repeated blocks (so m_A is often a proper divisor of the characteristic
+    # polynomial), against sympy: its characteristic polynomial, and its
+    # least-degree monic divisor of it that annihilates A
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st, x = hypothesis.strategies, sympy.Symbol("x")
+
+    def sympy_minimal_polynomial(ints, p):
+        M = sympy.Matrix(ints)
+        I = sympy.eye(M.rows)
+        domain = {"modulus": p} if p else {"domain": "QQ"}
+        chi = sympy.Poly(M.charpoly(x).as_expr(), x, **domain)
+        _, parts = chi.factor_list()
+        best = chi
+        for exps in product(*(range(k + 1) for _, k in parts)):
+            f = sympy.Poly(1, x, **domain)
+            for (g, _), e in zip(parts, exps):
+                f = f * g**e
+            value = sympy.zeros(M.rows)
+            for c in f.all_coeffs():  # Horner's rule, highest coefficient first
+                value = value * M + c * I
+            if all((v % p if p else v) == 0 for v in value) and f.degree() < best.degree():
+                best = f
+        return chi, best.monic()
+
+    def to_poly(f, field, p):
+        coeffs = reversed(f.all_coeffs())
+        if p:
+            return Poly(field, tuple(field.element(int(c) % p) for c in coeffs))
+        return Poly(field, tuple(Fraction(int(c.p), int(c.q)) for c in coeffs))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from((0, 2, 3, 5)))
+        field = gf_build(p) if p else QQ
+        entry = st.integers(-2, 2)
+        blocks = []
+        for size, copies in data.draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)),
+                                               min_size=1, max_size=3)):
+            B = Matrix(QQ, data.draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                                              min_size=size, max_size=size)))
+            blocks += [B] * copies
+        D = block_diag(QQ, blocks)
+        n, rng = D.nrows, random.Random(data.draw(st.integers(0, 999)))
+        L = Matrix(QQ, [[1 if i == j else rng.randrange(-1, 2) if j < i else 0
+                         for j in range(n)] for i in range(n)])
+        P = L @ Matrix(QQ, tuple(zip(*L.rows)))  # L L^T: unimodular, so A stays integral
+        ints = [[int(e) for e in row] for row in (P @ D @ inverse(P)).rows]
+        m = minimal_polynomial(Matrix(field, ints))
+        chi, ref = sympy_minimal_polynomial(ints, p)
+        chi, ref = to_poly(chi, field, p), to_poly(ref, field, p)
+        assert (chi % m).is_zero
+        assert m == ref
+
+    check()

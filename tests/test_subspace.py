@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -10,8 +11,8 @@ from invlat.errors import (
     InfiniteFieldError,
     InvariantError,
 )
-from invlat.fields import QQ, gf_build
-from invlat.matrix import Matrix
+from invlat.fields import QQ, ExtensionField, gf_build
+from invlat.matrix import TABLE_LIMIT, Matrix, _ElementRows, row_kernel, rref
 from invlat.subspace import (
     Subspace,
     build_lattice,
@@ -250,3 +251,51 @@ def test_labels():
     assert subspace_label(zero_subspace(F2, 3)) == "0"
     assert subspace_label(full_space(F2, 3)) == "V"
     assert subspace_label(span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)) == "<e2+e4, e3>"
+
+
+IDENTITY_FIELDS = [
+    (F2, 3), (F3, 3), (gf_build(2, 2), 3), (gf_build(3, 2), 3),
+    (gf_build(2, 9), 2),  # beyond TABLE_LIMIT: the element-list kernel
+    (QQ, 3), (ExtensionField((-2, 0, 1)), 3),  # Q[t]/(t^2 - 2)
+]
+
+
+@pytest.mark.parametrize("field, n", IDENTITY_FIELDS, ids=lambda x: repr(x)[:24])
+def test_subspace_identity_on_every_row_kernel(field, n):
+    # whichever construction made them, two subspaces are equal, and hash
+    # equal, exactly when their decoded bases are
+    if field.is_finite:
+        entries = list(field.elements())[:4] + [field.zero()] * 3
+    else:
+        entries = [field.element(v) for v in (0, 0, 0, 1, -1, 2, Fraction(1, 2))]
+        if field != QQ:
+            entries.append(field.generator())
+    rng = random.Random(12)
+
+    def reduced(rows):  # eagerly decoded RREF rows and pivots, for comparison
+        R, rk, piv = rref(Matrix(field, rows)) if rows else (None, 0, ())
+        return (R.rows[:rk] if rk else ()), piv
+
+    spans = []
+    for _ in range(40):
+        gens = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+        W = span(gens, field, n)
+        assert (W.basis, W.pivots) == reduced(gens)
+        spans.append(W)
+    sums = [U.sum(W) for U, W in zip(spans, spans[1:])]
+    for S, U, W in zip(sums, spans, spans[1:]):
+        assert (S.basis, S.pivots) == reduced(U.basis + W.basis)
+    made = spans + sums + [U.intersect(W) for U, W in zip(spans, spans[2:])]
+    made += [zero_subspace(field, n), full_space(field, n)]
+    made += [Subspace(field, n, W.basis, W.pivots) for W in made]  # from a basis alone
+    if field.is_finite:
+        made += enumerate_all_subspaces(field, n)
+    if field.is_finite and field.order > TABLE_LIMIT:
+        assert type(row_kernel(field)) is _ElementRows
+    first = {}
+    for W in made:
+        U = first.setdefault(W.basis, W)
+        assert U == W and hash(U) == hash(W)
+    assert len(set(made)) == len(first)
+    distinct = list(first.values())
+    assert all(U != W for U, W in combinations(distinct, 2))
