@@ -25,14 +25,14 @@ before a value is returned.
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import prod
+from math import inf, prod
 
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
 from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
-from .subspace import (Subspace, build_lattice, full_space, image_basis, kernel_basis, span,
-                       zero_subspace)
+from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
+                       kernel_basis, span, zero_subspace)
 
 __all__ = [
     "PrimaryComponent",
@@ -210,7 +210,8 @@ class KStructure:
     generators over K (each chain listed generator first), and ``kernels``
     / ``images`` the K-subspaces ker N_K^j / im N_K^j for j = 0, ..., r
     (N_K^r = 0): every lattice is read off these, so the powers of N_K are
-    formed here once.
+    formed here once.  ``invariant`` (inv's walk, which chinv filters) and
+    ``hyperinvariant`` are formed once per analysis, on first use.
     """
 
     s: int
@@ -297,6 +298,13 @@ class KStructure:
         if len(members) != len(walk):
             raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
         return tuple(self.k_subspace_to_f(W) for W in members)
+
+    @cached_property
+    def invariant(self):
+        """The N_K-invariant K-subspaces (K finite) as F-subspaces, in walk order:
+        walked once per analysis, after the caller has checked its cap."""
+        walk = enumerate_all_subspaces(self.field_k, self.k_dim, inf, [self.nk])
+        return tuple(self.k_subspace_to_f(W) for W in walk)
 
     @cached_property
     def hyperinvariant_lattice(self):

@@ -5,10 +5,10 @@ K = F[S] attached to that component's semisimple part, from the kernel
 and image chains of N_K that ``build_k_structure`` formed once:
 
 * invariant subspaces of the component operator are exactly the
-  K-subspaces invariant under the nilpotent part N_K -- enumerated when K
-  is finite and small enough, given by the kernel chain when N_K is
-  cyclic, and provably an infinite family otherwise (two or more Jordan
-  blocks over an infinite field);
+  K-subspaces invariant under the nilpotent part N_K -- walked once when K
+  is finite and small enough (``KStructure.invariant``), the kernel chain,
+  which is the hyperinvariant lattice, when N_K is cyclic, and provably an
+  infinite family otherwise (two or more Jordan blocks over an infinite field);
 * hyperinvariant subspaces over K are the closure of the kernel and image
   chains of N_K under sum and intersection, read off in closed form: with
   t_1 < ... < t_m the distinct block sizes of N_K they are the sums
@@ -25,9 +25,9 @@ and image chains of N_K that ``build_k_structure`` formed once:
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
-  decides whether extra members can exist, and if so they are the
-  K-subspaces invariant under the span of the units of Z(N_K), enumerated
-  as for ``inv``; that span is read off the kernel chain in closed form and
+  decides whether extra members can exist, and if so they are the members
+  of inv's walk that the span of the units of Z(N_K) preserves (it holds
+  N_K); that span is read off the kernel chain in closed form and
   certified by seeded units (``_unit_span``), so no unit group is walked.
 
 Each lattice is a rule for one component, run on every component by one
@@ -51,7 +51,6 @@ from .subspace import (
     DEFAULT_SUBSPACE_CAP,
     Lattice,
     build_lattice,
-    enumerate_all_subspaces,
     kernel_basis,
     span,
     subspace_count,
@@ -118,8 +117,7 @@ class LatticeReport:
     tells whether ``members`` holds every member (when False it is a
     sublattice only).  ``lattice`` carries the Hasse structure and is
     built only when the member count is within the detail cap; the
-    member list itself is always present.  ``member_predicate``, when
-    set, decides membership of arbitrary subspaces of F^n.
+    member list itself is always present.
     """
 
     kind: str
@@ -131,7 +129,6 @@ class LatticeReport:
     provenance: tuple
     notes: tuple = ()
     member_flags: tuple = None
-    member_predicate: object = None
 
     def member_set(self):
         return set(self.members)
@@ -300,38 +297,31 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            members = enumerate_all_subspaces(ks.nk.field, ks.nk.nrows, cap_subspaces, [ks.nk])
-            finite = True
-        else:  # the kernel chain: all of the lattice when N_K is cyclic, a part otherwise
-            members = ks.kernels  # strictly increasing, so no repeats
-            if len(ks.segre) <= 1:
-                provenance.append(
-                    f"component {pname}: nilpotent part is cyclic over K, "
-                    "so its invariant subspaces form the kernel chain"
-                )
-                finite = True
-            elif ks.field_k.is_finite:
-                notes.append(
-                    f"component {pname}: finite lattice not materialized "
-                    f"(subspace count exceeds cap {cap_subspaces}); kernel chain reported"
-                )
-                finite = None
-            else:
-                notes.append(
-                    f"component {pname}: infinitely many invariant subspaces (several "
-                    "Jordan blocks over an infinite field); kernel chain reported"
-                )
-                finite = False
-        return [ks.k_subspace_to_f(w) for w in members], None, finite, finite is True, None
+            return ks.invariant, None, True, True, None
+        if len(ks.segre) <= 1:  # the kernel chain, which is the hyperinvariant lattice
+            provenance.append(
+                f"component {pname}: nilpotent part is cyclic over K, "
+                "so its invariant subspaces form the kernel chain"
+            )
+            return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
+        if ks.field_k.is_finite:  # the kernel chain is a part of the lattice
+            notes.append(
+                f"component {pname}: finite lattice not materialized "
+                f"(subspace count exceeds cap {cap_subspaces}); kernel chain reported"
+            )
+            finite = None
+        else:
+            notes.append(
+                f"component {pname}: infinitely many invariant subspaces (several "
+                "Jordan blocks over an infinite field); kernel chain reported"
+            )
+            finite = False
+        return [ks.k_subspace_to_f(w) for w in ks.kernels], None, finite, False, None
 
     rep = _report("invariant", A, ana, _DIRECT_SUM, component)
-
-    def predicate(W):
-        return W.is_invariant_under(A)
-
-    if not all(predicate(s) for s in rep.members):
+    if not all(W.is_invariant_under(A) for W in rep.members):
         raise InvariantError("engine produced a non-invariant subspace")
-    return replace(rep, member_predicate=predicate)
+    return rep
 
 
 def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
@@ -381,11 +371,13 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
                 "each of multiplicity one and gap >= 2: characteristic non-hyperinvariant "
                 "subspaces exist; found by exhaustive invariant-subspace filtering"
             )
-            try:  # L holds I and N_K, so its invariant subspaces are A_i-invariant
-                next(enumerate_all_subspaces(ks.field_k, ks.k_dim, cap_subspaces))  # cap first
+            if ks.s != 1 or ks.f_basis != Matrix.identity(ks.field_k, ks.k_dim):  # F = K
+                raise InvariantError("K = GF(2) must give s = 1 and the standard K-basis")
+            try:  # L holds N_K: its invariant subspaces are those of inv's walk it keeps
+                if (total := subspace_count(ks.k_dim, 2)) > cap_subspaces:  # before unit work
+                    raise CapExceededError(f"subspace count {total} exceeds cap {cap_subspaces}")
                 L = _unit_span(ks, seed)
-                members = [ks.k_subspace_to_f(w) for w in
-                           enumerate_all_subspaces(ks.field_k, ks.k_dim, cap_subspaces, L)]
+                members = [W for W in ks.invariant if all(W.is_invariant_under(B) for B in L)]
             except (CapExceededError, UndecidedError) as exc:
                 notes.append(
                     f"component {pname}: characteristic-only portion not computed at this "

@@ -23,8 +23,8 @@ digits of each product.  Over Q each operand is scaled to ints by the lcm
 of its denominators, and Horner's rule runs on ints (A = A'/d, L the lcm of
 the coefficient denominators: L d^D f(A) = sum_k L c_k d^(D-k) A'^k), with
 one division at the end.  Q[t]/(m) and larger GF(p^k) keep the element
-loop.  ``minimal_polynomial`` evaluates m(A) at the whole matrix once, to
-certify its result.
+loop.  ``minimal_polynomial`` grows one Krylov echelon per basis vector on
+encoded rows, and evaluates m(A) at the whole matrix once, to certify it.
 """
 
 from bisect import bisect
@@ -198,12 +198,12 @@ def mat_vec(M, v):
 
 
 # ----------------------------------------------------------------------
-# Row kernels: encode, echelon (RREF), reduce against RREF rows, apply a
-# matrix given by its encoded columns, multiply (matmul), evaluate a
-# polynomial (polyval), decode, freeze (RREF rows as one hashable key) and
-# join (the row (a, b) of rows a, b).  matmul(a, b, n, c, first) gives the
-# rows of AB + cE with E the rows first, first + 1, ... of I (c a field
-# element or None): A B + cI by default, and the Horner step of ``polyval``.
+# Row kernels: encode, echelon (RREF), reduce against the unit-pivot rows of
+# an echelon form, apply a matrix given by its encoded columns, multiply
+# (matmul), evaluate a polynomial (polyval), decode, freeze (RREF rows as one
+# hashable key) and join (the row (a, b) of rows a, b).  matmul(a, b, n, c,
+# first) gives the rows of AB + cE with E the rows first, first + 1, ... of
+# I (c a field element or None): A B + cI by default, and the Horner step.
 # TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
 # indices: each process builds the tables on first use, in time linear in
 # the order, and no workload uses a field between GF(9) and GF(2^16).
@@ -621,46 +621,40 @@ def poly_at_matrix(f, A):
 
 
 def minimal_polynomial(A):
-    """Least-degree monic m with m(A) = 0.
-
-    Computed as the lcm over standard basis vectors of the annihilator of
-    each Krylov sequence e, Ae, A^2 e, ...; a vector the current m already
-    annihilates is skipped, and the result is re-verified by evaluating it
-    at A once.
-    """
+    """Least-degree monic m with m(A) = 0: the lcm of the annihilators of the
+    e_i that the m so far does not annihilate.  The rows (A^j e_i | e_j) are
+    reduced in turn into one echelon of unit-pivot rows, A^(j+1) e_i being one
+    ``matmul`` row on A^T, encoded once; the first whose left part vanishes
+    holds the annihilator of e_i in its right part.  m is re-verified at A."""
     if not A.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     field = A.field
     n = A.nrows
     kern = row_kernel(field)
     at = [kern.encode(c) for c in zip(*A.rows)]  # m(A) e_i is row i of m(A^T)
+    zero, one = field.zero(), field.one()
+    tags = [kern.encode([one if k == j else zero for k in range(n + 1)]) for j in range(n + 1)]
     m = Poly.one(field)
     for i in range(n):
         if m.degree == n:
             break
         if not kern.nonzero(kern.polyval(m.coeffs, at, n, i, 1)[0]):
             continue
-        e = tuple(field.one() if j == i else field.zero() for j in range(n))
-        m = poly_lcm(m, _krylov_annihilator(A, e))
+        v = kern.encode([one if k == i else zero for k in range(n)])  # A^j e_i
+        rows, pivots = [], []
+        for tag in tags:
+            r = kern.reduce(kern.join(v, tag, n), rows, pivots)
+            (r,), (c,) = kern.echelon([r], 2 * n + 1)  # scaled to a unit pivot, at c
+            if c >= n:  # A^j e_i depends on the A^k e_i, k < j
+                break
+            k = bisect(pivots, c)
+            rows.insert(k, r)
+            pivots.insert(k, c)
+            v = kern.matmul([v], at, n)[0]
+        m = poly_lcm(m, Poly(field, kern.decode(kern.tail(r, n), n + 1)).monic())
     if not poly_at_matrix(m, A).is_zero:
         raise InvariantError("minimal polynomial self-check failed")
     return m
-
-
-def _krylov_annihilator(A, v):
-    """Monic least-degree g with g(A) v = 0."""
-    field = A.field
-    vecs = [v]
-    while True:
-        w = mat_vec(A, vecs[-1])
-        K = Matrix.from_cols(field, vecs)
-        try:
-            x = solve(K, w)
-        except InconsistentSystemError:
-            vecs.append(w)
-            continue
-        coeffs = tuple(-c for c in x) + (field.one(),)
-        return Poly(field, coeffs)
 
 
 def companion(p):

@@ -8,9 +8,10 @@ Besides ring arithmetic this module provides monic gcd, separability
 testing, and full factorization: over a finite field by squarefree
 decomposition + distinct-degree splitting + seeded Cantor-Zassenhaus,
 over Q by squarefree decomposition + rational-root extraction for the
-easy degrees, with a verified user hint for anything harder.  The
-rational-root search refuses (CapExceededError) integer end coefficients
-beyond ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
+easy degrees, with a verified user hint for anything harder (a quadratic
+is checked by its discriminant, with no search).  The rational-root search
+refuses (CapExceededError) integer end coefficients beyond
+ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
 """
 
 import random
@@ -265,8 +266,8 @@ def is_irreducible(f):
     """Irreducibility over the polynomial's own field.
 
     Finite fields: one distinct-degree pass finds no factor of degree at
-    most deg f / 2.  Q: decided for degree <= 3 via rational roots; larger
-    degrees raise (callers use factorization hints there).
+    most deg f / 2.  Q: degree 2 by its discriminant, degree 3 via rational
+    roots; larger degrees raise (callers use factorization hints there).
     """
     if f.degree < 1:
         return False
@@ -276,7 +277,11 @@ def is_irreducible(f):
     if isinstance(fld, FiniteField):
         return _distinct_degree_split(f) == [(f, f.degree)]
     if isinstance(fld, RationalField):
-        if f.degree <= 3:
+        if f.degree == 2:  # irreducible iff b^2 - 4ac is not a rational square
+            c, b, a = f.coeffs
+            d = b * b - 4 * a * c
+            return d < 0 or any(isqrt(x) ** 2 != x for x in (d.numerator, d.denominator))
+        if f.degree == 3:
             return not _rational_roots(f)
         raise ValueError("irreducibility over QQ undecided for degree > 3; supply a hint")
     raise TypeError(f"irreducibility test unsupported over {fld!r}")

@@ -363,6 +363,19 @@ def test_root_search_pair_cap_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and "divisor pairs" in err
 
 
+def test_hinted_quadratic_passes_the_root_search_refusal(tmp_path, capsys):
+    # the hinted factor's irreducibility is read off its discriminant, so the
+    # input refused above without a hint is analyzed with one
+    inp = write_matrix(tmp_path, companion(Poly(QQ, (1, Fraction(1, 963761198400), 1))))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["--input", inp, "--command", "analyze",
+                 "--hint", '[["x^2+1/963761198400x+1",1]]']) == 0
+    assert time.perf_counter() - t0 < 2
+    factors = json.loads(capsys.readouterr().out)["factorization"]["factors"]
+    assert factors == [["x^2+1/963761198400x+1", 1]]
+
+
 def test_inseparable_trusted_hint_exit_code(tmp_path, capsys):
     # the trusted degree-4 hint (x^2+1)^2 is not separable: no Jordan-Chevalley
     # split may be reported for it

@@ -64,7 +64,7 @@ def test_inv_lattice_infinite_case_two_blocks_over_extension():
     # two visibly distinct invariant lines witness the infinite family
     w1 = span([(1, 0, 0, 0), (0, 1, 0, 0)], QQ, 4)
     w2 = span([(0, 0, 1, 0), (0, 0, 0, 1)], QQ, 4)
-    assert rep.member_predicate(w1) and rep.member_predicate(w2)
+    assert w1.is_invariant_under(A) and w2.is_invariant_under(A)
 
 
 HINV_8 = None
@@ -201,8 +201,8 @@ def test_multi_component_chinv_direct_sum():
 def test_inv_lattice_members_all_invariant_by_construction():
     rep = inv_lattice(GOLD_8_A)
     assert rep.finite is True
-    # spot totals: every member passes the predicate (engine asserts too)
-    assert all(rep.member_predicate(w) for w in rep.members)
+    # spot totals: every member is invariant (engine asserts too)
+    assert all(w.is_invariant_under(GOLD_8_A) for w in rep.members)
 
 
 def test_chinv_incomplete_notes_pinned():
@@ -492,8 +492,9 @@ def test_encoded_unit_draws_match_the_matrix_sums(monkeypatch):
 
 
 def test_component_lattice_is_built_once_per_analysis(monkeypatch):
-    # hinv and chinv share each non-witness component's Lattice; a witness
-    # component's characteristic lattice is its own
+    # hinv and chinv share each non-witness component's Lattice, and inv shares
+    # it where N_K is cyclic and inv reports the kernel chain; a witness
+    # component's characteristic lattice and an enumerated one are their own
     import invlat.decomposition
 
     built = []
@@ -505,17 +506,48 @@ def test_component_lattice_is_built_once_per_analysis(monkeypatch):
     monkeypatch.setattr(invlat.lattices, "build_lattice", counted)
     monkeypatch.setattr(invlat.decomposition, "build_lattice", counted)
     x2 = companion(parse_poly("x^2+1", QQ))
-    for A, witnesses in (
-        (block_diag(QQ, [GOLD_RAT_A, x2, Matrix(QQ, [[2]])]), 0),
-        (block_diag(F3, [companion(parse_poly("x^2", F3)), Matrix(F3, [[1]])]), 0),
-        (block_diag(F2, [GOLD_4_A, GOLD_8_A]), 1),
+    for A, witnesses, inv_own in (
+        (block_diag(QQ, [GOLD_RAT_A, x2, Matrix(QQ, [[2]])]), 0, 1),  # blocks (2,1) over Q(i)
+        (block_diag(QQ, [GOLD_RAT_A, Matrix(QQ, [[2]])]), 0, 0),  # every N_K cyclic
+        (block_diag(F3, [companion(parse_poly("x^2", F3)), Matrix(F3, [[1]])]), 0, 2),
+        (block_diag(F2, [GOLD_4_A, GOLD_8_A]), 1, 0),  # inv over the detail cap builds none
     ):
         ana = analyze_operator(A)
         built.clear()
         hinv = hinv_lattice(A, analysis=ana)
         chinv = chinv_lattice(A, analysis=ana)
-        assert len(built) == len(ana.components) + witnesses
+        inv = inv_lattice(A, analysis=ana)
+        assert len(built) == len(ana.components) + witnesses + inv_own
         assert hinv.lattice is not None and chinv.lattice is not None
         if not witnesses:
             assert chinv.lattice.members == hinv.lattice.members
             assert chinv.lattice.covers == hinv.lattice.covers
+            assert inv.lattice is not None
+        if all(len(ca.kstruct.segre) == 1 for ca in ana.components):
+            assert inv.lattice.members == hinv.lattice.members
+            assert inv.lattice.covers == hinv.lattice.covers
+
+
+def test_one_analysis_walks_a_witness_component_once(monkeypatch):
+    # chinv keeps the members of inv's walk that the unit span L preserves,
+    # with no walk or cap probe of its own
+    import sys
+
+    from invlat import subspace
+
+    walks = []
+
+    def counted(*args, **kwargs):
+        walks.append(args[:2])
+        return real(*args, **kwargs)
+
+    real = subspace.enumerate_all_subspaces
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invlat.") and getattr(mod, "enumerate_all_subspaces", None) is real:
+            monkeypatch.setattr(mod, "enumerate_all_subspaces", counted)
+    ana = analyze_operator(GOLD_4_A)
+    inv, _, chinv = (fn(GOLD_4_A, analysis=ana)
+                     for fn in (inv_lattice, hinv_lattice, chinv_lattice))
+    assert walks == [(F2, 4)]
+    assert chinv.complete and chinv.member_flags.count("characteristic-only") == 1
+    assert set(chinv.members) <= set(inv.members)

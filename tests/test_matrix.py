@@ -513,6 +513,84 @@ def test_minimal_polynomial_keeps_its_certificate(field, monkeypatch):
         minimal_polynomial(_shift(field, 12))
 
 
+def _reference_annihilator(A, v):
+    """Monic least-degree g with g(A) v = 0: the Krylov matrix (v, Av, ...)
+    re-solved from scratch at each step, as minimal_polynomial once did."""
+    vecs = [v]
+    while True:
+        w = mat_vec(A, vecs[-1])
+        try:
+            x = solve(Matrix.from_cols(A.field, vecs), w)
+        except InconsistentSystemError:
+            vecs.append(w)
+            continue
+        return Poly(A.field, tuple(-c for c in x) + (A.field.one(),))
+
+
+def _reference_minimal_polynomial(A):
+    """(m_A, the annihilators lcm'd in turn), e_i skipped when m(A) e_i = 0."""
+    field, n = A.field, A.nrows
+    m, annihilators = Poly.one(field), []
+    for i in range(n):
+        if m.degree == n:
+            break
+        if not any(poly_at_matrix(m, A).col(i)):
+            continue
+        e = tuple(field.one() if j == i else field.zero() for j in range(n))
+        annihilators.append(_reference_annihilator(A, e))
+        m = poly_lcm(m, annihilators[-1])
+    return m, annihilators
+
+
+def _minimal_polynomial_cases(field, rng):
+    one = field.one()
+    if field.is_finite:  # distinct nonzero elements
+        elements = [field.element_from_index(i) for i in range(1, min(field.order, 6))]
+    else:
+        elements = [field.element(i) for i in range(1, 6)]
+    c = elements[-1]
+    yield Matrix(field, [[c]])
+    yield Matrix.zeros(field, 4)
+    yield Matrix.identity(field, 5)
+    yield Matrix.identity(field, 4) * c
+    yield _shift(field, 6)
+    yield Matrix(field, tuple(zip(*_shift(field, 6).rows)))
+    diag = [field.zero()] + elements
+    yield Matrix(field, [[x if i == j else field.zero() for j in range(len(diag))]
+                         for i, x in enumerate(diag)])
+    C = companion(Poly(field, (c, one, one)))
+    J = Matrix(field, [[c if i == j else one if j == i + 1 else field.zero() for j in range(3)]
+                       for i in range(3)])
+    blocks = block_diag(field, [C, C, J])
+    yield blocks
+    for A in (blocks, block_diag(field, [C, Matrix.identity(field, 2) * c, _shift(field, 3)])):
+        n = A.nrows
+        L = Matrix(field, [[one if i == j else _random_entry(field, rng, 0.4) if j < i
+                            else field.zero() for j in range(n)] for i in range(n)])
+        U = Matrix(field, tuple(zip(*L.rows)))
+        P = L @ U
+        yield P @ A @ inverse(P)
+
+
+@pytest.mark.parametrize("field", [F2, F3, gf_build(2, 2), gf_build(3, 2), gf_build(2, 9), QQ,
+                                   ExtensionField((-2, 0, 1))], ids=repr)
+def test_minimal_polynomial_matches_the_krylov_re_solve(field, monkeypatch):
+    # the growing echelon gives the re-solve's annihilator for every e_i it
+    # does not skip, and so the same m_A
+    seen = []
+
+    def recording(f, g):
+        seen.append(g)
+        return poly_lcm(f, g)
+
+    monkeypatch.setattr(matrix, "poly_lcm", recording)
+    for A in _minimal_polynomial_cases(field, random.Random(71)):
+        seen.clear()
+        m, annihilators = _reference_minimal_polynomial(A)
+        assert minimal_polynomial(A) == m, A
+        assert seen == annihilators, A
+
+
 def test_minimal_polynomial_divides_the_characteristic_polynomial_hypothesis():
     # over Q and GF(p), on integral conjugates of block diagonals with
     # repeated blocks (so m_A is often a proper divisor of the characteristic

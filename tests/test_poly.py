@@ -141,6 +141,24 @@ def test_is_irreducible_matches_trial_division(p, k, top, leads):
             assert is_irreducible(f) is not reducible, f
 
 
+def test_quadratic_irreducibility_over_q_matches_the_root_search():
+    # every quadratic with coefficients p/q, |p| <= 3, q <= 2, monic or not:
+    # irreducible by its discriminant iff the rational-root search finds none
+    from invlat.poly import _rational_roots
+
+    values = sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2)})
+    discriminants = set()
+    for a, b, c in product(values, repeat=3):
+        if not a:
+            continue
+        f = Poly(QQ, (c, b, a))
+        assert is_irreducible(f) is not bool(_rational_roots(f)), f
+        discriminants.add(b * b - 4 * a * c)
+    assert Fraction(9, 4) in discriminants and Fraction(-3, 4) in discriminants
+    assert not is_irreducible(P(QQ, "x^2+1/2x-1/2"))  # discriminant 9/4
+    assert is_irreducible(P(QQ, "2x^2-1"))  # discriminant 8
+
+
 def test_factor_rationals_auto_and_hint():
     f = P(QQ, "x^2+1") ** 2
     res = factor(f)
