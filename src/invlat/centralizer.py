@@ -14,7 +14,7 @@ units; it reads their span off the Jordan structure (``lattices``).
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
-from .matrix import Matrix, rank
+from .matrix import Matrix
 from .subspace import kernel_basis
 
 __all__ = [
@@ -41,19 +41,21 @@ class CentralizerBasis:
         return len(self.elements)
 
     def combination(self, coords):
-        """The element sum_t coords[t] * elements[t] of Z(A)."""
-        acc = Matrix.zeros(self.matrix.field, self.matrix.nrows)
+        """The element sum_t coords[t] * elements[t] of Z(A), on encoded rows."""
+        field, kern, n = self.matrix.field, self.matrix.kern, self.matrix.nrows
+        acc = Matrix.zeros(field, n).enc
         for c, B in zip(coords, self.elements):
             if c:
-                acc = acc + B * c
-        return acc
+                f = kern.scalar(-c)
+                acc = [kern.submul(a, f, b) for a, b in zip(acc, B.enc)]
+        return Matrix.encoded(field, acc, n)
 
 
 def centralizer_basis(A):
     """Basis of the solution space of AX - XA = 0, reshaped to matrices."""
     if not A.is_square:
         raise ValueError("centralizer requires a square matrix")
-    field = A.field
+    field, a_rows = A.field, A.rows
     n = A.nrows
     zero = field.zero()
     # equation (i,j): sum_k A[i,k] X[k,j] - X[i,k] A[k,j] = 0; unknowns
@@ -63,19 +65,17 @@ def centralizer_basis(A):
         for j in range(n):
             coef = [zero] * (n * n)
             for k in range(n):
-                a = A.rows[i][k]
+                a = a_rows[i][k]
                 if a:
                     coef[k * n + j] = coef[k * n + j] + a
-                b = A.rows[k][j]
+                b = a_rows[k][j]
                 if b:
                     coef[i * n + k] = coef[i * n + k] - b
-            rows.append(tuple(coef))
-    system = Matrix(field, tuple(rows), _raw=True)
-    ker = kernel_basis(system)
-    mats = tuple(
-        Matrix(field, tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n)), _raw=True)
-        for v in ker.basis
-    )
+            rows.append(coef)
+    kern = A.kern
+    ker = kernel_basis(Matrix.encoded(field, list(map(kern.encode, rows)), n * n))
+    mats = tuple(Matrix.encoded(field, [kern.encode(v[i * n : (i + 1) * n]) for i in range(n)], n)
+                 for v in ker.basis)
     for B in mats:
         if A @ B != B @ A:
             raise InvariantError("centralizer solver produced a non-commuting matrix")
@@ -99,20 +99,22 @@ def unit_elements(Z, cap=DEFAULT_UNIT_CAP):
             count=total,
             cap=cap,
         )
-    n = Z.matrix.nrows
-    # c * B_t for the nonzero c; a walk over the coordinates adds one per step
-    multiples = [[B * c for c in tuple(field.elements())[1:]] for B in Z.elements]
+    kern, n = Z.matrix.kern, Z.matrix.nrows
+    # the encoded rows of c * B_t for the nonzero c; a walk over the
+    # coordinates adds one per step
+    multiples = [[(B * c).enc for c in tuple(field.elements())[1:]] for B in Z.elements]
+    minus_one = kern.scalar(-field.one())
 
     def walk(t, acc):
         if t == d:
-            if rank(acc) == n:
-                yield acc
+            if len(kern.echelon(acc, n)[0]) == n:
+                yield Matrix.encoded(field, acc, n)
             return
         yield from walk(t + 1, acc)
         for M in multiples[t]:
-            yield from walk(t + 1, acc + M)
+            yield from walk(t + 1, [kern.submul(a, minus_one, b) for a, b in zip(acc, M)])
 
-    yield from walk(0, Matrix.zeros(field, n))
+    yield from walk(0, Matrix.zeros(field, n).enc)
 
 
 def is_hyperinvariant(W, A, Z=None):

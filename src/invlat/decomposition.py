@@ -80,15 +80,15 @@ def primary_decomposition(A, factorization):
         AB = A @ Matrix.from_cols(field, V.basis)
         if not all(V.member(v) for v in zip(*AB.rows)):
             raise InvariantError("ker p(A)^k is not A-invariant")
-        Ai = Matrix(field, tuple(AB.rows[c] for c in V.pivots), _raw=True)
+        Ai = Matrix(field, [AB.rows[c] for c in V.pivots])
         # with the direct-sum check below this proves prod p^k = m_A: the
         # factors are coprime, so m_A is the lcm of the restricted ones
         if minimal_polynomial(Ai) != p**k:
             raise ValueError("factorization inconsistent with the minimal polynomial")
         comps.append(PrimaryComponent(p, k, V, Ai))
         total += V.dim
-        all_rows.extend(V.basis)
-    if total != n or span(all_rows, field, n).dim != n:
+        all_rows.extend(V.enc)
+    if total != n or Subspace.from_rows(field, n, all_rows).dim != n:
         raise ValueError("factorization inconsistent with the minimal polynomial")
     return comps
 
@@ -240,10 +240,7 @@ class KStructure:
 
     def to_f(self, w):
         """K^{n/s} coordinate vector -> F^n vector."""
-        coords = []
-        for a in w:
-            coords.extend(self._k_to_coeffs(a))
-        return mat_vec(self.f_basis, tuple(coords))
+        return mat_vec(self.f_basis, self._f_coords(w))
 
     def _k_from_coeffs(self, block):
         K = self.field_k
@@ -253,28 +250,28 @@ class KStructure:
             return K.element([c.c[0] for c in block])
         return K.element(list(block))
 
-    def _k_to_coeffs(self, a):
-        F = self.f_basis.field
+    def _f_coords(self, w):
+        """K^{n/s} coordinate vector -> its F-coordinates in the F-basis."""
         if self.s == 1:
-            return (a,)
-        return tuple(F.element(c) for c in a.c)
+            return tuple(w)
+        F = self.f_basis.field
+        return tuple(F.element(c) for a in w for c in a.c)
 
     def k_subspace_to_f(self, W):
-        """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n."""
-        K = self.field_k
-        field = self.f_basis.field
-        n = self.f_basis.nrows
-        rows = []
-        if self.s == 1:
-            rows = [self.to_f(r) for r in W.basis]
+        """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n: the
+        F-coordinates of each basis row times alpha^j (j < s), one kernel
+        product with the F-basis."""
+        fb = self.f_basis
+        kern, n = fb.kern, fb.nrows
+        if self.s == 1:  # K = F, with the same row kernel
+            coords = W.enc
         else:
-            alpha = K.generator()
+            alpha, coords = self.field_k.generator(), []
             for r in W.basis:
-                scaled = r
                 for _ in range(self.s):
-                    rows.append(self.to_f(scaled))
-                    scaled = tuple(alpha * c for c in scaled)
-        return span(rows, field, n)
+                    coords.append(kern.encode(self._f_coords(r)))
+                    r = tuple(alpha * c for c in r)
+        return Subspace.from_rows(fb.field, n, kern.matmul(coords, fb.cols, n))
 
     @cached_property
     def hyperinvariant(self):

@@ -289,6 +289,8 @@ class FiniteField:
         self.characteristic = p
 
     def element(self, value):
+        if value.__class__ is GFElem and value.field is self:
+            return value
         if isinstance(value, GFElem):
             if value.field != self:
                 raise FieldMismatchError(f"{value!r} belongs to {value.field!r}, not {self!r}")

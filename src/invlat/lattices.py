@@ -50,9 +50,9 @@ from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
     Lattice,
+    Subspace,
     build_lattice,
     kernel_basis,
-    span,
     subspace_count,
 )
 
@@ -170,22 +170,23 @@ def _unit_span(ks, seed):
         L = tuple(Z.combination(c) for c in kernel_basis(Matrix(K, conditions)).basis)
     if len(L) != Z.dim - len(conditions):
         raise InvariantError("unit-span conditions are not independent")
-    units = []  # units by their coordinates in L
+    kern, d = row_kernel(K), len(L)
+    units = []  # units by their coordinates in L, as GF(2) rows
     for c in _unit_draws(L, K, m, seed):
-        units.append(c)
-        if span(units, K, len(L)).dim == len(L):
+        units.append(sum(b << t for t, b in enumerate(c)))
+        if len(kern.echelon(units, d)[0]) == d:
             return L
     raise UndecidedError(
         f"undecided at this scale: {UNIT_DRAWS} seeded draws found units spanning "
-        f"{span(units, K, len(L)).dim} of the {len(L)} dimensions of the unit span"
+        f"{len(kern.echelon(units, d)[0])} of the {d} dimensions of the unit span"
     )
 
 
 def _unit_draws(L, K, m, seed):
     """In draw order, the coordinates c of the seeded draws sum c_t L_t (m x m,
-    over K = GF(2)) that are units: XORs of the L_t packed row-major in ints."""
+    over K = GF(2)) that are units: XORs of the L_t's int rows packed row-major."""
     kern, mask, rng = row_kernel(K), (1 << m) - 1, Random(seed)
-    packed = [kern.encode([e for row in B.rows for e in row]) for B in L]
+    packed = [sum(r << i * m for i, r in enumerate(B.enc)) for B in L]
     for _ in range(UNIT_DRAWS):
         c = [rng.randrange(2) for _ in L]
         x = 0
@@ -201,7 +202,7 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
 
     ``factors[c]`` lists subspaces in the c-th summand's own coordinates,
     ``factor_flags[c]`` maps them to labels (or is None), and ``embed(c, w)``
-    gives rows spanning w inside F^n.  The rank of each sum re-checks that
+    gives encoded rows spanning w inside F^n.  The rank of each sum re-checks that
     the summands are independent, so sum and intersection of two direct
     sums are taken summand by summand: the product is closed once every
     factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
@@ -218,7 +219,7 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
     tuples = {}
     for combo in product(*(range(len(f)) for f in factors)):
         parts = [rows[c][i] for c, i in enumerate(combo)]
-        s = span([r for part in parts for r in part], field, n)
+        s = Subspace.from_rows(field, n, [r for part in parts for r in part])
         if s.dim != sum(map(len, parts)):
             raise InvariantError("component subspaces are not independent")
         tuples[s] = combo
@@ -267,11 +268,11 @@ def _report(kind, A, ana, sum_note, component):
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
     factors, factor_flags, finites, completes, shared = zip(*parts)
-    bases = [Matrix(A.field, ca.component.subspace.basis, _raw=True) for ca in ana.components]
+    kern, n = row_kernel(A.field), A.nrows
+    bases = [kern.prepare(ca.component.subspace.enc) for ca in ana.components]
     members, flags, lat = _assemble(
-        factors, factor_flags,
-        lambda c, w: (Matrix(A.field, w.basis, _raw=True) @ bases[c]).rows if w.basis else (),
-        A.field, A.nrows, DETAIL_CAP, notes, shared,
+        factors, factor_flags, lambda c, w: kern.matmul(w.enc, bases[c], n),
+        A.field, n, DETAIL_CAP, notes, shared,
     )
     finite = False if False in finites else None if None in finites else True
     return LatticeReport(
@@ -423,13 +424,9 @@ def direct_sum_lattices(lattices, matrices=None):
                         "non-coprime components: minimal polynomials share the factor "
                         f"{format_poly(poly_gcd(polys[i], polys[j]))}"
                     )
-    n = sum(dims)
+    n, kern = sum(dims), row_kernel(field)
     offsets = [sum(dims[:c]) for c in range(len(dims))]
-    zero = field.zero()
-
-    def embed(c, w):
-        return [(zero,) * offsets[c] + tuple(r) + (zero,) * (n - offsets[c] - dims[c])
-                for r in w.basis]
+    embed = lambda c, w: kern.place(w.enc, offsets[c], n)
 
     factor_flags = [None] * len(lattices)
     if any(lat.flags is not None for lat in lattices):

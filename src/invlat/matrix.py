@@ -1,30 +1,30 @@
 """Dense exact matrices over a field, and the row kernels that reduce them.
 
-Rows are stored as a tuple of tuples of field elements, so matrices are
-immutable, hashable, and safe to share.  Row reduction (``rref``, ``rank``,
-so ``solve``, ``inverse``, ``kernel_basis`` and the subspace operations)
-runs in the field's row kernel on encoded rows, decoded at its boundary:
-GF(2) rows are int bitmasks, GF(p) rows int lists mod p, GF(p^k) rows
-(order <= TABLE_LIMIT) index lists combined through the tables of
-``fields``, and Q, Q[t]/(m) and larger GF(p^k) rows element lists.  Q rows
-are reduced fraction-free (Bareiss, Math. Comp. 22, 1968, in its
+A matrix is immutable and keyed (equality, hashing) on its rows in the
+encoding of the field's row kernel: GF(2) rows are int bitmasks, GF(p)
+rows int lists mod p, GF(p^k) rows (order <= TABLE_LIMIT) index lists
+combined through the tables of ``fields``, Q rows Fraction lists, and
+Q[t]/(m) and larger GF(p^k) rows element lists.  Its element rows are
+decoded on first use, for output and the few element-level callers, and
+its columns, in the kernel's right-operand form, are made once and kept.
+Products (``@``, so powers and the self-checks), sums, scalar multiples,
+matrix-vector products, polynomial evaluation (``poly_at_matrix``, by
+Horner's rule) and row reduction (``rref``, ``rank``, ``solve``,
+``inverse``, and the subspace operations) run in the kernel and build
+their results from its output.  GF(2) XORs the rows of B that a row of A
+picks; GF(p) takes int dot products with one reduction mod p per entry;
+GF(p^k) sums table entries that hold the base-p digits of each product.
+Q rows are reduced fraction-free (Bareiss, Math. Comp. 22, 1968, in its
 content-dividing form): each row is scaled to a primitive int row,
 Gauss-Jordan runs on ints with every updated row divided by its content,
-and each output entry is one Fraction over its row's pivot.
-Pivots are leftmost and RREF is unique, so every kernel gives the element
-loop's result.
-
-Products (``@``, so powers and the self-checks) and polynomial evaluation
-(``poly_at_matrix``, by Horner's rule) run in the same kernels: operands are
-encoded once, multiplied on encoded rows and decoded once.  GF(2) XORs the
-rows of B that a row of A picks; GF(p) takes int dot products with one
-reduction mod p per entry; GF(p^k) sums table entries that hold the base-p
-digits of each product.  Over Q each operand is scaled to ints by the lcm
-of its denominators, and Horner's rule runs on ints (A = A'/d, L the lcm of
+and each output entry is one Fraction over its row's pivot.  Over Q a
+right operand is prepared as int rows over the lcm of its denominators,
+once per matrix, and Horner's rule runs on ints (A = A'/d, L the lcm of
 the coefficient denominators: L d^D f(A) = sum_k L c_k d^(D-k) A'^k), with
-one division at the end.  Q[t]/(m) and larger GF(p^k) keep the element
-loop.  ``minimal_polynomial`` grows one Krylov echelon per basis vector on
-encoded rows, and evaluates m(A) at the whole matrix once, to certify it.
+one division at the end.  Pivots are leftmost and RREF is unique, so every
+kernel gives the element loop's result.  ``minimal_polynomial`` grows one
+Krylov echelon per basis vector on encoded rows, and evaluates m(A) at the
+whole matrix once, to certify it.
 """
 
 from bisect import bisect
@@ -57,44 +57,71 @@ __all__ = [
 
 
 class Matrix:
-    __slots__ = ("field", "rows")
+    """An immutable matrix, keyed on its rows in the encoding of the field's
+    row kernel (``enc``, frozen).  ``rows`` (field elements), ``right`` (the
+    rows in the kernel's right-operand form) and ``cols`` (the columns in
+    that form: ``right`` of the transpose) are made on first use and kept."""
 
-    def __init__(self, field, rows, _raw=False):
-        if _raw:
-            self.field = field
-            self.rows = rows
-            return
-        coerced = tuple(tuple(field.element(e) for e in row) for row in rows)
-        if not coerced or not coerced[0]:
+    __slots__ = ("field", "kern", "nrows", "ncols", "enc", "_rows", "_right", "_cols", "_hash")
+
+    def __init__(self, field, rows):
+        rows = tuple(tuple(field.element(e) for e in row) for row in rows)
+        if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
-        width = len(coerced[0])
-        if any(len(r) != width for r in coerced):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ValueError("rows have unequal lengths")
-        self.field = field
-        self.rows = coerced
+        kern = row_kernel(field)
+        self._init(field, kern, width, kern.freeze([kern.encode(r) for r in rows]))
+        self._rows = rows
+
+    def _init(self, field, kern, ncols, enc):
+        self.field, self.kern, self.nrows, self.ncols, self.enc = field, kern, len(enc), ncols, enc
+        self._rows = self._right = self._cols = self._hash = None
+
+    @classmethod
+    def encoded(cls, field, rows, ncols):
+        """The matrix whose rows are ``rows`` (a kernel's output), each of width ``ncols``."""
+        M, kern = object.__new__(cls), row_kernel(field)
+        M._init(field, kern, ncols, kern.freeze(rows))
+        return M
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), _raw=True)
+        kern = row_kernel(field)
+        one = kern.encode((field.one(),))
+        return cls.encoded(field, [kern.place([one], i, n)[0] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, field, m, n=None):
         n = m if n is None else n
-        zero = field.zero()
-        return cls(field, tuple((zero,) * n for _ in range(m)), _raw=True)
+        return cls.encoded(field, [row_kernel(field).encode((field.zero(),) * n)] * m, n)
 
     @classmethod
     def from_cols(cls, field, cols):
         return cls(field, tuple(zip(*cols)))
 
     @property
-    def nrows(self):
-        return len(self.rows)
+    def rows(self):
+        """The rows as tuples of field elements."""
+        if self._rows is None:
+            decode, n = self.kern.decode, self.ncols
+            self._rows = tuple(decode(r, n) for r in self.enc)
+        return self._rows
 
     @property
-    def ncols(self):
-        return len(self.rows[0])
+    def right(self):
+        """The rows in the kernel's right-operand form, for ``matmul`` and ``polyval``."""
+        if self._right is None:
+            self._right = self.kern.prepare(self.enc)
+        return self._right
+
+    @property
+    def cols(self):
+        """The columns in the kernel's right-operand form: a row v times them is M v."""
+        if self._cols is None:
+            self._cols = self.kern.prepare(self.kern.transpose(self.enc, self.ncols))
+        return self._cols
 
     @property
     def is_square(self):
@@ -102,7 +129,7 @@ class Matrix:
 
     @property
     def is_zero(self):
-        return not any(any(e for e in row) for row in self.rows)
+        return not any(map(self.kern.nonzero, self.enc))
 
     def col(self, j):
         return tuple(row[j] for row in self.rows)
@@ -110,37 +137,36 @@ class Matrix:
     def _check(self, other):
         if not isinstance(other, Matrix):
             raise TypeError(f"expected Matrix, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError("matrices over different fields")
 
-    def __add__(self, other):
+    def _minus(self, f, other, what):
+        """self - f other, row by row, f = 1 or -1."""
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        return Matrix(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            _raw=True,
-        )
+            raise ValueError(f"shape mismatch in matrix {what}")
+        kern = self.kern
+        f = kern.scalar(self.field.element(f))
+        rows = [kern.submul(a, f, b) for a, b in zip(self.enc, other.enc)]
+        return Matrix.encoded(self.field, rows, self.ncols)
+
+    def __add__(self, other):
+        return self._minus(-1, other, "addition")
 
     def __sub__(self, other):
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix subtraction")
-        return Matrix(
-            self.field,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)),
-            _raw=True,
-        )
+        return self._minus(1, other, "subtraction")
 
     def __neg__(self):
-        return Matrix(self.field, tuple(tuple(-a for a in r) for r in self.rows), _raw=True)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return self.__matmul__(other)
-        c = self.field.element(other)
-        return Matrix(self.field, tuple(tuple(a * c for a in r) for r in self.rows), _raw=True)
+        c, kern, n = self.field.element(other), self.kern, self.ncols
+        if not c:
+            return Matrix.zeros(self.field, self.nrows, n)
+        f, zero = kern.scalar(-c), kern.encode((self.field.zero(),) * n)
+        return Matrix.encoded(self.field, [kern.submul(zero, f, r) for r in self.enc], n)
 
     __rmul__ = __mul__
 
@@ -148,9 +174,8 @@ class Matrix:
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        kern, n = row_kernel(self.field), other.ncols
-        rows = kern.matmul([kern.encode(r) for r in self.rows], [kern.encode(r) for r in other.rows], n)
-        return Matrix(self.field, tuple(kern.decode(r, n) for r in rows), _raw=True)
+        n = other.ncols
+        return Matrix.encoded(self.field, self.kern.matmul(self.enc, other.right, n), n)
 
     def __pow__(self, e):
         if not self.is_square:
@@ -169,41 +194,41 @@ class Matrix:
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and other.field == self.field
-            and other.rows == self.rows
+            and other.enc == self.enc
+            and other.ncols == self.ncols
+            and (other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        if self._hash is None:
+            self._hash = hash((self.ncols, self.enc))
+        return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in row) for row in self.rows)
         return f"Matrix({self.field!r}, [{body}])"
 
 
-def _dot(r, c, zero):
-    acc = zero
-    for a, b in zip(r, c):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
 def mat_vec(M, v):
     """M @ v for a column vector given as a tuple."""
     if len(v) != M.ncols:
         raise ValueError("vector length does not match column count")
-    zero = M.field.zero()
-    return tuple(_dot(row, v, zero) for row in M.rows)
+    kern = M.kern
+    return kern.decode(kern.matmul([kern.encode(v)], M.cols, M.nrows)[0], M.nrows)
 
 
 # ----------------------------------------------------------------------
-# Row kernels: encode, echelon (RREF), reduce against the unit-pivot rows of
-# an echelon form, apply a matrix given by its encoded columns, multiply
-# (matmul), evaluate a polynomial (polyval), decode, freeze (RREF rows as one
-# hashable key) and join (the row (a, b) of rows a, b).  matmul(a, b, n, c,
-# first) gives the rows of AB + cE with E the rows first, first + 1, ... of
-# I (c a field element or None): A B + cI by default, and the Horner step.
+# Row kernels: encode (rows; ``scalar`` one element), echelon (RREF), reduce
+# against the unit-pivot rows of an echelon form, the row operation a - f b
+# (submul), multiply (matmul), evaluate a polynomial (polyval), decode,
+# freeze (rows as one hashable key), transpose, join (the row (a, b) of rows
+# a, b) and place (rows set at a column offset in wider zero rows).
+# matmul(a, b, n, c, first) gives the rows of AB + cE with E the rows first,
+# first + 1, ... of I (c a field element or None): A B + cI by default, and
+# the Horner step.
+# Its right operand B (n columns) comes in the kernel's prepared form,
+# ``prepare(rows)``: the encoded rows, except over Q (int rows and their
+# common denominator), so a Matrix clears its denominators once.
 # TABLE_LIMIT is the largest GF(p^k), k > 1, reduced on table-coded
 # indices: each process builds the tables on first use, in time linear in
 # the order, and no workload uses a field between GF(9) and GF(2^16).
@@ -219,6 +244,8 @@ class _Rows:
     def __init__(self, field):
         self._field = weakref.ref(field)
 
+    prepare = staticmethod(lambda rows: rows)
+
     @property
     def field(self):
         return self._field()
@@ -226,7 +253,7 @@ class _Rows:
     def polyval(self, coeffs, a, n, first=0, count=None):
         """Encoded rows first, ..., first + count - 1 (default all) of f(A) by
         Horner's rule, f given by its coefficients (lowest first, at least
-        one) and A (n x n) by its encoded rows."""
+        one) and A (n x n) by its prepared rows."""
         zero, lead = self.field.zero(), coeffs[-1]
         rows = range(first, n if count is None else first + count)
         acc = [self.encode([lead if j == i else zero for j in range(n)]) for i in rows]
@@ -250,6 +277,9 @@ class _GF2Rows(_Rows):
 
     nonzero = bool
     freeze = staticmethod(tuple)
+    submul = staticmethod(lambda a, f, b: a ^ b if f else a)
+    scalar = staticmethod(lambda x: x.c[0])
+    place = staticmethod(lambda rows, offset, n: [r << offset for r in rows])
 
     def matmul(self, a, b, n, c=None, first=0):
         # row i of AB: the XOR of the rows of B picked by the bits of row i of A
@@ -290,6 +320,16 @@ class _GF2Rows(_Rows):
     def tail(self, v, n):  # the coordinates from n on, as a row
         return v >> n
 
+    @staticmethod
+    def transpose(rows, n):
+        cols = [0] * n
+        for i, r in enumerate(rows):
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << i
+                r ^= low
+        return cols
+
     def echelon(self, vectors, n):
         rows, pivots = [], []
         for v in vectors:
@@ -310,7 +350,9 @@ class _ElementRows(_Rows):
 
     nonzero = any
     encode = staticmethod(list)
+    scalar = staticmethod(lambda x: x)
     freeze = staticmethod(lambda rows: tuple(map(tuple, rows)))
+    transpose = staticmethod(lambda rows, n: list(zip(*rows)))
     join = staticmethod(lambda a, b, n: [*a, *b])
 
     @property
@@ -326,6 +368,10 @@ class _ElementRows(_Rows):
 
     def tail(self, v, n):
         return v[n:]
+
+    def place(self, rows, offset, n):
+        zero = self.zero
+        return [[zero] * offset + list(r) + [zero] * (n - offset - len(r)) for r in rows]
 
     def scale(self, row, x):
         inv = self.one / x
@@ -361,21 +407,16 @@ class _ElementRows(_Rows):
                 v = self.submul(v, v[c], row)
         return v
 
-    def apply(self, cols, v):
-        """-(M v), from the encoded columns of M: its residue against a
-        subspace is zero exactly when the residue of M v is."""
-        acc = [self.zero] * len(v)
-        for x, col in zip(v, cols):
-            if x:
-                acc = self.submul(acc, x, col)
-        return acc
-
     def matmul(self, a, b, n, c=None, first=0):
-        zero, cols = self.zero, list(zip(*b))
-        out = [[_dot(r, col, zero) for col in cols] for r in a]
-        if c:
-            for i, row in enumerate(out, first):
-                row[i] += c
+        zero, out = self.zero, []
+        for i, r in enumerate(a, first):
+            acc = [zero] * n
+            for x, row in zip(r, b):
+                if x:
+                    acc = self.submul(acc, -x, row)
+            if c:
+                acc[i] += c
+            out.append(acc)
         return out
 
 
@@ -388,9 +429,10 @@ def _integral(rows):
 
 class _RationalRows(_ElementRows):
     """Q: lists of Fractions.  Echelon forms and products clear denominators
-    once and compute on ints."""
+    once and compute on ints; a right operand is prepared as (int rows, d)."""
 
     zero, one = Fraction(0), Fraction(1)
+    prepare = staticmethod(_integral)
 
     def echelon(self, rows, n):
         """The nonzero rows of the RREF of ``rows`` and their pivot columns:
@@ -429,14 +471,14 @@ class _RationalRows(_ElementRows):
         return [[Fraction(x, r[c]) if x else zero for x in r] for r, c in zip(work, pivots)], pivots
 
     def matmul(self, a, b, n, c=None, first=0):
-        (a, da), (b, db) = _integral(a), _integral(b)
+        (a, da), (b, db) = _integral(a), b
         d = da * db
         return [[Fraction(s, d) for s in row] for row in _int_matmul(a, b, c * d if c else 0, first)]
 
     def polyval(self, coeffs, a, n, first=0, count=None):
         # With A = A'/d and L the lcm of the coefficient denominators,
         # L d^D f(A) = sum_k (L c_k d^(D-k)) A'^k: Horner on ints, one division.
-        a, d = _integral(a)
+        a, d = a
         D, L = len(coeffs) - 1, lcm(*(c.denominator for c in coeffs))
         ks = [c.numerator * (L // c.denominator) * d ** (D - k) for k, c in enumerate(coeffs)]
         rows = range(first, n if count is None else first + count)
@@ -451,6 +493,7 @@ class _PrimeRows(_ElementRows):
     """GF(p): lists of ints mod p; inverses by pow(x, -1, p), no tables."""
 
     zero, one = 0, 1
+    scalar = staticmethod(lambda x: x.c[0])
 
     def __init__(self, field):
         super().__init__(field)
@@ -473,7 +516,8 @@ class _PrimeRows(_ElementRows):
 
     def matmul(self, a, b, n, c=None, first=0):
         p = self.p
-        return [[x % p for x in row] for row in _int_matmul(a, b, c.c[0] if c else 0, first)]
+        c = self.scalar(c) if c else 0
+        return [[x % p for x in row] for row in _int_matmul(a, b, c, first)]
 
 
 class _ZechRows(_ElementRows):
@@ -509,13 +553,16 @@ class _ZechRows(_ElementRows):
             r = [lg[x] for x in r]
             row = [sum(map(get, map(add, r, col))) for col in cols]
             if c:
-                row[i] += get(lg[self.field.index_of(c)])
+                row[i] += get(lg[self.scalar(c)])
             out.append([self._code(s) for s in row])
         return out
 
     def encode(self, row):
         index_of = self.field.index_of
         return [index_of(e) for e in row]
+
+    def scalar(self, x):
+        return self.field.index_of(x)
 
     def decode(self, v, n):
         element_from_index = self.field.element_from_index
@@ -559,31 +606,29 @@ def row_kernel(field):
 
 def rref(M):
     """(reduced row-echelon form, rank, pivot column tuple)."""
-    kern, n = row_kernel(M.field), M.ncols
-    rows, pivots = kern.echelon([kern.encode(r) for r in M.rows], n)
-    R = [kern.decode(r, n) for r in rows] + [(M.field.zero(),) * n] * (M.nrows - len(rows))
-    return Matrix(M.field, tuple(R), _raw=True), len(rows), tuple(pivots)
+    kern, n = M.kern, M.ncols
+    rows, pivots = kern.echelon(M.enc, n)
+    zero = kern.encode((M.field.zero(),) * n)
+    R = Matrix.encoded(M.field, rows + [zero] * (M.nrows - len(rows)), n)
+    return R, len(rows), tuple(pivots)
 
 
 def rank(M):
-    kern = row_kernel(M.field)
-    return len(kern.echelon([kern.encode(r) for r in M.rows], M.ncols)[0])
+    return len(M.kern.echelon(M.enc, M.ncols)[0])
 
 
 def solve(M, b):
     """One exact solution x of M x = b; raises InconsistentSystemError."""
-    field = M.field
+    field, kern, n = M.field, M.kern, M.ncols
     if len(b) != M.nrows:
         raise ValueError("right-hand side length does not match row count")
     b = tuple(field.element(e) for e in b)
-    aug = Matrix(field, tuple(row + (be,) for row, be in zip(M.rows, b)), _raw=True)
-    R, rk, piv = rref(aug)
-    n = M.ncols
+    rows, piv = kern.echelon([kern.join(r, kern.encode((e,)), n) for r, e in zip(M.enc, b)], n + 1)
     if n in piv:
         raise InconsistentSystemError("inconsistent system")
     x = [field.zero()] * n
-    for i, c in enumerate(piv):
-        x[c] = R.rows[i][n]
+    for r, c in zip(rows, piv):
+        x[c] = kern.decode(kern.tail(r, n), 1)[0]
     x = tuple(x)
     if mat_vec(M, x) != b:
         raise InvariantError("solver self-check failed")
@@ -593,21 +638,19 @@ def solve(M, b):
 def inverse(M):
     if not M.is_square:
         raise SingularMatrixError("inverse requires a square matrix")
-    field = M.field
-    n = M.nrows
+    field, kern, n = M.field, M.kern, M.nrows
     ident = Matrix.identity(field, n)
-    aug = Matrix(field, tuple(r + i for r, i in zip(M.rows, ident.rows)), _raw=True)
-    R, rk, piv = rref(aug)
-    if rk < n or piv[:n] != tuple(range(n)):
+    rows, piv = kern.echelon([kern.join(r, e, n) for r, e in zip(M.enc, ident.enc)], 2 * n)
+    if len(rows) < n or tuple(piv[:n]) != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    inv = Matrix(field, tuple(r[n:] for r in R.rows), _raw=True)
+    inv = Matrix.encoded(field, [kern.tail(r, n) for r in rows], n)
     if M @ inv != ident:
         raise InvariantError("inverse self-check failed")
     return inv
 
 
 def poly_at_matrix(f, A):
-    """f(A) by Horner's rule on A's encoded rows (``polyval``), decoded once."""
+    """f(A) by Horner's rule on A's prepared rows (``polyval``)."""
     if not A.is_square:
         raise ValueError("polynomial evaluation requires a square matrix")
     if f.field != A.field:
@@ -615,32 +658,28 @@ def poly_at_matrix(f, A):
     field, n = A.field, A.nrows
     if f.is_zero:
         return Matrix.zeros(field, n)
-    kern = row_kernel(field)
-    rows = kern.polyval(f.coeffs, [kern.encode(r) for r in A.rows], n)
-    return Matrix(field, tuple(kern.decode(r, n) for r in rows), _raw=True)
+    return Matrix.encoded(field, A.kern.polyval(f.coeffs, A.right, n), n)
 
 
 def minimal_polynomial(A):
     """Least-degree monic m with m(A) = 0: the lcm of the annihilators of the
     e_i that the m so far does not annihilate.  The rows (A^j e_i | e_j) are
     reduced in turn into one echelon of unit-pivot rows, A^(j+1) e_i being one
-    ``matmul`` row on A^T, encoded once; the first whose left part vanishes
-    holds the annihilator of e_i in its right part.  m is re-verified at A."""
+    ``matmul`` row on A's prepared columns, the rows of A^T; the first whose
+    left part vanishes holds the annihilator of e_i in its right part.  m is
+    re-verified at A."""
     if not A.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
-    field = A.field
-    n = A.nrows
-    kern = row_kernel(field)
-    at = [kern.encode(c) for c in zip(*A.rows)]  # m(A) e_i is row i of m(A^T)
-    zero, one = field.zero(), field.one()
-    tags = [kern.encode([one if k == j else zero for k in range(n + 1)]) for j in range(n + 1)]
+    field, kern, n = A.field, A.kern, A.nrows
+    at = A.cols  # m(A) e_i is row i of m(A^T)
+    tags, units = Matrix.identity(field, n + 1).enc, Matrix.identity(field, n).enc
     m = Poly.one(field)
     for i in range(n):
         if m.degree == n:
             break
         if not kern.nonzero(kern.polyval(m.coeffs, at, n, i, 1)[0]):
             continue
-        v = kern.encode([one if k == i else zero for k in range(n)])  # A^j e_i
+        v = units[i]  # A^j e_i
         rows, pivots = [], []
         for tag in tags:
             r = kern.reduce(kern.join(v, tag, n), rows, pivots)
@@ -670,25 +709,18 @@ def companion(p):
         if i > 0:
             row[i - 1] = one
         row[s - 1] = row[s - 1] - p.coefficient(i)
-        rows.append(tuple(row))
-    return Matrix(field, tuple(rows), _raw=True)
+        rows.append(row)
+    return Matrix(field, rows)
 
 
 def block_diag(field, blocks):
     """Block-diagonal assembly of square matrices over one field."""
-    sizes = []
     for B in blocks:
         if B.field != field:
             raise FieldMismatchError("block over a different field")
         if not B.is_square:
             raise ValueError("blocks must be square")
-        sizes.append(B.nrows)
-    n = sum(sizes)
-    zero = field.zero()
-    rows = []
-    offset = 0
+    kern, n, rows = row_kernel(field), sum(B.nrows for B in blocks), []
     for B in blocks:
-        for r in B.rows:
-            rows.append((zero,) * offset + tuple(r) + (zero,) * (n - offset - B.nrows))
-        offset += B.nrows
-    return Matrix(field, tuple(rows), _raw=True)
+        rows += kern.place(B.enc, len(rows), n)
+    return Matrix.encoded(field, rows, n)

@@ -83,7 +83,7 @@ def _stabilizer_coords(Z, W):
         residues = [W.reduce(mat_vec(B, w)) for B in Z.elements]
         for coord in range(n):
             rows.append(tuple(res[coord] for res in residues))
-    M = Matrix(field, tuple(rows), _raw=True)
+    M = Matrix(field, rows)
     return kernel_basis(M)
 
 
@@ -257,7 +257,7 @@ def _jordan_nilpotent(field, partition):
         for i in range(1, t):
             rows[pos + i][pos + i - 1] = one
         pos += t
-    return Matrix(field, tuple(tuple(r) for r in rows), _raw=True)
+    return Matrix(field, rows)
 
 
 def _canonical_primary(field, p, blocks):
@@ -279,21 +279,15 @@ def _canonical_primary(field, p, blocks):
             if b > 0:
                 for i in range(s):
                     rows[b * s + i][(b - 1) * s + i] = one
-        big_blocks.append(Matrix(field, tuple(tuple(r) for r in rows), _raw=True))
+        big_blocks.append(Matrix(field, rows))
     return block_diag(field, big_blocks)
 
 
 def _random_invertible(field, n, rng):
     q = field.order
     while True:
-        M = Matrix(
-            field,
-            tuple(
-                tuple(field.element_from_index(rng.randrange(q)) for _ in range(n))
-                for _ in range(n)
-            ),
-            _raw=True,
-        )
+        M = Matrix(field, [[field.element_from_index(rng.randrange(q)) for _ in range(n)]
+                           for _ in range(n)])
         if rank(M) == n:
             return M
 
@@ -358,14 +352,8 @@ def random_instance(field, n, style, seed, *, partition=None, factor_poly=None, 
         )
     if style == "general":
         q = field.order
-        M = Matrix(
-            field,
-            tuple(
-                tuple(field.element_from_index(rng.randrange(q)) for _ in range(n))
-                for _ in range(n)
-            ),
-            _raw=True,
-        )
+        M = Matrix(field, [[field.element_from_index(rng.randrange(q)) for _ in range(n)]
+                           for _ in range(n)])
         return RandomInstance(
             matrix=M, style=style, seed=seed, min_poly=minimal_polynomial(M)
         )

@@ -25,7 +25,7 @@ from .errors import (
     InfiniteFieldError,
     InvariantError,
 )
-from .matrix import Matrix, row_kernel, rref
+from .matrix import Matrix, row_kernel
 
 __all__ = [
     "Subspace",
@@ -48,27 +48,35 @@ DEFAULT_SUBSPACE_CAP = 2_000_000
 
 
 class Subspace:
-    __slots__ = ("field", "n", "pivots", "_rows", "_basis", "_hash")
+    __slots__ = ("field", "n", "pivots", "enc", "_basis", "_hash")
 
-    def __init__(self, field, n, basis, pivots, rows=None):
-        # internal: use span() to construct from arbitrary generators; ``rows``
-        # (the encoded basis, frozen) keys it, and a None basis is decoded on use
+    def __init__(self, field, n, basis, pivots, enc=None):
+        # internal: use span() or from_rows() to construct from generators;
+        # ``enc`` (the encoded basis, frozen) keys it, and a None basis is
+        # decoded on use
         self.field = field
         self.n = n
         self.pivots = pivots
         self._basis = basis
-        if rows is None:
+        if enc is None:
             kern = row_kernel(field)
-            rows = kern.freeze([kern.encode(r) for r in basis])
-        self._rows = rows
+            enc = kern.freeze([kern.encode(r) for r in basis])
+        self.enc = enc
         self._hash = None
+
+    @classmethod
+    def from_rows(cls, field, n, rows):
+        """Canonical subspace spanned by rows in the field's row-kernel encoding."""
+        kern = row_kernel(field)
+        rows, piv = kern.echelon(rows, n)
+        return cls(field, n, None, tuple(piv), kern.freeze(rows))
 
     @property
     def basis(self):
         """The canonical (RREF) basis as tuples of field elements."""
         if self._basis is None:
             decode, n = row_kernel(self.field).decode, self.n
-            self._basis = tuple(decode(r, n) for r in self._rows)
+            self._basis = tuple(decode(r, n) for r in self.enc)
         return self._basis
 
     @property
@@ -86,13 +94,13 @@ class Subspace:
     def _check(self, other):
         if not isinstance(other, Subspace):
             raise TypeError(f"expected Subspace, got {other!r}")
-        if other.field != self.field or other.n != self.n:
+        if other.n != self.n or (other.field is not self.field and other.field != self.field):
             raise FieldMismatchError("subspaces of different ambient spaces")
 
     def _residue(self, v):
         """Encoded residue of the element vector v against the basis."""
         kern = row_kernel(self.field)
-        return kern.reduce(kern.encode(v), self._rows, self.pivots)
+        return kern.reduce(kern.encode(v), self.enc, self.pivots)
 
     def reduce(self, v):
         """Residue of v after elimination against the canonical basis."""
@@ -108,30 +116,30 @@ class Subspace:
         """True iff the matrix B maps this subspace into itself."""
         if (B.nrows, B.ncols) != (self.n, self.n):
             raise ValueError("matrix shape does not match ambient dimension")
-        kern, rows, piv = row_kernel(self.field), self._rows, self.pivots
-        cols = [kern.encode(c) for c in zip(*B.rows)]
-        return not any(kern.nonzero(kern.reduce(kern.apply(cols, r), rows, piv)) for r in rows)
+        kern, rows, piv = row_kernel(self.field), self.enc, self.pivots
+        images = kern.matmul(rows, B.cols, self.n)
+        return not any(kern.nonzero(kern.reduce(w, rows, piv)) for w in images)
 
     def contains(self, other):
         self._check(other)
-        kern, rows = row_kernel(self.field), self._rows
-        return not any(kern.nonzero(kern.reduce(w, rows, self.pivots)) for w in other._rows)
+        kern, rows = row_kernel(self.field), self.enc
+        return not any(kern.nonzero(kern.reduce(w, rows, self.pivots)) for w in other.enc)
 
     def sum(self, other):
         self._check(other)
-        return _from_rows(self.field, self.n, row_kernel(self.field), self._rows + other._rows)
+        return Subspace.from_rows(self.field, self.n, self.enc + other.enc)
 
     def intersect(self, other):
         """Zassenhaus: rref of [U|U; W|0]; zero-left rows carry the intersection."""
         self._check(other)
         n, kern = self.n, row_kernel(self.field)
         join, pad = kern.join, kern.encode((self.field.zero(),) * n)
-        stacked = [join(u, u, n) for u in self._rows] + [join(w, pad, n) for w in other._rows]
+        stacked = [join(u, u, n) for u in self.enc] + [join(w, pad, n) for w in other.enc]
         rows, piv = kern.echelon(stacked, 2 * n)
         inter = [kern.tail(r, n) for r, p in zip(rows, piv) if p >= n]
-        result = _from_rows(self.field, n, kern, inter)
+        result = Subspace.from_rows(self.field, n, inter)
         # modular law, from an independent elimination of U + W, on every call
-        total = len(kern.echelon(self._rows + other._rows, n)[0])
+        total = len(kern.echelon(self.enc + other.enc, n)[0])
         if total + result.dim != self.dim + other.dim:
             raise InvariantError("modular law violated: intersection is wrong")
         return result
@@ -139,14 +147,14 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and other._rows == self._rows
+            and other.enc == self.enc
             and other.n == self.n
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.n, self._rows))
+            self._hash = hash((self.n, self.enc))
         return self._hash
 
     def sort_key(self):
@@ -164,13 +172,7 @@ def span(vectors, field, n):
         if len(v) != n:
             raise ValueError("generator length does not match ambient dimension")
     kern = row_kernel(field)
-    return _from_rows(field, n, kern, [kern.encode(v) for v in vecs])
-
-
-def _from_rows(field, n, kern, rows):
-    """Canonical subspace spanned by encoded rows."""
-    rows, piv = kern.echelon(rows, n)
-    return Subspace(field, n, None, tuple(piv), kern.freeze(rows))
+    return Subspace.from_rows(field, n, [kern.encode(v) for v in vecs])
 
 
 def zero_subspace(field, n):
@@ -178,29 +180,26 @@ def zero_subspace(field, n):
 
 
 def full_space(field, n):
-    return Subspace(field, n, Matrix.identity(field, n).rows, tuple(range(n)))
+    return Subspace(field, n, None, tuple(range(n)), Matrix.identity(field, n).enc)
 
 
 def kernel_basis(M):
-    """Null space of M as a canonical Subspace of F^ncols."""
-    field = M.field
-    n = M.ncols
-    R, rk, piv = rref(M)
+    """Null space of M as a canonical Subspace of F^ncols: for each free
+    column j of the RREF R, e_j - sum_i R[i][j] e_(pivot i), on encoded rows."""
+    field, kern, n = M.field, M.kern, M.ncols
+    rows, piv = kern.echelon(M.enc, n)
+    if not rows:
+        return full_space(field, n)
     free = [j for j in range(n) if j not in piv]
-    zero, one = field.zero(), field.one()
-    vecs = []
-    for j in free:
-        v = [zero] * n
-        v[j] = one
-        for i, p in enumerate(piv):
-            v[p] = -R.rows[i][j]
-        vecs.append(tuple(v))
-    return span(vecs, field, n)
+    unit, cols = Matrix.identity(field, n).enc, kern.transpose(rows, n)
+    moved = kern.matmul([cols[j] for j in free], kern.prepare([unit[p] for p in piv]), n)
+    one = kern.scalar(field.one())
+    return Subspace.from_rows(field, n, [kern.submul(unit[j], one, w) for j, w in zip(free, moved)])
 
 
 def image_basis(M):
     """Column space of M as a canonical Subspace of F^nrows."""
-    return span(tuple(zip(*M.rows)), M.field, M.nrows)
+    return Subspace.from_rows(M.field, M.nrows, M.kern.transpose(M.enc, M.ncols))
 
 
 def gaussian_binomial(n, d, q):
@@ -240,8 +239,8 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
     if any(M.field != field or (M.nrows, M.ncols) != (n, n) for M in invariant_under):
         raise FieldMismatchError(f"the matrices must act on {field!r}^{n}")
     kern = row_kernel(field)
-    reduce, nonzero, apply, freeze = kern.reduce, kern.nonzero, kern.apply, kern.freeze
-    cols = [[kern.encode(c) for c in zip(*M.rows)] for M in invariant_under]
+    reduce, nonzero, matmul, freeze = kern.reduce, kern.nonzero, kern.matmul, kern.freeze
+    cols = [M.cols for M in invariant_under]
     # F^1 has no free entries: skip listing a possibly huge field
     elems = tuple(field.elements()) if n > 1 else ()
     zero, one = field.zero(), field.one()
@@ -259,7 +258,7 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
                     for j, x in zip(free, values):
                         row[j] = x
                     v = kern.encode(row)
-                    row_choices.append((tuple(row), v, [apply(c, v) for c in cols]))
+                    row_choices.append((tuple(row), v, [matmul([v], c, n)[0] for c in cols]))
                 choices.append(row_choices)
             walked += prod(map(len, choices))
             for combo in product(*choices):

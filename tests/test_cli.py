@@ -325,6 +325,28 @@ def test_lattice_and_verify_output_bytes_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, command)
 
 
+def test_shoda_and_dot_output_bytes_pinned(tmp_path):
+    # sha256 of the shoda report and of lattice-chinv's --dot output
+    expected = {
+        ("GOLD_4", "shoda"): "0ba5211e3bf48fb351b2b6ce2ca8a51f113a7f813748818f5c25e79ad44ed8df",
+        ("GOLD_8", "shoda"): "1ea9aee3b41c96b76756c654cde7a94ed7322320c90a24ec1d71a78c913d2199",
+        ("GOLD_RAT", "shoda"): "403dcdf433fd149ccc4c5bed6f33b9001a3bf68d201df585a6880a56b8e3a349",
+        ("GOLD_4", "--dot"): "b8836373d421f917539381f85b5dd3ef833ef3921e08c93f4ac201a67e176f57",
+        ("GOLD_8", "--dot"): "353804f606cc84d2ab71ae0d1f357ad3975ce4c93541e51cbb8cba428aefa65e",
+    }
+    matrices = {"GOLD_4": GOLD_4_A, "GOLD_8": GOLD_8_A, "GOLD_RAT": GOLD_RAT_A}
+    for (name, what), digest in expected.items():
+        inp = write_matrix(tmp_path, matrices[name], f"{name}.json")
+        out, dot = tmp_path / f"{name}.{what}.json", tmp_path / f"{name}.dot"
+        if what == "shoda":
+            assert main(["--input", inp, "--command", "shoda", "--out", str(out)]) == 0
+        else:
+            argv = ["--input", inp, "--command", "lattice-chinv", "--out", str(out), "--dot", str(dot)]
+            assert main(argv) == 0
+            out = dot
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, what)
+
+
 def test_cap_exit_code(tmp_path):
     inp = write_matrix(tmp_path, GOLD_4_A)
     assert main(["--input", inp, "--command", "verify", "--cap-subspaces", "5"]) == 4

@@ -160,7 +160,7 @@ def _reference_rref(M):
         r += 1
         if r == m:
             break
-    return Matrix(field, tuple(tuple(row) for row in rows), _raw=True), r, tuple(pivots)
+    return Matrix(field, tuple(tuple(row) for row in rows)), r, tuple(pivots)
 
 
 KERNEL_FIELDS = [
@@ -266,7 +266,7 @@ def _reference_intersection(U, W):
     stacked = [row + row for row in U.basis] + [row + (zero,) * n for row in W.basis]
     if not stacked:
         return span([], field, n)
-    R, rk, piv = _reference_rref(Matrix(field, tuple(stacked), _raw=True))
+    R, rk, piv = _reference_rref(Matrix(field, tuple(stacked)))
     return span([R.rows[i][n:] for i, p in enumerate(piv) if p >= n], field, n)
 
 
@@ -284,7 +284,7 @@ def test_sum_intersect_modular_law_random_pairs(field):
         assert S.contains(U) and S.contains(W) and U.contains(I) and W.contains(I)
         assert I == _reference_intersection(U, W)
         assert S == span(U.basis + W.basis, field, n)
-        R, rk, _ = _reference_rref(Matrix(field, U.basis + W.basis, _raw=True))
+        R, rk, _ = _reference_rref(Matrix(field, U.basis + W.basis))
         assert S.basis == R.rows[:rk]
 
 
@@ -418,19 +418,22 @@ def test_rational_intersection_on_hard_inputs():
 PRODUCT_FIELDS = KERNEL_FIELDS + [ExtensionField((1, 0, 1))]  # Q[t]/(t^2+1): element loop
 
 
+def _dot(r, c, zero):
+    """The element loop every field used for dot products before the row kernels."""
+    acc = zero
+    for a, b in zip(r, c):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
 def _reference_matmul(A, B):
-    """The element loop every field used for products before the row kernels."""
-    zero, cols, rows = A.field.zero(), list(zip(*B.rows)), []
-    for r in A.rows:
-        row = []
-        for c in cols:
-            acc = zero
-            for a, b in zip(r, c):
-                if a and b:
-                    acc = acc + a * b
-            row.append(acc)
-        rows.append(tuple(row))
-    return Matrix(A.field, tuple(rows), _raw=True)
+    zero, cols = A.field.zero(), list(zip(*B.rows))
+    return Matrix(A.field, [[_dot(r, c, zero) for c in cols] for r in A.rows])
+
+
+def _reference_mat_vec(M, v):
+    return tuple(_dot(row, v, M.field.zero()) for row in M.rows)
 
 
 def _reference_poly_at(f, A):
@@ -480,8 +483,55 @@ def test_poly_at_matrix_matches_element_loop(field):
                 continue
             # a single row of f(A), as minimal_polynomial asks for it
             i = rng.randrange(n)
-            row = kern.polyval(f.coeffs, [kern.encode(r) for r in A.rows], n, i, 1)[0]
+            row = kern.polyval(f.coeffs, A.right, n, i, 1)[0]
             assert kern.decode(row, n) == F.rows[i]
+
+
+# Matrices are keyed on encoded rows: sums, scalar multiples, powers,
+# matrix-vector products and row reduction against the element loop, and the
+# keys of a kernel result against the same matrix built from elements.
+
+DIFFERENTIAL_FIELDS = [F2, F3, gf_build(2, 2), gf_build(3, 2), gf_build(2, 9), QQ,
+                       ExtensionField((-2, 0, 1))]
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=repr)
+def test_matrix_arithmetic_matches_element_loop(field):
+    rng = random.Random(67)
+
+    def entrywise(f, *Ms):
+        return Matrix(field, [[f(*xs) for xs in zip(*rows)] for rows in zip(*(M.rows for M in Ms))])
+
+    for m, n in [(1, 1), (3, 5), (5, 2), (6, 6)]:
+        for density in (0.3, 1.0):
+            A = _random_matrix(field, m, n, rng, density=density)
+            B = _random_matrix(field, m, n, rng)
+            c = _random_entry(field, rng, 0.8)
+            assert A + B == entrywise(lambda a, b: a + b, A, B), (m, n)
+            assert A - B == entrywise(lambda a, b: a - b, A, B), (m, n)
+            assert -A == entrywise(lambda a: -a, A)
+            assert A * c == entrywise(lambda a: a * c, A)
+            assert (A - A).is_zero and (A * 0).is_zero and Matrix.zeros(field, m, n).is_zero
+            assert A.is_zero == (not any(a for row in A.rows for a in row))
+            v = tuple(_random_entry(field, rng, density) for _ in range(n))
+            assert mat_vec(A, v) == _reference_mat_vec(A, v)
+            R, rk, piv = _reference_rref(A)
+            assert rref(A) == (R, rk, piv) and rank(A) == rk
+            I = Matrix.identity(field, n)
+            for K in (A + B, (A + B) - B, A @ I, A * c, rref(A)[0]):
+                E = Matrix(field, K.rows)  # the same matrix, from its elements
+                assert E == K and hash(E) == hash(K)
+            assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+        S = _random_matrix(field, n, n, rng)
+        while rank(S) < n:
+            S = _random_matrix(field, n, n, rng)
+        power = Matrix.identity(field, n)
+        for e in range(5):
+            assert S**e == power, (n, e)
+            power = _reference_matmul(power, S)
+        T, I = inverse(S), Matrix.identity(field, n)
+        assert _reference_matmul(S, T) == I and _reference_matmul(T, S) == I
+        assert S**-2 == _reference_matmul(T, T)
 
 
 def _shift(field, n):
