@@ -141,22 +141,21 @@ def _semisimple_polynomial(rad, m):
     """q with rad(q) = 0 mod m (rad separable, m | rad^k), by Newton's iteration
     q <- q - rad(q) rad'(q)^{-1} mod m from q = x.  Every iterate is x mod
     rad, so rad'(q) is a unit mod m (inverted by ``poly_xgcd``), and each
-    step squares the power of rad dividing rad(q)."""
-    field = rad.field
+    step squares the power of rad dividing rad(q).  f(q) mod m is the
+    coefficient row of f times the rows of q^i mod m, one kernel product."""
+    field, kern, d = rad.field, rad.kern, m.degree
     drad = rad.derivative()
-
-    def at(f, q):  # f(q) mod m, by Horner's rule
-        acc = Poly.zero(field)
-        for c in reversed(f.coeffs):
-            acc = (acc * q + Poly.constant(field, c)) % m
-        return acc
-
     q = Poly.x(field) % m
-    for _ in range(m.degree.bit_length() + 1):
-        residual = at(rad, q)
+    for _ in range(d.bit_length() + 1):
+        powers = [Poly.one(field)]
+        for _ in range(rad.degree):
+            powers.append(powers[-1] * q % m)
+        rows = kern.prepare(kern.place([w.enc for w in powers], 0, d))
+        at = lambda f: Poly.encoded(field, kern.matmul([f.enc], rows, d)[0])
+        residual = at(rad)
         if residual.is_zero:
             return q
-        q = (q - residual * poly_xgcd(at(drad, q), m)[1]) % m
+        q = (q - residual * poly_xgcd(at(drad), m)[1]) % m
     raise InvariantError("Newton iteration failed to terminate")
 
 

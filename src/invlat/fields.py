@@ -26,10 +26,10 @@ Both residue-class fields multiply through one multiply-and-reduce helper
 ``poly.is_irreducible`` over GF(p); ``poly`` imports this module, so those
 imports are local.
 
-The row codec of ``matrix``'s kernels: a GF(p^k) element is coded by its
+The row codec of the ``kernels``: a GF(p^k) element is coded by its
 index (coefficients as base-p digits, ``index_of`` / ``element_from_index``);
 for k > 1, ``zech_tables`` gives log/antilog/Zech tables over indices,
-built on first use and cached per (p, k, modulus); ``matrix`` uses them
+built on first use and cached per (p, k, modulus); ``kernels`` uses them
 for orders <= 2^8.  Values are immutable and operations pure; the tables
 are a cache.
 """
@@ -173,32 +173,61 @@ class RationalField:
 QQ = RationalField()
 
 
-class GFElem:
-    """Element of GF(p^k): coefficient vector of length k over Z_p."""
+class _Residue:
+    """A field element held as its coefficient vector ``c`` (length field.k)."""
 
     __slots__ = ("field", "c")
 
     def __init__(self, field, c):
         self.field = field
-        self.c = c  # int tuple, length k, already reduced
+        self.c = c
 
     def _check(self, other):
-        if other.__class__ is GFElem and other.field is self.field:
-            return
-        if not isinstance(other, GFElem) or other.field != self.field:
+        """True for an element of this field, False for an operand that is no
+        scalar (a Matrix, a Poly: Python then tries its reflected operation)."""
+        if other.__class__ is self.__class__:
+            if other.field is self.field or other.field == self.field:
+                return True
+        if isinstance(other, (int, Fraction, _Residue)):
             raise FieldMismatchError(f"cannot combine {self!r} with {other!r}")
+        return False
+
+    def __truediv__(self, other):
+        if not self._check(other):
+            return NotImplemented
+        return self * other.inverse()
+
+    def __bool__(self):
+        return any(self.c)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and other.field == self.field and other.c == self.c
+
+    def __hash__(self):
+        return hash((self.field, self.c))
+
+    def __repr__(self):
+        return self.field.format_element(self)
+
+
+class GFElem(_Residue):
+    """Element of GF(p^k): c is an int tuple of length k over Z_p, reduced."""
+
+    __slots__ = ()
 
     # k = 1 computes on c[0] directly (prime-field Matrix arithmetic)
 
     def __add__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         f = self.field
         if f.k == 1:
             return GFElem(f, ((self.c[0] + other.c[0]) % f.p,))
         return GFElem(f, tuple((a + b) % f.p for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         f = self.field
         if f.k == 1:
             return GFElem(f, ((self.c[0] - other.c[0]) % f.p,))
@@ -209,7 +238,8 @@ class GFElem:
         return GFElem(self.field, tuple((-a) % p for a in self.c))
 
     def __mul__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         f = self.field
         p = f.p
         if f.k == 1:
@@ -224,10 +254,6 @@ class GFElem:
             return GFElem(f, (pow(self.c[0], -1, f.p),))
         return self ** (f.order - 2)
 
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
@@ -238,18 +264,6 @@ class GFElem:
             base = base * base
             e >>= 1
         return result
-
-    def __bool__(self):
-        return any(self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, GFElem) and other.field == self.field and other.c == self.c
-
-    def __hash__(self):
-        return hash((self.field, self.c))
-
-    def __repr__(self):
-        return self.field.format_element(self)
 
 
 class FiniteField:
@@ -417,32 +431,27 @@ def gf_build(p, k=1):
 # ----------------------------------------------------------------------
 
 
-class ExtElem:
-    """Residue of Q[t] modulo the extension modulus."""
+class ExtElem(_Residue):
+    """Residue of Q[t] modulo the extension modulus: c is a Fraction tuple of length k."""
 
-    __slots__ = ("field", "c")
-
-    def __init__(self, field, c):
-        self.field = field
-        self.c = c  # Fraction tuple, length field.k
-
-    def _check(self, other):
-        if not isinstance(other, ExtElem) or other.field != self.field:
-            raise FieldMismatchError(f"cannot combine {self!r} with {other!r}")
+    __slots__ = ()
 
     def __add__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return ExtElem(self.field, tuple(a + b for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return ExtElem(self.field, tuple(a - b for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
         return ExtElem(self.field, tuple(-a for a in self.c))
 
     def __mul__(self, other):
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         f = self.field
         return ExtElem(f, tuple(_mulmod(self.c, other.c, f.modulus, Fraction(0))))
 
@@ -452,27 +461,12 @@ class ExtElem:
         f = self.field
         if not self:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
-        m = Poly(QQ, f.modulus)
-        g, u, _ = poly_xgcd(Poly(QQ, self.c), m)
+        m = Poly.encoded(QQ, f.modulus)
+        g, u, _ = poly_xgcd(Poly.encoded(QQ, self.c), m)
         if g.degree != 0:
             raise ZeroDivisionError(f"{self!r} not invertible: modulus is reducible")
-        return f.element(list((u % m).coeffs))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __bool__(self):
-        return any(self.c)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtElem) and other.field == self.field and other.c == self.c
-
-    def __hash__(self):
-        return hash((self.field, self.c))
-
-    def __repr__(self):
-        return self.field.format_element(self)
+        u = (u % m).enc
+        return ExtElem(f, u + (Fraction(0),) * (f.k - len(u)))
 
 
 class ExtensionField:

@@ -45,7 +45,8 @@ from random import Random
 from .centralizer import centralizer_basis, is_hyperinvariant
 from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
-from .matrix import Matrix, mat_vec, minimal_polynomial, row_kernel
+from .kernels import row_kernel
+from .matrix import Matrix, mat_vec, minimal_polynomial
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,

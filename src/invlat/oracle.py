@@ -265,20 +265,14 @@ def _canonical_primary(field, p, blocks):
     subdiagonal blocks; block i contributes s*blocks[i] dimensions."""
     from .matrix import block_diag, companion
 
-    s = p.degree
-    C = companion(p)
-    zero, one = field.zero(), field.one()
+    s, C, one = p.degree, companion(p).rows, field.one()
     big_blocks = []
     for r_i in blocks:
-        size = s * r_i
-        rows = [[zero] * size for _ in range(size)]
-        for b in range(r_i):
-            for i in range(s):
-                for j in range(s):
-                    rows[b * s + i][b * s + j] = C.rows[i][j]
+        rows = [[field.zero()] * (s * r_i) for _ in range(s * r_i)]
+        for b, i in product(range(r_i), range(s)):
+            rows[b * s + i][b * s : b * s + s] = C[i]
             if b > 0:
-                for i in range(s):
-                    rows[b * s + i][(b - 1) * s + i] = one
+                rows[b * s + i][(b - 1) * s + i] = one
         big_blocks.append(Matrix(field, rows))
     return block_diag(field, big_blocks)
 
@@ -320,14 +314,7 @@ def random_instance(field, n, style, seed, *, partition=None, factor_poly=None, 
         J = _jordan_nilpotent(field, part)
         P = _random_invertible(field, n, rng)
         M = P @ J @ inverse(P)
-        return RandomInstance(
-            matrix=M,
-            style=style,
-            seed=seed,
-            min_poly=minimal_polynomial(M),
-            segre=part,
-            detail={"partition": part},
-        )
+        return RandomInstance(M, style, seed, minimal_polynomial(M), part, {"partition": part})
     if style == "companion-primary":
         if factor_poly is None:
             raise ValueError("companion-primary needs factor_poly")
@@ -342,19 +329,11 @@ def random_instance(field, n, style, seed, *, partition=None, factor_poly=None, 
         A0 = _canonical_primary(field, factor_poly, blocks)
         P = _random_invertible(field, n, rng)
         M = P @ A0 @ inverse(P)
-        return RandomInstance(
-            matrix=M,
-            style=style,
-            seed=seed,
-            min_poly=minimal_polynomial(M),
-            segre=blocks,
-            detail={"factor": factor_poly, "blocks": blocks},
-        )
+        detail = {"factor": factor_poly, "blocks": blocks}
+        return RandomInstance(M, style, seed, minimal_polynomial(M), blocks, detail)
     if style == "general":
         q = field.order
         M = Matrix(field, [[field.element_from_index(rng.randrange(q)) for _ in range(n)]
                            for _ in range(n)])
-        return RandomInstance(
-            matrix=M, style=style, seed=seed, min_poly=minimal_polynomial(M)
-        )
+        return RandomInstance(M, style, seed, minimal_polynomial(M))
     raise ValueError(f"unknown style {style!r}")

@@ -1,8 +1,19 @@
 """Dense univariate polynomials over an exact field.
 
-Coefficients are stored lowest degree first with no trailing zeros; the
-zero polynomial has an empty coefficient tuple and ``degree == -1`` (a
-sentinel, never meaningful numerically).
+A polynomial is keyed on its coefficients in the encoding of the field's
+row kernel (``kernels``), lowest degree first with no trailing zeros: one
+int bitmask over GF(2) (bit i is the coefficient of x^i), ints mod p over
+GF(p), table indices over GF(p^k) <= 2^8, Fractions over Q and elements
+otherwise.  The zero polynomial has degree -1 (a sentinel, never
+meaningful numerically).  Sums and differences are the kernel's row
+operation a - f b (``submul``; XOR over GF(2)), scalar multiples
+``submul`` on a zero row, products ``pmul`` (shift-XOR over GF(2), one dot
+product per output coefficient otherwise: ints mod p, the tables' digit
+sums, or ints over the two lcm denominators over Q), division with
+remainder ``pdivmod`` (shifted rows of the monic divisor subtracted),
+``monic`` the kernel's ``scale``, the derivative, the p-th root and
+evaluation at a field element one ``matmul`` or ``polyval`` of the row.
+Element coefficients are decoded on first use, for output.
 
 Besides ring arithmetic this module provides monic gcd, separability
 testing, and full factorization: over a finite field by squarefree
@@ -17,10 +28,12 @@ ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm, prod
 
 from .errors import CapExceededError, FactorHintError, FieldMismatchError
 from .fields import QQ, FiniteField, RationalField
+from .kernels import row_kernel
 
 __all__ = [
     "Poly",
@@ -37,14 +50,32 @@ __all__ = [
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    """A polynomial keyed (equality, hashing) on its coefficient row in the
+    encoding of the field's row kernel, lowest degree first and trimmed
+    (``enc``); its element coefficients (``coeffs``) are decoded on first use."""
+
+    __slots__ = ("field", "kern", "enc", "degree", "_coeffs", "_hash")
 
     def __init__(self, field, coeffs=()):
-        self.field = field
-        cs = [field.element(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        kern = row_kernel(field)
+        self._init(field, kern, kern.encode([field.element(c) for c in coeffs]))
+
+    def _init(self, field, kern, row):
+        self.field, self.kern = field, kern
+        self.enc, self.degree = kern.trim(row)  # degree -1 is the zero polynomial
+        self._coeffs = self._hash = None
+
+    @classmethod
+    def encoded(cls, field, row):
+        """The polynomial whose coefficients are the kernel row ``row``."""
+        f = object.__new__(cls)
+        f._init(field, row_kernel(field), row)
+        return f
+
+    def _new(self, row):
+        f = object.__new__(Poly)
+        f._init(self.field, self.kern, row)
+        return f
 
     # -- constructors -------------------------------------------------
 
@@ -67,13 +98,15 @@ class Poly:
     # -- basics -------------------------------------------------------
 
     @property
-    def degree(self):
-        """Degree; -1 is the zero-polynomial sentinel."""
-        return len(self.coeffs) - 1
+    def coeffs(self):
+        """The coefficients as field elements, lowest degree first."""
+        if self._coeffs is None:
+            self._coeffs = self.kern.decode(self.enc, self.degree + 1)
+        return self._coeffs
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return self.degree < 0
 
     @property
     def lead(self):
@@ -83,57 +116,51 @@ class Poly:
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return self.degree >= 0 and self.kern.lead(self.enc) == self.kern.one
 
     def coefficient(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero()
+        return self.coeffs[i] if i <= self.degree else self.field.zero()
 
     def monic(self):
         if self.is_zero or self.is_monic:
             return self
-        inv = self.field.one() / self.lead
-        return Poly(self.field, tuple(c * inv for c in self.coeffs))
+        return self._new(self.kern.scale(self.enc, self.kern.lead(self.enc)))
 
     def _check(self, other):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {other!r}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatchError(f"polynomials over different fields: {self.field!r} vs {other.field!r}")
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _minus(self, f, other):
+        """self - f other, f = 1 or -1, by the kernel's row operation."""
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field,
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)),
-        )
+        kern = self.kern
+        a, b = kern.place([self.enc, other.enc], 0, max(self.degree, other.degree) + 1)
+        return self._new(kern.submul(a, kern.scalar(self.field.element(f)), b))
+
+    def __add__(self, other):
+        return self._minus(-1, other)
 
     def __sub__(self, other):
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field,
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(n)),
-        )
+        return self._minus(1, other)
 
     def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        return self * -1
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = self.field.element(other)
-            return Poly(self.field, tuple(a * c for a in self.coeffs))
-        self._check(other)
-        if self.is_zero or other.is_zero:
+        if isinstance(other, Poly):
+            self._check(other)
+            if self.is_zero or other.is_zero:
+                return Poly.zero(self.field)
+            return self._new(self.kern.pmul(self.enc, other.enc))
+        c, kern = self.field.element(other), self.kern
+        if not c or self.is_zero:
             return Poly.zero(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, tuple(out))
+        zero = kern.place([kern.encode(())], 0, self.degree + 1)[0]
+        return self._new(kern.submul(zero, kern.scalar(-c), self.enc))
 
     __rmul__ = __mul__
 
@@ -141,19 +168,10 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = self.field.one() / other.lead
-        while len(rem) - 1 >= db and rem:
-            shift = len(rem) - 1 - db
-            coef = rem[-1] * inv_lead
-            q[shift] = coef
-            for i, bi in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - coef * bi
-            while rem and not rem[-1]:
-                rem.pop()
-        return Poly(self.field, tuple(q)), Poly(self.field, tuple(rem))
+        if self.degree < other.degree:
+            return Poly.zero(self.field), self
+        q, r = self.kern.pdivmod(self.enc, other.enc)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -174,45 +192,48 @@ class Poly:
         return result
 
     def __call__(self, value):
-        """Horner evaluation at a field element."""
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Horner evaluation at a field element: f at the 1 x 1 matrix (value)."""
+        kern = self.kern
+        if self.is_zero:
+            return self.field.zero()
+        a = kern.prepare([kern.encode((self.field.element(value),))])
+        return kern.decode(kern.polyval(self.enc, a, 1)[0], 1)[0]
+
+    def _linear(self, row, rows, n):
+        """The polynomial whose coefficients are ``row`` times the matrix ``rows`` (n columns)."""
+        return self._new(self.kern.matmul([row], self.kern.prepare(rows), n)[0])
 
     def derivative(self):
-        if self.degree < 1:
-            return Poly.zero(self.field)
-        cs = []
-        for i in range(1, len(self.coeffs)):
-            c = self.coeffs[i]
-            s = self.field.zero()
-            for _ in range(i):
-                s = s + c
-            cs.append(s)
-        return Poly(self.field, tuple(cs))
+        """f' = sum_i i c_i x^(i-1): the coefficients of f from x on times diag(1, ..., deg f)."""
+        d, kern, field = self.degree, self.kern, self.field
+        if d < 1:
+            return Poly.zero(field)
+        diag = [kern.place([kern.encode((field.element(i),))], i - 1, d)[0] for i in range(1, d + 1)]
+        return self._linear(kern.tail(self.enc, 1), diag, d)
 
     def shift_compose_pth_root(self):
-        """For f with f' = 0 over GF(p^k): the g with g(x^p) = f."""
-        fld = self.field
-        p = fld.p
-        out = []
-        for i in range(0, len(self.coeffs), p):
-            # Frobenius inverse on GF(p^k) is c -> c^(p^(k-1))
-            out.append(self.coeffs[i] ** (p ** (fld.k - 1)))
-        return Poly(fld, tuple(out))
+        """For f with f' = 0 over GF(p^k): the g with g(x^p) = f, whose
+        coefficients are those of f at the multiples of p (a 0/1 matrix), each
+        mapped by the inverse Frobenius c -> c^(p^(k-1))."""
+        fld, kern, p = self.field, self.kern, self.field.p
+        n, one, zero = self.degree // p + 1, kern.encode((fld.one(),)), kern.encode(())
+        pick = [kern.place([zero if j % p else one], j // p, n)[0] for j in range(self.degree + 1)]
+        g = self._linear(self.enc, pick, n)
+        return g if fld.k == 1 else self._new(kern.power(g.enc, p ** (fld.k - 1)))
 
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
+            and other.enc == self.enc
+            and (other.field is self.field or other.field == self.field)
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        if self._hash is None:
+            self._hash = hash(self.enc)
+        return self._hash
 
     def sort_key(self):
         return (self.degree, tuple(self.field.sort_key(c) for c in self.coeffs))
@@ -233,20 +254,18 @@ def poly_gcd(f, g):
 
 
 def poly_xgcd(f, g):
-    """(d, u, v) with u*f + v*g = d, d monic."""
+    """(d, u, v) with u*f + v*g = d, d monic: Euclid's algorithm carries u,
+    and v = (d - u*f) / g is one exact division at the end."""
     f._check(g)
     r0, r1 = f, g
     u0, u1 = Poly.one(f.field), Poly.zero(f.field)
-    v0, v1 = Poly.zero(f.field), Poly.one(f.field)
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    inv = Poly.constant(f.field, f.field.one() / r0.lead)
-    return r0.monic(), inv * u0, inv * v0
+    if not r0.is_zero:
+        r0, u0 = r0.monic(), u0 * (f.field.one() / r0.lead)
+    return r0, u0, g if g.is_zero else (r0 - u0 * f) // g
 
 
 def poly_lcm(f, g):
@@ -316,10 +335,7 @@ class Factorization:
     seed: int = 0
 
     def expand(self):
-        f = Poly.one(self.factors[0][0].field)
-        for p, m in self.factors:
-            f = f * p**m
-        return f
+        return prod((p**m for p, m in self.factors), start=Poly.one(self.factors[0][0].field))
 
     def __iter__(self):
         return iter(self.factors)
@@ -354,18 +370,14 @@ def factor(f, *, hint=None, seed=0):
 
 
 def _verify_factorization(f, result):
-    prod = Poly.one(f.field)
-    for p, m in result.factors:
+    for p, _ in result.factors:
         if not p.is_monic:
             raise FactorHintError(f"factor {p!r} is not monic")
-        prod = prod * p**m
-    if prod != f:
+    if result.expand() != f:
         raise FactorHintError("product of factors does not reproduce the input")
-    fs = [p for p, _ in result.factors]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if poly_gcd(fs[i], fs[j]).degree != 0:
-                raise FactorHintError(f"factors {fs[i]!r} and {fs[j]!r} are not coprime")
+    for a, b in combinations([p for p, _ in result.factors], 2):
+        if poly_gcd(a, b).degree != 0:
+            raise FactorHintError(f"factors {a!r} and {b!r} are not coprime")
     for p, _ in result.factors:
         # a trusted hint vouches only for its factors of degree > 3
         if not (result.trusted and p.degree > 3) and not is_irreducible(p):
@@ -373,16 +385,11 @@ def _verify_factorization(f, result):
 
 
 def _squarefree_decomposition(f):
-    """Multiplicity-graded squarefree split, characteristic-p aware."""
+    """Multiplicity-graded squarefree split of a monic f, characteristic-p
+    aware: when f' = 0, c = gcd(f, f') = f goes whole to the p-th root."""
     fld = f.field
     out = []
-    df = f.derivative()
-    if df.is_zero:
-        g = f.shift_compose_pth_root()
-        for h, m in _squarefree_decomposition(g):
-            out.append((h, m * fld.p))
-        return out
-    c = poly_gcd(f, df)
+    c = poly_gcd(f, f.derivative())
     w = f // c
     i = 1
     while w.degree > 0:
@@ -474,23 +481,12 @@ def _rational_roots(f):
     Raises CapExceededError when the lowest or the leading coefficient of the
     integer form exceeds ROOT_SEARCH_BOUND, or their divisor pairs ROOT_SEARCH_PAIRS.
     """
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
+    den = lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = gcd(*ints)
     # strip powers of x first
-    roots = []
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low:
-        roots.extend([Fraction(0)] * low)
-        ints = ints[low:]
+    low = next((i for i, c in enumerate(ints) if c), 0)
+    roots, ints = [Fraction(0)] * low, [c // g for c in ints[low:]]
     if len(ints) <= 1:
         return roots
     a0, aN = abs(ints[0]), abs(ints[-1])
@@ -510,11 +506,7 @@ def _rational_roots(f):
             count=pairs,
             cap=ROOT_SEARCH_PAIRS,
         )
-    cands = set()
-    for pnum in nums:
-        for pden in dens:
-            cands.add(Fraction(pnum, pden))
-            cands.add(Fraction(-pnum, pden))
+    cands = {Fraction(sign * a, b) for a in nums for b in dens for sign in (1, -1)}
     poly = Poly(QQ, [Fraction(c) for c in ints])
     for r in sorted(cands):
         while poly.degree > 0 and not poly(r):
@@ -525,17 +517,8 @@ def _rational_roots(f):
 
 def _divisors(n):
     n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)}) if n else [1]
 
 
 def _factor_rationals(f, seed):

@@ -2,7 +2,7 @@
 
 A Subspace is identified by the reduced row-echelon basis of its row
 space, held in the encoding of the field's row kernel
-(``matrix.row_kernel``): ints for GF(2), int tuples for GF(p) and the
+(``kernels.row_kernel``): ints for GF(2), int tuples for GF(p) and the
 table-coded GF(p^k), Fraction tuples for Q, element tuples otherwise.
 Equality and hashing are on those encoded canonical rows (two subspaces
 are equal iff the rows agree), and the element basis is decoded on
@@ -25,7 +25,8 @@ from .errors import (
     InfiniteFieldError,
     InvariantError,
 )
-from .matrix import Matrix, row_kernel
+from .kernels import row_kernel
+from .matrix import Matrix
 
 __all__ = [
     "Subspace",

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 from invlat.cli import main
 from invlat.errors import InvariantError
-from invlat.fields import QQ
+from invlat.fields import QQ, gf_build
 from invlat.jsonio import matrix_to_json
 from invlat.matrix import Matrix, companion
+from invlat.oracle import random_instance
 from invlat.poly import Poly, parse_poly
 
 from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A
@@ -345,6 +346,33 @@ def test_shoda_and_dot_output_bytes_pinned(tmp_path):
             assert main(argv) == 0
             out = dot
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, what)
+
+
+def test_odd_characteristic_output_bytes_pinned(tmp_path):
+    # sha256 of the shoda and analyze reports over GF(3) ((x^2+1)^2, so K =
+    # GF(9)), GF(5) (factors of degree 1, 2, 3) and GF(9) (linear factors, one
+    # squared): the factors and certificates print in odd characteristic and
+    # in [c0,c1] coefficient vectors
+    F3, F5, F9 = gf_build(3), gf_build(5), gf_build(3, 2)
+    matrices = {
+        "GF3": random_instance(F3, 6, "companion-primary", 5, factor_poly=parse_poly("x^2+1", F3),
+                               blocks=(2, 1)).matrix,
+        "GF5": random_instance(F5, 6, "general", 3).matrix,
+        "GF9": random_instance(F9, 4, "general", 2).matrix,
+    }
+    expected = {
+        ("GF3", "shoda"): "2ddebb5463b6be37e27c3128d3264cb938d0891d3219910f68eb33a31cc5c70c",
+        ("GF3", "analyze"): "cbf9fed234ce4849ecb7977410f1cac9473c9f6ff1b6edecb017a3e3db244ca0",
+        ("GF5", "shoda"): "514d60251bd35adbb0dbc46046f9e329dd78ba51a212319a55690dac20731387",
+        ("GF5", "analyze"): "40f628c2e4d61a233b33b8bbf26cc9bcdc43ed9b9c21150145611ddbf35737ab",
+        ("GF9", "shoda"): "cf1ac65231647e802f9cad803c8b6b0a8c8737b20a9acba338ddf18f63154116",
+        ("GF9", "analyze"): "fb904f31a7dbb87a522f09d1c59bd7514235f71fd3e3b6eeae59c50a27b3dae0",
+    }
+    for (name, command), digest in expected.items():
+        inp = write_matrix(tmp_path, matrices[name], f"{name}.json")
+        out = tmp_path / f"{name}.{command}.json"
+        assert main(["--input", inp, "--command", command, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, command)
 
 
 def test_cap_exit_code(tmp_path):

@@ -176,6 +176,24 @@ def test_prime_fields_do_not_mix_on_the_fast_path():
     assert a * FiniteField(3).element(2) == F3.one()
 
 
+@pytest.mark.parametrize("field", [gf_build(2), gf_build(3, 2), ExtensionField((-2, 0, 1))], ids=repr)
+def test_scalar_times_matrix_or_polynomial_on_either_side(field):
+    # an element hands a Matrix or a Poly operand back to Python, which calls
+    # the reflected product; an element of another field still raises
+    from invlat.matrix import Matrix
+
+    c = field.one() + field.generator() if field.k > 1 else field.one()
+    M = Matrix(field, [[field.one(), c], [field.zero(), c + field.one()]])
+    f = Poly(field, (c, field.zero(), field.one()))
+    assert c * M == M * c and c * f == f * c
+    assert (c * M).rows[0][1] == c * c and (c * f).coeffs[0] == c * c
+    assert field.zero() * M == Matrix.zeros(field, 2) and (field.zero() * f).is_zero
+    other = gf_build(5).one()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(c, other)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
 def test_zech_tables_match_element_arithmetic(p, k):
     F = gf_build(p, k)

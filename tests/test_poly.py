@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from invlat.errors import CapExceededError, FactorHintError
-from invlat.fields import QQ, gf_build
+from invlat.fields import QQ, ExtensionField, gf_build
 from invlat.poly import (
     ROOT_SEARCH_BOUND,
     ROOT_SEARCH_PAIRS,
@@ -236,3 +236,169 @@ def test_lcm():
     f = P(F2, "x+1") ** 2
     g = P(F2, "x^2+x+1") * P(F2, "x+1")
     assert poly_lcm(f, g) == (P(F2, "x+1") ** 2 * P(F2, "x^2+x+1")).monic()
+
+
+# Polynomials are keyed on the row kernel's encoded coefficients (GF(2)
+# bitmasks, ints mod p, Zech indices, Fractions, elements): the kernel's
+# arithmetic against the element loop it replaced, kept here as the reference.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_combine(field, a, b, op):
+    z = field.zero()
+    n = max(len(a), len(b))
+    return _trim(op(a[i] if i < len(a) else z, b[i] if i < len(b) else z) for i in range(n))
+
+
+def _ref_mul(field, a, b):
+    if not a or not b:
+        return ()
+    out = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _ref_divmod(field, a, b):
+    q = [field.zero()] * max(len(a) - len(b) + 1, 0)
+    rem, inv = list(a), field.one() / b[-1]
+    while rem and len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        c = q[shift] = rem[-1] * inv
+        for i, y in enumerate(b):
+            rem[shift + i] = rem[shift + i] - c * y
+        rem = list(_trim(rem))
+    return _trim(q), tuple(rem)
+
+
+def _ref_derivative(field, a):
+    out = []
+    for i in range(1, len(a)):
+        s = field.zero()
+        for _ in range(i):
+            s = s + a[i]
+        out.append(s)
+    return _trim(out)
+
+
+def _ref_pth_root(field, a):
+    return _trim(a[i] ** (field.p ** (field.k - 1)) for i in range(0, len(a), field.p))
+
+
+DIFFERENTIAL_FIELDS = [F2, F3, gf_build(5), F4, gf_build(3, 2), gf_build(2, 9), QQ,
+                       ExtensionField((-2, 0, 1))]
+
+
+def _elements(field):
+    """A hypothesis strategy for the elements of ``field``, zero drawn often."""
+    st = pytest.importorskip("hypothesis").strategies
+    if field.is_finite:
+        index = st.one_of(st.just(0), st.integers(0, field.order - 1))
+        return index.map(field.element_from_index)
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    if field == QQ:
+        return fractions
+    return st.lists(fractions, min_size=field.k, max_size=field.k).map(field.element)
+
+
+def _check_keys(f, coeffs):
+    """f (a kernel result) against the Poly built from the element coefficients."""
+    g = Poly(f.field, coeffs)
+    assert f == g and hash(f) == hash(g) and f.coeffs == _trim(coeffs) and f.degree == g.degree
+    assert f.sort_key() == g.sort_key() == (len(g.coeffs) - 1, tuple(map(f.field.sort_key, g.coeffs)))
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=repr)
+def test_poly_arithmetic_matches_element_loop(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.lists(_elements(field), max_size=9)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys, polys, _elements(field))
+    def check(a, b, c):
+        f, g = Poly(field, a), Poly(field, b)
+        a, b = f.coeffs, g.coeffs
+        _check_keys(f + g, _ref_combine(field, a, b, lambda x, y: x + y))
+        _check_keys(f - g, _ref_combine(field, a, b, lambda x, y: x - y))
+        _check_keys(-f, [-x for x in a])
+        _check_keys(f * g, _ref_mul(field, a, b))
+        _check_keys(f * c, [x * c for x in a])
+        assert c * f == f * c
+        _check_keys(f.derivative(), _ref_derivative(field, a))
+        assert f(c) == _horner(a, c, field)
+        if g.is_zero:
+            return
+        q, r = divmod(f, g)
+        assert q * g + r == f and r.degree < g.degree
+        rq, rr = _ref_divmod(field, a, b)
+        _check_keys(q, rq)
+        _check_keys(r, rr)
+        _check_keys(g.monic(), [x * (field.one() / b[-1]) for x in b])
+        assert g.monic().is_monic and g.is_monic == (b[-1] == field.one())
+        d, u, v = poly_xgcd(f, g)
+        assert u * f + v * g == d and d.is_monic
+        assert (f % d).is_zero and (g % d).is_zero and d == poly_gcd(f, g)
+
+    check()
+
+
+def _horner(cs, value, field):
+    acc = field.zero()
+    for c in reversed(cs):
+        acc = acc * value + c
+    return acc
+
+
+@pytest.mark.parametrize("field", [F for F in DIFFERENTIAL_FIELDS if F.is_finite], ids=repr)
+def test_pth_root_matches_element_loop(field):
+    # f = g(x^p) with the coefficients of g raised to the p-th power has f' = 0,
+    # and its p-th root is g again
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    p = field.p
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(_elements(field), max_size=6))
+    def check(b):
+        g = Poly(field, b)
+        cs = [field.zero()] * (p * g.degree + 1) if not g.is_zero else []
+        for i, c in enumerate(g.coeffs):
+            cs[i * p] = c**p
+        f = Poly(field, cs)
+        assert f.derivative().is_zero
+        root = f.shift_compose_pth_root()
+        assert root == g
+        _check_keys(root, _ref_pth_root(field, f.coeffs))
+
+    check()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # sympy sorts modular integers
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_factor_matches_sympy_over_prime_fields(p):
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    field, x = gf_build(p), sympy.Symbol("x")
+
+    def monic_mod_p(expr):
+        cs = [int(c) % p for c in reversed(sympy.Poly(expr, x, modulus=p).all_coeffs())]
+        return Poly(field, cs).monic()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(0, p - 1), min_size=1, max_size=9))
+    def check(low):
+        f = Poly(field, low + [1])
+        _, pairs = sympy.factor_list(sum(c * x**i for i, c in enumerate(low + [1])), modulus=p)
+        expected = sorted(((monic_mod_p(g), m) for g, m in pairs), key=lambda pm: pm[0].sort_key())
+        assert factor(f).factors == tuple(expected)
+
+    check()

@@ -12,7 +12,8 @@ from invlat.errors import (
     InvariantError,
 )
 from invlat.fields import QQ, ExtensionField, gf_build
-from invlat.matrix import TABLE_LIMIT, Matrix, _ElementRows, row_kernel, rref
+from invlat.kernels import TABLE_LIMIT, _ElementRows, row_kernel
+from invlat.matrix import Matrix, rref
 from invlat.subspace import (
     Subspace,
     build_lattice,
