@@ -12,6 +12,10 @@ the encoded rows.  Enumeration walks RREF shapes (dimension,
 pivot-column set, free entries) on encoded rows, so every subspace appears
 exactly once; given matrices, it keeps the subspaces invariant under them,
 reducing each encoded row image against the candidate's rows.
+``build_lattice`` certifies a finite lattice from one sum per pair of
+members: the sums give closure under sum and the containment order, and
+Grassmann's formula on that order proves each meet, with no intersection
+computed.
 """
 
 from dataclasses import dataclass
@@ -294,8 +298,18 @@ class Lattice:
 def build_lattice(subspaces, flags=None):
     """Assemble a Lattice, verifying distinctness, bounds and closure.
 
-    ``flags`` maps Subspace -> str (optional).  Cover relations are the
-    transitive reduction of inclusion.
+    ``flags`` maps Subspace -> str (optional).  One sum per pair proves
+    closure, meets and covers.  Members are sorted by dimension first, so
+    for i < j the sum u_i + u_j must be a member u_k, and u_i <= u_j iff
+    k == j.  ``down[j]`` (``up[i]``) is the bitset of the members below u_j
+    (above u_i), itself included; walking i upward, its bits up to i are
+    known at the pair (i, j), and they are all that down[i] can share.
+    The meet: every member below both lies in u_i meet u_j, whose
+    dimension is dim u_i + dim u_j - dim u_k (Grassmann), so it is a
+    member iff the common member of highest index (so of highest
+    dimension) has that dimension.  This rests only on the exact echelons
+    of the sums, as computing the intersection would.  (i, j) is a cover
+    iff u_i and u_j are the only members both above u_i and below u_j.
     """
     members = list(subspaces)
     if len(set(members)) != len(members):
@@ -307,39 +321,35 @@ def build_lattice(subspaces, flags=None):
         if s.field != field or s.n != n:
             raise FieldMismatchError("lattice members in different ambient spaces")
     members.sort(key=lambda s: s.sort_key())
-    mset = set(members)
     if members[0].dim != 0:
         raise ClosureError("lattice misses the zero subspace")
     if members[-1].dim != n:
         raise ClosureError("lattice misses the full space")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            u, w = members[i], members[j]
-            if u.sum(w) not in mset:
+    kern, size = row_kernel(field), len(members)
+    index = {s.enc: k for k, s in enumerate(members)}
+    dims = [s.dim for s in members]
+    up = [1 << k for k in range(size)]
+    down = up[:]
+    for j, w in enumerate(members):
+        for i, u in enumerate(members[:j]):
+            k = index.get(kern.freeze(kern.echelon(u.enc + w.enc, n)[0]))
+            if k is None:
                 raise ClosureError(
                     f"not closed under sum: {subspace_label(u)} + {subspace_label(w)}"
                 )
-            if u.intersect(w) not in mset:
+            if k == j:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+            if dims[(down[i] & down[j]).bit_length() - 1] != dims[i] + dims[j] - dims[k]:
                 raise ClosureError(
                     f"not closed under intersection: {subspace_label(u)} ∩ {subspace_label(w)}"
                 )
-    less = [[False] * len(members) for _ in members]
-    for i, u in enumerate(members):
-        for j, w in enumerate(members):
-            if i != j and u.dim < w.dim and w.contains(u):
-                less[i][j] = True
-    covers = []
-    for i in range(len(members)):
-        for j in range(len(members)):
-            if not less[i][j]:
-                continue
-            if any(less[i][k] and less[k][j] for k in range(len(members))):
-                continue
-            covers.append((i, j))
+    covers = tuple((i, j) for i in range(size) for j in range(i + 1, size)
+                   if up[i] & down[j] == 1 << i | 1 << j)
     flag_tuple = None
     if flags is not None:
         flag_tuple = tuple(flags.get(s, "") for s in members)
-    return Lattice(tuple(members), tuple(sorted(covers)), flag_tuple)
+    return Lattice(tuple(members), covers, flag_tuple)
 
 
 def subspace_label(s):

@@ -5,8 +5,10 @@ GOLD_8: 8x8 over GF(2), minimal polynomial (x^2+x+1)^3.
 GOLD_4: 4x4 over GF(2), minimal polynomial (x+1)^3.
 """
 
+from invlat.errors import ClosureError
 from invlat.fields import QQ, gf_build
 from invlat.matrix import Matrix, inverse, poly_at_matrix
+from invlat.subspace import Lattice, subspace_label
 
 F2 = gf_build(2)
 F3 = gf_build(3)
@@ -24,6 +26,39 @@ def newton_semisimple(A, p):
             return S
         S = S - P @ inverse(poly_at_matrix(dp, S))
     raise AssertionError("matrix Newton iteration did not terminate")
+
+
+def pairwise_lattice(subspaces, flags=None):
+    """Reference for ``build_lattice``, independent of its containment-order
+    certificate: a sum and a Zassenhaus intersection per pair, inclusion by
+    ``contains``, and the covers by an O(M^3) transitive reduction."""
+    members = sorted(subspaces, key=lambda s: s.sort_key())
+    mset = set(members)
+    if members[0].dim != 0:
+        raise ClosureError("lattice misses the zero subspace")
+    if members[-1].dim != members[0].n:
+        raise ClosureError("lattice misses the full space")
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            u, w = members[i], members[j]
+            if u.sum(w) not in mset:
+                raise ClosureError(
+                    f"not closed under sum: {subspace_label(u)} + {subspace_label(w)}"
+                )
+            if u.intersect(w) not in mset:
+                raise ClosureError(
+                    f"not closed under intersection: {subspace_label(u)} ∩ {subspace_label(w)}"
+                )
+    less = [[i != j and u.dim < w.dim and w.contains(u) for j, w in enumerate(members)]
+            for i, u in enumerate(members)]
+    covers = tuple(
+        (i, j)
+        for i in range(len(members))
+        for j in range(len(members))
+        if less[i][j] and not any(less[i][k] and less[k][j] for k in range(len(members)))
+    )
+    flag_tuple = None if flags is None else tuple(flags.get(s, "") for s in members)
+    return Lattice(tuple(members), covers, flag_tuple)
 
 
 def e_rows(n, idxs, field):

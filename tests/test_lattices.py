@@ -18,7 +18,7 @@ from invlat.oracle import random_instance
 from invlat.poly import parse_poly
 from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
 
-from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A, e_rows, F2, F3
+from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A, e_rows, F2, F3, pairwise_lattice
 
 
 def members_of(report):
@@ -305,6 +305,51 @@ def test_assembled_lattices_match_a_full_build():
     )
     assert prod == rep.lattice
     assert prod == build_lattice(prod.members, flags=dict(zip(prod.members, prod.flags)))
+
+
+def test_build_lattice_matches_the_pairwise_reference():
+    # the containment-order certificate against a sum and an intersection
+    # per pair on every engine lattice of the fixtures, and, on the smaller
+    # ones, on each member list with one inner member dropped: both refuse
+    # the same lists, and accept the others with the same covers and flags
+    q3, hint = q_three_components()
+    F4 = gf_build(2, 2)
+    cases = [
+        ("GOLD_4", GOLD_4_A, None),
+        ("GOLD_8", GOLD_8_A, None),
+        ("GOLD_RAT", GOLD_RAT_A, None),
+        ("Q, three components", q3, hint),
+        ("GF(2) (3,2)", random_instance(F2, 5, "nilpotent-partition", 1, partition=(3, 2)).matrix, None),
+        ("GF(2) (2,2,1)", random_instance(F2, 5, "nilpotent-partition", 2, partition=(2, 2, 1)).matrix, None),
+        ("GF(2)", random_instance(F2, 5, "general", 3).matrix, None),
+        ("GF(3)", random_instance(F3, 4, "general", 1).matrix, None),
+        ("GF(4)", random_instance(F4, 4, "general", 13).matrix, None),
+    ]
+
+    def outcome(build, members, flags):
+        try:
+            return build(members, flags=flags)
+        except ClosureError:
+            return None
+
+    checked = 0
+    for name, A, hint in cases:
+        ana = analyze_operator(A, hint=hint)
+        for fn in (inv_lattice, hinv_lattice, chinv_lattice):
+            rep = fn(A, analysis=ana)
+            flags = None
+            if rep.member_flags is not None:
+                flags = dict(zip(rep.members, rep.member_flags))
+            lat = build_lattice(rep.members, flags=flags)
+            assert lat == pairwise_lattice(rep.members, flags=flags), (name, fn.__name__)
+            checked += 1
+            if len(lat) > 12:
+                continue
+            for k in range(1, len(lat) - 1):
+                dropped = lat.members[:k] + lat.members[k + 1 :]
+                assert outcome(build_lattice, dropped, flags) == outcome(
+                    pairwise_lattice, dropped, flags), (name, fn.__name__, k)
+    assert checked == 3 * len(cases)
 
 
 def test_direct_sum_rechecks_each_factor():

@@ -29,7 +29,7 @@ from invlat.subspace import (
     zero_subspace,
 )
 
-from fixtures import GOLD_4_N, GOLD_RAT_N, e_rows, F2, F3
+from fixtures import GOLD_4_N, GOLD_RAT_N, e_rows, F2, F3, pairwise_lattice
 
 
 def test_span_examples():
@@ -203,6 +203,37 @@ def test_build_lattice_detects_closure_violation():
     W = span(e_rows(3, [2], F2), F2, 3)
     with pytest.raises(ClosureError, match="sum"):
         build_lattice([zero_subspace(F2, 3), U, W, full_space(F2, 3)])
+
+
+@pytest.mark.parametrize("build", [build_lattice, pairwise_lattice])
+def test_build_lattice_detects_a_missing_meet(build):
+    # <e1,e2> meet <e2,e3> = <e2> is missing; in the decoy, <e1> has the
+    # dimension of the meet but is not below <e2,e3>
+    planes = [span(e_rows(3, [1, 2], F2), F2, 3), span(e_rows(3, [2, 3], F2), F2, 3)]
+    bounds = [zero_subspace(F2, 3), full_space(F2, 3)]
+    with pytest.raises(ClosureError, match="intersection"):
+        build(bounds + planes)
+    with pytest.raises(ClosureError, match="intersection"):
+        build(bounds + planes + [span(e_rows(3, [1], F2), F2, 3)])
+
+
+def test_build_lattice_matches_the_pairwise_reference_on_random_subsets():
+    # seeded subsets of the 16 subspaces of GF(2)^3 holding 0 and V: the
+    # certificate accepts exactly the lattices the reference accepts, with
+    # the same covers
+    everything = list(enumerate_all_subspaces(F2, 3))
+    inner, rng, accepted = everything[1:-1], random.Random(5), 0
+    for _ in range(300):
+        members = [everything[0], everything[-1]] + rng.sample(inner, rng.randrange(len(inner) + 1))
+        outcomes = []
+        for build in (build_lattice, pairwise_lattice):
+            try:
+                outcomes.append(build(members))
+            except ClosureError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1], members
+        accepted += outcomes[0] is not None
+    assert 10 < accepted < 290
 
 
 def test_hinv_shape_hasse_edges():
