@@ -36,6 +36,7 @@ from .errors import (
     UndecidedError,
 )
 from .jsonio import (
+    dumps,
     entry_to_json,
     field_from_json,
     field_to_json,
@@ -248,7 +249,7 @@ def _cmd_dot(args):
 
 
 def _emit(payload, dot, args):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = dumps(payload) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,8 +10,11 @@ Wire formats:
   "a/b" strings for the rationals;
 * subspace: list of basis rows;
 * lattice report / oracle report: plain dicts assembled here, stable
-  under ``json.dumps(sort_keys=True)``.
+  under ``json.dumps(sort_keys=True)``; ``dumps`` writes them as that
+  does with ``indent=2``.
 """
+
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ClosureError
 from .fields import QQ, ExtensionField, FiniteField
@@ -31,7 +34,33 @@ __all__ = [
     "lattice_from_json",
     "lattice_report_to_json",
     "oracle_report_to_json",
+    "dumps",
 ]
+
+
+def dumps(obj, indent="\n"):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written in
+    one pass.  ``obj`` holds dicts with str keys, lists, tuples, strs, ints,
+    bools and None; anything else raises TypeError.  ``indent`` is the
+    newline and spaces that open each line at this depth."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + ",".join(f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj)) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ",".join(inner + dumps(v, inner) for v in obj) + indent + "]"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
 def field_to_json(field):

@@ -5,10 +5,12 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from invlat.cli import main
 from invlat.errors import InvariantError
 from invlat.fields import QQ, gf_build
-from invlat.jsonio import matrix_to_json
+from invlat.jsonio import dumps, matrix_to_json
 from invlat.matrix import Matrix, companion
 from invlat.oracle import random_instance
 from invlat.poly import Poly, parse_poly
@@ -492,3 +494,30 @@ def test_analyze_and_verify_pass_the_seed_to_chinv(tmp_path, monkeypatch):
         seeds.clear()
         code, _ = run(tmp_path, GOLD_4_A, command, "--seed", "5")
         assert code == 0 and seeds == [5], command
+
+
+def test_dumps_matches_the_stdlib_writer():
+    # the one-pass writer of --out against json.dumps(sort_keys=True,
+    # indent=2) on nested payloads, bools beside the ints they equal
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    odd = ['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é", "\u2028", "\U0001f600", ""]
+    atoms = (st.none() | st.booleans() | st.integers() | st.sampled_from([True, 1, False, 0])
+             | st.integers(-(2**80), 2**80) | st.text() | st.sampled_from(odd))
+    payloads = st.recursive(
+        atoms,
+        lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+                      | st.dictionaries(st.text() | st.sampled_from(odd), kids, max_size=4)),
+        max_leaves=40,
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(payloads)
+    @hypothesis.example({"a": [True, 1, False, 0, None], "": {}, "z": [], "t": (), "-": -(10**30)})
+    def check(obj):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    check()
+    for bad in (1.5, {"a": {1}}, [b"x"], {1: 2}):
+        with pytest.raises(TypeError):
+            dumps(bad)
