@@ -56,6 +56,7 @@ class PrimaryComponent:
     multiplicity: int
     subspace: Subspace  # V_i inside F^n, canonical basis
     restriction: Matrix  # A_i in the V_i basis (dim x dim)
+    power: Poly  # factor ** multiplicity, the minimal polynomial of A_i
 
     @property
     def dim(self):
@@ -72,7 +73,8 @@ def primary_decomposition(A, factorization):
     total = 0
     all_rows = []
     for p, k in factorization:
-        V = kernel_basis(poly_at_matrix(p**k, A))
+        pk = p**k
+        V = kernel_basis(poly_at_matrix(pk, A))
         if V.is_zero:
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
         # restriction: V's basis is in RREF, so the coordinates of A*b, once
@@ -83,9 +85,9 @@ def primary_decomposition(A, factorization):
         Ai = Matrix(field, [AB.rows[c] for c in V.pivots])
         # with the direct-sum check below this proves prod p^k = m_A: the
         # factors are coprime, so m_A is the lcm of the restricted ones
-        if minimal_polynomial(Ai) != p**k:
+        if minimal_polynomial(Ai) != pk:
             raise ValueError("factorization inconsistent with the minimal polynomial")
-        comps.append(PrimaryComponent(p, k, V, Ai))
+        comps.append(PrimaryComponent(p, k, V, Ai, pk))
         total += V.dim
         all_rows.extend(V.enc)
     if total != n or Subspace.from_rows(field, n, all_rows).dim != n:
@@ -126,9 +128,10 @@ def jordan_chevalley(A, p, r):
     if p.field != A.field:
         raise FieldMismatchError("factor and matrix over different fields")
     _separable(p)
-    if not poly_at_matrix(p**r, A).is_zero:
+    pr = p**r
+    if not poly_at_matrix(pr, A).is_zero:
         raise ValueError("input contract violated: p(A)^r != 0")
-    return _split(A, _semisimple_polynomial(p, p**r), p)
+    return _split(A, _semisimple_polynomial(p, pr), p)
 
 
 def _separable(p):
@@ -438,7 +441,7 @@ def analyze_operator(A, *, hint=None, seed=0):
     analyses = []
     for comp in comps:
         p = comp.factor
-        dec = _split(comp.restriction, q % p**comp.multiplicity, p)
+        dec = _split(comp.restriction, q % comp.power, p)
         analyses.append(ComponentAnalysis(comp, dec, build_k_structure(dec.S, dec.N, p)))
     whole = _split(A, q, rad)  # checks rad(S) = 0 and N nilpotent on F^n
     return OperatorAnalysis(A, m, fact, tuple(analyses), whole.S, whole.N)
