@@ -333,8 +333,8 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
     def component(ca, provenance, notes):
         provenance.append(
             f"component {format_poly(ca.component.factor)}: hyperinvariant subspaces over F "
-            "equal those of the nilpotent part over K; computed as the closure of the kernel "
-            "and image chains under sum and intersection"
+            "equal those of the nilpotent part over K; read off the Fillmore-Herrero-Longstaff "
+            "tuples of its Jordan block sizes"
         )
         # Z(A) is block diagonal over the components: checking Z(A_i) on
         # each component's members certifies their direct sums against Z(A)

@@ -294,9 +294,9 @@ def test_huge_prime_field_answers_quickly(tmp_path):
 def test_analyze_output_bytes_pinned(tmp_path):
     # sha256 of the analyze report; guards against output drift between versions
     expected = {
-        "GOLD_4": ("34d0a7d756ab37635296d65c75d4cb4e32ffe3bfbaa26b3f743d7b8db837ad03", GOLD_4_A),
-        "GOLD_RAT": ("7661b96eb6540193505a5db7c18907cc07d9061f15ea55b3d29e6e5cf967442e", GOLD_RAT_A),
-        "GOLD_8": ("635e246bc3704e38b21b6d619cfdf671a627aa60b679dd24acd182a4d66d8825", GOLD_8_A),
+        "GOLD_4": ("5131163efa4153e2fe3952fa21461a89877f9623c2047f04da149007d645ff42", GOLD_4_A),
+        "GOLD_RAT": ("2f5a65cf4b85f1b69c4224300af93d21ee1cebb3bbc61e8f70b53438dfaf2cb0", GOLD_RAT_A),
+        "GOLD_8": ("0617fccd705b170a06b1e3da5672f102ee7f5f7661ddf3d87f9ea670646c129e", GOLD_8_A),
     }
     for name, (digest, M) in expected.items():
         inp = write_matrix(tmp_path, M, f"{name}.json")
@@ -310,14 +310,14 @@ def test_lattice_and_verify_output_bytes_pinned(tmp_path):
     # them: GF(2), Q and GF(4) (the K of GOLD_8) run in their row kernels
     expected = {
         ("GOLD_4", "lattice-inv"): "0952f45b682b333687e27d63167f67df8f31a44270cf9161b7d21816ac027b8c",
-        ("GOLD_4", "lattice-hinv"): "acffd6efa6bf811a605b6059e7f41648bec508315c7bc2f50f2ec9e5dbaf63a6",
+        ("GOLD_4", "lattice-hinv"): "ec41f9d6c32718f884ad42c394198df774437c75b8680f7da4de7bd8ef5485b1",
         ("GOLD_4", "lattice-chinv"): "898f4bb833ea2cc8a8e90ad9be9542fd408fb0354b90bc81cb0db6fa47f7ddc5",
         ("GOLD_4", "verify"): "d3fc1d642654d20dc5c8ed9ae58aa127d25f31c4c700ed55ba21b7b2b26c07a1",
         ("GOLD_8", "lattice-inv"): "c791362326a52f32e8391ed2a74aa6a389d416809aa4e18682b6e92d48633d20",
-        ("GOLD_8", "lattice-hinv"): "5c895bf7a53a7d90bcf22d1b6c07fc7e973749f1ea7e520385b8adba8641a968",
+        ("GOLD_8", "lattice-hinv"): "6a4399105b500450852a9b7df732de202915fb0cea4a005bf48c413c48c64ef7",
         ("GOLD_8", "lattice-chinv"): "e2bd0759333062f57ba4ed7fb8b27cc8bd14fa0f9b20cebaec16b8a6359a5f21",
         ("GOLD_RAT", "lattice-inv"): "01d47718abb140e1518fcdad3cc49c6ec9cbcd895ce3796985c69db917087384",
-        ("GOLD_RAT", "lattice-hinv"): "db6b639933c69436f4c9d8b8514ccd0ea0c55f9818b424e1df9f5d5c0854c3e6",
+        ("GOLD_RAT", "lattice-hinv"): "1d86448d8aee6b3782ba072e4a2d59b2dc0fecf6b571cd2adac4f20c1c3f0824",
         ("GOLD_RAT", "lattice-chinv"): "1f62975fdf63130fdae1bd866033f2490f1e1d1df5e0db12e967cedbc0fb2821",
     }
     matrices = {"GOLD_4": GOLD_4_A, "GOLD_8": GOLD_8_A, "GOLD_RAT": GOLD_RAT_A}
@@ -364,11 +364,11 @@ def test_odd_characteristic_output_bytes_pinned(tmp_path):
     }
     expected = {
         ("GF3", "shoda"): "2ddebb5463b6be37e27c3128d3264cb938d0891d3219910f68eb33a31cc5c70c",
-        ("GF3", "analyze"): "cbf9fed234ce4849ecb7977410f1cac9473c9f6ff1b6edecb017a3e3db244ca0",
+        ("GF3", "analyze"): "711b793d1fffc107ebf6f9dd2d3495e87b74347e377676a1866125be91158079",
         ("GF5", "shoda"): "514d60251bd35adbb0dbc46046f9e329dd78ba51a212319a55690dac20731387",
-        ("GF5", "analyze"): "40f628c2e4d61a233b33b8bbf26cc9bcdc43ed9b9c21150145611ddbf35737ab",
+        ("GF5", "analyze"): "7f60d7e573e525a1aac26791f9597ed8a0cd6c9afa16d888d9e883e8bfb70dfc",
         ("GF9", "shoda"): "cf1ac65231647e802f9cad803c8b6b0a8c8737b20a9acba338ddf18f63154116",
-        ("GF9", "analyze"): "fb904f31a7dbb87a522f09d1c59bd7514235f71fd3e3b6eeae59c50a27b3dae0",
+        ("GF9", "analyze"): "ad312504621bc4a8b6da8ebea10c6932a2b930dc666f3c3525594834e6a0434c",
     }
     for (name, command), digest in expected.items():
         inp = write_matrix(tmp_path, matrices[name], f"{name}.json")
