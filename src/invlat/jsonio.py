@@ -55,7 +55,8 @@ def dumps(obj, indent="\n"):
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        return "{" + ",".join(f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj)) + indent + "}"
+        items = (f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{" + ",".join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -302,8 +302,8 @@ def build_lattice(subspaces, flags=None):
     closure, meets and covers.  Members are sorted by dimension first, so
     for i < j the sum u_i + u_j must be a member u_k, and u_i <= u_j iff
     k == j.  ``down[j]`` (``up[i]``) is the bitset of the members below u_j
-    (above u_i), itself included; walking i upward, its bits up to i are
-    known at the pair (i, j), and they are all that down[i] can share.
+    (above u_i), itself included; walking i upward, the bits of down[j]
+    up to i are known at the pair (i, j), and down[i] has no others.
     The meet: every member below both lies in u_i meet u_j, whose
     dimension is dim u_i + dim u_j - dim u_k (Grassmann), so it is a
     member iff the common member of highest index (so of highest
