@@ -1,9 +1,14 @@
 """The commutant algebra Z(A), its units, and the membership predicates.
 
 ``centralizer_basis`` solves AX = XA as an n^2-dimensional homogeneous
-linear system.  A subspace is hyperinvariant when every basis element of
-Z(A) maps it into itself (linearity makes basis checking sufficient),
-and characteristic when A and every *invertible* element of Z(A) do.
+linear system, built and reduced on encoded rows; the enumeration oracle
+and ``is_characteristic`` use it.  The lattice engine reads Z_K(N_K) off
+the Jordan chains instead (``KStructure.commutant``), and
+``certified_centralizer`` certifies such a supplied basis: its elements
+commute with the matrix, are independent, and are as many as dim Z.
+A subspace is hyperinvariant when every basis element of Z(A) maps it
+into itself (linearity makes basis checking sufficient), and
+characteristic when A and every *invertible* element of Z(A) do.
 ``is_characteristic`` decides the latter by definition, walking the unit
 group: ``unit_elements`` runs over all coordinate tuples of the basis and
 keeps the nonsingular ones, so it is exact but only available over
@@ -15,11 +20,12 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
 from .matrix import Matrix
-from .subspace import kernel_basis
+from .subspace import Subspace, kernel_basis
 
 __all__ = [
     "CentralizerBasis",
     "centralizer_basis",
+    "certified_centralizer",
     "unit_elements",
     "is_hyperinvariant",
     "is_characteristic",
@@ -51,39 +57,62 @@ class CentralizerBasis:
         return Matrix.encoded(field, acc, n)
 
 
+def _vec(kern, rows, n):
+    """vec(M), row-major, from the encoded rows of M (each of width n)."""
+    acc = rows[0]
+    for i, r in enumerate(rows[1:], 1):
+        acc = kern.join(acc, r, i * n)
+    return acc
+
+
 def centralizer_basis(A):
-    """Basis of the solution space of AX - XA = 0, reshaped to matrices."""
+    """Basis of the solution space of AX - XA = 0, reshaped to matrices.
+
+    The unknowns are vec(X), row-major, so the system is A (x) I - I (x) A^T.
+    For each column j, the rows (i, j) of A (x) I are A times the unit rows
+    e_(kn+j), k < n (one ``matmul``), and row (i, j) of I (x) A^T is column
+    j of A placed at offset in; the kernel basis is split into matrix rows,
+    all on encoded rows.
+    """
     if not A.is_square:
         raise ValueError("centralizer requires a square matrix")
-    field, a_rows = A.field, A.rows
-    n = A.nrows
-    zero = field.zero()
-    # equation (i,j): sum_k A[i,k] X[k,j] - X[i,k] A[k,j] = 0; unknowns
-    # vec(X) row-major
+    field, kern, n = A.field, A.kern, A.nrows
+    nn = n * n
+    units, cols = Matrix.identity(field, n).enc, kern.transpose(A.enc, n)
+    one = kern.scalar(field.one())
     rows = []
-    for i in range(n):
-        for j in range(n):
-            coef = [zero] * (n * n)
-            for k in range(n):
-                a = a_rows[i][k]
-                if a:
-                    coef[k * n + j] = coef[k * n + j] + a
-                b = a_rows[k][j]
-                if b:
-                    coef[i * n + k] = coef[i * n + k] - b
-            rows.append(coef)
-    kern = A.kern
-    ker = kernel_basis(Matrix.encoded(field, list(map(kern.encode, rows)), n * n))
-    mats = tuple(Matrix.encoded(field, [kern.encode(v[i * n : (i + 1) * n]) for i in range(n)], n)
-                 for v in ker.basis)
+    for j in range(n):
+        picks = kern.prepare([kern.place([units[j]], k * n, nn)[0] for k in range(n)])
+        rows += [kern.submul(r, one, kern.place([cols[j]], i * n, nn)[0])
+                 for i, r in enumerate(kern.matmul(A.enc, picks, nn))]
+    ker = kernel_basis(Matrix.encoded(field, rows, nn))
+    mats = tuple(Matrix.encoded(field, kern.split(v, n, n), n) for v in ker.enc)
     for B in mats:
         if A @ B != B @ A:
             raise InvariantError("centralizer solver produced a non-commuting matrix")
     # I and A always commute with A; make sure the solution space has them
-    vec = lambda M: tuple(e for row in M.rows for e in row)
-    if not ker.member(vec(Matrix.identity(field, n))) or not ker.member(vec(A)):
+    if not ker.contains(Subspace.from_rows(field, nn, [_vec(kern, M.enc, n)
+                                                      for M in (Matrix.identity(field, n), A)])):
         raise InvariantError("centralizer basis misses I or A")
     return CentralizerBasis(A, mats)
+
+
+def certified_centralizer(A, elements, dim, probes):
+    """``elements`` as a basis of Z(A), certified: each commutes with A, they
+    are independent, and there are ``dim`` of them, which the caller knows to
+    be dim Z(A); so they span Z(A).  Independence is the rank of the rows
+    (B p)_p, p over the encoded vectors ``probes``: B -> (B p)_p is linear,
+    so independent rows have independent preimages.  Probes that generate the
+    space under A make the test exact (B is then fixed by the B p)."""
+    kern, n = A.kern, A.nrows
+    if len(elements) != dim:
+        raise InvariantError(f"{len(elements)} centralizer elements, but dim Z = {dim}")
+    if any(A @ B != B @ A for B in elements):
+        raise InvariantError("a centralizer element does not commute")
+    rows = [_vec(kern, kern.matmul(probes, B.cols, n), n) for B in elements]
+    if len(kern.echelon(rows, n * len(probes))[0]) != dim:
+        raise InvariantError("the centralizer elements are dependent")
+    return CentralizerBasis(A, tuple(elements))
 
 
 def unit_elements(Z, cap=DEFAULT_UNIT_CAP):

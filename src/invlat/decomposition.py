@@ -15,9 +15,12 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   K-linear map.  One pass over the powers of N_K gives the kernel and
   image chains ker N_K^j, im N_K^j; the Segre characteristic is read off
   the kernel dimensions and the Jordan chain generators off the kernels,
-  and the lattice code reuses both chains.  ``KStructure.hyperinvariant``
-  reads the hyperinvariant subspaces of N_K off them in closed form
-  (Fillmore, Herrero & Longstaff), once per analysis.
+  and the lattice code reuses both chains.  The chain vectors, checked to
+  be a basis in which every kernel and image is a coordinate subspace
+  (``KStructure.chain_rows``), give Z_K(N_K) in closed form
+  (``KStructure.commutant``, certified) and the hyperinvariant subspaces of
+  N_K (``KStructure.hyperinvariant``, Fillmore, Herrero & Longstaff), each
+  formed once per analysis, with no intersection and no n^2-unknown solve.
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
@@ -27,8 +30,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from math import inf, prod
 
+from .centralizer import certified_centralizer
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
+from .kernels import row_kernel
 from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
 from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
@@ -212,8 +217,9 @@ class KStructure:
     generators over K (each chain listed generator first), and ``kernels``
     / ``images`` the K-subspaces ker N_K^j / im N_K^j for j = 0, ..., r
     (N_K^r = 0): every lattice is read off these, so the powers of N_K are
-    formed here once.  ``invariant`` (inv's walk, which chinv filters) and
-    ``hyperinvariant`` are formed once per analysis, on first use.
+    formed here once.  ``invariant`` (inv's walk, which chinv filters),
+    ``chain_rows``, ``commutant`` and ``hyperinvariant`` are formed once per
+    analysis, on first use.
     """
 
     s: int
@@ -276,6 +282,55 @@ class KStructure:
         return Subspace.from_rows(fb.field, n, kern.matmul(coords, fb.cols, n))
 
     @cached_property
+    def chain_rows(self):
+        """The Jordan chain vectors as encoded rows, chain by chain, certified
+        to be a basis of K^m in which every ker N_K^a and im N_K^b is a
+        coordinate subspace: with g a chain's generator and t its length,
+        N^c g lies in ker N^a iff c >= t - a, and in im N^b iff c >= b.  The m
+        vectors must be independent, and each ``kernels[a]`` and ``images[b]``
+        must hold its chain vectors and have as many dimensions as there are
+        of them."""
+        K, m = self.field_k, self.k_dim
+        kern = row_kernel(K)
+        rows = tuple(tuple(kern.encode(v) for v in chain) for chain in self.chains)
+        if len(kern.echelon([v for chain in rows for v in chain], m)[0]) != m:
+            raise InvariantError("the Jordan chain vectors are not a basis")
+        for what, spaces, cut in (("ker", self.kernels, lambda t, a: t - a),
+                                  ("im", self.images, lambda t, b: b)):
+            for a, W in enumerate(spaces):
+                vectors = [v for chain in rows for v in chain[max(cut(len(chain), a), 0):]]
+                if len(vectors) != W.dim or any(
+                        kern.nonzero(kern.reduce(v, W.enc, W.pivots)) for v in vectors):
+                    raise InvariantError(
+                        f"{what} N_K^{a} is not the span of its Jordan chain vectors")
+        return rows
+
+    def chain_span(self, cut):
+        """The K-subspace spanned by the chain vectors N^c g with c >= cut(t),
+        t the length of g's chain."""
+        rows = [v for chain in self.chain_rows for v in chain[max(cut(len(chain)), 0):]]
+        return Subspace.from_rows(self.field_k, self.k_dim, rows)
+
+    @cached_property
+    def commutant(self):
+        """Z_K(N_K) in closed form, as a certified ``CentralizerBasis``.
+
+        For chains (g_j, t_j), (g_i, t_i) and t_i - min(t_i, t_j) <= b < t_i,
+        X maps N^a g_j to N^(a+b) g_i (0 once a + b >= t_i) and every other
+        chain to 0; b >= t_i - t_j makes N X N^(t_j - 1) g_j = N^(t_j + b) g_i
+        vanish, as X N^(t_j) g_j = 0 does.
+        These are the block Toeplitz commutants (Gantmacher, The Theory of
+        Matrices, vol. 1, ch. VIII); X = Y C^-1, C the chain vectors and Y
+        their images as columns, one kernel product.  The certificate: each X
+        commutes with N_K, they are independent (as their values at the chain
+        generators are, which fix a commuting X), and there are
+        sum_(i,j) min(t_i, t_j) = dim Z_K(N_K) of them.
+        """
+        rows, dim = self.chain_rows, sum(min(a, b) for a in self.segre for b in self.segre)
+        return certified_centralizer(self.nk, _chain_commutant(self.nk, rows), dim,
+                                     [chain[0] for chain in rows])
+
+    @cached_property
     def hyperinvariant(self):
         """The hyperinvariant subspaces of N_K, as F-subspaces in canonical
         order over K; formed on first use, so an analysis forms them once.
@@ -283,20 +338,37 @@ class KStructure:
         With t_1 < ... < t_m the distinct block sizes, they are exactly
         W(r) = sum_j ker N^(r_j) meet im N^(t_j - r_j) with 0 <= r_j <= t_j and
         both r and t - r nondecreasing, one subspace per tuple r (Fillmore,
-        Herrero & Longstaff, Linear Algebra Appl. 17, 1977, 125-132).  The
-        walk extends every prefix of r by one entry per size, adding its term
-        to the prefix's sum; taking t_0 = r_0 = 0, r_j runs over
-        r_(j-1) ... r_(j-1) + t_j - t_(j-1).  The bijection is checked.
+        Herrero & Longstaff, Linear Algebra Appl. 17, 1977, 125-132); taking
+        t_0 = r_0 = 0, r_j runs over r_(j-1) ... r_(j-1) + t_j - t_(j-1).  In
+        the Jordan chain basis (``chain_rows``) every term is a coordinate
+        subspace and sums and meets of those are unions and intersections of
+        their index sets, so W(r) is spanned by the N^c g_i with
+        c >= min_j max(t_i, t_j) - r_j: one echelon per tuple, no intersection.
+
+        Certificate: ``chain_rows`` checks that the kernels and images are those
+        coordinate subspaces, the bijection (distinct tuples, distinct
+        subspaces) is checked, and the generators ker N^j and im N^j are
+        checked invariant under the basis of ``commutant``.  Every member is
+        made from the generators by + and meet, and X U <= U, X W <= W give
+        X(U + W) <= U + W and X(U meet W) <= U meet W, so every member is
+        Z_K(N_K)-invariant.  That is hyperinvariance over F: S and N are
+        polynomials in the component operator A_i, so an F-linear map commutes
+        with A_i iff it commutes with S (it is K-linear) and with N (as a
+        K-linear map, with N_K); Z_F(A_i) = Z_K(N_K).
         """
-        walk, last = [(0, self.kernels[0])], 0  # (r_j, W of the prefix)
-        for t in sorted(set(self.segre)):
-            terms = [self.kernels[r].intersect(self.images[t - r]) for r in range(t + 1)]
-            walk = [(x, W.sum(terms[x])) for r, W in walk for x in range(r, r + t - last + 1)]
+        sizes = sorted(set(self.segre))
+        walk, last = [(0,)], 0  # tuples r, led by r_0 = 0
+        for t in sizes:
+            walk = [r + (x,) for r in walk for x in range(r[-1], r[-1] + t - last + 1)]
             last = t
-        members = sorted({W for _, W in walk}, key=lambda W: W.sort_key())
+        members = {self.chain_span(lambda ti: min(max(ti, tj) - rj for tj, rj in zip(sizes, r[1:])))
+                   for r in walk}
         if len(members) != len(walk):
             raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
-        return tuple(self.k_subspace_to_f(W) for W in members)
+        Z = self.commutant.elements
+        if not all(W.is_invariant_under_all(Z) for W in {*self.kernels, *self.images}):
+            raise InvariantError("a kernel or image of N_K is not invariant under Z_K(N_K)")
+        return tuple(self.k_subspace_to_f(W) for W in sorted(members, key=Subspace.sort_key))
 
     @cached_property
     def invariant(self):
@@ -387,6 +459,25 @@ def _jordan_chains(nk, segre, kernels):
     if span(chosen, K, m).dim != m:
         raise InvariantError("Jordan chains do not span")
     return tuple(chains)
+
+
+def _chain_commutant(nk, rows):
+    """The closed-form basis of Z_K(N_K) (``KStructure.commutant``) from the
+    encoded chain vectors ``rows``, in the order (j, i, b)."""
+    K, kern, m = nk.field, nk.kern, nk.nrows
+    flat = [v for chain in rows for v in chain]
+    cinv = inverse(Matrix.encoded(K, kern.transpose(flat, m), m)).right
+    zero = Matrix.zeros(K, 1, m).enc[0]
+    starts = [sum(map(len, rows[:j])) for j in range(len(rows))]
+    out = []
+    for j, gj in enumerate(rows):
+        for gi in rows:
+            ti = len(gi)
+            for b in range(ti - min(ti, len(gj)), ti):
+                images = [zero] * m  # column c of Y: the image of chain vector c
+                images[starts[j] : starts[j] + ti - b] = gi[b:]
+                out.append(Matrix.encoded(K, kern.matmul(kern.transpose(images, m), cinv, m), m))
+    return out
 
 
 def _verify_k_structure(ks, S, N):

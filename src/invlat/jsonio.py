@@ -159,11 +159,12 @@ def _members_to_json(members, flags):
     return out
 
 
-def lattice_to_json(lat, field, n):
+def lattice_to_json(lat, field, n, records=None):
+    """``records``, when given, are the member records of ``lat`` already made."""
     return {
         "field": field_to_json(field),
         "ambient_dim": n,
-        "members": _members_to_json(lat.members, lat.flags),
+        "members": _members_to_json(lat.members, lat.flags) if records is None else records,
         "hasse_edges": [list(e) for e in lat.covers],
     }
 
@@ -186,12 +187,18 @@ def lattice_from_json(obj):
 
 
 def lattice_report_to_json(report, field, n):
+    """The report's member records are made once, and reused for its lattice
+    when that holds the same members with the same flags."""
+    records, lattice = _members_to_json(report.members, report.member_flags), None
+    if lat := report.lattice:
+        own = lat.members == report.members and lat.flags == report.member_flags
+        lattice = lattice_to_json(lat, field, n, records if own else None)
     return {
         "kind": report.kind,
         "finite": report.finite,
         "complete": report.complete,
-        "members": _members_to_json(report.members, report.member_flags),
-        "lattice": lattice_to_json(report.lattice, field, n) if report.lattice else None,
+        "members": records,
+        "lattice": lattice,
         "member_count": len(report.members),
         "components": [dict(m) for m in report.components],
         "provenance": list(report.provenance),

@@ -8,7 +8,7 @@ GF(p^k) rows element lists.  A kernel encodes (rows; ``scalar`` one
 element) and decodes, reduces to RREF (``echelon``) or against the rows of
 one (``reduce``), forms the row operation a - f b (``submul``), multiplies
 (``matmul``), evaluates a polynomial at a matrix by Horner's rule
-(``polyval``), and freezes, transposes, joins and places rows.
+(``polyval``), and freezes, transposes, joins, splits and places rows.
 matmul(a, b, n, c, first) gives the rows of AB + cE, E the rows first,
 first + 1, ... of I and c an encoded scalar or None; B comes prepared
 (``prepare``): as its encoded rows, or over Q as int rows over one common
@@ -145,6 +145,11 @@ class _GF2Rows(_Rows):
         return v >> n
 
     @staticmethod
+    def split(v, n, k):  # the k consecutive width-n pieces of v, lowest first
+        mask = (1 << n) - 1
+        return [v >> i * n & mask for i in range(k)]
+
+    @staticmethod
     def transpose(rows, n):
         cols = [0] * n
         for i, r in enumerate(rows):
@@ -193,6 +198,10 @@ class _ElementRows(_Rows):
 
     def tail(self, v, n):
         return v[n:]
+
+    @staticmethod
+    def split(v, n, k):
+        return [v[i * n : (i + 1) * n] for i in range(k)]
 
     def place(self, rows, offset, n):
         zero = self.zero

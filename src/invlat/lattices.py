@@ -15,20 +15,24 @@ and image chains of N_K that ``build_k_structure`` formed once:
   W(r) = sum_j ker N_K^(r_j) meet im N_K^(t_j - r_j) over the tuples r with
   r and t - r nondecreasing, one member per tuple (Fillmore, Herrero &
   Longstaff, Linear Algebra Appl. 17, 1977).  ``KStructure.hyperinvariant``
-  walks the tuples once per analysis, and hinv and chinv share its members
-  and their Lattice (``hyperinvariant_lattice``, closure re-checked once).
-  Each member is re-verified in component coordinates against a basis of
-  the centralizer Z(A_i) of the restriction A_i.  That certifies the
-  direct sum against Z(A): every X commuting with A commutes with
-  p_i(A)^k_i, so it maps each primary component V_i into itself, and
+  reads each W(r) off the Jordan chain basis, where every kernel and image
+  is a coordinate subspace, once per analysis, and hinv and chinv share its
+  members and their Lattice (``hyperinvariant_lattice``, closure re-checked
+  once).  It certifies them on the generators: ker N_K^j and im N_K^j are
+  checked invariant under Z_K(N_K), read off the same chains in closed form
+  and certified (``KStructure.commutant``), and + and meet keep that.
+  Z_K(N_K) is Z(A_i), A_i the restriction, which certifies the direct sum
+  against Z(A): every X commuting with A commutes with p_i(A)^k_i, so it
+  maps each primary component V_i into itself, and
   Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis;
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
   decides whether extra members can exist, and if so they are the members
   of inv's walk that the span of the units of Z(N_K) preserves (it holds
-  N_K); that span is read off the kernel chain in closed form and
-  certified by seeded units (``_unit_span``), so no unit group is walked.
+  N_K); that span is read off ``KStructure.commutant`` and the chains in
+  closed form and certified by seeded units (``_unit_span``), so no unit
+  group is walked.
 
 Each lattice is a rule for one component, run on every component by one
 driver (``_report``).  Components combine by direct sums because the
@@ -42,7 +46,6 @@ from itertools import compress, product
 from math import prod
 from random import Random
 
-from .centralizer import centralizer_basis, is_hyperinvariant
 from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
 from .kernels import row_kernel
@@ -157,13 +160,14 @@ def _unit_span(ks, seed):
     dimension one (t of multiplicity one; g, the top of the size-t chain,
     spans it), and units span M_m(GF(2)) for m >= 2: so L is where the scalars
     [X g not in W] agree.  Seeded units certify they span L, or it is undecided.
+    In the chain basis W is spanned by the N^c g_i with c >= t_i - t + 1, or
+    c >= t_i - t when t_i > t (N ker N^(t+1) = ker N^t meet im N).
     """
-    nk, K, m = ks.nk, ks.nk.field, ks.nk.nrows
-    Z = centralizer_basis(nk)
-    kers = ks.kernels
+    K, m = ks.nk.field, ks.nk.nrows
+    Z = ks.commutant
     scalars = []
     for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
-        W = kers[t - 1].sum(kers[t].intersect(ks.images[1]))  # N ker N^(t+1) = ker N^t meet im N
+        W = ks.chain_span(lambda ti: ti - t + (ti <= t))
         scalars.append([K.zero() if W.member(mat_vec(B, g)) else K.one() for B in Z.elements])
     conditions = [[a - b for a, b in zip(scalars[0], row)] for row in scalars[1:]]
     L = Z.elements
@@ -336,13 +340,9 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
             "equal those of the nilpotent part over K; read off the Fillmore-Herrero-Longstaff "
             "tuples of its Jordan block sizes"
         )
-        # Z(A) is block diagonal over the components: checking Z(A_i) on
-        # each component's members certifies their direct sums against Z(A)
+        # certified on ker N_K^j and im N_K^j against Z_K(N_K) = Z(A_i); Z(A)
+        # is block diagonal over the components, so that covers the direct sums
         ks = ca.kstruct
-        Ai = ca.component.restriction
-        Z = centralizer_basis(Ai)
-        if not all(is_hyperinvariant(W, Ai, Z) for W in ks.hyperinvariant):
-            raise InvariantError("engine produced a non-hyperinvariant subspace")
         return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
 
     return _report("hyperinvariant", A, ana, _DIRECT_SUM, component)

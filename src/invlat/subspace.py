@@ -6,12 +6,14 @@ space, held in the encoding of the field's row kernel
 table-coded GF(p^k), Fraction tuples for Q, element tuples otherwise.
 Equality and hashing are on those encoded canonical rows (two subspaces
 are equal iff the rows agree), and the element basis is decoded on
-demand, for ordering and output.  Membership, invariance, containment,
-sums and intersections (the Zassenhaus stacked-basis trick) eliminate on
-the encoded rows.  Enumeration walks RREF shapes (dimension,
-pivot-column set, free entries) on encoded rows, so every subspace appears
-exactly once; given matrices, it keeps the subspaces invariant under them,
-reducing each encoded row image against the candidate's rows.
+demand, for ordering and its sort key, both kept once made.  Membership,
+invariance, containment, sums and intersections (the Zassenhaus
+stacked-basis trick) eliminate on the encoded rows; invariance under a set
+of matrices is two products per matrix with the annihilator.  Enumeration
+walks RREF shapes (dimension, pivot-column set, free entries) on encoded
+rows, so every subspace appears exactly once; given matrices, it keeps
+the subspaces invariant under them, reducing each encoded row image
+against the candidate's rows.
 ``build_lattice`` certifies a finite lattice from one sum per pair of
 members: the sums give closure under sum and the containment order, and
 Grassmann's formula on that order proves each meet, with no intersection
@@ -53,7 +55,7 @@ DEFAULT_SUBSPACE_CAP = 2_000_000
 
 
 class Subspace:
-    __slots__ = ("field", "n", "pivots", "enc", "_basis", "_hash")
+    __slots__ = ("field", "n", "pivots", "enc", "_basis", "_hash", "_key")
 
     def __init__(self, field, n, basis, pivots, enc=None):
         # internal: use span() or from_rows() to construct from generators;
@@ -67,7 +69,7 @@ class Subspace:
             kern = row_kernel(field)
             enc = kern.freeze([kern.encode(r) for r in basis])
         self.enc = enc
-        self._hash = None
+        self._hash = self._key = None
 
     @classmethod
     def from_rows(cls, field, n, rows):
@@ -125,6 +127,18 @@ class Subspace:
         images = kern.matmul(rows, B.cols, self.n)
         return not any(kern.nonzero(kern.reduce(w, rows, piv)) for w in images)
 
+    def is_invariant_under_all(self, matrices):
+        """True iff every matrix maps this subspace W into itself: H B W^T = 0
+        for H a basis of the annihilator (the h with W h = 0), two products
+        per matrix and no reduction."""
+        if self.is_zero or self.is_full:
+            return True
+        kern, n = row_kernel(self.field), self.n
+        H = kernel_basis(Matrix.encoded(self.field, self.enc, n)).enc
+        wt = kern.prepare(kern.transpose(self.enc, n))
+        return not any(kern.nonzero(r) for B in matrices
+                       for r in kern.matmul(kern.matmul(H, B.right, n), wt, self.dim))
+
     def contains(self, other):
         self._check(other)
         kern, rows = row_kernel(self.field), self.enc
@@ -163,8 +177,11 @@ class Subspace:
         return self._hash
 
     def sort_key(self):
-        fk = self.field.sort_key
-        return (self.dim, tuple(tuple(fk(e) for e in row) for row in self.basis))
+        """(dim, the basis entries' field keys), kept once made."""
+        if self._key is None:
+            fk = self.field.sort_key
+            self._key = (self.dim, tuple(tuple(fk(e) for e in row) for row in self.basis))
+        return self._key
 
     def __repr__(self):
         return f"Subspace({subspace_label(self)} in {self.field!r}^{self.n})"

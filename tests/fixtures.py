@@ -5,9 +5,10 @@ GOLD_8: 8x8 over GF(2), minimal polynomial (x^2+x+1)^3.
 GOLD_4: 4x4 over GF(2), minimal polynomial (x+1)^3.
 """
 
-from invlat.errors import ClosureError
+from invlat.centralizer import centralizer_basis, is_hyperinvariant
+from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
-from invlat.matrix import Matrix, inverse, poly_at_matrix
+from invlat.matrix import Matrix, inverse, mat_vec, poly_at_matrix
 from invlat.subspace import Lattice, subspace_label
 
 F2 = gf_build(2)
@@ -59,6 +60,41 @@ def pairwise_lattice(subspaces, flags=None):
     )
     flag_tuple = None if flags is None else tuple(flags.get(s, "") for s in members)
     return Lattice(tuple(members), covers, flag_tuple)
+
+
+def zassenhaus_fhl_walk(ks):
+    """Reference for ``KStructure.hyperinvariant``, independent of the Jordan
+    chain basis: the Fillmore-Herrero-Longstaff walk with each term
+    ker N^r meet im N^(t-r) a Zassenhaus intersection of the kernel and image
+    chains, each tuple's member a sum of its terms, in the same order."""
+    walk, last = [(0, ks.kernels[0])], 0  # (r_j, W of the prefix)
+    for t in sorted(set(ks.segre)):
+        terms = [ks.kernels[r].intersect(ks.images[t - r]) for r in range(t + 1)]
+        walk = [(x, W.sum(terms[x])) for r, W in walk for x in range(r, r + t - last + 1)]
+        last = t
+    members = sorted({W for _, W in walk}, key=lambda W: W.sort_key())
+    if len(members) != len(walk):
+        raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
+    return tuple(ks.k_subspace_to_f(W) for W in members)
+
+
+def per_member_centralizer_check(ca):
+    """Reference for hinv's certificate: Z(A_i) of the component operator
+    solved as an n_i^2-unknown system over F, and every member of the
+    component checked against each of its basis elements.  Returns the basis."""
+    Ai = ca.component.restriction
+    Z = centralizer_basis(Ai)
+    if not all(is_hyperinvariant(W, Ai, Z) for W in ca.kstruct.hyperinvariant):
+        raise InvariantError("engine produced a non-hyperinvariant subspace")
+    return Z
+
+
+def k_matrix_to_f(ks, X):
+    """The F-linear map of the component that X, a matrix over K acting on
+    K coordinates, is: e -> to_f(X to_k(e)) on the standard basis."""
+    F, n = ks.f_basis.field, ks.f_basis.nrows
+    return Matrix.from_cols(F, [ks.to_f(mat_vec(X, ks.to_k(e)))
+                                for e in Matrix.identity(F, n).rows])
 
 
 def e_rows(n, idxs, field):

@@ -11,7 +11,7 @@ from invlat.cli import main
 from invlat.errors import InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.jsonio import dumps, matrix_to_json
-from invlat.matrix import Matrix, companion
+from invlat.matrix import Matrix, companion, inverse
 from invlat.oracle import random_instance
 from invlat.poly import Poly, parse_poly
 
@@ -375,6 +375,27 @@ def test_odd_characteristic_output_bytes_pinned(tmp_path):
         out = tmp_path / f"{name}.{command}.json"
         assert main(["--input", inp, "--command", command, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, command)
+
+
+def test_lattice_hinv_on_the_conjugated_staircase(tmp_path):
+    # nilpotent (5,4,3,2,1) over Q, n = 15, conjugated by L U with L and U unit
+    # triangular (entries -1, 0, 1): one FHL member per tuple, 2^5 of them
+    sizes, n = (5, 4, 3, 2, 1), 15
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    J = Matrix(QQ, [[int(j == i + 1 and j not in starts) for j in range(n)] for i in range(n)])
+    rng = random.Random(5)
+    L = Matrix(QQ, [[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0
+                     for j in range(n)] for i in range(n)])
+    U = Matrix(QQ, [[1 if i == j else rng.choice((-1, 0, 1)) if j > i else 0
+                     for j in range(n)] for i in range(n)])
+    P = L @ U
+    code, payload = run(tmp_path, P @ J @ inverse(P), "lattice-hinv")
+    assert code == 0
+    payload = payload["report"]
+    assert payload["member_count"] == 32 and payload["complete"] and payload["finite"]
+    assert payload["components"][0]["segre_k"] == list(sizes)
+    assert len(payload["lattice"]["members"]) == 32
+    assert [m["dim"] for m in payload["members"]] == sorted(m["dim"] for m in payload["members"])
 
 
 def test_cap_exit_code(tmp_path):

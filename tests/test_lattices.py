@@ -18,7 +18,18 @@ from invlat.oracle import random_instance
 from invlat.poly import parse_poly
 from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
 
-from fixtures import GOLD_4_A, GOLD_8_A, GOLD_RAT_A, e_rows, F2, F3, pairwise_lattice
+from fixtures import (
+    GOLD_4_A,
+    GOLD_8_A,
+    GOLD_RAT_A,
+    e_rows,
+    F2,
+    F3,
+    k_matrix_to_f,
+    pairwise_lattice,
+    per_member_centralizer_check,
+    zassenhaus_fhl_walk,
+)
 
 
 def members_of(report):
@@ -361,20 +372,24 @@ def test_direct_sum_rechecks_each_factor():
         direct_sum_lattices([good, bad])
 
 
-def test_hinv_solves_the_centralizer_per_component(monkeypatch):
-    import invlat.lattices
+def test_hinv_solves_no_centralizer_system(monkeypatch):
+    # hinv, and chinv's unit span, read Z_K(N_K) off the Jordan chains: no
+    # n^2-unknown solve of AX = XA runs, on any component
+    import sys
 
-    sizes = []
-    original = invlat.lattices.centralizer_basis
+    from invlat import centralizer
 
-    def recorded(M):
-        sizes.append(M.nrows)
-        return original(M)
+    def refused(M):
+        raise AssertionError("centralizer_basis was called")
 
-    monkeypatch.setattr(invlat.lattices, "centralizer_basis", recorded)
-    rep = hinv_lattice(block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])]))
-    assert len(rep.members) == 12  # 6 hyperinvariant members x 2
-    assert sorted(sizes) == [1, 4]  # never the 5x5 operator itself
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invlat") and vars(mod).get("centralizer_basis") is not None:
+            monkeypatch.setattr(mod, "centralizer_basis", refused)
+    assert centralizer.centralizer_basis is refused
+    A = block_diag(F2, [GOLD_4_A, Matrix(F2, [[0]])])
+    assert len(hinv_lattice(A).members) == 12  # 6 hyperinvariant members x 2
+    chinv = chinv_lattice(A)
+    assert chinv.complete and chinv.member_flags.count("characteristic-only") == 2
 
 
 def test_inv_combines_finiteness_and_completeness_per_component():
@@ -499,7 +514,122 @@ def test_fhl_walk_refuses_two_tuples_with_one_subspace(monkeypatch):
     kernels = list(ks.kernels)
     kernels[1] = kernels[0]
     monkeypatch.setitem(vars(ks), "kernels", tuple(kernels))
-    with pytest.raises(InvariantError, match="tuples give one subspace"):
+    with pytest.raises(InvariantError, match="ker N_K\\^1 is not the span of its Jordan chain"):
+        ks.hyperinvariant
+
+
+# ----------------------------------------------------------------------
+# The closed forms read off the Jordan chain basis against the references
+# they replaced: Z(A_i) solved as an n_i^2-unknown system with every member
+# checked against it, and the FHL walk on Zassenhaus intersections.
+
+
+def _conjugated(J, rng):
+    """J conjugated by a seeded invertible matrix with entries over all of F."""
+    field, n = J.field, J.nrows
+    draw = ((lambda: field.element_from_index(rng.randrange(field.order))) if field.is_finite
+            else (lambda: rng.randrange(-2, 3)))
+    while True:
+        P = Matrix(field, [[draw() for _ in range(n)] for _ in range(n)])
+        if rank(P) == n:
+            return P @ J @ inverse(P)
+
+
+def _closed_forms_match_the_references(A):
+    for ca in analyze_operator(A).components:
+        ks = ca.kstruct
+        Z = per_member_centralizer_check(ca)  # the members pass the old check
+        assert ks.hyperinvariant == zassenhaus_fhl_walk(ks), ks.segre
+        # Z_F(A_i) = Z_K(N_K), of F-dimension s times its K-dimension
+        assert Z.dim == ks.s * ks.commutant.dim, ks.segre
+        F, n = Z.matrix.field, Z.matrix.nrows
+        solved = span([[e for row in B.rows for e in row] for B in Z.elements], F, n * n)
+        for X in ks.commutant.elements:
+            assert solved.member([e for row in k_matrix_to_f(ks, X).rows for e in row]), ks.segre
+
+
+@pytest.mark.parametrize("field", [F2, F3, gf_build(2, 2), QQ], ids=repr)
+def test_closed_forms_match_the_references_on_every_small_partition(field):
+    rng = random.Random(109)
+    for n in range(1, 7):
+        for sizes in _partitions(n):
+            _closed_forms_match_the_references(
+                _conjugated(_conjugated_primary(field, Matrix.zeros(field, 1), sizes, rng), rng))
+
+
+def test_closed_forms_match_the_references_over_an_extension():
+    # s = 2: K = GF(4) from x^2+x+1 over GF(2), K = Q(sqrt 2) from x^2-2
+    rng = random.Random(113)
+    for field, p in ((F2, "x^2+x+1"), (QQ, "x^2-2")):
+        block = companion(parse_poly(p, field))
+        for sizes in ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 1, 1), (2, 2), (3, 2)):
+            _closed_forms_match_the_references(_conjugated_primary(field, block, sizes, rng))
+
+
+def _mutated_commutant(monkeypatch, mutate):
+    """The commutant of a conjugated (3, 2, 1) nilpotent over GF(3), with
+    ``mutate`` applied to the closed-form elements before they are certified."""
+    import invlat.decomposition
+
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
+    ks = analyze_operator(A).components[0].kstruct
+    real = invlat.decomposition._chain_commutant
+    monkeypatch.setattr(invlat.decomposition, "_chain_commutant",
+                        lambda nk, rows: mutate(ks, real(nk, rows)))
+    return lambda: ks.commutant
+
+
+def _non_commuting(ks, X):
+    """X plus the first unit matrix E_ij that does not commute with N_K."""
+    m, K = ks.k_dim, ks.field_k
+    for i in range(m):
+        for j in range(m):
+            E = Matrix(K, [[int(r == i and c == j) for c in range(m)] for r in range(m)])
+            if E @ ks.nk != ks.nk @ E:
+                return X + E
+    raise AssertionError("every unit matrix commutes with N_K")
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda ks, Xs: Xs[:-1], "13 centralizer elements, but dim Z = 14"),
+    (lambda ks, Xs: Xs[:-1] + [_non_commuting(ks, Xs[-1])], "does not commute"),
+    (lambda ks, Xs: Xs[:-1] + [Xs[0]], "dependent"),
+], ids=["dropped", "non-commuting", "dependent"])
+def test_commutant_certificate_refuses_a_mutated_basis(monkeypatch, mutate, match):
+    commutant = _mutated_commutant(monkeypatch, mutate)
+    with pytest.raises(InvariantError, match=match):
+        commutant()
+
+
+def test_corrupted_chains_are_refused(monkeypatch):
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
+    ana = analyze_operator(A)
+    ks = ana.components[0].kstruct
+    g, Ng, NNg = ks.chains[0]
+    scale = lambda v: tuple(x + x for x in v)
+    # N g + g is not in ker N^2: the chain spans no longer match the kernels
+    monkeypatch.setitem(vars(ks), "chains", ((g, tuple(x + y for x, y in zip(Ng, g)), NNg),
+                                             *ks.chains[1:]))
+    with pytest.raises(InvariantError, match="ker N_K\\^2 is not the span"):
+        ks.commutant
+    # 2 N g keeps every span but breaks N g -> N^2 g: the maps built on it do
+    # not commute with N_K
+    monkeypatch.setitem(vars(ks), "chains", ((g, scale(Ng), NNg), *ks.chains[1:]))
+    with pytest.raises(InvariantError, match="does not commute"):
+        ks.commutant
+    with pytest.raises(InvariantError, match="does not commute"):
+        hinv_lattice(A, analysis=ana)
+
+
+def test_generator_certificate_refuses_a_corrupted_kernel(monkeypatch):
+    # with the chain check passed, a kernel that Z_K(N_K) moves is refused:
+    # span(g) for g the top of the longest chain (N g is outside it)
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
+    ks = analyze_operator(A).components[0].kstruct
+    ks.commutant  # certified on the true chains
+    line = span([ks.chains[0][0]], F3, ks.k_dim)
+    monkeypatch.setitem(vars(ks), "kernels", (ks.kernels[0], line, *ks.kernels[2:]))
+    with pytest.raises(InvariantError, match="not invariant under Z_K"):
         ks.hyperinvariant
 
 
