@@ -284,32 +284,40 @@ class KStructure:
     @cached_property
     def chain_rows(self):
         """The Jordan chain vectors as encoded rows, chain by chain, certified
-        to be a basis of K^m in which every ker N_K^a and im N_K^b is a
-        coordinate subspace: with g a chain's generator and t its length,
-        N^c g lies in ker N^a iff c >= t - a, and in im N^b iff c >= b.  The m
+        to be a basis of K^m in which every ker N_K^a and im N_K^b is the
+        coordinate subspace on ``kernel_index(a)`` / ``image_index(b)``: the m
         vectors must be independent, and each ``kernels[a]`` and ``images[b]``
-        must hold its chain vectors and have as many dimensions as there are
-        of them."""
+        must hold the chain vectors of its index set and have as many
+        dimensions as there are of them."""
         K, m = self.field_k, self.k_dim
         kern = row_kernel(K)
         rows = tuple(tuple(kern.encode(v) for v in chain) for chain in self.chains)
         if len(kern.echelon([v for chain in rows for v in chain], m)[0]) != m:
             raise InvariantError("the Jordan chain vectors are not a basis")
-        for what, spaces, cut in (("ker", self.kernels, lambda t, a: t - a),
-                                  ("im", self.images, lambda t, b: b)):
+        for what, spaces, index in (("ker", self.kernels, self.kernel_index),
+                                    ("im", self.images, self.image_index)):
             for a, W in enumerate(spaces):
-                vectors = [v for chain in rows for v in chain[max(cut(len(chain), a), 0):]]
+                vectors = [rows[i][c] for i, c in index(a)]
                 if len(vectors) != W.dim or any(
                         kern.nonzero(kern.reduce(v, W.enc, W.pivots)) for v in vectors):
                     raise InvariantError(
                         f"{what} N_K^{a} is not the span of its Jordan chain vectors")
         return rows
 
-    def chain_span(self, cut):
-        """The K-subspace spanned by the chain vectors N^c g with c >= cut(t),
-        t the length of g's chain."""
-        rows = [v for chain in self.chain_rows for v in chain[max(cut(len(chain)), 0):]]
-        return Subspace.from_rows(self.field_k, self.k_dim, rows)
+    def kernel_index(self, a):
+        """The positions (i, c) of the chain vectors N^c g_i in ker N_K^a:
+        c >= t_i - a, t_i the length of chain i."""
+        return frozenset((i, c) for i, t in enumerate(map(len, self.chains))
+                         for c in range(max(t - a, 0), t))
+
+    def image_index(self, b):
+        """The positions (i, c) of the chain vectors N^c g_i in im N_K^b: c >= b."""
+        return frozenset((i, c) for i, t in enumerate(map(len, self.chains)) for c in range(b, t))
+
+    def chain_span(self, index):
+        """The K-subspace spanned by the chain vectors at the positions ``index``."""
+        rows = self.chain_rows
+        return Subspace.from_rows(self.field_k, self.k_dim, [rows[i][c] for i, c in sorted(index)])
 
     @cached_property
     def commutant(self):
@@ -340,33 +348,38 @@ class KStructure:
         both r and t - r nondecreasing, one subspace per tuple r (Fillmore,
         Herrero & Longstaff, Linear Algebra Appl. 17, 1977, 125-132); taking
         t_0 = r_0 = 0, r_j runs over r_(j-1) ... r_(j-1) + t_j - t_(j-1).  In
-        the Jordan chain basis (``chain_rows``) every term is a coordinate
-        subspace and sums and meets of those are unions and intersections of
-        their index sets, so W(r) is spanned by the N^c g_i with
-        c >= min_j max(t_i, t_j) - r_j: one echelon per tuple, no intersection.
+        the Jordan chain basis (``chain_rows``) every kernel and image is a
+        coordinate subspace, and sums and meets of those are the spans of the
+        unions and intersections of their index sets: each W(r) is formed so,
+        its index set the union over j of the intersections of
+        ``kernel_index(r_j)`` and ``image_index(t_j - r_j)``, then one echelon
+        per tuple and no intersection of subspaces.
 
-        Certificate: ``chain_rows`` checks that the kernels and images are those
-        coordinate subspaces, the bijection (distinct tuples, distinct
-        subspaces) is checked, and the generators ker N^j and im N^j are
-        checked invariant under the basis of ``commutant``.  Every member is
-        made from the generators by + and meet, and X U <= U, X W <= W give
-        X(U + W) <= U + W and X(U meet W) <= U meet W, so every member is
-        Z_K(N_K)-invariant.  That is hyperinvariance over F: S and N are
-        polynomials in the component operator A_i, so an F-linear map commutes
-        with A_i iff it commutes with S (it is K-linear) and with N (as a
-        K-linear map, with N_K); Z_F(A_i) = Z_K(N_K).
+        Certificate: ``chain_rows`` checks that the kernels and images are the
+        coordinate subspaces on those index sets, the bijection (distinct
+        tuples, distinct subspaces) is checked, and the generators ker N^j and
+        im N^j are checked invariant under the basis of ``commutant``.  Every
+        member is so made from the generators by + and meet, and X U <= U,
+        X W <= W give X(U + W) <= U + W and X(U meet W) <= U meet W, so every
+        member is Z_K(N_K)-invariant.  That is hyperinvariance over F: S and N
+        are polynomials in the component operator A_i, so an F-linear map
+        commutes with A_i iff it commutes with S (it is K-linear) and with N
+        (as a K-linear map, with N_K); Z_F(A_i) = Z_K(N_K).
         """
         sizes = sorted(set(self.segre))
         walk, last = [(0,)], 0  # tuples r, led by r_0 = 0
         for t in sizes:
             walk = [r + (x,) for r in walk for x in range(r[-1], r[-1] + t - last + 1)]
             last = t
-        members = {self.chain_span(lambda ti: min(max(ti, tj) - rj for tj, rj in zip(sizes, r[1:])))
+        ker = [self.kernel_index(a) for a in range(len(self.kernels))]
+        im = [self.image_index(b) for b in range(len(self.images))]
+        members = {self.chain_span(frozenset().union(*(ker[rj] & im[tj - rj]
+                                                       for tj, rj in zip(sizes, r[1:]))))
                    for r in walk}
         if len(members) != len(walk):
             raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
         Z = self.commutant.elements
-        if not all(W.is_invariant_under_all(Z) for W in {*self.kernels, *self.images}):
+        if not all(W.is_invariant_under(B) for W in {*self.kernels, *self.images} for B in Z):
             raise InvariantError("a kernel or image of N_K is not invariant under Z_K(N_K)")
         return tuple(self.k_subspace_to_f(W) for W in sorted(members, key=Subspace.sort_key))
 

@@ -16,7 +16,8 @@ and image chains of N_K that ``build_k_structure`` formed once:
   r and t - r nondecreasing, one member per tuple (Fillmore, Herrero &
   Longstaff, Linear Algebra Appl. 17, 1977).  ``KStructure.hyperinvariant``
   reads each W(r) off the Jordan chain basis, where every kernel and image
-  is a coordinate subspace, once per analysis, and hinv and chinv share its
+  is a coordinate subspace and W(r) the span of the union of intersections
+  of their index sets, once per analysis, and hinv and chinv share its
   members and their Lattice (``hyperinvariant_lattice``, closure re-checked
   once).  It certifies them on the generators: ker N_K^j and im N_K^j are
   checked invariant under Z_K(N_K), read off the same chains in closed form
@@ -24,7 +25,8 @@ and image chains of N_K that ``build_k_structure`` formed once:
   Z_K(N_K) is Z(A_i), A_i the restriction, which certifies the direct sum
   against Z(A): every X commuting with A commutes with p_i(A)^k_i, so it
   maps each primary component V_i into itself, and
-  Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis;
+  Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis.  As
+  inv's, hinv's members in F^n are checked invariant under A;
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
@@ -160,14 +162,14 @@ def _unit_span(ks, seed):
     dimension one (t of multiplicity one; g, the top of the size-t chain,
     spans it), and units span M_m(GF(2)) for m >= 2: so L is where the scalars
     [X g not in W] agree.  Seeded units certify they span L, or it is undecided.
-    In the chain basis W is spanned by the N^c g_i with c >= t_i - t + 1, or
-    c >= t_i - t when t_i > t (N ker N^(t+1) = ker N^t meet im N).
+    In the chain basis W is the span of the union of the index sets of
+    ker N^(t-1) and of ker N^t meet im N, which is N ker N^(t+1).
     """
     K, m = ks.nk.field, ks.nk.nrows
     Z = ks.commutant
     scalars = []
     for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
-        W = ks.chain_span(lambda ti: ti - t + (ti <= t))
+        W = ks.chain_span(ks.kernel_index(t - 1) | (ks.kernel_index(t) & ks.image_index(1)))
         scalars.append([K.zero() if W.member(mat_vec(B, g)) else K.one() for B in Z.elements])
     conditions = [[a - b for a, b in zip(scalars[0], row)] for row in scalars[1:]]
     L = Z.elements
@@ -345,7 +347,10 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
         ks = ca.kstruct
         return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
 
-    return _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
+    rep = _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
+    if not all(W.is_invariant_under(A) for W in rep.members):
+        raise InvariantError("engine produced a non-invariant subspace")
+    return rep
 
 
 def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, analysis=None):

@@ -8,12 +8,11 @@ Equality and hashing are on those encoded canonical rows (two subspaces
 are equal iff the rows agree), and the element basis is decoded on
 demand, for ordering and its sort key, both kept once made.  Membership,
 invariance, containment, sums and intersections (the Zassenhaus
-stacked-basis trick) eliminate on the encoded rows; invariance under a set
-of matrices is two products per matrix with the annihilator.  Enumeration
-walks RREF shapes (dimension, pivot-column set, free entries) on encoded
-rows, so every subspace appears exactly once; given matrices, it keeps
-the subspaces invariant under them, reducing each encoded row image
-against the candidate's rows.
+stacked-basis trick) eliminate on the encoded rows.  Enumeration walks
+RREF shapes (dimension, pivot-column set, free entries) on encoded rows,
+so every subspace appears exactly once; given matrices, it keeps the
+subspaces invariant under them, reducing each encoded row image against
+the candidate's rows.
 ``build_lattice`` certifies a finite lattice from one sum per pair of
 members: the sums give closure under sum and the containment order, and
 Grassmann's formula on that order proves each meet, with no intersection
@@ -123,21 +122,11 @@ class Subspace:
         """True iff the matrix B maps this subspace into itself."""
         if (B.nrows, B.ncols) != (self.n, self.n):
             raise ValueError("matrix shape does not match ambient dimension")
+        if self.is_zero or self.is_full:
+            return True
         kern, rows, piv = row_kernel(self.field), self.enc, self.pivots
         images = kern.matmul(rows, B.cols, self.n)
         return not any(kern.nonzero(kern.reduce(w, rows, piv)) for w in images)
-
-    def is_invariant_under_all(self, matrices):
-        """True iff every matrix maps this subspace W into itself: H B W^T = 0
-        for H a basis of the annihilator (the h with W h = 0), two products
-        per matrix and no reduction."""
-        if self.is_zero or self.is_full:
-            return True
-        kern, n = row_kernel(self.field), self.n
-        H = kernel_basis(Matrix.encoded(self.field, self.enc, n)).enc
-        wt = kern.prepare(kern.transpose(self.enc, n))
-        return not any(kern.nonzero(r) for B in matrices
-                       for r in kern.matmul(kern.matmul(H, B.right, n), wt, self.dim))
 
     def contains(self, other):
         self._check(other)

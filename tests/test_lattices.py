@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from invlat.decomposition import analyze_operator
+from invlat.decomposition import KStructure, analyze_operator
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.lattices import (
@@ -518,6 +518,18 @@ def test_fhl_walk_refuses_two_tuples_with_one_subspace(monkeypatch):
         ks.hyperinvariant
 
 
+def test_fhl_walk_refuses_two_tuples_with_one_index_set(monkeypatch):
+    # image index sets that ignore b make W(r) = ker N^(max r): for the
+    # sizes (1, 2) the tuples (0, 1) and (1, 1) both give ker N
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (2, 1), random.Random(7))
+    ks = analyze_operator(A).components[0].kstruct
+    ks.chain_rows  # certified on the true index sets
+    image_index = KStructure.image_index
+    monkeypatch.setattr(KStructure, "image_index", lambda self, b: image_index(self, 0))
+    with pytest.raises(InvariantError, match="two Fillmore-Herrero-Longstaff tuples give one"):
+        ks.hyperinvariant
+
+
 # ----------------------------------------------------------------------
 # The closed forms read off the Jordan chain basis against the references
 # they replaced: Z(A_i) solved as an n_i^2-unknown system with every member
@@ -631,6 +643,17 @@ def test_generator_certificate_refuses_a_corrupted_kernel(monkeypatch):
     monkeypatch.setitem(vars(ks), "kernels", (ks.kernels[0], line, *ks.kernels[2:]))
     with pytest.raises(InvariantError, match="not invariant under Z_K"):
         ks.hyperinvariant
+
+
+def test_hinv_checks_its_members_against_A(monkeypatch):
+    # a fault in the map back to F coordinates (here the coordinates reversed,
+    # which keeps the lattice closed) is refused against A itself
+    A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
+    to_f = KStructure.k_subspace_to_f
+    monkeypatch.setattr(KStructure, "k_subspace_to_f",
+                        lambda self, W: span([v[::-1] for v in to_f(self, W).basis], F3, A.nrows))
+    with pytest.raises(InvariantError, match="non-invariant subspace"):
+        hinv_lattice(A)
 
 
 def _matrix_sum_draws(L, K, m, seed, draws):
