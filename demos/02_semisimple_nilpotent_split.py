@@ -32,5 +32,6 @@ print("certificate q with q(A) = S:", dec.certificate)
 ks = build_k_structure(dec.S, dec.N, parse_poly("x+1", F2))
 print("\nSegre characteristic of N:", ks.segre)
 print("Jordan chains (generator first):")
-for chain in ks.chains:
-    print("  ", " -> ".join(str(list(str(c) for c in v)) for v in chain), "-> 0")
+for chain in ks.chains:  # encoded rows: decoded to field elements for printing
+    vectors = (ks.nk.kern.decode(v, ks.k_dim) for v in chain)
+    print("  ", " -> ".join(str(list(str(c) for c in v)) for v in vectors), "-> 0")

@@ -11,12 +11,16 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   S_i = (q mod p_i^{k_i})(A_i), with that residue as checked certificate;
   ``jordan_chevalley`` does the same for one p-primary matrix.
 * ``build_k_structure`` turns F^n into a vector space over K = F[S]
-  (a field because p is irreducible) and computes the matrix N_K of N as a
-  K-linear map.  One pass over the powers of N_K gives the kernel and
-  image chains ker N_K^j, im N_K^j; the Segre characteristic is read off
-  the kernel dimensions and the Jordan chain generators off the kernels,
-  and the lattice code reuses both chains.  The chain vectors, checked to
-  be a basis in which every kernel and image is a coordinate subspace
+  (a field because p is irreducible) with one F-basis B, the blocks
+  (g, S g, ..., S^(s-1) g) of the generators g, and reads the matrix N_K of
+  N as a K-linear map off B^-1 N B, certified by N B = B f_form(N_K)
+  (``f_form``: each entry as the s x s matrix of multiplication by it,
+  which also maps K-subspaces to F^n).  One pass over the powers of N_K
+  gives the kernel and image chains ker N_K^j, im N_K^j; the Segre
+  characteristic is read off the kernel dimensions and the Jordan chains,
+  as encoded rows, off the kernels, and the lattice code reuses both
+  chains.  The chain vectors, checked to be a basis in which every kernel
+  and image is a coordinate subspace
   (``KStructure.chain_rows``), give Z_K(N_K) in closed form
   (``KStructure.commutant``, certified) and the hyperinvariant subspaces of
   N_K (``KStructure.hyperinvariant``, Fillmore, Herrero & Longstaff), each
@@ -26,7 +30,7 @@ Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
 
@@ -34,10 +38,10 @@ from .centralizer import certified_centralizer
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
 from .kernels import row_kernel
-from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, poly_at_matrix
+from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
 from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
-                       kernel_basis, span, zero_subspace)
+                       kernel_basis, zero_subspace)
 
 __all__ = [
     "PrimaryComponent",
@@ -72,7 +76,7 @@ def primary_decomposition(A, factorization):
     """Components of V under A for a verified factorization of m_A."""
     if not A.is_square:
         raise ValueError("primary decomposition requires a square matrix")
-    field = A.field
+    field, kern = A.field, A.kern
     n = A.nrows
     comps = []
     total = 0
@@ -84,10 +88,11 @@ def primary_decomposition(A, factorization):
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
         # restriction: V's basis is in RREF, so the coordinates of A*b, once
         # it is checked to lie in V, are its entries at V's pivot columns
-        AB = A @ Matrix.from_cols(field, V.basis)
-        if not all(V.member(v) for v in zip(*AB.rows)):
+        AB = A @ Matrix.encoded(field, kern.transpose(V.enc, n), V.dim)
+        images = kern.transpose(AB.enc, V.dim)
+        if any(kern.nonzero(kern.reduce(v, V.enc, V.pivots)) for v in images):
             raise InvariantError("ker p(A)^k is not A-invariant")
-        Ai = Matrix(field, [AB.rows[c] for c in V.pivots])
+        Ai = Matrix.encoded(field, [AB.enc[c] for c in V.pivots], V.dim)
         # with the direct-sum check below this proves prod p^k = m_A: the
         # factors are coprime, so m_A is the lcm of the restricted ones
         if minimal_polynomial(Ai) != pk:
@@ -211,22 +216,23 @@ class KStructure:
     """F^n viewed as a K = F[S] vector space, and N as a K-linear map.
 
     ``generators`` are the chosen K-basis vectors (scanned standard basis
-    vectors, deterministic); the F-basis groups each generator g with
-    S g, ..., S^(s-1) g.  ``nk`` is the matrix of N over K in that basis,
-    ``segre`` its Segre characteristic over K, ``chains`` Jordan chain
-    generators over K (each chain listed generator first), and ``kernels``
-    / ``images`` the K-subspaces ker N_K^j / im N_K^j for j = 0, ..., r
-    (N_K^r = 0): every lattice is read off these, so the powers of N_K are
-    formed here once.  ``invariant`` (inv's walk, which chinv filters),
-    ``chain_rows``, ``commutant`` and ``hyperinvariant`` are formed once per
-    analysis, on first use.
+    vectors, deterministic); the F-basis ``f_basis`` groups each generator g
+    with S g, ..., S^(s-1) g, so a K coordinate a = sum_k c_k alpha^k
+    (alpha the class of x, acting as S) has the F-coordinates c_0 ... c_(s-1)
+    in its block.  ``nk`` is the matrix of N over K in that basis, certified
+    by N B = B ``f_form``(N_K), ``segre`` its Segre characteristic over K,
+    ``chains`` the Jordan chains over K as encoded rows (each chain listed
+    generator first), and ``kernels`` / ``images`` the K-subspaces ker N_K^j
+    / im N_K^j for j = 0, ..., r (N_K^r = 0): every lattice is read off
+    these, so the powers of N_K are formed here once.  ``invariant`` (inv's
+    walk, which chinv filters), ``chain_rows``, ``commutant`` and
+    ``hyperinvariant`` are formed once per analysis, on first use.
     """
 
     s: int
     field_k: object
     generators: tuple
     f_basis: Matrix  # columns: blocks (g, Sg, ..., S^{s-1}g) per generator
-    f_basis_inv: Matrix
     nk: Matrix
     segre: tuple
     chains: tuple
@@ -237,63 +243,26 @@ class KStructure:
     def k_dim(self):
         return self.f_basis.nrows // self.s
 
-    def to_k(self, v):
-        """F^n vector -> K^{n/s} coordinate vector."""
-        x = mat_vec(self.f_basis_inv, v)
-        out = []
-        for j in range(self.k_dim):
-            block = x[j * self.s : (j + 1) * self.s]
-            out.append(self._k_from_coeffs(block))
-        return tuple(out)
-
-    def to_f(self, w):
-        """K^{n/s} coordinate vector -> F^n vector."""
-        return mat_vec(self.f_basis, self._f_coords(w))
-
-    def _k_from_coeffs(self, block):
-        K = self.field_k
-        if self.s == 1:
-            return block[0]
-        if isinstance(K, FiniteField):
-            return K.element([c.c[0] for c in block])
-        return K.element(list(block))
-
-    def _f_coords(self, w):
-        """K^{n/s} coordinate vector -> its F-coordinates in the F-basis."""
-        if self.s == 1:
-            return tuple(w)
-        F = self.f_basis.field
-        return tuple(F.element(c) for a in w for c in a.c)
-
     def k_subspace_to_f(self, W):
         """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n: the
-        F-coordinates of each basis row times alpha^j (j < s), one kernel
-        product with the F-basis."""
+        column space of B ``f_form``(W^T), whose columns are the vectors
+        w alpha^k (w a basis row of W, k < s), B the F-basis."""
         fb = self.f_basis
         kern, n = fb.kern, fb.nrows
-        if self.s == 1:  # K = F, with the same row kernel
-            coords = W.enc
-        else:
-            alpha, coords = self.field_k.generator(), []
-            for r in W.basis:
-                for _ in range(self.s):
-                    coords.append(kern.encode(self._f_coords(r)))
-                    r = tuple(alpha * c for c in r)
-        return Subspace.from_rows(fb.field, n, kern.matmul(coords, fb.cols, n))
+        if self.s == 1 or W.is_zero:  # K = F, with the same row kernel: the rows B w
+            return Subspace.from_rows(fb.field, n, kern.matmul(W.enc, fb.cols, n))
+        WT = Matrix.encoded(W.field, row_kernel(W.field).transpose(W.enc, W.n), W.dim)
+        return image_basis(fb @ f_form(WT, fb.field))
 
     @cached_property
     def chain_rows(self):
-        """The Jordan chain vectors as encoded rows, chain by chain, certified
-        to be a basis of K^m in which every ker N_K^a and im N_K^b is the
-        coordinate subspace on ``kernel_index(a)`` / ``image_index(b)``: the m
-        vectors must be independent, and each ``kernels[a]`` and ``images[b]``
-        must hold the chain vectors of its index set and have as many
-        dimensions as there are of them."""
-        K, m = self.field_k, self.k_dim
-        kern = row_kernel(K)
-        rows = tuple(tuple(kern.encode(v) for v in chain) for chain in self.chains)
-        if len(kern.echelon([v for chain in rows for v in chain], m)[0]) != m:
-            raise InvariantError("the Jordan chain vectors are not a basis")
+        """The Jordan chain vectors as encoded rows, chain by chain (independent,
+        as ``build_k_structure`` checked), certified to be a basis in which every
+        ker N_K^a and im N_K^b is the coordinate subspace on ``kernel_index(a)``
+        / ``image_index(b)``: each ``kernels[a]`` and ``images[b]`` must hold the
+        chain vectors of its index set and have as many dimensions as there
+        are of them."""
+        kern, rows = row_kernel(self.field_k), self.chains
         for what, spaces, index in (("ker", self.kernels, self.kernel_index),
                                     ("im", self.images, self.image_index)):
             for a, W in enumerate(spaces):
@@ -396,6 +365,40 @@ class KStructure:
         return build_lattice(self.hyperinvariant)
 
 
+def f_form(X, F):
+    """The F-matrix of X, a matrix over K = F[alpha] of degree s, in the bases
+    (1, alpha, ..., alpha^(s-1)) of its K coordinates: block (i, j) is the
+    s x s matrix of multiplication by X_ij, its column k the coefficients of
+    X_ij alpha^k.  X itself when K = F."""
+    K = X.field
+    if K == F:
+        return X
+    s, alpha, rows = K.k, K.generator(), []
+    for row in X.rows:
+        block = [[] for _ in range(s)]
+        for a in row:
+            powers = []
+            for _ in range(s):
+                powers.append(a.c)
+                a = a * alpha
+            for out, coeffs in zip(block, zip(*powers)):
+                out.extend(coeffs)
+        rows.extend(block)
+    return Matrix(F, rows)
+
+
+def _k_matrix(K, P, s):
+    """The K-matrix whose entry (i, j) has the coefficients P[i s + k][j s],
+    k < s, the inverse of ``f_form`` on its image.  P itself when s = 1."""
+    if s == 1:
+        return P
+    m = P.nrows // s
+    coeffs = (lambda c: [x.c[0] for x in c]) if K.is_finite else list
+    cols = [P.col(j * s) for j in range(m)]
+    return Matrix.from_cols(K, [[K.element(coeffs(c[i * s : i * s + s])) for i in range(m)]
+                                for c in cols])
+
+
 def build_k_structure(S, N, p):
     """K-structure of the space for a verified decomposition (S, N) and factor p."""
     field = S.field
@@ -419,57 +422,50 @@ def build_k_structure(S, N, p):
 
     # greedy K-basis: scan e_1, ..., e_n; a vector outside the K-span so far
     # contributes the block (v, Sv, ..., S^{s-1} v), all new dimensions
-    generators = []
-    blocks = []
-    covered = span([], field, n)
-    for i in range(n):
-        if covered.dim == n:
-            break
-        e = tuple(field.one() if j == i else field.zero() for j in range(n))
-        if covered.member(e):
+    kern, units = S.kern, Matrix.identity(field, n)
+    generators, blocks, rows, pivots = [], [], [], []
+    for e in units.enc:
+        if not kern.nonzero(kern.reduce(e, rows, pivots)):
             continue
         block = [e]
         for _ in range(s - 1):
-            block.append(mat_vec(S, block[-1]))
-        generators.append(e)
-        blocks.extend(block)
-        covered = span(list(covered.basis) + block, field, n)
-    if len(blocks) != n or covered.dim != n:
+            block += kern.matmul(block[-1:], S.cols, n)
+        generators.append(kern.decode(e, n))
+        blocks += block
+        rows, pivots = kern.echelon(rows + block, n)
+    if len(blocks) != n or len(pivots) != n:
         raise InvariantError("K-basis construction failed to exhaust the space")
-    f_basis = Matrix.from_cols(field, blocks)
-    f_basis_inv = inverse(f_basis)
-
-    # coordinates first: nk, its Segre characteristic and chains need to_k
-    coords = KStructure(s, K, tuple(generators), f_basis, f_basis_inv, None, (), (), (), ())
-    nk = Matrix.from_cols(K, [coords.to_k(mat_vec(N, g)) for g in generators])
+    f_basis = Matrix.encoded(field, kern.transpose(blocks, n), n)
+    nk = _k_matrix(K, inverse(f_basis) @ N @ f_basis, s)
+    # on all n columns of B: B f_form(X) B^-1 commutes with S for every X, so
+    # this holds iff N is K-linear and N_K, packed as f_form reads it, is its matrix
+    if N @ f_basis != f_basis @ f_form(nk, field):
+        raise InvariantError("N_K does not represent N over K")
     kernels, images = _power_chains(nk)
     segre = _segre(kernels, nk.nrows)
-    result = replace(coords, nk=nk, segre=segre, chains=_jordan_chains(nk, segre, kernels),
-                     kernels=kernels, images=images)
-    _verify_k_structure(result, S, N)
-    return result
+    return KStructure(s, K, tuple(generators), f_basis, nk, segre,
+                      _jordan_chains(nk, segre, kernels), kernels, images)
 
 
 def _jordan_chains(nk, segre, kernels):
-    """Chain generators over K: for each block size t (descending), a vector of
-    height exactly t independent from earlier chains; chain = (v, Nv, ...)."""
-    K = nk.field
-    m = nk.nrows
+    """Chain generators over K, as encoded rows: for each block size t
+    (descending), a vector of height exactly t independent from earlier
+    chains; chain = (v, Nv, ...)."""
+    kern, m = nk.kern, nk.nrows
     chains = []
     chosen = []  # every vector of every chain so far
     for t in sorted(segre, reverse=True):
-        big = kernels[t]
-        small = kernels[t - 1]
-        below = span(list(small.basis) + chosen, K, m)
-        pick = next((cand for cand in big.basis if not below.member(cand)), None)
+        below, pivots = kern.echelon([*kernels[t - 1].enc, *chosen], m)
+        pick = next((v for v in kernels[t].enc if kern.nonzero(kern.reduce(v, below, pivots))),
+                    None)
         if pick is None:
             raise InvariantError("Jordan chain extraction failed")
         chain = [pick]
         for _ in range(t - 1):
-            chain.append(mat_vec(nk, chain[-1]))
-        chains.append(tuple(chain))
+            chain += kern.matmul(chain[-1:], nk.cols, m)
+        chains.append(kern.freeze(chain))
         chosen.extend(chain)
-    if span(chosen, K, m).dim != m:
+    if len(kern.echelon(chosen, m)[0]) != m:
         raise InvariantError("Jordan chains do not span")
     return tuple(chains)
 
@@ -491,20 +487,6 @@ def _chain_commutant(nk, rows):
                 images[starts[j] : starts[j] + ti - b] = gi[b:]
                 out.append(Matrix.encoded(K, kern.matmul(kern.transpose(images, m), cinv, m), m))
     return out
-
-
-def _verify_k_structure(ks, S, N):
-    n = S.nrows
-    if ks.s * sum(ks.segre) != n:
-        raise InvariantError("K-structure dimensions do not add up")
-    # N is K-linear and nk represents it: check on every generator block
-    for j, g in enumerate(ks.generators):
-        if ks.to_k(mat_vec(N, g)) != ks.nk.col(j):
-            raise InvariantError("nk does not represent N over K")
-    # round trip of coordinates
-    for g in ks.generators:
-        if ks.to_f(ks.to_k(g)) != g:
-            raise InvariantError("K coordinates do not round-trip")
 
 
 # ----------------------------------------------------------------------

@@ -112,10 +112,14 @@ def entry_to_json(field, e):
 
 def _entry_from_json(field, v):
     """Decode one entry: over GF(p^k) an int or a list of ints, over Q an int
-    or an "a/b" string (lists of those over Q[t]/(m)); else ValueError."""
+    or an "a/b" string with b nonzero (lists of those over Q[t]/(m)); else
+    ValueError."""
     kinds = (int,) if field.is_finite else (int, str)
     if _scalar(v, kinds) or (field != QQ and _scalars(v, kinds)):
-        return field.element(v)
+        try:
+            return field.element(v)
+        except ZeroDivisionError:
+            raise ValueError(f"invalid entry {v!r} for {field!r}: zero denominator") from None
     raise ValueError(f"invalid entry {v!r} for {field!r}")
 
 

@@ -51,7 +51,7 @@ from random import Random
 from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
 from .kernels import row_kernel
-from .matrix import Matrix, mat_vec, minimal_polynomial
+from .matrix import Matrix, minimal_polynomial
 from .poly import format_poly, poly_gcd
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
@@ -165,19 +165,21 @@ def _unit_span(ks, seed):
     In the chain basis W is the span of the union of the index sets of
     ker N^(t-1) and of ker N^t meet im N, which is N ker N^(t+1).
     """
-    K, m = ks.nk.field, ks.nk.nrows
+    K, kern, m = ks.nk.field, ks.nk.kern, ks.nk.nrows
     Z = ks.commutant
     scalars = []
     for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
         W = ks.chain_span(ks.kernel_index(t - 1) | (ks.kernel_index(t) & ks.image_index(1)))
-        scalars.append([K.zero() if W.member(mat_vec(B, g)) else K.one() for B in Z.elements])
+        images = (kern.matmul([g], B.cols, m)[0] for B in Z.elements)
+        scalars.append([K.one() if kern.nonzero(kern.reduce(v, W.enc, W.pivots)) else K.zero()
+                        for v in images])
     conditions = [[a - b for a, b in zip(scalars[0], row)] for row in scalars[1:]]
     L = Z.elements
     if conditions:
         L = tuple(Z.combination(c) for c in kernel_basis(Matrix(K, conditions)).basis)
     if len(L) != Z.dim - len(conditions):
         raise InvariantError("unit-span conditions are not independent")
-    kern, d = row_kernel(K), len(L)
+    d = len(L)
     units = []  # units by their coordinates in L, as GF(2) rows
     for c in _unit_draws(L, K, m, seed):
         units.append(sum(b << t for t, b in enumerate(c)))

@@ -130,15 +130,23 @@ def test_input_error_exit_code(tmp_path, capsys):
     missing_hint = write_matrix(tmp_path, GOLD_RAT_A)
     # inseparable / unknown command also map to 2
     assert main(["--input", missing_hint, "--command", "nonsense"]) == 2
-    # entries of the wrong JSON type are rejected at the boundary, not coerced
+    # entries of the wrong JSON type or with a zero denominator are rejected at
+    # the boundary, not coerced, with the file's field and under --field alike
+    capsys.readouterr()
     for field, entry in (
         ({"kind": "finite", "p": 2}, "1/2"),
         ({"kind": "rationals"}, 1.5),
         ({"kind": "rationals"}, None),
         ({"kind": "finite", "p": 2}, True),
+        ({"kind": "rationals"}, "1/0"),
     ):
         bad.write_text(json.dumps({"field": field, "rows": [[entry, 0], [0, 1]]}))
         assert main(["--input", str(bad), "--command", "analyze"]) == 2
+        bad.write_text(json.dumps({"rows": [[entry, 0], [0, 1]]}))
+        assert main(["--input", str(bad), "--command", "analyze",
+                     "--field", json.dumps(field)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("input error: ") == 2 and err.count("\n") == 2, err
     # malformed shapes are input errors too, not TypeError / AttributeError
     for obj in (
         {"field": {"kind": "finite", "p": 2}, "rows": 5},
@@ -161,6 +169,7 @@ def test_input_error_exit_code(tmp_path, capsys):
         dict(lattice, members=[{"basis": 5}]),
         dict(lattice, ambient_dim="1"),
         dict(lattice, members=[{"basis": [[1]]}]),  # no zero subspace
+        dict(lattice, field={"kind": "rationals"}, members=[{"basis": []}, {"basis": [["1/0"]]}]),
     ):
         bad.write_text(json.dumps(obj))
         assert main(["--input", str(bad), "--command", "dot"]) == 2, obj

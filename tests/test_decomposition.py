@@ -15,7 +15,7 @@ from invlat.decomposition import (
     primary_decomposition,
     segre_characteristic,
 )
-from invlat.errors import InseparableFactorError
+from invlat.errors import InseparableFactorError, InvariantError
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
 from invlat.poly import Poly, factor, parse_poly
@@ -35,6 +35,7 @@ from fixtures import (
     F2,
     F3,
     newton_semisimple,
+    to_f,
 )
 
 
@@ -159,11 +160,60 @@ def test_k_structure_rational_golden():
     assert ks.segre == (2,)
     # chain e1 -> e3 over K; K*e1 = span_F{e1, e2}
     assert ks.generators == (tuple(e_rows(4, [1], QQ))[0], tuple(e_rows(4, [3], QQ))[0])
-    chain = ks.chains[0]
-    assert ks.to_f(chain[0]) == e_rows(4, [1], QQ)[0]
-    assert ks.to_f(chain[1]) == e_rows(4, [3], QQ)[0]
+    chain = [ks.nk.kern.decode(v, ks.k_dim) for v in ks.chains[0]]
+    assert to_f(ks, chain[0]) == e_rows(4, [1], QQ)[0]
+    assert to_f(ks, chain[1]) == e_rows(4, [3], QQ)[0]
     k_line = span([chain[0]], ks.field_k, 2)
     assert ks.k_subspace_to_f(k_line) == span(e_rows(4, [1, 2], QQ), QQ, 4)
+
+
+def _reversed_blocks(P, s):
+    """P with the rows of each block of s reversed: coefficients highest first."""
+    rows = [r for i in range(0, P.nrows, s) for r in P.enc[i : i + s][::-1]]
+    return Matrix.encoded(P.field, rows, P.ncols)
+
+
+def _corrupted_entry(nk):
+    """N_K with alpha added to its entry (1, 0)."""
+    rows = [list(r) for r in nk.rows]
+    rows[1][0] += nk.field.generator()
+    return Matrix(nk.field, rows)
+
+
+def _non_commuting(S, N):
+    """N plus the unit matrix at the bottom left, which does not commute with S."""
+    n = N.nrows
+    E = Matrix(N.field, [[int(i == n - 1 and j == 0) for j in range(n)] for i in range(n)])
+    assert E @ S != S @ E
+    return N + E
+
+
+@pytest.mark.parametrize("mutation", ["corrupted entry", "reversed packing", "non-commuting N"])
+@pytest.mark.parametrize("A, p, r", [
+    (GOLD_8_A, "x^2+x+1", 3),
+    (GOLD_RAT_A, "x^2+1", 2),
+], ids=["GOLD_8", "GOLD_RAT"])
+def test_k_structure_certificate_refuses_a_wrong_nk(monkeypatch, A, p, r, mutation):
+    # each wrong N_K is refused by N B = B f_form(N_K), before the powers of
+    # N_K are formed, so never as a "not nilpotent" input error
+    import invlat.decomposition as decomposition
+
+    p = parse_poly(p, A.field)
+    dec = jordan_chevalley(A, p, r)
+    S, N = dec.S, dec.N
+    k_matrix, f_form = decomposition._k_matrix, decomposition.f_form
+    if mutation == "corrupted entry":
+        monkeypatch.setattr(decomposition, "_k_matrix",
+                            lambda K, P, s: _corrupted_entry(k_matrix(K, P, s)))
+    elif mutation == "reversed packing":  # in both directions, consistently
+        monkeypatch.setattr(decomposition, "_k_matrix",
+                            lambda K, P, s: k_matrix(K, _reversed_blocks(P, s), s))
+        monkeypatch.setattr(decomposition, "f_form",
+                            lambda X, F: _reversed_blocks(f_form(X, F), X.field.k))
+    else:
+        N = _non_commuting(S, N)
+    with pytest.raises(InvariantError, match="N_K does not represent N over K"):
+        build_k_structure(S, N, p)
 
 
 def test_k_structure_8x8_golden():

@@ -5,6 +5,7 @@ import pytest
 from invlat.decomposition import KStructure, analyze_operator
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
+from invlat.kernels import row_kernel
 from invlat.lattices import (
     characteristic_dispatch,
     chinv_lattice,
@@ -13,7 +14,7 @@ from invlat.lattices import (
     inv_lattice,
     shoda_witness,
 )
-from invlat.matrix import Matrix, block_diag, companion, inverse, rank
+from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
 from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
@@ -28,6 +29,8 @@ from fixtures import (
     k_matrix_to_f,
     pairwise_lattice,
     per_member_centralizer_check,
+    to_f,
+    to_k,
     zassenhaus_fhl_walk,
 )
 
@@ -558,6 +561,16 @@ def _closed_forms_match_the_references(A):
         solved = span([[e for row in B.rows for e in row] for B in Z.elements], F, n * n)
         for X in ks.commutant.elements:
             assert solved.member([e for row in k_matrix_to_f(ks, X).rows for e in row]), ks.segre
+        # N_K and the K-subspaces in F^n against the element coordinate maps
+        K, N = ks.field_k, ca.jc.N
+        assert ks.nk == Matrix.from_cols(K, [to_k(ks, mat_vec(N, g)) for g in ks.generators])
+        assert k_matrix_to_f(ks, ks.nk) == N, ks.segre
+        powers = [K.one()]  # 1, alpha, ..., alpha^(s-1)
+        for _ in range(ks.s - 1):
+            powers.append(powers[-1] * K.generator())
+        for W in {*ks.kernels, *ks.images}:
+            ref = [to_f(ks, tuple(x * c for c in w)) for w in W.basis for x in powers]
+            assert ks.k_subspace_to_f(W) == span(ref, F, n), ks.segre
 
 
 @pytest.mark.parametrize("field", [F2, F3, gf_build(2, 2), QQ], ids=repr)
@@ -617,16 +630,16 @@ def test_corrupted_chains_are_refused(monkeypatch):
     A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
     ana = analyze_operator(A)
     ks = ana.components[0].kstruct
+    kern = row_kernel(F3)
+    plus = lambda v, w: kern.submul(v, kern.scalar(-F3.one()), w)  # v + w, reduced mod 3
     g, Ng, NNg = ks.chains[0]
-    scale = lambda v: tuple(x + x for x in v)
     # N g + g is not in ker N^2: the chain spans no longer match the kernels
-    monkeypatch.setitem(vars(ks), "chains", ((g, tuple(x + y for x, y in zip(Ng, g)), NNg),
-                                             *ks.chains[1:]))
+    monkeypatch.setitem(vars(ks), "chains", ((g, plus(Ng, g), NNg), *ks.chains[1:]))
     with pytest.raises(InvariantError, match="ker N_K\\^2 is not the span"):
         ks.commutant
     # 2 N g keeps every span but breaks N g -> N^2 g: the maps built on it do
     # not commute with N_K
-    monkeypatch.setitem(vars(ks), "chains", ((g, scale(Ng), NNg), *ks.chains[1:]))
+    monkeypatch.setitem(vars(ks), "chains", ((g, plus(Ng, Ng), NNg), *ks.chains[1:]))
     with pytest.raises(InvariantError, match="does not commute"):
         ks.commutant
     with pytest.raises(InvariantError, match="does not commute"):
