@@ -73,7 +73,8 @@ class PrimaryComponent:
 
 
 def primary_decomposition(A, factorization):
-    """Components of V under A for a verified factorization of m_A."""
+    """Components of V under A for a verified ``Factorization`` of m_A, whose
+    ``powers`` p^k give the kernels ker p(A)^k."""
     if not A.is_square:
         raise ValueError("primary decomposition requires a square matrix")
     field, kern = A.field, A.kern
@@ -81,8 +82,7 @@ def primary_decomposition(A, factorization):
     comps = []
     total = 0
     all_rows = []
-    for p, k in factorization:
-        pk = p**k
+    for (p, k), pk in zip(factorization, factorization.powers):
         V = kernel_basis(poly_at_matrix(pk, A))
         if V.is_zero:
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")

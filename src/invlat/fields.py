@@ -461,11 +461,11 @@ class ExtElem(_Residue):
         f = self.field
         if not self:
             raise ZeroDivisionError("inverse of zero in " + repr(f))
-        m = Poly.encoded(QQ, f.modulus)
-        g, u, _ = poly_xgcd(Poly.encoded(QQ, self.c), m)
+        m = Poly(QQ, f.modulus)
+        g, u, _ = poly_xgcd(Poly(QQ, self.c), m)
         if g.degree != 0:
             raise ZeroDivisionError(f"{self!r} not invertible: modulus is reducible")
-        u = (u % m).enc
+        u = (u % m).coeffs
         return ExtElem(f, u + (Fraction(0),) * (f.k - len(u)))
 
 

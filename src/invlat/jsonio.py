@@ -14,6 +14,7 @@ Wire formats:
   does with ``indent=2``.
 """
 
+import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ClosureError
@@ -110,12 +111,23 @@ def entry_to_json(field, e):
     raise TypeError(f"cannot serialize entries of {field!r}")
 
 
+# The text of a rational entry: an integer, or "a/b", with an optional sign
+# and ASCII digits only.  Fraction() also reads decimals, exponents, "_" and
+# spaces, and "1e20000000" alone takes it tens of seconds.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _rational_text(x):
+    return not isinstance(x, str) or _RATIONAL.fullmatch(x) is not None
+
+
 def _entry_from_json(field, v):
     """Decode one entry: over GF(p^k) an int or a list of ints, over Q an int
     or an "a/b" string with b nonzero (lists of those over Q[t]/(m)); else
     ValueError."""
     kinds = (int,) if field.is_finite else (int, str)
-    if _scalar(v, kinds) or (field != QQ and _scalars(v, kinds)):
+    if ((_scalar(v, kinds) and _rational_text(v))
+            or (field != QQ and _scalars(v, kinds) and all(map(_rational_text, v)))):
         try:
             return field.element(v)
         except ZeroDivisionError:

@@ -3,29 +3,32 @@ subspaces and polynomials compute on.
 
 GF(2) rows are int bitmasks (bit j is coordinate j), GF(p) rows int lists
 mod p, GF(p^k) rows (order <= TABLE_LIMIT) index lists combined through
-the tables of ``fields``, Q rows Fraction lists, and Q[t]/(m) and larger
-GF(p^k) rows element lists.  A kernel encodes (rows; ``scalar`` one
-element) and decodes, reduces to RREF (``echelon``) or against the rows of
-one (``reduce``), forms the row operation a - f b (``submul``), multiplies
+the tables of ``fields``, Q rows int lists [d, n_0, ..., n_(m-1)] over one
+positive denominator d in lowest terms, and Q[t]/(m) and larger GF(p^k)
+rows element lists.  A kernel encodes (rows; ``scalar`` one element) and
+decodes, reduces to RREF (``echelon``) or against the rows of one
+(``reduce``), forms the row operation a - f b (``submul``), multiplies
 (``matmul``), evaluates a polynomial at a matrix by Horner's rule
 (``polyval``), and freezes, transposes, joins, splits and places rows.
 matmul(a, b, n, c, first) gives the rows of AB + cE, E the rows first,
 first + 1, ... of I and c an encoded scalar or None; B comes prepared
-(``prepare``): as its encoded rows, or over Q as int rows over one common
-denominator.  GF(2) XORs the rows of B that a row of A picks; GF(p) takes
-int dot products with one reduction mod p per entry; GF(p^k) sums table
-entries that hold the base-p digits of each product.  Q rows are reduced
-fraction-free (Bareiss, Math. Comp. 22, 1968, content-dividing form) with
-one Fraction per output entry, and products and Horner's rule run on ints
-(A = A'/d, L the lcm of the coefficient denominators: L d^D f(A) =
-sum_k L c_k d^(D-k) A'^k).  Pivots are leftmost and RREF is unique, so
-every kernel gives the element loop's result.  A polynomial is a row of
-its coefficients, lowest degree first; ``trim``, ``lead``, ``pmul``,
-``pdivmod`` and ``power`` are its operations (see ``poly``).
+(``prepare``): as its encoded rows, or over Q as int columns over one
+common denominator.  GF(2) XORs the rows of B that a row of A picks; GF(p)
+takes int dot products with one reduction mod p per entry; GF(p^k) sums
+table entries that hold the base-p digits of each product.  Q rows are
+reduced fraction-free (Bareiss, Math. Comp. 22, 1968, content-dividing
+form) and products and Horner's rule run on ints (A = A'/d, L the
+denominator of f's coefficients: L d^D f(A) = sum_k L c_k d^(D-k) A'^k);
+every Q operation ends with one gcd per row, so equal vectors have equal
+rows, and a Fraction is made only for a scalar or a decoded element.
+Pivots are leftmost and RREF is unique, so every kernel gives the element
+loop's result.  A polynomial is a row of its coefficients, lowest degree
+first; ``trim``, ``lead``, ``pmul``, ``pdivmod`` and ``power`` are its
+operations (see ``poly``).
 """
-
 from bisect import bisect
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 import weakref
@@ -47,6 +50,8 @@ class _Rows:
         self._field = weakref.ref(field)
 
     prepare = staticmethod(lambda rows: rows)
+    scalar = staticmethod(lambda x: x)
+    freeze = staticmethod(lambda rows: tuple(map(tuple, rows)))
 
     @property
     def field(self):
@@ -179,8 +184,6 @@ class _ElementRows(_Rows):
 
     nonzero = any
     encode = staticmethod(list)
-    scalar = staticmethod(lambda x: x)
-    freeze = staticmethod(lambda rows: tuple(map(tuple, rows)))
     transpose = staticmethod(lambda rows, n: list(zip(*rows)))
     join = staticmethod(lambda a, b, n: [*a, *b])
     lead = staticmethod(itemgetter(-1))
@@ -289,28 +292,132 @@ class _ElementRows(_Rows):
         return out
 
 
-def _integral(rows):
-    """(int rows, d): the Fraction rows are the int rows over d, the lcm of
-    their denominators."""
-    d = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+def _canon(v):
+    """The row v = [d, n_0, ..., n_(m-1)] (d nonzero) in lowest terms with d > 0."""
+    g = gcd(*v)
+    if v[0] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
 
 
-class _RationalRows(_ElementRows):
-    """Q: lists of Fractions.  Echelon forms and products clear denominators
-    once and compute on ints; a right operand is prepared as (int rows, d)."""
+def _scaled(rows):
+    """(rows, L): the rows rescaled to one denominator L, the lcm of theirs."""
+    L = lcm(*(r[0] for r in rows))
+    return [r if r[0] == L else [x * (L // r[0]) for x in r] for r in rows], L
 
-    zero, one = Fraction(0), Fraction(1)
-    prepare = staticmethod(_integral)
 
-    def echelon(self, rows, n):
+class _RationalRows(_Rows):
+    """Q: a row is [d, n_0, ..., n_(m-1)], the vector (n_0/d, ..., n_(m-1)/d)
+    with d > 0 and gcd(d, n_0, ..., n_(m-1)) = 1, so equal vectors have equal
+    rows (the zero row is [1, 0, ..., 0]).  Every operation computes on ints
+    and ends with one gcd per row (``_canon``); a Fraction is made only by
+    ``decode``, ``lead`` and for scalars, which stay Fractions.  A right
+    operand is prepared as (columns, L): its rows over their common
+    denominator L, as columns that open with a 0 facing a row's d."""
+
+    one = Fraction(1)
+    nonzero = staticmethod(lambda v: v.count(0) < len(v) - 1)  # d is never 0
+    lead = staticmethod(lambda v: Fraction(v[-1], v[0]))
+
+    @staticmethod
+    def encode(row):
+        d = lcm(*(x.denominator for x in row))
+        return [d, *(x.numerator * (d // x.denominator) for x in row)]
+
+    @staticmethod
+    def decode(v, n):
+        d = v[0]
+        return tuple(Fraction(x, d) for x in v[1:])
+
+    @staticmethod
+    def prepare(rows):
+        if not rows:
+            return [], 1
+        rows, L = _scaled(rows)
+        return list(zip(repeat(0), *rows))[1:], L
+
+    @staticmethod
+    def transpose(rows, n):
+        if not rows:
+            return []
+        rows, L = _scaled(rows)
+        return [_canon(col) for col in islice(zip(repeat(L), *rows), 1, None)]
+
+    @staticmethod
+    def place(rows, offset, n):
+        return [[r[0], *[0] * offset, *r[1:], *[0] * (n - offset - len(r) + 1)] for r in rows]
+
+    @staticmethod
+    def join(a, b, n):  # in lowest terms already: no prime divides both L and every entry
+        if a[0] == b[0]:
+            return [*a, *b[1:]]
+        L = lcm(a[0], b[0])
+        fa, fb = L // a[0], L // b[0]
+        return [L, *(x * fa for x in a[1:]), *(x * fb for x in b[1:])]
+
+    @staticmethod
+    def tail(v, n):
+        return _canon([v[0], *v[n + 1 :]])
+
+    @staticmethod
+    def split(v, n, k):
+        return [_canon([v[0], *v[1 + i * n : 1 + (i + 1) * n]]) for i in range(k)]
+
+    @staticmethod
+    def trim(row):  # trailing zeros change no gcd: the row stays in lowest terms
+        n = len(row)
+        while n > 1 and not row[n - 1]:
+            n -= 1
+        return tuple(row[:n]), n - 2
+
+    @staticmethod
+    def scale(row, x):
+        xn, xd = x.numerator, x.denominator
+        return _canon([row[0] * xn, *(a * xd for a in row[1:])])
+
+    @staticmethod
+    def submul(a, f, b):
+        """a - f b: over L = lcm(d_a, d_b f_d), (L/d_a) a - (f_n L/(d_b f_d)) b."""
+        fn, fd = f.numerator, f.denominator
+        if not fn:
+            return a
+        da, dbf = a[0], b[0] * fd
+        L = lcm(da, dbf)
+        ma, mb = L // da, fn * (L // dbf)
+        row = [ma * x - mb * y for x, y in zip(a, b)]
+        row[0] = L
+        return _canon(row)
+
+    @staticmethod
+    def reduce(v, rows, pivots):
+        """v minus, in turn, v's entry at each pivot c times that row (unit
+        pivot rows: entry d at c).  On ints: with x the numerator at c and
+        g = gcd(x, d), v <- (d/g) v - (x/g) row over (d/g) times v's d; one
+        gcd at the end."""
+        den, hit = v[0], False
+        for row, c in zip(rows, pivots):
+            x = v[c + 1]
+            if x:
+                d = row[0]
+                g = gcd(x, d)
+                s, t = d // g, x // g
+                v = [s * a - t * b for a, b in zip(v, row)]
+                den *= s
+                hit = True
+        if not hit:
+            return v
+        v[0] = den
+        return _canon(v)
+
+    @staticmethod
+    def echelon(rows, n):
         """The nonzero rows of the RREF of ``rows`` and their pivot columns:
-        Gauss-Jordan on primitive int rows, each updated row divided by its
-        content, then one Fraction over the pivot per nonzero entry."""
+        Gauss-Jordan on primitive int rows (Bareiss, content-dividing form),
+        each updated row divided by its content.  A primitive row's pivot p
+        is prime to its content, so the row over p is in lowest terms."""
         work = []
         for r in rows:
-            d = lcm(*(x.denominator for x in r))
-            v = [x.numerator * (d // x.denominator) for x in r]
+            v = r[1:]
             g = gcd(*v)
             if g:
                 work.append([x // g for x in v] if g > 1 else v)
@@ -336,45 +443,71 @@ class _RationalRows(_ElementRows):
             pivots.append(c)
             if k + 1 == m:
                 break
-        zero = self.zero
-        return [[Fraction(x, r[c]) if x else zero for x in r] for r, c in zip(work, pivots)], pivots
+        out = []
+        for r, c in zip(work, pivots):
+            p = r[c]
+            out.append([p, *r] if p > 0 else [-p, *(-x for x in r)])
+        return out, pivots
 
-    def matmul(self, a, b, n, c=None, first=0):
-        (a, da), (b, db) = _integral(a), b
-        d = da * db
-        return [[Fraction(s, d) for s in row] for row in _int_matmul(a, b, c * d if c else 0, first)]
+    @staticmethod
+    def matmul(a, b, n, c=None, first=0):
+        """Rows of AB + cE: row i of A over d_a times B's columns over L is
+        (A_i B') / (d_a L); with c = c_n/c_d both are scaled by c_d."""
+        cols, L = b
+        cols = cols or [(0,)] * n  # B with no rows: AB is zero
+        out = []
+        for i, r in enumerate(a, first + 1):
+            row = [r[0] * L, *(sum(map(mul, r, col)) for col in cols)]
+            if c:
+                if c.denominator != 1:
+                    row = [x * c.denominator for x in row]
+                row[i] += c.numerator * r[0] * L
+            out.append(_canon(row))
+        return out
 
-    def pmul(self, a, b):
-        ((a,), da), ((b,), db) = _integral([a]), _integral([b])
-        d = da * db
-        return [Fraction(s, d) for s in _convolve(a, b, _dot)]
+    @staticmethod
+    def pmul(a, b):
+        return _canon([a[0] * b[0], *_convolve(a[1:], b[1:], _dot)])
 
-    def pdivmod(self, a, b):
-        # Pseudo-division on the int forms R / den of a and B / db of b: with
-        # c the top of R, a step R <- lead R - c x^s B, den <- lead den takes
-        # the quotient coefficient c db / (lead den) off the remainder.
-        ((r,), den), ((b,), db) = _integral([a]), _integral([b])
+    @staticmethod
+    def pdivmod(a, b):
+        """Quotient and remainder rows of a by b (nonzero lead).  Pseudo-division
+        on the int forms R / den of a and B / db of b: with c the top of R, a
+        step R <- lead R - c x^s B, den <- lead den takes the quotient
+        coefficient c db / (lead den) off the remainder."""
+        den, r = a[0], list(a[1:])
+        db, b = b[0], b[1:]
         d, lead, q = len(b) - 1, b[-1], []
         for s in range(len(r) - 1 - d, -1, -1):
             c = r[s + d]
-            q.append(Fraction(c * db, lead * den))
+            q.append((c, den))
             if c:
                 r = [lead * x for x in r[:s]] + [lead * x - c * y for x, y in zip(r[s : s + d], b)]
                 den *= lead
-        return q[::-1], [Fraction(x, den) for x in r[:d]]
+        return (_canon([lead * den, *(c * db * (den // e) for c, e in reversed(q))]),
+                _canon([den, *r[:d]]))
 
-    def polyval(self, f, a, n, first=0, count=None):
-        # With A = A'/d and L the lcm of the coefficient denominators,
-        # L d^D f(A) = sum_k (L c_k d^(D-k)) A'^k: Horner on ints, one division.
-        a, d = a
-        D, L = len(f) - 1, lcm(*(c.denominator for c in f))
-        ks = [c.numerator * (L // c.denominator) * d ** (D - k) for k, c in enumerate(f)]
-        rows = range(first, n if count is None else first + count)
-        acc = [[ks[-1] if j == i else 0 for j in range(n)] for i in rows]
+    @staticmethod
+    def polyval(f, a, n, first=0, count=None):
+        """Rows first, ..., first + count - 1 (default all) of f(A) by Horner's
+        rule, f a nonzero polynomial row over L and A = A'/d given by its
+        prepared columns: L d^D f(A) = sum_k f_k d^(D-k) A'^k, on ints."""
+        cols, d = a
+        L, D = f[0], len(f) - 2
+        ks = [x * d ** (D - k) for k, x in enumerate(f[1:])]
+        rows = range(first + 1, n + 1 if count is None else first + count + 1)
+        acc = [[0] * (n + 1) for _ in rows]
+        for i, r in zip(rows, acc):
+            r[i] = ks[-1]
         for x in reversed(ks[:-1]):
-            acc = _int_matmul(acc, a, x, first)
+            acc = [[0, *(sum(map(mul, r, col)) for col in cols)] for r in acc]
+            if x:
+                for i, r in zip(rows, acc):
+                    r[i] += x
         den = L * d**D
-        return [[Fraction(s, den) for s in row] for row in acc]
+        for r in acc:
+            r[0] = den
+        return [_canon(r) for r in acc]
 
 
 class _PrimeRows(_ElementRows):

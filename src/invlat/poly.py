@@ -3,14 +3,15 @@
 A polynomial is keyed on its coefficients in the encoding of the field's
 row kernel (``kernels``), lowest degree first with no trailing zeros: one
 int bitmask over GF(2) (bit i is the coefficient of x^i), ints mod p over
-GF(p), table indices over GF(p^k) <= 2^8, Fractions over Q and elements
-otherwise.  The zero polynomial has degree -1 (a sentinel, never
-meaningful numerically).  Sums and differences are the kernel's row
-operation a - f b (``submul``; XOR over GF(2)), scalar multiples
-``submul`` on a zero row, products ``pmul`` (shift-XOR over GF(2), one dot
-product per output coefficient otherwise: ints mod p, the tables' digit
-sums, or ints over the two lcm denominators over Q), division with
-remainder ``pdivmod`` (shifted rows of the monic divisor subtracted),
+GF(p), table indices over GF(p^k) <= 2^8, over Q ints (d, n_0, ...) over
+one positive denominator d in lowest terms, and elements otherwise.  The
+zero polynomial has degree -1 (a sentinel, never meaningful numerically).
+Sums and differences are the kernel's row operation a - f b (``submul``;
+XOR over GF(2)), scalar multiples ``submul`` on a zero row, products
+``pmul`` (shift-XOR over GF(2), one dot product per output coefficient
+otherwise: ints mod p, the tables' digit sums, or the numerators over the
+product of the denominators over Q), division with remainder ``pdivmod``
+(shifted rows of the monic divisor subtracted; pseudo-division over Q),
 ``monic`` the kernel's ``scale``, the derivative, the p-th root and
 evaluation at a field element one ``matmul`` or ``polyval`` of the row.
 Element coefficients are decoded on first use, for output.
@@ -28,8 +29,9 @@ ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .errors import CapExceededError, FactorHintError, FieldMismatchError
 from .fields import QQ, FiniteField, RationalField
@@ -334,8 +336,14 @@ class Factorization:
     trusted: bool = False
     seed: int = 0
 
+    @cached_property
+    def powers(self):
+        """p**m for each factor (p, m), in order, formed once: ``expand``
+        multiplies them and the primary decomposition reuses them."""
+        return tuple(p**m for p, m in self.factors)
+
     def expand(self):
-        return prod((p**m for p, m in self.factors), start=Poly.one(self.factors[0][0].field))
+        return prod(self.powers, start=Poly.one(self.factors[0][0].field))
 
     def __iter__(self):
         return iter(self.factors)
@@ -481,8 +489,7 @@ def _rational_roots(f):
     Raises CapExceededError when the lowest or the leading coefficient of the
     integer form exceeds ROOT_SEARCH_BOUND, or their divisor pairs ROOT_SEARCH_PAIRS.
     """
-    den = lcm(*(c.denominator for c in f.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    ints = f.enc[1:]  # the coefficients over their common denominator
     g = gcd(*ints)
     # strip powers of x first
     low = next((i for i, c in enumerate(ints) if c), 0)

@@ -5,9 +5,13 @@ GOLD_8: 8x8 over GF(2), minimal polynomial (x^2+x+1)^3.
 GOLD_4: 4x4 over GF(2), minimal polynomial (x+1)^3.
 """
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from invlat.centralizer import centralizer_basis, is_hyperinvariant
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
+from invlat.kernels import _convolve, _dot, _ElementRows, _int_matmul
 from invlat.matrix import Matrix, inverse, mat_vec, poly_at_matrix
 from invlat.subspace import Lattice, subspace_label
 
@@ -115,6 +119,96 @@ def k_matrix_to_f(ks, X):
     F, n = ks.f_basis.field, ks.f_basis.nrows
     return Matrix.from_cols(F, [to_f(ks, mat_vec(X, to_k(ks, e)))
                                 for e in Matrix.identity(F, n).rows])
+
+
+def _integral(rows):
+    """(int rows, d): the Fraction rows are the int rows over d, the lcm of
+    their denominators."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+class FractionRows(_ElementRows):
+    """Reference Q row kernel: rows are lists of Fractions, one per entry.
+    Echelon forms and products clear denominators once and compute on ints,
+    then make one Fraction per output entry; a right operand is prepared as
+    (int rows, d).  The int-row kernel is checked against it op by op."""
+
+    zero, one = Fraction(0), Fraction(1)
+    prepare = staticmethod(_integral)
+
+    def echelon(self, rows, n):
+        """The nonzero rows of the RREF of ``rows`` and their pivot columns:
+        Gauss-Jordan on primitive int rows, each updated row divided by its
+        content, then one Fraction over the pivot per nonzero entry."""
+        work = []
+        for r in rows:
+            d = lcm(*(x.denominator for x in r))
+            v = [x.numerator * (d // x.denominator) for x in r]
+            g = gcd(*v)
+            if g:
+                work.append([x // g for x in v] if g > 1 else v)
+        m, pivots = len(work), []
+        for c in range(n):
+            k = len(pivots)
+            for i in range(k, m):
+                if work[i][c]:
+                    break
+            else:
+                continue
+            work[k], work[i] = work[i], work[k]
+            prow = work[k]
+            p = prow[c]
+            for i in range(m):
+                a = work[i][c]
+                if a and i != k:
+                    g = gcd(a, p)
+                    f, h = p // g, a // g
+                    v = [f * x - h * y for x, y in zip(work[i], prow)]
+                    g = gcd(*v)
+                    work[i] = [x // g for x in v] if g > 1 else v
+            pivots.append(c)
+            if k + 1 == m:
+                break
+        zero = self.zero
+        return [[Fraction(x, r[c]) if x else zero for x in r] for r, c in zip(work, pivots)], pivots
+
+    def matmul(self, a, b, n, c=None, first=0):
+        (a, da), (b, db) = _integral(a), b
+        d = da * db
+        return [[Fraction(s, d) for s in row] for row in _int_matmul(a, b, c * d if c else 0, first)]
+
+    def pmul(self, a, b):
+        ((a,), da), ((b,), db) = _integral([a]), _integral([b])
+        d = da * db
+        return [Fraction(s, d) for s in _convolve(a, b, _dot)]
+
+    def pdivmod(self, a, b):
+        # Pseudo-division on the int forms R / den of a and B / db of b: with
+        # c the top of R, a step R <- lead R - c x^s B, den <- lead den takes
+        # the quotient coefficient c db / (lead den) off the remainder.
+        ((r,), den), ((b,), db) = _integral([a]), _integral([b])
+        d, lead, q = len(b) - 1, b[-1], []
+        for s in range(len(r) - 1 - d, -1, -1):
+            c = r[s + d]
+            q.append(Fraction(c * db, lead * den))
+            if c:
+                r = [lead * x for x in r[:s]] + [lead * x - c * y for x, y in zip(r[s : s + d], b)]
+                den *= lead
+        return q[::-1], [Fraction(x, den) for x in r[:d]]
+
+    def polyval(self, f, a, n, first=0, count=None):
+        # With A = A'/d and L the lcm of the coefficient denominators,
+        # L d^D f(A) = sum_k (L c_k d^(D-k)) A'^k: Horner on ints, one division.
+        a, d = a
+        D, L = len(f) - 1, lcm(*(c.denominator for c in f))
+        ks = [c.numerator * (L // c.denominator) * d ** (D - k) for k, c in enumerate(f)]
+        rows = range(first, n if count is None else first + count)
+        acc = [[ks[-1] if j == i else 0 for j in range(n)] for i in rows]
+        for x in reversed(ks[:-1]):
+            acc = _int_matmul(acc, a, x, first)
+        den = L * d**D
+        return [[Fraction(s, den) for s in row] for row in acc]
 
 
 def e_rows(n, idxs, field):

@@ -11,7 +11,7 @@ from invlat.cli import main
 from invlat.errors import InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.jsonio import dumps, matrix_to_json
-from invlat.matrix import Matrix, companion, inverse
+from invlat.matrix import Matrix, block_diag, companion, inverse
 from invlat.oracle import random_instance
 from invlat.poly import Poly, parse_poly
 
@@ -133,12 +133,22 @@ def test_input_error_exit_code(tmp_path, capsys):
     # entries of the wrong JSON type or with a zero denominator are rejected at
     # the boundary, not coerced, with the file's field and under --field alike
     capsys.readouterr()
+    t0 = time.perf_counter()
     for field, entry in (
         ({"kind": "finite", "p": 2}, "1/2"),
         ({"kind": "rationals"}, 1.5),
         ({"kind": "rationals"}, None),
         ({"kind": "finite", "p": 2}, True),
         ({"kind": "rationals"}, "1/0"),
+        # Fraction() reads these, but they are no integer or "a/b": the
+        # exponent one alone took Fraction() 46 s
+        ({"kind": "rationals"}, "1e20000000"),
+        ({"kind": "rationals"}, "1.5"),
+        ({"kind": "rationals"}, "1e3"),
+        ({"kind": "rationals"}, "1_000"),
+        ({"kind": "rationals"}, " 2"),
+        ({"kind": "rationals"}, "1/-2"),
+        ({"kind": "rationals"}, "\uff12"),  # a fullwidth digit 2
     ):
         bad.write_text(json.dumps({"field": field, "rows": [[entry, 0], [0, 1]]}))
         assert main(["--input", str(bad), "--command", "analyze"]) == 2
@@ -147,6 +157,10 @@ def test_input_error_exit_code(tmp_path, capsys):
                      "--field", json.dumps(field)]) == 2
         err = capsys.readouterr().err
         assert err.count("input error: ") == 2 and err.count("\n") == 2, err
+    assert time.perf_counter() - t0 < 10
+    # the documented forms stay accepted: a signed integer, in text too, and "a/b"
+    bad.write_text(json.dumps({"field": {"kind": "rationals"}, "rows": [["-3/4", "+5"], ["7", "0/9"]]}))
+    assert main(["--input", str(bad), "--command", "shoda"]) == 0
     # malformed shapes are input errors too, not TypeError / AttributeError
     for obj in (
         {"field": {"kind": "finite", "p": 2}, "rows": 5},
@@ -357,6 +371,33 @@ def test_shoda_and_dot_output_bytes_pinned(tmp_path):
             assert main(argv) == 0
             out = dot
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (name, what)
+
+
+def test_rational_denominators_output_bytes_pinned(tmp_path):
+    # sha256 of the analyze and shoda reports on a conjugate of
+    # C(x^3 + x/2 - 1/3) + C((x^2+1)^2) by unit triangular L U with entries in
+    # {-1/2, 0, 2/3, 1}: every entry has a denominator, and the cubic is hinted
+    cubic, quad = parse_poly("x^3+1/2x-1/3", QQ), parse_poly("x^2+1", QQ)
+    A0 = block_diag(QQ, [companion(cubic), companion(quad**2)])
+    n, rng = A0.nrows, random.Random(11)
+    halves = (Fraction(-1, 2), 0, Fraction(2, 3), 1)
+    L = Matrix(QQ, [[1 if i == j else rng.choice(halves) if j < i else 0 for j in range(n)]
+                    for i in range(n)])
+    U = Matrix(QQ, [[1 if i == j else rng.choice(halves) if j > i else 0 for j in range(n)]
+                    for i in range(n)])
+    P = L @ U
+    M = P @ A0 @ inverse(P)
+    assert all(e.denominator > 1 for row in M.rows for e in row)
+    inp = write_matrix(tmp_path, M, "m.json")
+    hint = json.dumps([["x^3+1/2x-1/3", 1], ["x^2+1", 2]])
+    expected = {
+        "analyze": "c970c67396f2ca3052159d2f8242274ae13df0a509f27680c782c0baf04a4fee",
+        "shoda": "c616e716e87bfe64f3d8df40748321aeb7dd79a6213c89a0f5a9a6edaf683fc9",
+    }
+    for command, digest in expected.items():
+        out = tmp_path / f"{command}.json"
+        assert main(["--input", inp, "--command", command, "--hint", hint, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
 
 def test_odd_characteristic_output_bytes_pinned(tmp_path):

@@ -18,7 +18,7 @@ from invlat.decomposition import (
 from invlat.errors import InseparableFactorError, InvariantError
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
-from invlat.poly import Poly, factor, parse_poly
+from invlat.poly import Factorization, Poly, factor, parse_poly
 from invlat.subspace import image_basis, kernel_basis, span
 
 from fixtures import (
@@ -114,7 +114,7 @@ def test_primary_decomposition_rejects_inconsistent_factorization():
     # minimal polynomial; x: does not divide m_A at all
     for bad in ([(x1, 2)], [(x1, 4)], [(parse_poly("x", F2), 1)]):
         with pytest.raises(ValueError):
-            primary_decomposition(GOLD_4_A, bad)
+            primary_decomposition(GOLD_4_A, Factorization(tuple(bad)))
 
 
 def test_jc_verify_rejects_tampered_s_under_python_O():

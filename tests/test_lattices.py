@@ -17,7 +17,7 @@ from invlat.lattices import (
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
+from invlat.subspace import Lattice, Subspace, build_lattice, full_space, span, zero_subspace
 
 from fixtures import (
     GOLD_4_A,
@@ -652,7 +652,7 @@ def test_generator_certificate_refuses_a_corrupted_kernel(monkeypatch):
     A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
     ks = analyze_operator(A).components[0].kstruct
     ks.commutant  # certified on the true chains
-    line = span([ks.chains[0][0]], F3, ks.k_dim)
+    line = Subspace.from_rows(F3, ks.k_dim, [ks.chains[0][0]])  # chain rows are encoded
     monkeypatch.setitem(vars(ks), "kernels", (ks.kernels[0], line, *ks.kernels[2:]))
     with pytest.raises(InvariantError, match="not invariant under Z_K"):
         ks.hyperinvariant
