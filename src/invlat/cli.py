@@ -101,11 +101,22 @@ def _load_matrix(args):
     return matrix_from_json(obj, field=field)
 
 
+def _shoda(ca):
+    """The Shoda witness and dispatch verdict of one component."""
+    ks = ca.kstruct
+    disp = characteristic_dispatch(ks.field_k, ks.segre)
+    witness = disp["shoda_witness"]
+    return {
+        "witness": [witness.big, witness.small] if witness else None,
+        "field_k_is_gf2": disp["field_k_is_gf2"],
+        "deg_p_is_1": ks.s == 1,
+        "characteristic_non_hyperinvariant_possible": disp["possible"],
+    }
+
+
 def _component_report(ca):
     ks = ca.kstruct
     field = ca.component.restriction.field
-    disp = characteristic_dispatch(ks.field_k, ks.segre)
-    witness = disp["shoda_witness"]
     return {
         **component_meta(ca),
         "field_k": field_to_json(ks.field_k),
@@ -114,12 +125,7 @@ def _component_report(ca):
         "N": matrix_to_json(ca.jc.N)["rows"],
         "certificate": format_poly(ca.jc.certificate),
         "k_generators": [[entry_to_json(field, e) for e in g] for g in ks.generators],
-        "shoda": {
-            "witness": [witness.big, witness.small] if witness else None,
-            "field_k_is_gf2": disp["field_k_is_gf2"],
-            "deg_p_is_1": ks.s == 1,
-            "characteristic_non_hyperinvariant_possible": disp["possible"],
-        },
+        "shoda": _shoda(ca),
     }
 
 
@@ -181,16 +187,15 @@ def _cmd_lattice(A, ana, args, kind):
 
 
 def _cmd_shoda(A, ana, args):
-    comps = [_component_report(ca) for ca in ana.components]
+    comps = [{"factor": format_poly(ca.component.factor), "segre_k": ca.kstruct.segre,
+              **_shoda(ca)} for ca in ana.components]
     payload = {
         "command": "shoda",
         "seed": args.seed,
         "minimal_polynomial": format_poly(ana.min_poly),
-        "components": [
-            {"factor": c["factor"], "segre_k": c["segre_k"], **c["shoda"]} for c in comps
-        ],
+        "components": comps,
         "any_characteristic_non_hyperinvariant": any(
-            c["shoda"]["characteristic_non_hyperinvariant_possible"] for c in comps
+            c["characteristic_non_hyperinvariant_possible"] for c in comps
         ),
     }
     return payload, None

@@ -3,15 +3,16 @@
 For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
 
 * ``primary_decomposition`` produces the components V_i = ker p_i(A)^{k_i}
-  together with the restriction A_i of A to V_i.
+  together with the restriction A_i of A to V_i (k_i: p_i^(k_i-1)(A_i) != 0).
 * ``analyze_operator`` splits A = S + N (S semisimple, N nilpotent,
-  SN = NS) with S = q(A): Newton's iteration q <- q - r(q) r'(q)^{-1}
-  mod m on polynomials, from q = x with r = p_1 ... p_r separable, needs
-  ceil(log2 max k_i) steps (Couty, Esterle & Zarouf 2011).  On V_i,
-  S_i = (q mod p_i^{k_i})(A_i), with that residue as checked certificate;
-  ``jordan_chevalley`` does the same for one p-primary matrix.
+  SN = NS) once, on F^n, with S = q(A): Newton's iteration q <- q - r(q)
+  r'(q)^{-1} mod m on polynomials, from q = x with r = p_1 ... p_r
+  separable, needs ceil(log2 max k_i) steps (Couty, Esterle & Zarouf 2011).
+  S_i is read off S as A_i off A, N_i = A_i - S_i, with the one check
+  (q mod p_i^{k_i})(A_i) = S_i; ``jordan_chevalley`` splits one p-primary matrix.
 * ``build_k_structure`` turns F^n into a vector space over K = F[S]
-  (a field because p is irreducible) with one F-basis B, the blocks
+  (a field because p is irreducible): K = F, B = I and N_K = N when
+  s = deg p = 1, else one F-basis B, the blocks
   (g, S g, ..., S^(s-1) g) of the generators g, and reads the matrix N_K of
   N as a K-linear map off B^-1 N B, certified by N B = B f_form(N_K)
   (``f_form``: each entry as the s x s matrix of multiplication by it,
@@ -74,10 +75,11 @@ class PrimaryComponent:
 
 def primary_decomposition(A, factorization):
     """Components of V under A for a verified ``Factorization`` of m_A, whose
-    ``powers`` p^k give the kernels ker p(A)^k."""
+    ``powers`` p^k give the kernels ker p(A)^k.  Each p must be irreducible:
+    then p^k(A_i) = 0 leaves m_(A_i) = p^j, j <= k, and p^(k-1)(A_i) != 0
+    gives j = k; with the direct-sum check this proves prod p^k = m_A."""
     if not A.is_square:
         raise ValueError("primary decomposition requires a square matrix")
-    field, kern = A.field, A.kern
     n = A.nrows
     comps = []
     total = 0
@@ -86,23 +88,27 @@ def primary_decomposition(A, factorization):
         V = kernel_basis(poly_at_matrix(pk, A))
         if V.is_zero:
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
-        # restriction: V's basis is in RREF, so the coordinates of A*b, once
-        # it is checked to lie in V, are its entries at V's pivot columns
-        AB = A @ Matrix.encoded(field, kern.transpose(V.enc, n), V.dim)
-        images = kern.transpose(AB.enc, V.dim)
-        if any(kern.nonzero(kern.reduce(v, V.enc, V.pivots)) for v in images):
-            raise InvariantError("ker p(A)^k is not A-invariant")
-        Ai = Matrix.encoded(field, [AB.enc[c] for c in V.pivots], V.dim)
-        # with the direct-sum check below this proves prod p^k = m_A: the
-        # factors are coprime, so m_A is the lcm of the restricted ones
-        if minimal_polynomial(Ai) != pk:
+        Ai = _restriction(A, V)
+        if poly_at_matrix(pk // p, Ai).is_zero:
             raise ValueError("factorization inconsistent with the minimal polynomial")
         comps.append(PrimaryComponent(p, k, V, Ai, pk))
         total += V.dim
         all_rows.extend(V.enc)
-    if total != n or Subspace.from_rows(field, n, all_rows).dim != n:
+    if total != n or Subspace.from_rows(A.field, n, all_rows).dim != n:
         raise ValueError("factorization inconsistent with the minimal polynomial")
     return comps
+
+
+def _restriction(M, V):
+    """M on the M-invariant subspace V, in V's basis: V's basis is in RREF, so
+    the coordinates of M b, once it is checked to lie in V, are its entries at
+    V's pivot columns."""
+    field, kern = M.field, M.kern
+    MB = M @ Matrix.encoded(field, kern.transpose(V.enc, M.nrows), V.dim)
+    images = kern.transpose(MB.enc, V.dim)
+    if any(kern.nonzero(kern.reduce(v, V.enc, V.pivots)) for v in images):
+        raise InvariantError("ker p(A)^k is not invariant under the restricted matrix")
+    return Matrix.encoded(field, [MB.enc[c] for c in V.pivots], V.dim)
 
 
 @dataclass(frozen=True)
@@ -244,13 +250,14 @@ class KStructure:
         return self.f_basis.nrows // self.s
 
     def k_subspace_to_f(self, W):
-        """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n: the
-        column space of B ``f_form``(W^T), whose columns are the vectors
-        w alpha^k (w a basis row of W, k < s), B the F-basis."""
+        """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n: W when
+        s = 1 (B = I), else the column space of B ``f_form``(W^T), whose columns
+        are the vectors w alpha^k (w a basis row of W, k < s), B the F-basis."""
+        if self.s == 1:
+            return W
         fb = self.f_basis
-        kern, n = fb.kern, fb.nrows
-        if self.s == 1 or W.is_zero:  # K = F, with the same row kernel: the rows B w
-            return Subspace.from_rows(fb.field, n, kern.matmul(W.enc, fb.cols, n))
+        if W.is_zero:
+            return zero_subspace(fb.field, fb.nrows)
         WT = Matrix.encoded(W.field, row_kernel(W.field).transpose(W.enc, W.n), W.dim)
         return image_basis(fb @ f_form(WT, fb.field))
 
@@ -369,10 +376,8 @@ def f_form(X, F):
     """The F-matrix of X, a matrix over K = F[alpha] of degree s, in the bases
     (1, alpha, ..., alpha^(s-1)) of its K coordinates: block (i, j) is the
     s x s matrix of multiplication by X_ij, its column k the coefficients of
-    X_ij alpha^k.  X itself when K = F."""
+    X_ij alpha^k (s > 1)."""
     K = X.field
-    if K == F:
-        return X
     s, alpha, rows = K.k, K.generator(), []
     for row in X.rows:
         block = [[] for _ in range(s)]
@@ -389,9 +394,7 @@ def f_form(X, F):
 
 def _k_matrix(K, P, s):
     """The K-matrix whose entry (i, j) has the coefficients P[i s + k][j s],
-    k < s, the inverse of ``f_form`` on its image.  P itself when s = 1."""
-    if s == 1:
-        return P
+    k < s (s > 1), the inverse of ``f_form`` on its image."""
     m = P.nrows // s
     coeffs = (lambda c: [x.c[0] for x in c]) if K.is_finite else list
     cols = [P.col(j * s) for j in range(m)]
@@ -400,47 +403,45 @@ def _k_matrix(K, P, s):
 
 
 def build_k_structure(S, N, p):
-    """K-structure of the space for a verified decomposition (S, N) and factor p."""
-    field = S.field
-    n = S.nrows
-    s = p.degree
+    """K-structure of the space for a verified decomposition (S, N) and factor p;
+    for s = 1, K = F, B = I, N_K = N and the unit vectors, with no certificate."""
+    field, n, s = S.field, S.nrows, p.degree
     if not poly_at_matrix(p, S).is_zero:
         raise ValueError("p(S) != 0: not a valid semisimple part for this factor")
     if s == 1:
-        K = field
+        K, f_basis, nk = field, Matrix.identity(field, n), N
+        generators = f_basis.rows
     elif isinstance(field, RationalField):
         K = ExtensionField(tuple(p.coeffs))
-    elif isinstance(field, FiniteField):
-        if field.k != 1:
-            raise ValueError(
-                "extension of an extension field is not supported: base field "
-                f"{field!r} with degree-{s} factor"
-            )
+    elif isinstance(field, FiniteField) and field.k == 1:
         K = FiniteField(field.p, s, modulus=tuple(c.c[0] for c in p.coeffs))
+    elif isinstance(field, FiniteField):
+        raise ValueError("extension of an extension field is not supported: base field "
+                         f"{field!r} with degree-{s} factor")
     else:
         raise TypeError(f"unsupported base field {field!r}")
-
-    # greedy K-basis: scan e_1, ..., e_n; a vector outside the K-span so far
-    # contributes the block (v, Sv, ..., S^{s-1} v), all new dimensions
-    kern, units = S.kern, Matrix.identity(field, n)
-    generators, blocks, rows, pivots = [], [], [], []
-    for e in units.enc:
-        if not kern.nonzero(kern.reduce(e, rows, pivots)):
-            continue
-        block = [e]
-        for _ in range(s - 1):
-            block += kern.matmul(block[-1:], S.cols, n)
-        generators.append(kern.decode(e, n))
-        blocks += block
-        rows, pivots = kern.echelon(rows + block, n)
-    if len(blocks) != n or len(pivots) != n:
-        raise InvariantError("K-basis construction failed to exhaust the space")
-    f_basis = Matrix.encoded(field, kern.transpose(blocks, n), n)
-    nk = _k_matrix(K, inverse(f_basis) @ N @ f_basis, s)
-    # on all n columns of B: B f_form(X) B^-1 commutes with S for every X, so
-    # this holds iff N is K-linear and N_K, packed as f_form reads it, is its matrix
-    if N @ f_basis != f_basis @ f_form(nk, field):
-        raise InvariantError("N_K does not represent N over K")
+    if s > 1:
+        # greedy K-basis: scan e_1, ..., e_n; a vector outside the K-span so far
+        # contributes the block (v, Sv, ..., S^{s-1} v), all new dimensions
+        kern, units = S.kern, Matrix.identity(field, n)
+        generators, blocks, rows, pivots = [], [], [], []
+        for e in units.enc:
+            if not kern.nonzero(kern.reduce(e, rows, pivots)):
+                continue
+            block = [e]
+            for _ in range(s - 1):
+                block += kern.matmul(block[-1:], S.cols, n)
+            generators.append(kern.decode(e, n))
+            blocks += block
+            rows, pivots = kern.echelon(rows + block, n)
+        if len(blocks) != n or len(pivots) != n:
+            raise InvariantError("K-basis construction failed to exhaust the space")
+        f_basis = Matrix.encoded(field, kern.transpose(blocks, n), n)
+        nk = _k_matrix(K, inverse(f_basis) @ N @ f_basis, s)
+        # on all n columns of B: B f_form(X) B^-1 commutes with S for every X, so
+        # this holds iff N is K-linear and N_K, packed as f_form reads it, is its matrix
+        if N @ f_basis != f_basis @ f_form(nk, field):
+            raise InvariantError("N_K does not represent N over K")
     kernels, images = _power_chains(nk)
     segre = _segre(kernels, nk.nrows)
     return KStructure(s, K, tuple(generators), f_basis, nk, segre,
@@ -524,10 +525,14 @@ def analyze_operator(A, *, hint=None, seed=0):
     # the factors are coprime, so their product is separable once each one is
     rad = prod((_separable(comp.factor) for comp in comps), start=Poly.one(A.field))
     q = _semisimple_polynomial(rad, m)
+    whole = _split(A, q, rad)  # S + N = A, SN = NS, N nilpotent and rad(S) = 0 on F^n
     analyses = []
     for comp in comps:
-        p = comp.factor
-        dec = _split(comp.restriction, q % comp.power, p)
-        analyses.append(ComponentAnalysis(comp, dec, build_k_structure(dec.S, dec.N, p)))
-    whole = _split(A, q, rad)  # checks rad(S) = 0 and N nilpotent on F^n
+        # S_i, N_i restrict S, N, so those laws hold; q_i(A_i) is computed apart
+        Ai, qi = comp.restriction, q % comp.power
+        Si = _restriction(whole.S, comp.subspace)
+        if poly_at_matrix(qi, Ai) != Si:
+            raise InvariantError("certificate q(A) != S on a primary component")
+        dec = JCDecomposition(Si, Ai - Si, qi)
+        analyses.append(ComponentAnalysis(comp, dec, build_k_structure(Si, dec.N, comp.factor)))
     return OperatorAnalysis(A, m, fact, tuple(analyses), whole.S, whole.N)

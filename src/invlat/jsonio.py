@@ -14,13 +14,12 @@ Wire formats:
   does with ``indent=2``.
 """
 
-import re
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ClosureError
 from .fields import QQ, ExtensionField, FiniteField
 from .matrix import Matrix
-from .poly import parse_poly
+from .poly import _RATIONAL, parse_poly
 from .subspace import build_lattice, span, subspace_label
 
 __all__ = [
@@ -109,12 +108,6 @@ def entry_to_json(field, e):
     if isinstance(field, FiniteField):
         return e.c[0] if field.k == 1 else list(e.c)
     raise TypeError(f"cannot serialize entries of {field!r}")
-
-
-# The text of a rational entry: an integer, or "a/b", with an optional sign
-# and ASCII digits only.  Fraction() also reads decimals, exponents, "_" and
-# spaces, and "1e20000000" alone takes it tens of seconds.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rational_text(x):

@@ -27,6 +27,7 @@ ROOT_SEARCH_BOUND or with over ROOT_SEARCH_PAIRS divisor pairs.
 """
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -603,6 +604,16 @@ def _format_coeff(fld, c):
     return str(c)
 
 
+# The text of a rational number: an integer or "a/b", with an optional sign
+# and ASCII digits only, in matrix entries and polynomial coefficients alike.
+# int() and Fraction() also read "_", spaces and non-ASCII digits, Fraction()
+# decimals and exponents too, and "1e20000000" alone takes it tens of seconds.
+_INTEGER = "[+-]?[0-9]+"
+_RATIONAL = re.compile(_INTEGER + "(/[0-9]+)?")
+_VECTOR = re.compile(rf"\[{_INTEGER}(,{_INTEGER})*\]")  # a GF(p^k) coefficient
+_DIGITS = re.compile("[0-9]+")  # an exponent
+
+
 def parse_poly(text, field, var="x", max_degree=None):
     """Parse the CLI polynomial syntax into a Poly over ``field``; an exponent
     above ``max_degree`` is a ValueError, raised before any term is built."""
@@ -638,7 +649,7 @@ def parse_poly(text, field, var="x", max_degree=None):
             head = head.rstrip("*")
             exp = 1
             if tail:
-                if not tail.startswith("^"):
+                if not tail.startswith("^") or not _DIGITS.fullmatch(tail[1:]):
                     raise ValueError(f"malformed term {term!r}")
                 exp = int(tail[1:])
             if max_degree is not None and exp > max_degree:
@@ -656,15 +667,14 @@ def parse_poly(text, field, var="x", max_degree=None):
 
 
 def _parse_coeff(s, field):
-    """One coefficient over ``field``; ValueError for anything that is not one."""
+    """One coefficient over ``field``, in the grammar of a matrix entry: ASCII
+    digits with an optional "/digits", or a vector "[c0,c1,...]" of optionally
+    signed integers; ValueError for anything that is not one."""
     try:
-        if s.startswith("["):
-            if not s.endswith("]"):
-                raise ValueError(f"malformed coefficient vector {s!r}")
-            parts = [p for p in s[1:-1].split(",") if p]
-            return field.element([int(p) for p in parts])
-        if "/" in s:
-            return field.element(Fraction(s))
-        return field.element(int(s))
+        if _VECTOR.fullmatch(s):
+            return field.element([int(p) for p in s[1:-1].split(",")])
+        if _RATIONAL.fullmatch(s):
+            return field.element(Fraction(s) if "/" in s else int(s))
     except (ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"invalid coefficient {s!r} over {field!r}: {exc}") from exc
+    raise ValueError(f"invalid coefficient {s!r} over {field!r}")

@@ -204,14 +204,24 @@ def test_input_error_exit_code(tmp_path, capsys):
     # is built or expanded, and malformed coefficients are input errors
     rot = write_matrix(tmp_path, Matrix(QQ, [[0, 1], [-1, 0]]), "rot.json")  # x^2+1
     gf2 = write_matrix(tmp_path, GOLD_4_A, "gf2.json")
+    gf9 = write_matrix(tmp_path, companion(parse_poly("x+[0,2]", gf_build(3, 2))), "gf9.json")
     for inp, hint in ((rot, '[["x^2+1", 2000]]'), (rot, '[["x^3", 1]]'),
                       (rot, '[["1/0x^2", 1]]'), (rot, '[["[1,2]x", 1]]'),
-                      (gf2, '[["1/2x+1", 1]]')):
+                      (gf2, '[["1/2x+1", 1]]'),
+                      # the matrix-entry grammar: "_" and non-ASCII digits are
+                      # refused in coefficients, vector entries and exponents
+                      (rot, '[["x^2+1_0/10", 1]]'), (rot, '[["1_0x^2+10", 1]]'),
+                      (rot, '[["x^2_0", 1]]'), (rot, '[["x^\u0662+1", 1]]'),
+                      (rot, '[["x^2+\u0661", 1]]'), (gf9, '[["x+[0,2_0]", 1]]')):
         t0 = time.perf_counter()
-        assert main(["--input", inp, "--command", "analyze", "--hint", hint]) == 2, hint
+        for command in ("analyze", "shoda"):
+            assert main(["--input", inp, "--command", command, "--hint", hint]) == 2, hint
         assert time.perf_counter() - t0 < 2, hint
         err = capsys.readouterr().err
-        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert err.startswith("input error: ") and err.count("\n") == 2, err
+    # the same hints, spelled in the grammar, are accepted
+    for inp, hint in ((rot, '[["x^2+10/10", 1]]'), (gf9, '[["x-[0,+1]", 1]]')):
+        assert main(["--input", inp, "--command", "shoda", "--hint", hint]) == 0, hint
 
 
 _ODD_VALUES = (

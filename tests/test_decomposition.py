@@ -109,12 +109,18 @@ def test_primary_decomposition_two_components():
 
 
 def test_primary_decomposition_rejects_inconsistent_factorization():
-    x1 = parse_poly("x+1", F2)
+    x, x1 = parse_poly("x", F2), parse_poly("x+1", F2)
     # (x+1)^2: kernels miss a vector; (x+1)^4: restriction has a smaller
     # minimal polynomial; x: does not divide m_A at all
-    for bad in ([(x1, 2)], [(x1, 4)], [(parse_poly("x", F2), 1)]):
+    for bad in ([(x1, 2)], [(x1, 4)], [(x, 1)]):
         with pytest.raises(ValueError):
             primary_decomposition(GOLD_4_A, Factorization(tuple(bad)))
+    # two components, m_A = (x+1)^2 x, with the multiplicity of x+1 overstated:
+    # every kernel is right, only p^(k-1)(A_i) = 0 gives it away
+    A = block_diag(F2, [companion(x1 ** 2), companion(x)])
+    for bad in ([(x1, 3), (x, 1)], [(x, 1), (x1, 3)]):
+        with pytest.raises(ValueError, match="inconsistent"):
+            primary_decomposition(A, Factorization(tuple(bad)))
 
 
 def test_jc_verify_rejects_tampered_s_under_python_O():
@@ -287,13 +293,24 @@ def test_analyze_operator_multi_component_global_parts():
     assert ana.min_poly == parse_poly("x^2+x", F2) * parse_poly("x+1", F2)
 
 
-def test_analyze_operator_components_and_certificates():
-    # (x+1)^2, x^2+1 and x^2 over GF(3), mixed by a conjugation so that the
-    # pivots of the components are not their leading columns
+def _gf3_three_components():
+    """(x+1)^2, x^2+1 and x^2 over GF(3), mixed by a conjugation so that the
+    pivots of the components are not their leading columns."""
     blocks = [companion(parse_poly(f, F3)) for f in ("x^2+2x+1", "x^2+1", "x^2")]
     B = block_diag(F3, blocks)
     P = Matrix(F3, [[1 if j <= i else 0 for j in range(6)] for i in range(6)])
-    A = inverse(P) @ B @ P
+    return inverse(P) @ B @ P
+
+
+def _q_with_a_quadratic_factor():
+    """(x^2+1)^2 (x-2) over Q, conjugated: one s = 2 and one s = 1 component."""
+    B = block_diag(QQ, [GOLD_RAT_A, companion(parse_poly("x-2", QQ))])
+    P = Matrix(QQ, [[1 if j <= i else 0 for j in range(5)] for i in range(5)])
+    return inverse(P) @ B @ P
+
+
+def test_analyze_operator_components_and_certificates():
+    A = _gf3_three_components()
     ana = analyze_operator(A)
     rad = parse_poly("1", F3)
     for ca in ana.components:
@@ -305,6 +322,87 @@ def test_analyze_operator_components_and_certificates():
         assert ca.jc == jordan_chevalley(comp.restriction, p, k)
         rad = rad * p
     assert ana.S == newton_semisimple(A, rad) and ana.N == A - ana.S
+
+
+@pytest.mark.parametrize("A", [_gf3_three_components(), _q_with_a_quadratic_factor()],
+                         ids=["GF(3) three components", "Q with s = 2"])
+def test_analyze_operator_splits_and_finds_m_once(monkeypatch, A):
+    # one minimal polynomial and one verified split per operator; the
+    # components read S_i off S, and only an s > 1 component inverts a basis
+    import invlat.decomposition as decomposition
+
+    calls = {"minimal_polynomial": 0, "verify": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("minimal_polynomial", "inverse"):
+        monkeypatch.setattr(decomposition, name, counted(name, getattr(decomposition, name)))
+    monkeypatch.setattr(decomposition.JCDecomposition, "verify",
+                        counted("verify", decomposition.JCDecomposition.verify))
+    ana = analyze_operator(A)
+    wide = sum(1 for ca in ana.components if ca.kstruct.s > 1)
+    assert len(ana.components) > 1 and wide == 1
+    assert calls == {"minimal_polynomial": 1, "verify": 1, "inverse": wide}
+
+
+def test_k_structure_over_k_equal_f_has_no_change_of_basis():
+    # s = 1: B = I, N_K = N_i, the generators are the unit vectors and a
+    # K-subspace is its own F-subspace
+    for A in (GOLD_4_A, _gf3_three_components(), _q_with_a_quadratic_factor()):
+        narrow = [ca for ca in analyze_operator(A).components if ca.kstruct.s == 1]
+        assert narrow
+        for ca in narrow:
+            ks, F, n = ca.kstruct, A.field, ca.component.dim
+            assert ks.field_k == F and ks.k_dim == n
+            assert ks.f_basis == Matrix.identity(F, n)
+            assert ks.nk == ca.jc.N
+            assert ks.generators == Matrix.identity(F, n).rows
+            for W in (*ks.kernels, *ks.images, *ks.hyperinvariant):
+                assert ks.k_subspace_to_f(W) is W
+
+
+def _tampered_read_off(monkeypatch, S):
+    """Make the component read-off add 1 to entry (0, 0) of every restriction
+    of S, and leave the restrictions of A alone."""
+    import invlat.decomposition as decomposition
+
+    restriction = decomposition._restriction
+
+    def tampered(M, V):
+        R = restriction(M, V)
+        if M != S:
+            return R
+        rows = [list(r) for r in R.rows]
+        rows[0][0] += M.field.one()
+        return Matrix(M.field, rows)
+
+    monkeypatch.setattr(decomposition, "_restriction", tampered)
+
+
+def test_component_read_off_fault_is_refused_by_the_certificate(monkeypatch, tmp_path, capsys):
+    import json
+
+    from invlat.cli import main
+    from invlat.jsonio import matrix_to_json
+
+    for A in (_gf3_three_components(), _q_with_a_quadratic_factor()):
+        S = analyze_operator(A).S
+        assert S != A
+        with monkeypatch.context() as m:
+            _tampered_read_off(m, S)
+            with pytest.raises(InvariantError, match="certificate"):
+                analyze_operator(A)
+            # through the command line: an internal invariant (5), not input (2)
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(matrix_to_json(A)))
+            capsys.readouterr()
+            assert main(["--input", str(path), "--command", "shoda"]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("internal invariant violated: certificate"), err
 
 
 def test_analyze_operator_rational_golden():
@@ -381,6 +479,9 @@ def test_jordan_chevalley_laws_on_several_components_hypothesis():
         assert ana.min_poly == expected and len(ana.components) == len(ps)
         for ca in ana.components:
             V, jc = ca.component.subspace, ca.jc
+            # the component's own split, with its own verify, is the reference
+            assert jc == jordan_chevalley(ca.component.restriction, ca.component.factor,
+                                          ca.component.multiplicity)
             assert jc.S + jc.N == ca.component.restriction and jc.S @ jc.N == jc.N @ jc.S
             SV = S @ Matrix.from_cols(field, V.basis)  # S on V_i, in V_i's coordinates
             assert Matrix(field, [SV.rows[c] for c in V.pivots]) == jc.S

@@ -223,6 +223,26 @@ def test_parse_poly_bounds_and_coefficients():
             parse_poly(text, field)
 
 
+def test_parse_poly_reads_the_matrix_entry_grammar():
+    # coefficients are ASCII digits with an optional /digits, vector entries
+    # optionally signed integers, exponents digits; int() and Fraction() read
+    # "_" and non-ASCII digits, which once made "1_0x+1" parse as 10x+1
+    F9 = gf_build(3, 2)
+    for text, field in (("1_0x+1", QQ), ("x^2+1_0/3", QQ), ("x^2+1/1_0", QQ),
+                        ("\u0663x+1", QQ), ("x^2+\uff12", QQ), ("1.5x", QQ), ("1e3x", QQ),
+                        ("[1_0,1]x+1", F9), ("[1,\u0661]x", F9), ("[1,1/2]x", F9),
+                        ("[]x", F9), ("[1,,0]x", F9), ("[1,0", F9), ("1,0]x", F9)):
+        with pytest.raises(ValueError, match="invalid coefficient"):
+            parse_poly(text, field)
+    for text in ("x^1_0+1", "x^\u0663+1", "x^+3", "x^-1", "x^1.0", "x^"):
+        with pytest.raises(ValueError, match="malformed term"):
+            parse_poly(text, QQ)
+    # the documented forms stay accepted, spaces between terms included
+    assert parse_poly("x^10 + 10/3x - 7", QQ) == Poly(QQ, tuple(
+        [QQ.element(-7), QQ.element(Fraction(10, 3))] + [QQ.zero()] * 8 + [QQ.one()]))
+    assert parse_poly("[-1,+2]x+[1, 0]", F9) == parse_poly("[2,2]x+1", F9)
+
+
 def test_poly_text_round_trip():
     f = P(F2, "x^3+x+1")
     assert format_poly(f) == "x^3+x+1"
