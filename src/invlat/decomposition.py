@@ -10,22 +10,24 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   separable, needs ceil(log2 max k_i) steps (Couty, Esterle & Zarouf 2011).
   S_i is read off S as A_i off A, N_i = A_i - S_i, with the one check
   (q mod p_i^{k_i})(A_i) = S_i; ``jordan_chevalley`` splits one p-primary matrix.
-* ``build_k_structure`` turns F^n into a vector space over K = F[S]
-  (a field because p is irreducible): K = F, B = I and N_K = N when
-  s = deg p = 1, else one F-basis B, the blocks
-  (g, S g, ..., S^(s-1) g) of the generators g, and reads the matrix N_K of
-  N as a K-linear map off B^-1 N B, certified by N B = B f_form(N_K)
-  (``f_form``: each entry as the s x s matrix of multiplication by it,
-  which also maps K-subspaces to F^n).  One pass over the powers of N_K
-  gives the kernel and image chains ker N_K^j, im N_K^j; the Segre
-  characteristic is read off the kernel dimensions and the Jordan chains,
-  as encoded rows, off the kernels, and the lattice code reuses both
-  chains.  The chain vectors, checked to be a basis in which every kernel
-  and image is a coordinate subspace
-  (``KStructure.chain_rows``), give Z_K(N_K) in closed form
-  (``KStructure.commutant``, certified) and the hyperinvariant subspaces of
-  N_K (``KStructure.hyperinvariant``, Fillmore, Herrero & Longstaff), each
-  formed once per analysis, with no intersection and no n^2-unknown solve.
+* ``build_k_structure`` makes F^n a vector space over K = F[S] (a field,
+  as p is irreducible; s = deg p), on F^n itself: K acts with the class of
+  x as S, so the K-subspaces are the F-subspaces that S maps into itself,
+  and N acts as a K-linear map N_K.  One pass over the powers of N gives
+  ker N^j and im N^j over F, which are the K-subspaces ker N_K^j, im N_K^j;
+  the Segre characteristic of N_K is read off their dimensions over s, and
+  the Jordan chains of N_K, each vector with its S-closure
+  (v, S v, ..., S^(s-1) v), off the kernels.  The S-closed chain vectors,
+  checked to be a basis in which every kernel and image is a coordinate
+  subspace (``KStructure.chain_rows``), give Z_F(A_i) = Z_K(N_K) in closed
+  form (``KStructure.commutant``, certified against A_i) and the
+  hyperinvariant subspaces of N_K (``KStructure.hyperinvariant``, Fillmore,
+  Herrero & Longstaff), each formed once per analysis, with no
+  intersection and no n^2-unknown solve.  K coordinates are used only by
+  the walk of the N_K-invariant subspaces when K is finite and s > 1
+  (``KStructure.invariant``): it walks the Jordan matrix of N_K over K and
+  maps each member through the chain basis (``f_form``: each entry as the
+  s x s matrix of multiplication by it), certified by N B = B f_form(J).
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
@@ -38,7 +40,6 @@ from math import inf, prod
 from .centralizer import certified_centralizer
 from .errors import FieldMismatchError, InseparableFactorError, InvariantError
 from .fields import ExtensionField, FiniteField, RationalField
-from .kernels import row_kernel
 from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
 from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
@@ -113,13 +114,15 @@ def _restriction(M, V):
 
 @dataclass(frozen=True)
 class JCDecomposition:
-    """A = S + N with S semisimple, N nilpotent, SN = NS; S = certificate(A)."""
+    """A = S + N with S semisimple, N nilpotent, SN = NS; S = certificate(A),
+    as ``_split`` makes it and ``analyze_operator`` checks per component."""
 
     S: Matrix
     N: Matrix
     certificate: Poly
 
     def verify(self, A, p):
+        """The laws S + N = A, SN = NS, N^n = 0 and p(S) = 0 (p separable)."""
         n = A.nrows
         if self.S + self.N != A:
             raise InvariantError("S + N != A")
@@ -129,8 +132,6 @@ class JCDecomposition:
             raise InvariantError("N is not nilpotent")
         if not poly_at_matrix(p, self.S).is_zero:
             raise InvariantError("p(S) != 0")
-        if poly_at_matrix(self.certificate, A) != self.S:
-            raise InvariantError("certificate q(A) != S")
 
 
 def jordan_chevalley(A, p, r):
@@ -179,7 +180,8 @@ def _semisimple_polynomial(rad, m):
 
 
 def _split(A, q, p):
-    """The verified decomposition S = q(A), N = A - S of A, with p(S) = 0 (p separable)."""
+    """The verified decomposition S = q(A), N = A - S of A, with p(S) = 0 (p
+    separable); S = q(A) holds as S is made so, and is not evaluated again."""
     S = poly_at_matrix(q, A)
     dec = JCDecomposition(S, A - S, q)
     dec.verify(A, p)
@@ -203,11 +205,12 @@ def _power_chains(N):
     return tuple(kernels), tuple(images)
 
 
-def _segre(kernels, n):
-    """Block sizes, largest first: ge[j-1] = dim ker N^j - dim ker N^(j-1) have size >= j."""
-    ge = [b.dim - a.dim for a, b in zip(kernels, kernels[1:])] + [0]
+def _segre(kernels, n, s=1):
+    """Block sizes over K, largest first, s = dim_F K: (dim ker N^j - dim ker
+    N^(j-1)) / s = ge[j-1] blocks have size >= j."""
+    ge = [(b.dim - a.dim) // s for a, b in zip(kernels, kernels[1:])] + [0]
     parts = [j for j in range(len(ge) - 1, 0, -1) for _ in range(ge[j - 1] - ge[j])]
-    if sum(parts) != n:
+    if s * sum(parts) != n:
         raise InvariantError("Segre characteristic does not sum to the dimension")
     return tuple(parts)
 
@@ -219,27 +222,30 @@ def segre_characteristic(N):
 
 @dataclass(frozen=True)
 class KStructure:
-    """F^n viewed as a K = F[S] vector space, and N as a K-linear map.
+    """F^n as a vector space over K = F[S], and N as a K-linear map N_K.
 
-    ``generators`` are the chosen K-basis vectors (scanned standard basis
-    vectors, deterministic); the F-basis ``f_basis`` groups each generator g
-    with S g, ..., S^(s-1) g, so a K coordinate a = sum_k c_k alpha^k
-    (alpha the class of x, acting as S) has the F-coordinates c_0 ... c_(s-1)
-    in its block.  ``nk`` is the matrix of N over K in that basis, certified
-    by N B = B ``f_form``(N_K), ``segre`` its Segre characteristic over K,
-    ``chains`` the Jordan chains over K as encoded rows (each chain listed
-    generator first), and ``kernels`` / ``images`` the K-subspaces ker N_K^j
-    / im N_K^j for j = 0, ..., r (N_K^r = 0): every lattice is read off
-    these, so the powers of N_K are formed here once.  ``invariant`` (inv's
-    walk, which chinv filters), ``chain_rows``, ``commutant`` and
-    ``hyperinvariant`` are formed once per analysis, on first use.
+    K = F[x]/(p), s = deg p, acts with the class alpha of x as S, so a
+    K-subspace is exactly an F-subspace that S maps into itself, and every
+    K-object is held on F^n.  ``S`` and ``N`` are the component's parts
+    (a verified decomposition: SN = NS, p(S) = 0); ``generators`` are the
+    scanned unit vectors outside the K-span of those before them, for
+    reports.  ``kernels`` / ``images`` are ker N^j / im N^j over F for
+    j = 0, ..., r (N^r = 0); N commutes with S, so they are the K-subspaces
+    ker N_K^j / im N_K^j, every lattice is read off them, and the powers
+    of N are formed here once.  ``segre`` is the Segre characteristic of
+    N_K, read off the kernel dimensions over s, and ``chains`` the Jordan
+    chains (g, N g, ...) of N_K, each vector held as its S-closure
+    (v, S v, ..., S^(s-1) v), encoded; chain i follows ``segre[i]``.
+    ``invariant`` (inv's walk, which chinv filters), ``chain_rows``,
+    ``commutant`` and ``hyperinvariant`` are formed once per analysis, on
+    first use.
     """
 
     s: int
     field_k: object
     generators: tuple
-    f_basis: Matrix  # columns: blocks (g, Sg, ..., S^{s-1}g) per generator
-    nk: Matrix
+    S: Matrix
+    N: Matrix
     segre: tuple
     chains: tuple
     kernels: tuple
@@ -247,33 +253,21 @@ class KStructure:
 
     @property
     def k_dim(self):
-        return self.f_basis.nrows // self.s
-
-    def k_subspace_to_f(self, W):
-        """K-subspace of K^{n/s} -> the same set as an F-subspace of F^n: W when
-        s = 1 (B = I), else the column space of B ``f_form``(W^T), whose columns
-        are the vectors w alpha^k (w a basis row of W, k < s), B the F-basis."""
-        if self.s == 1:
-            return W
-        fb = self.f_basis
-        if W.is_zero:
-            return zero_subspace(fb.field, fb.nrows)
-        WT = Matrix.encoded(W.field, row_kernel(W.field).transpose(W.enc, W.n), W.dim)
-        return image_basis(fb @ f_form(WT, fb.field))
+        return self.N.nrows // self.s
 
     @cached_property
     def chain_rows(self):
-        """The Jordan chain vectors as encoded rows, chain by chain (independent,
-        as ``build_k_structure`` checked), certified to be a basis in which every
-        ker N_K^a and im N_K^b is the coordinate subspace on ``kernel_index(a)``
-        / ``image_index(b)``: each ``kernels[a]`` and ``images[b]`` must hold the
-        chain vectors of its index set and have as many dimensions as there
-        are of them."""
-        kern, rows = row_kernel(self.field_k), self.chains
+        """``chains``, certified to be a basis in which every ker N^a and im N^b
+        is the coordinate subspace on the S-closures of the chain vectors at
+        ``kernel_index(a)`` / ``image_index(b)``.  The S-closed chain vectors are
+        independent, as ``build_k_structure`` checked, so it suffices that each
+        ``kernels[a]`` and ``images[b]`` holds those of its index set and has
+        as many dimensions as there are of them."""
+        kern, rows = self.N.kern, self.chains
         for what, spaces, index in (("ker", self.kernels, self.kernel_index),
                                     ("im", self.images, self.image_index)):
             for a, W in enumerate(spaces):
-                vectors = [rows[i][c] for i, c in index(a)]
+                vectors = [v for i, c in index(a) for v in rows[i][c]]
                 if len(vectors) != W.dim or any(
                         kern.nonzero(kern.reduce(v, W.enc, W.pivots)) for v in vectors):
                     raise InvariantError(
@@ -291,33 +285,40 @@ class KStructure:
         return frozenset((i, c) for i, t in enumerate(map(len, self.chains)) for c in range(b, t))
 
     def chain_span(self, index):
-        """The K-subspace spanned by the chain vectors at the positions ``index``."""
+        """The K-subspace spanned by the chain vectors at the positions ``index``:
+        the F-span of their S-closures."""
         rows = self.chain_rows
-        return Subspace.from_rows(self.field_k, self.k_dim, [rows[i][c] for i, c in sorted(index)])
+        return Subspace.from_rows(self.N.field, self.N.nrows,
+                                  [v for i, c in sorted(index) for v in rows[i][c]])
 
     @cached_property
     def commutant(self):
-        """Z_K(N_K) in closed form, as a certified ``CentralizerBasis``.
+        """Z_F(A_i) = Z_K(N_K) in closed form, as a certified ``CentralizerBasis``
+        over F (an F-linear map commutes with A_i = S + N iff it commutes with
+        S, so is K-linear, and with N).
 
         For chains (g_j, t_j), (g_i, t_i) and t_i - min(t_i, t_j) <= b < t_i,
-        X maps N^a g_j to N^(a+b) g_i (0 once a + b >= t_i) and every other
-        chain to 0; b >= t_i - t_j makes N X N^(t_j - 1) g_j = N^(t_j + b) g_i
-        vanish, as X N^(t_j) g_j = 0 does.
-        These are the block Toeplitz commutants (Gantmacher, The Theory of
-        Matrices, vol. 1, ch. VIII); X = Y C^-1, C the chain vectors and Y
-        their images as columns, one kernel product.  The certificate: each X
-        commutes with N_K, they are independent (as their values at the chain
-        generators are, which fix a commuting X), and there are
-        sum_(i,j) min(t_i, t_j) = dim Z_K(N_K) of them.
+        the K-linear X maps N^a g_j to N^(a+b) g_i (0 once a + b >= t_i) and
+        every other chain to 0, so S^k N^a g_j to S^k N^(a+b) g_i;
+        b >= t_i - t_j makes N X N^(t_j - 1) g_j = N^(t_j + b) g_i vanish, as
+        X N^(t_j) g_j = 0 does.  These are the block Toeplitz commutants
+        (Gantmacher, The Theory of Matrices, vol. 1, ch. VIII), a K-basis;
+        the S^k X, k < s, are an F-basis.  X = Y C^-1, C the S-closed chain
+        vectors and Y their images as columns, one kernel product.  The
+        certificate (``certified_centralizer``): each element commutes with
+        A_i, they are independent (as their values at the chain generators,
+        which generate F^n under A_i, are), and there are
+        s sum_(i,j) min(t_i, t_j) = dim_F Z_F(A_i) of them.
         """
-        rows, dim = self.chain_rows, sum(min(a, b) for a in self.segre for b in self.segre)
-        return certified_centralizer(self.nk, _chain_commutant(self.nk, rows), dim,
-                                     [chain[0] for chain in rows])
+        rows = self.chain_rows
+        dim = self.s * sum(min(a, b) for a in self.segre for b in self.segre)
+        return certified_centralizer(self.S + self.N, _chain_commutant(self.S, rows), dim,
+                                     [chain[0][0] for chain in rows])
 
     @cached_property
     def hyperinvariant(self):
         """The hyperinvariant subspaces of N_K, as F-subspaces in canonical
-        order over K; formed on first use, so an analysis forms them once.
+        order; formed on first use, so an analysis forms them once.
 
         With t_1 < ... < t_m the distinct block sizes, they are exactly
         W(r) = sum_j ker N^(r_j) meet im N^(t_j - r_j) with 0 <= r_j <= t_j and
@@ -334,13 +335,12 @@ class KStructure:
         Certificate: ``chain_rows`` checks that the kernels and images are the
         coordinate subspaces on those index sets, the bijection (distinct
         tuples, distinct subspaces) is checked, and the generators ker N^j and
-        im N^j are checked invariant under the basis of ``commutant``.  Every
-        member is so made from the generators by + and meet, and X U <= U,
-        X W <= W give X(U + W) <= U + W and X(U meet W) <= U meet W, so every
-        member is Z_K(N_K)-invariant.  That is hyperinvariance over F: S and N
-        are polynomials in the component operator A_i, so an F-linear map
-        commutes with A_i iff it commutes with S (it is K-linear) and with N
-        (as a K-linear map, with N_K); Z_F(A_i) = Z_K(N_K).
+        im N^j are checked invariant under the K-basis X of ``commutant``;
+        S maps them into themselves (SN = NS), so S^k X does too, and they
+        are invariant under all of Z_K(N_K).  Every member is so made from
+        the generators by + and meet, and X U <= U, X W <= W give
+        X(U + W) <= U + W and X(U meet W) <= U meet W, so every member is
+        Z_K(N_K)-invariant: hyperinvariant over F, as Z_F(A_i) = Z_K(N_K).
         """
         sizes = sorted(set(self.segre))
         walk, last = [(0,)], 0  # tuples r, led by r_0 = 0
@@ -354,17 +354,45 @@ class KStructure:
                    for r in walk}
         if len(members) != len(walk):
             raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
-        Z = self.commutant.elements
+        Z = self.commutant.elements[:: self.s]  # the X, each first of its S^k X
         if not all(W.is_invariant_under(B) for W in {*self.kernels, *self.images} for B in Z):
             raise InvariantError("a kernel or image of N_K is not invariant under Z_K(N_K)")
-        return tuple(self.k_subspace_to_f(W) for W in sorted(members, key=Subspace.sort_key))
+        return tuple(sorted(members, key=Subspace.sort_key))
 
     @cached_property
     def invariant(self):
         """The N_K-invariant K-subspaces (K finite) as F-subspaces, in walk order:
-        walked once per analysis, after the caller has checked its cap."""
-        walk = enumerate_all_subspaces(self.field_k, self.k_dim, inf, [self.nk])
-        return tuple(self.k_subspace_to_f(W) for W in walk)
+        walked once per analysis, after the caller has checked its cap.
+
+        s = 1 (K = F) walks N on F^n.  Else the walk runs on K^m, m = n/s,
+        under J, the Jordan matrix of ``segre`` (J e_(i,c) = e_(i,c+1), 0 past
+        the end of chain i), and maps each member W through the chain basis B,
+        whose columns are the S-closures of the chain vectors in chain order:
+        W goes to the column space of B ``f_form``(W^T), a K-coordinate
+        sum_k c_k alpha^k of the chain vector v being the F-vector
+        sum_k c_k S^k v.  B is a basis (``build_k_structure``) on which alpha
+        acts as S (p(S) = 0), and the certificate N B = B ``f_form``(J) makes J
+        the matrix of N_K in it; so the map is a bijection from the
+        J-invariant subspaces of K^m onto the K-subspaces of F^n that N maps
+        into themselves.
+        """
+        F, n = self.N.field, self.N.nrows
+        if self.s == 1:
+            return tuple(enumerate_all_subspaces(F, n, inf, [self.N]))
+        K, kern = self.field_k, self.N.kern
+        J = _jordan_matrix(K, tuple(map(len, self.chains)))
+        flat = [v for chain in self.chains for block in chain for v in block]
+        B = Matrix.encoded(F, kern.transpose(flat, n), n)
+        if self.N @ B != B @ f_form(J, F):
+            raise InvariantError("the chain basis does not carry N to the Jordan matrix of N_K")
+        out = []
+        for W in enumerate_all_subspaces(K, self.k_dim, inf, [J]):
+            if W.is_zero:
+                out.append(zero_subspace(F, n))
+                continue
+            WT = Matrix.encoded(K, J.kern.transpose(W.enc, W.n), W.dim)
+            out.append(image_basis(B @ f_form(WT, F)))
+        return tuple(out)
 
     @cached_property
     def hyperinvariant_lattice(self):
@@ -373,10 +401,10 @@ class KStructure:
 
 
 def f_form(X, F):
-    """The F-matrix of X, a matrix over K = F[alpha] of degree s, in the bases
-    (1, alpha, ..., alpha^(s-1)) of its K coordinates: block (i, j) is the
-    s x s matrix of multiplication by X_ij, its column k the coefficients of
-    X_ij alpha^k (s > 1)."""
+    """The F-matrix of X, a matrix over the finite K = F[alpha] of degree s, in
+    the bases (1, alpha, ..., alpha^(s-1)) of its K coordinates: block (i, j)
+    is the s x s matrix of multiplication by X_ij, its column k the
+    coefficients of X_ij alpha^k (s > 1)."""
     K = X.field
     s, alpha, rows = K.k, K.generator(), []
     for row in X.rows:
@@ -392,25 +420,30 @@ def f_form(X, F):
     return Matrix(F, rows)
 
 
-def _k_matrix(K, P, s):
-    """The K-matrix whose entry (i, j) has the coefficients P[i s + k][j s],
-    k < s (s > 1), the inverse of ``f_form`` on its image."""
-    m = P.nrows // s
-    coeffs = (lambda c: [x.c[0] for x in c]) if K.is_finite else list
-    cols = [P.col(j * s) for j in range(m)]
-    return Matrix.from_cols(K, [[K.element(coeffs(c[i * s : i * s + s])) for i in range(m)]
-                                for c in cols])
+def _jordan_matrix(K, sizes):
+    """The nilpotent Jordan matrix over K with blocks of ``sizes``, in order:
+    J e_(i,c) = e_(i,c+1), and 0 at the last position of each block."""
+    m, starts = sum(sizes), {sum(sizes[:i]) for i in range(len(sizes))}
+    unit, zero = Matrix.identity(K, m).enc, Matrix.zeros(K, 1, m).enc[0]
+    return Matrix.encoded(K, [zero if r in starts else unit[r - 1] for r in range(m)], m)
+
+
+def _s_closure(S, rows, s):
+    """The S-closure of each encoded row v: the rows S^k v, k < s, as one list per k."""
+    levels = [list(rows)]
+    for _ in range(s - 1):
+        levels.append(S.kern.matmul(levels[-1], S.cols, S.nrows))
+    return levels
 
 
 def build_k_structure(S, N, p):
     """K-structure of the space for a verified decomposition (S, N) and factor p;
-    for s = 1, K = F, B = I, N_K = N and the unit vectors, with no certificate."""
+    for s = 1, K = F and the unit vectors are the generators."""
     field, n, s = S.field, S.nrows, p.degree
     if not poly_at_matrix(p, S).is_zero:
         raise ValueError("p(S) != 0: not a valid semisimple part for this factor")
     if s == 1:
-        K, f_basis, nk = field, Matrix.identity(field, n), N
-        generators = f_basis.rows
+        K, generators = field, Matrix.identity(field, n).rows
     elif isinstance(field, RationalField):
         K = ExtensionField(tuple(p.coeffs))
     elif isinstance(field, FiniteField) and field.k == 1:
@@ -421,72 +454,67 @@ def build_k_structure(S, N, p):
     else:
         raise TypeError(f"unsupported base field {field!r}")
     if s > 1:
-        # greedy K-basis: scan e_1, ..., e_n; a vector outside the K-span so far
-        # contributes the block (v, Sv, ..., S^{s-1} v), all new dimensions
-        kern, units = S.kern, Matrix.identity(field, n)
-        generators, blocks, rows, pivots = [], [], [], []
-        for e in units.enc:
-            if not kern.nonzero(kern.reduce(e, rows, pivots)):
-                continue
-            block = [e]
-            for _ in range(s - 1):
-                block += kern.matmul(block[-1:], S.cols, n)
-            generators.append(kern.decode(e, n))
-            blocks += block
-            rows, pivots = kern.echelon(rows + block, n)
-        if len(blocks) != n or len(pivots) != n:
+        # scan e_1, ..., e_n; a vector outside the K-span so far is a
+        # generator, and its S-closure adds s dimensions
+        kern, generators, rows, pivots = S.kern, [], [], []
+        for e in Matrix.identity(field, n).enc:
+            if kern.nonzero(kern.reduce(e, rows, pivots)):
+                generators.append(kern.decode(e, n))
+                rows, pivots = kern.echelon(rows + [v for (v,) in _s_closure(S, [e], s)], n)
+        if len(pivots) != n or s * len(generators) != n:
             raise InvariantError("K-basis construction failed to exhaust the space")
-        f_basis = Matrix.encoded(field, kern.transpose(blocks, n), n)
-        nk = _k_matrix(K, inverse(f_basis) @ N @ f_basis, s)
-        # on all n columns of B: B f_form(X) B^-1 commutes with S for every X, so
-        # this holds iff N is K-linear and N_K, packed as f_form reads it, is its matrix
-        if N @ f_basis != f_basis @ f_form(nk, field):
-            raise InvariantError("N_K does not represent N over K")
-    kernels, images = _power_chains(nk)
-    segre = _segre(kernels, nk.nrows)
-    return KStructure(s, K, tuple(generators), f_basis, nk, segre,
-                      _jordan_chains(nk, segre, kernels), kernels, images)
+    kernels, images = _power_chains(N)
+    segre = _segre(kernels, n, s)
+    return KStructure(s, K, tuple(generators), S, N, segre,
+                      _jordan_chains(S, N, s, segre, kernels), kernels, images)
 
 
-def _jordan_chains(nk, segre, kernels):
-    """Chain generators over K, as encoded rows: for each block size t
-    (descending), a vector of height exactly t independent from earlier
-    chains; chain = (v, Nv, ...)."""
-    kern, m = nk.kern, nk.nrows
+def _jordan_chains(S, N, s, segre, kernels):
+    """The Jordan chains of N_K, each vector as its S-closure: for each block
+    size t (descending), a vector of height exactly t outside ker N^(t-1) and
+    the K-span of the chains so far, the F-span of their S-closures;
+    chain = (v, Nv, ...).  The S-closures of all chains must span F^n, and
+    are s sum t = n vectors, so they are a basis."""
+    kern, n = N.kern, N.nrows
     chains = []
-    chosen = []  # every vector of every chain so far
-    for t in sorted(segre, reverse=True):
-        below, pivots = kern.echelon([*kernels[t - 1].enc, *chosen], m)
+    chosen = []  # the S-closure of every vector of every chain so far
+    for t in segre:
+        below, pivots = kern.echelon([*kernels[t - 1].enc, *chosen], n)
         pick = next((v for v in kernels[t].enc if kern.nonzero(kern.reduce(v, below, pivots))),
                     None)
         if pick is None:
             raise InvariantError("Jordan chain extraction failed")
         chain = [pick]
         for _ in range(t - 1):
-            chain += kern.matmul(chain[-1:], nk.cols, m)
-        chains.append(kern.freeze(chain))
-        chosen.extend(chain)
-    if len(kern.echelon(chosen, m)[0]) != m:
+            chain += kern.matmul(chain[-1:], N.cols, n)
+        blocks = tuple(kern.freeze(block) for block in zip(*_s_closure(S, chain, s)))
+        chains.append(blocks)
+        chosen.extend(v for block in blocks for v in block)
+    if len(kern.echelon(chosen, n)[0]) != n:
         raise InvariantError("Jordan chains do not span")
     return tuple(chains)
 
 
-def _chain_commutant(nk, rows):
-    """The closed-form basis of Z_K(N_K) (``KStructure.commutant``) from the
-    encoded chain vectors ``rows``, in the order (j, i, b)."""
-    K, kern, m = nk.field, nk.kern, nk.nrows
-    flat = [v for chain in rows for v in chain]
-    cinv = inverse(Matrix.encoded(K, kern.transpose(flat, m), m)).right
-    zero = Matrix.zeros(K, 1, m).enc[0]
-    starts = [sum(map(len, rows[:j])) for j in range(len(rows))]
+def _chain_commutant(S, rows):
+    """The closed-form F-basis of Z_K(N_K) (``KStructure.commutant``) from the
+    S-closed chain vectors ``rows``: S^k X for each X, in the order (j, i, b),
+    k < s within each."""
+    F, kern, n = S.field, S.kern, S.nrows
+    flat = [v for chain in rows for block in chain for v in block]
+    cinv = inverse(Matrix.encoded(F, kern.transpose(flat, n), n)).right
+    zero = Matrix.zeros(F, 1, n).enc[0]
+    s = len(rows[0][0])
+    starts = [s * sum(map(len, rows[:j])) for j in range(len(rows))]
     out = []
     for j, gj in enumerate(rows):
         for gi in rows:
             ti = len(gi)
             for b in range(ti - min(ti, len(gj)), ti):
-                images = [zero] * m  # column c of Y: the image of chain vector c
-                images[starts[j] : starts[j] + ti - b] = gi[b:]
-                out.append(Matrix.encoded(K, kern.matmul(kern.transpose(images, m), cinv, m), m))
+                images = [zero] * n  # column c of Y: the image of chain vector c
+                images[starts[j] : starts[j] + s * (ti - b)] = [v for blk in gi[b:] for v in blk]
+                out.append(Matrix.encoded(F, kern.matmul(kern.transpose(images, n), cinv, n), n))
+                for _ in range(s - 1):
+                    out.append(S @ out[-1])
     return out
 
 

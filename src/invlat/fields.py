@@ -1,6 +1,6 @@
 """Exact base fields.
 
-Three kinds of field are supported:
+Three kinds of field appear:
 
 * ``QQ`` -- the rationals; elements are ``fractions.Fraction`` (always in
   lowest terms with positive denominator).
@@ -14,17 +14,16 @@ Three kinds of field are supported:
   size is bounded before any modulus is searched or tested:
   k^3 log2(p) <= ``MAX_EXTENSION_COST``, and p^k <= ``MAX_SEARCH_ORDER``
   when no modulus is given.
-* ``ExtensionField(modulus)`` -- a simple extension Q[t]/(m(t)) for a
-  monic irreducible m over Q; elements are residue coefficient vectors of
-  Fractions.  Used for the field generated by a semisimple operator over
-  the rationals; the caller is responsible for m being irreducible
-  (non-invertible residues raise).
+* ``ExtensionField(modulus)`` -- the name of K = Q[t]/(m(t)), m monic
+  irreducible over Q, the field generated by a semisimple operator over
+  the rationals, as reports print it.  It has no arithmetic: the engine
+  holds K-subspaces as the rational subspaces the operator maps into
+  themselves.
 
-Both residue-class fields multiply through one multiply-and-reduce helper
-(GF(p) skips it).  Inverses use Fermat's little theorem in GF(p^k) and
-``poly.poly_xgcd`` in Q[t]/(m); moduli are checked with
-``poly.is_irreducible`` over GF(p); ``poly`` imports this module, so those
-imports are local.
+GF(p^k) multiplies through one multiply-and-reduce helper (GF(p) skips
+it) and inverts by Fermat's little theorem; moduli are checked with
+``poly.is_irreducible`` over GF(p); ``poly`` imports this module, so that
+import is local.
 
 The row codec of the ``kernels``: a GF(p^k) element is coded by its
 index (coefficients as base-p digits, ``index_of`` / ``element_from_index``);
@@ -47,7 +46,6 @@ __all__ = [
     "FiniteField",
     "GFElem",
     "ExtensionField",
-    "ExtElem",
     "gf_build",
     "is_prime",
 ]
@@ -97,10 +95,10 @@ def _trim(c):
     return tuple(c)
 
 
-def _mulmod(a, b, mod, zero):
+def _mulmod(a, b, mod):
     """Coefficients of a*b modulo the monic ``mod`` (a, b of length deg mod)."""
     k = len(mod) - 1
-    out = [zero] * (2 * k - 1)
+    out = [0] * (2 * k - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -173,8 +171,8 @@ class RationalField:
 QQ = RationalField()
 
 
-class _Residue:
-    """A field element held as its coefficient vector ``c`` (length field.k)."""
+class GFElem:
+    """Element of GF(p^k): c is an int tuple of length k over Z_p, reduced."""
 
     __slots__ = ("field", "c")
 
@@ -185,10 +183,10 @@ class _Residue:
     def _check(self, other):
         """True for an element of this field, False for an operand that is no
         scalar (a Matrix, a Poly: Python then tries its reflected operation)."""
-        if other.__class__ is self.__class__:
+        if other.__class__ is GFElem:
             if other.field is self.field or other.field == self.field:
                 return True
-        if isinstance(other, (int, Fraction, _Residue)):
+        if isinstance(other, (int, Fraction, GFElem)):
             raise FieldMismatchError(f"cannot combine {self!r} with {other!r}")
         return False
 
@@ -201,19 +199,13 @@ class _Residue:
         return any(self.c)
 
     def __eq__(self, other):
-        return other.__class__ is self.__class__ and other.field == self.field and other.c == self.c
+        return other.__class__ is GFElem and other.field == self.field and other.c == self.c
 
     def __hash__(self):
         return hash((self.field, self.c))
 
     def __repr__(self):
         return self.field.format_element(self)
-
-
-class GFElem(_Residue):
-    """Element of GF(p^k): c is an int tuple of length k over Z_p, reduced."""
-
-    __slots__ = ()
 
     # k = 1 computes on c[0] directly (prime-field Matrix arithmetic)
 
@@ -244,7 +236,7 @@ class GFElem(_Residue):
         p = f.p
         if f.k == 1:
             return GFElem(f, (self.c[0] * other.c[0] % p,))
-        return GFElem(f, tuple(x % p for x in _mulmod(self.c, other.c, f.modulus, 0)))
+        return GFElem(f, tuple(x % p for x in _mulmod(self.c, other.c, f.modulus)))
 
     def inverse(self):
         f = self.field
@@ -431,91 +423,14 @@ def gf_build(p, k=1):
 # ----------------------------------------------------------------------
 
 
-class ExtElem(_Residue):
-    """Residue of Q[t] modulo the extension modulus: c is a Fraction tuple of length k."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return ExtElem(self.field, tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        return ExtElem(self.field, tuple(a - b for a, b in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return ExtElem(self.field, tuple(-a for a in self.c))
-
-    def __mul__(self, other):
-        if not self._check(other):
-            return NotImplemented
-        f = self.field
-        return ExtElem(f, tuple(_mulmod(self.c, other.c, f.modulus, Fraction(0))))
-
-    def inverse(self):
-        from .poly import Poly, poly_xgcd
-
-        f = self.field
-        if not self:
-            raise ZeroDivisionError("inverse of zero in " + repr(f))
-        m = Poly(QQ, f.modulus)
-        g, u, _ = poly_xgcd(Poly(QQ, self.c), m)
-        if g.degree != 0:
-            raise ZeroDivisionError(f"{self!r} not invertible: modulus is reducible")
-        u = (u % m).coeffs
-        return ExtElem(f, u + (Fraction(0),) * (f.k - len(u)))
-
-
 class ExtensionField:
-    """Q[t]/(m(t)) for a monic m over Q, assumed irreducible by the caller."""
+    """The name of Q[t]/(m(t)), m monic over Q and irreducible as the caller
+    knows: its modulus, for reports; it has no elements."""
 
     is_finite = False
-    characteristic = 0
-    order = None
 
     def __init__(self, modulus):
-        mod = _trim(Fraction(c) for c in modulus)
-        if len(mod) < 2:
-            raise ValueError("extension modulus must have degree >= 1")
-        if mod[-1] != 1:
-            raise ValueError("extension modulus must be monic")
-        self.modulus = mod
-        self.k = len(mod) - 1
-
-    def element(self, value):
-        if isinstance(value, ExtElem):
-            if value.field != self:
-                raise FieldMismatchError(f"{value!r} belongs to {value.field!r}, not {self!r}")
-            return value
-        if isinstance(value, (int, str, Fraction)):
-            return ExtElem(self, (Fraction(value),) + (Fraction(0),) * (self.k - 1))
-        if isinstance(value, (list, tuple)):
-            if len(value) > self.k:
-                raise ValueError(f"coefficient vector longer than {self.k}")
-            c = tuple(Fraction(v) for v in value)
-            return ExtElem(self, c + (Fraction(0),) * (self.k - len(c)))
-        raise TypeError(f"cannot coerce {value!r} into {self!r}")
-
-    def zero(self):
-        return ExtElem(self, (Fraction(0),) * self.k)
-
-    def one(self):
-        return ExtElem(self, (Fraction(1),) + (Fraction(0),) * (self.k - 1))
-
-    def generator(self):
-        return ExtElem(self, (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.k - 2))
-
-    def sort_key(self, a):
-        return a.c
-
-    def format_element(self, a):
-        return _format_terms(a.c, "t")
-
-    def elements(self):
-        raise InfiniteFieldError("infinite field: " + repr(self))
+        self.modulus = _trim(Fraction(c) for c in modulus)
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.modulus == self.modulus

@@ -4,7 +4,9 @@ Wire formats:
 
 * field: ``{"kind": "rationals"}`` or ``{"kind": "finite", "p": 2,
   "k": 2, "modulus": [1, 1, 1]}`` (modulus optional on input; the
-  deterministic default is chosen when absent);
+  deterministic default is chosen when absent); a component's field
+  K = Q[t]/(m) is written, never read, as ``{"kind": "extension",
+  "modulus": [...]}`` with the coefficients of m as strings;
 * matrix: ``{"field": {...}, "rows": [[...], ...]}`` with entries being
   integers (GF(p) residues), coefficient lists (GF(p^k)), or integers /
   "a/b" strings for the rationals;
@@ -116,11 +118,9 @@ def _rational_text(x):
 
 def _entry_from_json(field, v):
     """Decode one entry: over GF(p^k) an int or a list of ints, over Q an int
-    or an "a/b" string with b nonzero (lists of those over Q[t]/(m)); else
-    ValueError."""
+    or an "a/b" string with b nonzero; else ValueError."""
     kinds = (int,) if field.is_finite else (int, str)
-    if ((_scalar(v, kinds) and _rational_text(v))
-            or (field != QQ and _scalars(v, kinds) and all(map(_rational_text, v)))):
+    if (_scalar(v, kinds) and _rational_text(v)) or (field.is_finite and _scalars(v, kinds)):
         try:
             return field.element(v)
         except ZeroDivisionError:

@@ -4,8 +4,8 @@ subspaces and polynomials compute on.
 GF(2) rows are int bitmasks (bit j is coordinate j), GF(p) rows int lists
 mod p, GF(p^k) rows (order <= TABLE_LIMIT) index lists combined through
 the tables of ``fields``, Q rows int lists [d, n_0, ..., n_(m-1)] over one
-positive denominator d in lowest terms, and Q[t]/(m) and larger GF(p^k)
-rows element lists.  A kernel encodes (rows; ``scalar`` one element) and
+positive denominator d in lowest terms, and larger GF(p^k) rows element
+lists.  A kernel encodes (rows; ``scalar`` one element) and
 decodes, reduces to RREF (``echelon``) or against the rows of one
 (``reduce``), forms the row operation a - f b (``submul``), multiplies
 (``matmul``), evaluates a polynomial at a matrix by Horner's rule
@@ -178,7 +178,7 @@ class _GF2Rows(_Rows):
 
 
 class _ElementRows(_Rows):
-    """Q[t]/(m) and GF(p^k) beyond the tables: lists of field elements.
+    """GF(p^k) beyond the tables: lists of field elements.
     Subclasses change the encoding, the row operations row / x (scale) and
     a - f b (submul), and the products (matmul, pmul)."""
 
@@ -627,7 +627,7 @@ def row_kernel(field):
     if kern is None:
         if field == QQ:
             kern = _RationalRows(field)
-        elif not field.is_finite or (field.k > 1 and field.order > TABLE_LIMIT):
+        elif field.k > 1 and field.order > TABLE_LIMIT:
             kern = _ElementRows(field)
         elif field.k > 1:
             kern = _ZechRows(field)

@@ -165,10 +165,10 @@ def _unit_span(ks, seed):
     In the chain basis W is the span of the union of the index sets of
     ker N^(t-1) and of ker N^t meet im N, which is N ker N^(t+1).
     """
-    K, kern, m = ks.nk.field, ks.nk.kern, ks.nk.nrows
+    K, kern, m = ks.N.field, ks.N.kern, ks.N.nrows
     Z = ks.commutant
     scalars = []
-    for g, t in ((c[0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
+    for g, t in ((c[0][0], len(c)) for c in ks.chains if ks.segre.count(len(c)) == 1):
         W = ks.chain_span(ks.kernel_index(t - 1) | (ks.kernel_index(t) & ks.image_index(1)))
         images = (kern.matmul([g], B.cols, m)[0] for B in Z.elements)
         scalars.append([K.one() if kern.nonzero(kern.reduce(v, W.enc, W.pivots)) else K.zero()
@@ -326,7 +326,7 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
                 "Jordan blocks over an infinite field); kernel chain reported"
             )
             finite = False
-        return [ks.k_subspace_to_f(w) for w in ks.kernels], None, finite, False, None
+        return ks.kernels, None, finite, False, None
 
     rep = _report("invariant", A, ana, _DIRECT_SUM, component)
     if not all(W.is_invariant_under(A) for W in rep.members):
@@ -380,8 +380,8 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
                 "each of multiplicity one and gap >= 2: characteristic non-hyperinvariant "
                 "subspaces exist; found by exhaustive invariant-subspace filtering"
             )
-            if ks.s != 1 or ks.f_basis != Matrix.identity(ks.field_k, ks.k_dim):  # F = K
-                raise InvariantError("K = GF(2) must give s = 1 and the standard K-basis")
+            if ks.s != 1:  # F = K
+                raise InvariantError("K = GF(2) must give s = 1")
             try:  # L holds N_K: its invariant subspaces are those of inv's walk it keeps
                 if (total := subspace_count(ks.k_dim, 2)) > cap_subspaces:  # before unit work
                     raise CapExceededError(f"subspace count {total} exceeds cap {cap_subspaces}")

@@ -4,7 +4,7 @@ A Subspace is identified by the reduced row-echelon basis of its row
 space, held in the encoding of the field's row kernel
 (``kernels.row_kernel``): ints for GF(2), int tuples for GF(p) and the
 table-coded GF(p^k), int tuples (d, n_0, ...) over one positive
-denominator d in lowest terms for Q, element tuples otherwise.
+denominator d in lowest terms for Q, element tuples for larger GF(p^k).
 Equality and hashing are on those encoded canonical rows (two subspaces
 are equal iff the rows agree), and the element basis is decoded on
 demand, for ordering and its sort key, both kept once made.  Membership,

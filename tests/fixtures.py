@@ -12,7 +12,7 @@ from invlat.centralizer import centralizer_basis, is_hyperinvariant
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.kernels import _convolve, _dot, _ElementRows, _int_matmul
-from invlat.matrix import Matrix, inverse, mat_vec, poly_at_matrix
+from invlat.matrix import Matrix, inverse, poly_at_matrix
 from invlat.subspace import Lattice, subspace_label
 
 F2 = gf_build(2)
@@ -79,7 +79,7 @@ def zassenhaus_fhl_walk(ks):
     members = sorted({W for _, W in walk}, key=lambda W: W.sort_key())
     if len(members) != len(walk):
         raise InvariantError("two Fillmore-Herrero-Longstaff tuples give one subspace")
-    return tuple(ks.k_subspace_to_f(W) for W in members)
+    return tuple(members)
 
 
 def per_member_centralizer_check(ca):
@@ -91,34 +91,6 @@ def per_member_centralizer_check(ca):
     if not all(is_hyperinvariant(W, Ai, Z) for W in ca.kstruct.hyperinvariant):
         raise InvariantError("engine produced a non-hyperinvariant subspace")
     return Z
-
-
-def to_k(ks, v):
-    """Reference K coordinates of the F^n vector v, independent of the
-    engine's packing: its coordinates in the F-basis (g, S g, ..., S^(s-1) g)
-    per generator g, each block of s the coefficients of one K element."""
-    K, s = ks.field_k, ks.s
-    x = mat_vec(inverse(ks.f_basis), v)
-    if s == 1:
-        return x
-    coeffs = (lambda c: [e.c[0] for e in c]) if K.is_finite else list
-    return tuple(K.element(coeffs(x[j * s : j * s + s])) for j in range(ks.k_dim))
-
-
-def to_f(ks, w):
-    """Reference inverse of ``to_k``: K^(n/s) coordinate vector -> F^n vector."""
-    if ks.s == 1:
-        return mat_vec(ks.f_basis, w)
-    F = ks.f_basis.field
-    return mat_vec(ks.f_basis, tuple(F.element(c) for a in w for c in a.c))
-
-
-def k_matrix_to_f(ks, X):
-    """The F-linear map of the component that X, a matrix over K acting on
-    K coordinates, is: e -> to_f(X to_k(e)) on the standard basis."""
-    F, n = ks.f_basis.field, ks.f_basis.nrows
-    return Matrix.from_cols(F, [to_f(ks, mat_vec(X, to_k(ks, e)))
-                                for e in Matrix.identity(F, n).rows])
 
 
 def _integral(rows):

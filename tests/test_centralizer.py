@@ -137,7 +137,7 @@ def test_closed_form_unit_span_matches_unit_walk():
             basis = _unit_span(ks, seed=0)
             flat = span([[e for row in B.rows for e in row] for B in basis], F2, n * n)
             assert flat.dim == len(basis) == dim_z - max(u - 1, 0), lam
-            assert flat == unit_walk_span(centralizer_basis(ks.nk)), lam
+            assert flat == unit_walk_span(centralizer_basis(ks.N)), lam
             if dim_z <= 9:
                 Z3 = centralizer_basis(nilpotent_jordan(F3, lam))
                 assert unit_walk_span(Z3, stop=dim_z).dim == dim_z, lam

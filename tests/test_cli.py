@@ -522,6 +522,21 @@ def test_inseparable_trusted_hint_exit_code(tmp_path, capsys):
         )
 
 
+def test_degree_two_factor_over_gf4_exit_code(tmp_path, capsys):
+    # [[0, a], [1, 1]] over GF(4) has the irreducible characteristic polynomial
+    # x^2 + x + a: its K would be an extension of GF(4), which is refused
+    inp = tmp_path / "gf4.json"
+    inp.write_text(json.dumps({"field": {"kind": "finite", "p": 2, "k": 2},
+                               "rows": [[[0, 0], [0, 1]], [[1, 0], [1, 0]]]}))
+    for command in ("shoda", "analyze", "lattice-hinv"):
+        capsys.readouterr()
+        assert main(["--input", str(inp), "--command", command]) == 2, command
+        assert capsys.readouterr().err == (
+            "input error: extension of an extension field is not supported: "
+            "base field GF(2^2)[x^2+x+1] with degree-2 factor\n"
+        ), command
+
+
 def test_nonpositive_caps_rejected(tmp_path):
     inp = write_matrix(tmp_path, GOLD_4_A)
     assert main(["--input", inp, "--command", "analyze", "--cap-units", "0"]) == 2

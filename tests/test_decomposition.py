@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import pytest
@@ -17,9 +17,10 @@ from invlat.decomposition import (
 )
 from invlat.errors import InseparableFactorError, InvariantError
 from invlat.fields import QQ, ExtensionField, FiniteField
+from invlat.kernels import row_kernel
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
 from invlat.poly import Factorization, Poly, factor, parse_poly
-from invlat.subspace import image_basis, kernel_basis, span
+from invlat.subspace import enumerate_all_subspaces, image_basis, kernel_basis, span
 
 from fixtures import (
     GOLD_4_A,
@@ -35,7 +36,6 @@ from fixtures import (
     F2,
     F3,
     newton_semisimple,
-    to_f,
 )
 
 
@@ -164,13 +164,44 @@ def test_k_structure_rational_golden():
     assert isinstance(ks.field_k, ExtensionField)
     assert ks.k_dim == 2
     assert ks.segre == (2,)
-    # chain e1 -> e3 over K; K*e1 = span_F{e1, e2}
-    assert ks.generators == (tuple(e_rows(4, [1], QQ))[0], tuple(e_rows(4, [3], QQ))[0])
-    chain = [ks.nk.kern.decode(v, ks.k_dim) for v in ks.chains[0]]
-    assert to_f(ks, chain[0]) == e_rows(4, [1], QQ)[0]
-    assert to_f(ks, chain[1]) == e_rows(4, [3], QQ)[0]
-    k_line = span([chain[0]], ks.field_k, 2)
-    assert ks.k_subspace_to_f(k_line) == span(e_rows(4, [1, 2], QQ), QQ, 4)
+    # chain e1 -> e3 over K, each vector with its S-closure; K*e1 = span_F{e1, e2}
+    e1, _, e3, _ = Matrix.identity(QQ, 4).rows
+    assert ks.generators == (e1, e3)
+    decode = row_kernel(QQ).decode
+    (chain,) = ks.chains
+    assert [[decode(v, 4) for v in block] for block in chain] == [
+        [e1, mat_vec(dec.S, e1)], [e3, mat_vec(dec.S, e3)]]
+    assert ks.chain_span({(0, 0)}) == span(e_rows(4, [1, 2], QQ), QQ, 4)
+
+
+def _cases_over_an_extension():
+    """(A, p, r): K = GF(4) of GOLD_8, K = GF(9) from (x^2+1)^2 over GF(3), and
+    K = Q(i) of GOLD_RAT."""
+    return [(GOLD_8_A, "x^2+x+1", 3), (companion(parse_poly("x^4+2x^2+1", F3)), "x^2+1", 2),
+            (GOLD_RAT_A, "x^2+1", 2)]
+
+
+def _k_structure(A, p, r):
+    p = parse_poly(p, A.field)
+    dec = jordan_chevalley(A, p, r)
+    return build_k_structure(dec.S, dec.N, p)
+
+
+@pytest.mark.parametrize("A, p, r", _cases_over_an_extension(), ids=["GOLD_8", "GF(9)", "GOLD_RAT"])
+def test_chain_rows_refuse_a_closure_that_drops_a_row(monkeypatch, A, p, r):
+    # the bottom of the first chain loses S N^(t-1) g: ker N misses a dimension
+    ks = _k_structure(A, p, r)
+    (*top, bottom), *rest = ks.chains
+    monkeypatch.setitem(vars(ks), "chains", ((*top, bottom[:-1]), *rest))
+    with pytest.raises(InvariantError, match="ker N_K\\^1 is not the span of its Jordan chain"):
+        ks.chain_rows
+
+
+def _corrupted_entry(J):
+    """J with alpha added to its entry (1, 0)."""
+    rows = [list(r) for r in J.rows]
+    rows[1][0] += J.field.generator()
+    return Matrix(J.field, rows)
 
 
 def _reversed_blocks(P, s):
@@ -179,47 +210,37 @@ def _reversed_blocks(P, s):
     return Matrix.encoded(P.field, rows, P.ncols)
 
 
-def _corrupted_entry(nk):
-    """N_K with alpha added to its entry (1, 0)."""
-    rows = [list(r) for r in nk.rows]
-    rows[1][0] += nk.field.generator()
-    return Matrix(nk.field, rows)
-
-
-def _non_commuting(S, N):
-    """N plus the unit matrix at the bottom left, which does not commute with S."""
-    n = N.nrows
-    E = Matrix(N.field, [[int(i == n - 1 and j == 0) for j in range(n)] for i in range(n)])
-    assert E @ S != S @ E
-    return N + E
-
-
-@pytest.mark.parametrize("mutation", ["corrupted entry", "reversed packing", "non-commuting N"])
-@pytest.mark.parametrize("A, p, r", [
-    (GOLD_8_A, "x^2+x+1", 3),
-    (GOLD_RAT_A, "x^2+1", 2),
-], ids=["GOLD_8", "GOLD_RAT"])
-def test_k_structure_certificate_refuses_a_wrong_nk(monkeypatch, A, p, r, mutation):
-    # each wrong N_K is refused by N B = B f_form(N_K), before the powers of
-    # N_K are formed, so never as a "not nilpotent" input error
+@pytest.mark.parametrize("mutation", ["corrupted J", "reversed packing"])
+@pytest.mark.parametrize("A, p, r", _cases_over_an_extension()[:2], ids=["GOLD_8", "GF(9)"])
+def test_walk_certificate_refuses_a_wrong_jordan_matrix(monkeypatch, A, p, r, mutation):
+    # finite K, s = 2: the walk of the J-invariant K-subspaces is refused by
+    # N B = B f_form(J) before any member is mapped to F^n
     import invlat.decomposition as decomposition
 
-    p = parse_poly(p, A.field)
-    dec = jordan_chevalley(A, p, r)
-    S, N = dec.S, dec.N
-    k_matrix, f_form = decomposition._k_matrix, decomposition.f_form
-    if mutation == "corrupted entry":
-        monkeypatch.setattr(decomposition, "_k_matrix",
-                            lambda K, P, s: _corrupted_entry(k_matrix(K, P, s)))
-    elif mutation == "reversed packing":  # in both directions, consistently
-        monkeypatch.setattr(decomposition, "_k_matrix",
-                            lambda K, P, s: k_matrix(K, _reversed_blocks(P, s), s))
+    ks = _k_structure(A, p, r)
+    jordan_matrix, f_form = decomposition._jordan_matrix, decomposition.f_form
+    if mutation == "corrupted J":
+        monkeypatch.setattr(decomposition, "_jordan_matrix",
+                            lambda K, sizes: _corrupted_entry(jordan_matrix(K, sizes)))
+    else:
         monkeypatch.setattr(decomposition, "f_form",
                             lambda X, F: _reversed_blocks(f_form(X, F), X.field.k))
-    else:
-        N = _non_commuting(S, N)
-    with pytest.raises(InvariantError, match="N_K does not represent N over K"):
-        build_k_structure(S, N, p)
+    with pytest.raises(InvariantError, match="does not carry N to the Jordan matrix"):
+        ks.invariant
+
+
+@pytest.mark.parametrize("A, p, r", [
+    (block_diag(F2, [companion(parse_poly(f, F2)) for f in ("x^4+x^2+1", "x^2+x+1")]), "x^2+x+1", 2),
+    (companion(parse_poly("x^4+2x^2+1", F3)), "x^2+1", 2),
+], ids=["GF(4) (2,1)", "GF(9) (2)"])
+def test_walk_over_k_gives_the_invariant_subspaces_over_f(A, p, r):
+    # the K-subspaces that N maps into themselves are the F-subspaces that S
+    # and N, so A, map into themselves: walked over K against walked over F
+    ks = _k_structure(A, p, r)
+    assert ks.s == 2 and ks.field_k.is_finite
+    n = A.nrows
+    assert len(set(ks.invariant)) == len(ks.invariant)
+    assert set(ks.invariant) == set(enumerate_all_subspaces(A.field, n, inf, [A]))
 
 
 def test_k_structure_8x8_golden():
@@ -255,17 +276,18 @@ def test_f_segre_is_k_segre_repeated_s_times():
 
 
 def test_k_linearity_of_nilpotent_part():
+    # K = F[S] acts as the polynomials in S: N(a v) = a(N v) for a = c_0 + c_1 S,
+    # and the kernels and images of N are K-subspaces, the ones S maps into itself
     rng = random.Random(17)
     p = parse_poly("x^2+x+1", F2)
     dec = jordan_chevalley(GOLD_8_A, p, 3)
     ks = build_k_structure(dec.S, dec.N, p)
-    K = ks.field_k
+    I = Matrix.identity(F2, 8)
     for _ in range(50):
-        lam = K.element_from_index(rng.randrange(K.order))
-        v = tuple(K.element_from_index(rng.randrange(K.order)) for _ in range(4))
-        left = mat_vec(ks.nk, tuple(lam * c for c in v))
-        right = tuple(lam * c for c in mat_vec(ks.nk, v))
-        assert left == right
+        lam = I * rng.randrange(2) + ks.S * rng.randrange(2)
+        v = tuple(F2.element(rng.randrange(2)) for _ in range(8))
+        assert mat_vec(ks.N, mat_vec(lam, v)) == mat_vec(lam, mat_vec(ks.N, v))
+    assert all(W.is_invariant_under(ks.S) for W in (*ks.kernels, *ks.images))
 
 
 def test_segre_consistency_invariants():
@@ -328,7 +350,7 @@ def test_analyze_operator_components_and_certificates():
                          ids=["GF(3) three components", "Q with s = 2"])
 def test_analyze_operator_splits_and_finds_m_once(monkeypatch, A):
     # one minimal polynomial and one verified split per operator; the
-    # components read S_i off S, and only an s > 1 component inverts a basis
+    # components read S_i off S, and none changes basis
     import invlat.decomposition as decomposition
 
     calls = {"minimal_polynomial": 0, "verify": 0, "inverse": 0}
@@ -346,23 +368,25 @@ def test_analyze_operator_splits_and_finds_m_once(monkeypatch, A):
     ana = analyze_operator(A)
     wide = sum(1 for ca in ana.components if ca.kstruct.s > 1)
     assert len(ana.components) > 1 and wide == 1
-    assert calls == {"minimal_polynomial": 1, "verify": 1, "inverse": wide}
+    assert calls == {"minimal_polynomial": 1, "verify": 1, "inverse": 0}
 
 
 def test_k_structure_over_k_equal_f_has_no_change_of_basis():
-    # s = 1: B = I, N_K = N_i, the generators are the unit vectors and a
-    # K-subspace is its own F-subspace
+    # s = 1: N_K = N_i, the generators are the unit vectors, each chain vector
+    # is its own S-closure, and inv walks N_i on F^n
     for A in (GOLD_4_A, _gf3_three_components(), _q_with_a_quadratic_factor()):
         narrow = [ca for ca in analyze_operator(A).components if ca.kstruct.s == 1]
         assert narrow
         for ca in narrow:
             ks, F, n = ca.kstruct, A.field, ca.component.dim
             assert ks.field_k == F and ks.k_dim == n
-            assert ks.f_basis == Matrix.identity(F, n)
-            assert ks.nk == ca.jc.N
+            assert ks.S == ca.jc.S and ks.N == ca.jc.N
             assert ks.generators == Matrix.identity(F, n).rows
-            for W in (*ks.kernels, *ks.images, *ks.hyperinvariant):
-                assert ks.k_subspace_to_f(W) is W
+            assert all(len(block) == 1 for chain in ks.chains for block in chain)
+            if F.is_finite:
+                Ai = ca.component.restriction
+                assert set(ks.invariant) == {W for W in enumerate_all_subspaces(F, n)
+                                             if W.is_invariant_under(Ai)}
 
 
 def _tampered_read_off(monkeypatch, S):
@@ -423,16 +447,17 @@ def test_segre_characteristic_basics():
 def test_k_structure_kernel_and_image_chains():
     for A in (GOLD_4_A, GOLD_8_A, GOLD_RAT_A):
         ks = analyze_operator(A).components[0].kstruct
-        m = ks.nk.nrows
-        powers = [Matrix.identity(ks.field_k, m)]
+        powers = [Matrix.identity(A.field, A.nrows)]
         while not powers[-1].is_zero:
-            powers.append(powers[-1] @ ks.nk)
+            powers.append(powers[-1] @ ks.N)
         assert ks.kernels == tuple(kernel_basis(P) for P in powers)
         assert ks.images == tuple(image_basis(P) for P in powers)
-        assert ks.segre == segre_characteristic(ks.nk)
-        # sizes >= j count dim ker N^j - dim ker N^(j-1)
+        # over F each block size of N_K occurs s times
+        assert ks.segre == segre_characteristic(ks.N)[:: ks.s]
+        # sizes >= j count (dim ker N^j - dim ker N^(j-1)) / s
         for j in range(1, len(powers)):
-            assert sum(1 for t in ks.segre if t >= j) == ks.kernels[j].dim - ks.kernels[j - 1].dim
+            assert ks.s * sum(1 for t in ks.segre if t >= j) == (ks.kernels[j].dim
+                                                                - ks.kernels[j - 1].dim)
 
 
 def _unit_triangular_conjugator(field, n, rng):

@@ -14,10 +14,10 @@ from invlat.lattices import (
     inv_lattice,
     shoda_witness,
 )
-from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, rank
+from invlat.matrix import Matrix, block_diag, companion, inverse, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import Lattice, Subspace, build_lattice, full_space, span, zero_subspace
+from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
 
 from fixtures import (
     GOLD_4_A,
@@ -26,11 +26,8 @@ from fixtures import (
     e_rows,
     F2,
     F3,
-    k_matrix_to_f,
     pairwise_lattice,
     per_member_centralizer_check,
-    to_f,
-    to_k,
     zassenhaus_fhl_walk,
 )
 
@@ -475,7 +472,7 @@ def _walk_against_closure(field, block, sizes, rng):
     (ca,) = analyze_operator(A).components
     ks = ca.kstruct
     assert tuple(sorted(ks.segre)) == tuple(sorted(sizes))
-    closed = {ks.k_subspace_to_f(w) for w in _closure(ks.kernels + ks.images)}
+    closed = set(_closure(ks.kernels + ks.images))
     walk = ks.hyperinvariant
     assert len(walk) == len(closed) and set(walk) == closed, sizes
 
@@ -490,7 +487,7 @@ def test_fhl_walk_matches_the_closure_on_every_small_partition(field):
 
 
 def test_fhl_walk_matches_the_closure_over_an_extension():
-    # K = F[S] of degree 2: the walk runs on N_K over K
+    # K = F[S] of degree 2: the walk runs on the S-closed chains of N_K
     rng = random.Random(103)
     for field, p in ((QQ, "x^2+1"), (F2, "x^2+x+1"), (F3, "x^2+1")):
         block = companion(parse_poly(p, field))
@@ -556,21 +553,14 @@ def _closed_forms_match_the_references(A):
         Z = per_member_centralizer_check(ca)  # the members pass the old check
         assert ks.hyperinvariant == zassenhaus_fhl_walk(ks), ks.segre
         # Z_F(A_i) = Z_K(N_K), of F-dimension s times its K-dimension
-        assert Z.dim == ks.s * ks.commutant.dim, ks.segre
+        assert Z.dim == ks.commutant.dim == ks.s * sum(min(a, b) for a in ks.segre
+                                                       for b in ks.segre), ks.segre
         F, n = Z.matrix.field, Z.matrix.nrows
-        solved = span([[e for row in B.rows for e in row] for B in Z.elements], F, n * n)
-        for X in ks.commutant.elements:
-            assert solved.member([e for row in k_matrix_to_f(ks, X).rows for e in row]), ks.segre
-        # N_K and the K-subspaces in F^n against the element coordinate maps
-        K, N = ks.field_k, ca.jc.N
-        assert ks.nk == Matrix.from_cols(K, [to_k(ks, mat_vec(N, g)) for g in ks.generators])
-        assert k_matrix_to_f(ks, ks.nk) == N, ks.segre
-        powers = [K.one()]  # 1, alpha, ..., alpha^(s-1)
-        for _ in range(ks.s - 1):
-            powers.append(powers[-1] * K.generator())
-        for W in {*ks.kernels, *ks.images}:
-            ref = [to_f(ks, tuple(x * c for c in w)) for w in W.basis for x in powers]
-            assert ks.k_subspace_to_f(W) == span(ref, F, n), ks.segre
+        flat = lambda Xs: span([[e for row in X.rows for e in row] for X in Xs], F, n * n)
+        assert flat(ks.commutant.elements) == flat(Z.elements), ks.segre
+        # the kernels, images and members are K-subspaces: S maps them into themselves
+        assert all(W.is_invariant_under(ks.S)
+                   for W in (*ks.kernels, *ks.images, *ks.hyperinvariant)), ks.segre
 
 
 @pytest.mark.parametrize("field", [F2, F3, gf_build(2, 2), QQ], ids=repr)
@@ -600,19 +590,19 @@ def _mutated_commutant(monkeypatch, mutate):
     ks = analyze_operator(A).components[0].kstruct
     real = invlat.decomposition._chain_commutant
     monkeypatch.setattr(invlat.decomposition, "_chain_commutant",
-                        lambda nk, rows: mutate(ks, real(nk, rows)))
+                        lambda S, rows: mutate(ks, real(S, rows)))
     return lambda: ks.commutant
 
 
 def _non_commuting(ks, X):
-    """X plus the first unit matrix E_ij that does not commute with N_K."""
-    m, K = ks.k_dim, ks.field_k
-    for i in range(m):
-        for j in range(m):
-            E = Matrix(K, [[int(r == i and c == j) for c in range(m)] for r in range(m)])
-            if E @ ks.nk != ks.nk @ E:
+    """X plus the first unit matrix E_ij that does not commute with A_i = S + N."""
+    F, n, Ai = ks.N.field, ks.N.nrows, ks.S + ks.N
+    for i in range(n):
+        for j in range(n):
+            E = Matrix(F, [[int(r == i and c == j) for c in range(n)] for r in range(n)])
+            if E @ Ai != Ai @ E:
                 return X + E
-    raise AssertionError("every unit matrix commutes with N_K")
+    raise AssertionError("every unit matrix commutes with A_i")
 
 
 @pytest.mark.parametrize("mutate, match", [
@@ -626,20 +616,34 @@ def test_commutant_certificate_refuses_a_mutated_basis(monkeypatch, mutate, matc
         commutant()
 
 
+@pytest.mark.parametrize("A", [GOLD_8_A, GOLD_RAT_A], ids=["GOLD_8", "GOLD_RAT"])
+def test_commutant_certificate_refuses_a_corrupted_element_over_an_extension(monkeypatch, A):
+    # s = 2: the second element, S X for the first X, made not to commute with A_i
+    import invlat.decomposition
+
+    ks = analyze_operator(A).components[0].kstruct
+    assert ks.s == 2
+    real = invlat.decomposition._chain_commutant
+    monkeypatch.setattr(invlat.decomposition, "_chain_commutant", lambda S, rows: [
+        _non_commuting(ks, X) if t == 1 else X for t, X in enumerate(real(S, rows))])
+    with pytest.raises(InvariantError, match="does not commute"):
+        ks.commutant
+
+
 def test_corrupted_chains_are_refused(monkeypatch):
     A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
     ana = analyze_operator(A)
     ks = ana.components[0].kstruct
     kern = row_kernel(F3)
     plus = lambda v, w: kern.submul(v, kern.scalar(-F3.one()), w)  # v + w, reduced mod 3
-    g, Ng, NNg = ks.chains[0]
+    (g,), (Ng,), (NNg,) = ks.chains[0]  # s = 1: each vector is its own S-closure
     # N g + g is not in ker N^2: the chain spans no longer match the kernels
-    monkeypatch.setitem(vars(ks), "chains", ((g, plus(Ng, g), NNg), *ks.chains[1:]))
+    monkeypatch.setitem(vars(ks), "chains", (((g,), (plus(Ng, g),), (NNg,)), *ks.chains[1:]))
     with pytest.raises(InvariantError, match="ker N_K\\^2 is not the span"):
         ks.commutant
     # 2 N g keeps every span but breaks N g -> N^2 g: the maps built on it do
-    # not commute with N_K
-    monkeypatch.setitem(vars(ks), "chains", ((g, plus(Ng, Ng), NNg), *ks.chains[1:]))
+    # not commute with A_i
+    monkeypatch.setitem(vars(ks), "chains", (((g,), (plus(Ng, Ng),), (NNg,)), *ks.chains[1:]))
     with pytest.raises(InvariantError, match="does not commute"):
         ks.commutant
     with pytest.raises(InvariantError, match="does not commute"):
@@ -652,19 +656,19 @@ def test_generator_certificate_refuses_a_corrupted_kernel(monkeypatch):
     A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
     ks = analyze_operator(A).components[0].kstruct
     ks.commutant  # certified on the true chains
-    line = Subspace.from_rows(F3, ks.k_dim, [ks.chains[0][0]])  # chain rows are encoded
+    line = ks.chain_span({(0, 0)})
     monkeypatch.setitem(vars(ks), "kernels", (ks.kernels[0], line, *ks.kernels[2:]))
     with pytest.raises(InvariantError, match="not invariant under Z_K"):
         ks.hyperinvariant
 
 
 def test_hinv_checks_its_members_against_A(monkeypatch):
-    # a fault in the map back to F coordinates (here the coordinates reversed,
-    # which keeps the lattice closed) is refused against A itself
+    # a fault in forming the members off the chain basis (here the coordinates
+    # reversed, which keeps the lattice closed) is refused against A itself
     A = _conjugated_primary(F3, Matrix.zeros(F3, 1), (3, 2, 1), random.Random(127))
-    to_f = KStructure.k_subspace_to_f
-    monkeypatch.setattr(KStructure, "k_subspace_to_f",
-                        lambda self, W: span([v[::-1] for v in to_f(self, W).basis], F3, A.nrows))
+    chain_span = KStructure.chain_span
+    monkeypatch.setattr(KStructure, "chain_span", lambda self, index: span(
+        [v[::-1] for v in chain_span(self, index).basis], F3, A.nrows))
     with pytest.raises(InvariantError, match="non-invariant subspace"):
         hinv_lattice(A)
 
@@ -692,7 +696,7 @@ def test_encoded_unit_draws_match_the_matrix_sums(monkeypatch):
     for sizes in witnesses:
         A = _conjugated_primary(F2, Matrix.zeros(F2, 1), sizes, rng)
         ks = analyze_operator(A).components[0].kstruct
-        spans.append((sizes, invlat.lattices._unit_span(ks, 0), ks.nk.nrows))
+        spans.append((sizes, invlat.lattices._unit_span(ks, 0), ks.N.nrows))
     DRAWS = 40
     monkeypatch.setattr(invlat.lattices, "UNIT_DRAWS", DRAWS)
     for sizes, L, m in spans:

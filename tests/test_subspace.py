@@ -11,7 +11,7 @@ from invlat.errors import (
     InfiniteFieldError,
     InvariantError,
 )
-from invlat.fields import QQ, ExtensionField, gf_build
+from invlat.fields import QQ, gf_build
 from invlat.kernels import TABLE_LIMIT, _ElementRows, row_kernel
 from invlat.matrix import Matrix, rref
 from invlat.subspace import (
@@ -288,7 +288,7 @@ def test_labels():
 IDENTITY_FIELDS = [
     (F2, 3), (F3, 3), (gf_build(2, 2), 3), (gf_build(3, 2), 3),
     (gf_build(2, 9), 2),  # beyond TABLE_LIMIT: the element-list kernel
-    (QQ, 3), (ExtensionField((-2, 0, 1)), 3),  # Q[t]/(t^2 - 2)
+    (QQ, 3), (gf_build(3, 6), 2),  # beyond TABLE_LIMIT, odd characteristic
 ]
 
 
@@ -300,8 +300,6 @@ def test_subspace_identity_on_every_row_kernel(field, n):
         entries = list(field.elements())[:4] + [field.zero()] * 3
     else:
         entries = [field.element(v) for v in (0, 0, 0, 1, -1, 2, Fraction(1, 2))]
-        if field != QQ:
-            entries.append(field.generator())
     rng = random.Random(12)
 
     def reduced(rows):  # eagerly decoded RREF rows and pivots, for comparison
