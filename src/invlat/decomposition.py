@@ -23,11 +23,9 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   form (``KStructure.commutant``, certified against A_i) and the
   hyperinvariant subspaces of N_K (``KStructure.hyperinvariant``, Fillmore,
   Herrero & Longstaff), each formed once per analysis, with no
-  intersection and no n^2-unknown solve.  K coordinates are used only by
-  the walk of the N_K-invariant subspaces when K is finite and s > 1
-  (``KStructure.invariant``): it walks the Jordan matrix of N_K over K and
-  maps each member through the chain basis (``f_form``: each entry as the
-  s x s matrix of multiplication by it), certified by N B = B f_form(J).
+  intersection and no n^2-unknown solve.  ``KStructure.invariant`` walks
+  the N_K-invariant subspaces on F^n one K-line (the F-span of an
+  S-closure) at a time: no K element is formed, and K is only a name.
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
@@ -35,11 +33,12 @@ before a value is returned.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import inf, prod
 
 from .centralizer import certified_centralizer
-from .errors import FieldMismatchError, InseparableFactorError, InvariantError
-from .fields import ExtensionField, FiniteField, RationalField
+from .errors import FieldMismatchError, InfiniteFieldError, InseparableFactorError, InvariantError
+from .fields import ExtensionField, FiniteField
 from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, is_separable, poly_xgcd
 from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
@@ -364,68 +363,55 @@ class KStructure:
         """The N_K-invariant K-subspaces (K finite) as F-subspaces, in walk order:
         walked once per analysis, after the caller has checked its cap.
 
-        s = 1 (K = F) walks N on F^n.  Else the walk runs on K^m, m = n/s,
-        under J, the Jordan matrix of ``segre`` (J e_(i,c) = e_(i,c+1), 0 past
-        the end of chain i), and maps each member W through the chain basis B,
-        whose columns are the S-closures of the chain vectors in chain order:
-        W goes to the column space of B ``f_form``(W^T), a K-coordinate
-        sum_k c_k alpha^k of the chain vector v being the F-vector
-        sum_k c_k S^k v.  B is a basis (``build_k_structure``) on which alpha
-        acts as S (p(S) = 0), and the certificate N B = B ``f_form``(J) makes J
-        the matrix of N_K in it; so the map is a bijection from the
-        J-invariant subspaces of K^m onto the K-subspaces of F^n that N maps
-        into themselves.
+        s = 1 (K = F) walks N on F^n.  Else the walk goes up from {0} on F^n,
+        one K-line, the F-span of an S-closure (v, S v, ..., S^(s-1) v), at a
+        time.  N_K is nilpotent: the upper covers of an invariant U are the
+        U + Kv for the K-lines Kv of N^-1 U / U, and each invariant U != 0 has
+        N U < U, so it covers every K-hyperplane of U that holds N U.  The
+        K-lines are projective points on a K-basis w_1, ..., w_k of
+        N^-1 U / U (``_k_basis``): v = w_i + sum_(j > i) c_j w_j, where a
+        K-coordinate c_j = sum_l c_jl alpha^l is the F-combination
+        sum_l c_jl S^l w_j (``_projective_points``); no K element is formed.
+
+        Certificate: the full space is reached, and each member U != 0 from
+        exactly (Q^k - 1)/(Q - 1) lower covers, its K-hyperplanes that hold
+        N U (Q = |K|, k = dim_K U/NU).  Distinct lines give distinct covers,
+        so every lower cover of a reached member is reached, and down from
+        the full space every member is.  ``inv_lattice`` checks each against A.
         """
-        F, n = self.N.field, self.N.nrows
-        if self.s == 1:
+        F, n, s, K = self.N.field, self.N.nrows, self.s, self.field_k
+        if not K.is_finite:
+            raise InfiniteFieldError(f"infinite field: cannot walk the subspaces over {K!r}")
+        if s == 1:
             return tuple(enumerate_all_subspaces(F, n, inf, [self.N]))
-        K, kern = self.field_k, self.N.kern
-        J = _jordan_matrix(K, tuple(map(len, self.chains)))
-        flat = [v for chain in self.chains for block in chain for v in block]
-        B = Matrix.encoded(F, kern.transpose(flat, n), n)
-        if self.N @ B != B @ f_form(J, F):
-            raise InvariantError("the chain basis does not carry N to the Jordan matrix of N_K")
-        out = []
-        for W in enumerate_all_subspaces(K, self.k_dim, inf, [J]):
-            if W.is_zero:
-                out.append(zero_subspace(F, n))
-                continue
-            WT = Matrix.encoded(K, J.kern.transpose(W.enc, W.n), W.dim)
-            out.append(image_basis(B @ f_form(WT, F)))
-        return tuple(out)
+        S, N, kern, Q = self.S, self.N, self.N.kern, K.order
+        columns = kern.transpose(N.enc, n)  # N e_j
+        reached = {zero_subspace(F, n): 0}  # member -> lower covers it was reached from
+        walk = list(reached)
+        for U in walk:  # breadth first: each lower cover of U is walked before U
+            k = (U.dim - Subspace.from_rows(F, n, kern.matmul(U.enc, N.cols, n)).dim) // s
+            if U.dim and reached[U] != (Q**k - 1) // (Q - 1):
+                raise InvariantError("an N_K-invariant subspace is not reached from each "
+                                     "of its lower covers")
+            residues = [kern.reduce(c, U.enc, U.pivots) for c in columns]
+            above = kernel_basis(Matrix.encoded(F, kern.transpose(residues, n), n))  # N^-1 U
+            basis = _k_basis(S, s, above.enc, U.enc, U.pivots)
+            W = kern.prepare([v for block in zip(*_s_closure(S, basis, s)) for v in block])
+            points = _projective_points(kern, F, s, len(basis))
+            for line in zip(*_s_closure(S, kern.matmul(points, W, n), s)):
+                V = Subspace.from_rows(F, n, [*U.enc, *line])
+                if V not in reached:
+                    reached[V] = 0
+                    walk.append(V)
+                reached[V] += 1
+        if not walk[-1].is_full:
+            raise InvariantError("the walk of the N_K-invariant subspaces misses the full space")
+        return tuple(walk)
 
     @cached_property
     def hyperinvariant_lattice(self):
         """``hyperinvariant`` as a Lattice, built (closure re-checked) once per analysis."""
         return build_lattice(self.hyperinvariant)
-
-
-def f_form(X, F):
-    """The F-matrix of X, a matrix over the finite K = F[alpha] of degree s, in
-    the bases (1, alpha, ..., alpha^(s-1)) of its K coordinates: block (i, j)
-    is the s x s matrix of multiplication by X_ij, its column k the
-    coefficients of X_ij alpha^k (s > 1)."""
-    K = X.field
-    s, alpha, rows = K.k, K.generator(), []
-    for row in X.rows:
-        block = [[] for _ in range(s)]
-        for a in row:
-            powers = []
-            for _ in range(s):
-                powers.append(a.c)
-                a = a * alpha
-            for out, coeffs in zip(block, zip(*powers)):
-                out.extend(coeffs)
-        rows.extend(block)
-    return Matrix(F, rows)
-
-
-def _jordan_matrix(K, sizes):
-    """The nilpotent Jordan matrix over K with blocks of ``sizes``, in order:
-    J e_(i,c) = e_(i,c+1), and 0 at the last position of each block."""
-    m, starts = sum(sizes), {sum(sizes[:i]) for i in range(len(sizes))}
-    unit, zero = Matrix.identity(K, m).enc, Matrix.zeros(K, 1, m).enc[0]
-    return Matrix.encoded(K, [zero if r in starts else unit[r - 1] for r in range(m)], m)
 
 
 def _s_closure(S, rows, s):
@@ -436,36 +422,50 @@ def _s_closure(S, rows, s):
     return levels
 
 
+def _k_basis(S, s, vectors, rows=(), pivots=()):
+    """A K-basis of the span of ``vectors`` modulo the K-subspace with echelon
+    (rows, pivots), by a greedy scan: a vector outside the span so far is
+    kept, and its S-closure adds s dimensions."""
+    kern, n = S.kern, S.nrows
+    kept, rows, pivots = [], list(rows), list(pivots)
+    for v in vectors:
+        if kern.nonzero(kern.reduce(v, rows, pivots)):
+            kept.append(v)
+            rows, pivots = kern.echelon(rows + [w for (w,) in _s_closure(S, [v], s)], n)
+    return kept
+
+
+def _projective_points(kern, F, s, k):
+    """The K-lines of K^k, K of degree s over the finite F, one encoded F-row of
+    length s k each: coordinate j is (c_j0, ..., c_j(s-1)), the coefficients of
+    sum_l c_jl alpha^l, and the first nonzero coordinate is 1."""
+    elems, zero = tuple(F.elements()), F.zero()
+    lead = (F.one(),) + (zero,) * (s - 1)
+    return [kern.encode((zero,) * (s * i) + lead + tail)
+            for i in range(k) for tail in product(elems, repeat=s * (k - 1 - i))]
+
+
 def build_k_structure(S, N, p):
     """K-structure of the space for a verified decomposition (S, N) and factor p;
-    for s = 1, K = F and the unit vectors are the generators."""
+    K is only named: F (s = 1), Q[t]/(p), GF(p^s) mod p, or GF(p^(ks)) over GF(p^k)."""
     field, n, s = S.field, S.nrows, p.degree
     if not poly_at_matrix(p, S).is_zero:
         raise ValueError("p(S) != 0: not a valid semisimple part for this factor")
     if s == 1:
-        K, generators = field, Matrix.identity(field, n).rows
-    elif isinstance(field, RationalField):
+        K = field
+    elif not field.is_finite:
         K = ExtensionField(tuple(p.coeffs))
-    elif isinstance(field, FiniteField) and field.k == 1:
+    elif field.k == 1:
         K = FiniteField(field.p, s, modulus=tuple(c.c[0] for c in p.coeffs))
-    elif isinstance(field, FiniteField):
-        raise ValueError("extension of an extension field is not supported: base field "
-                         f"{field!r} with degree-{s} factor")
     else:
-        raise TypeError(f"unsupported base field {field!r}")
-    if s > 1:
-        # scan e_1, ..., e_n; a vector outside the K-span so far is a
-        # generator, and its S-closure adds s dimensions
-        kern, generators, rows, pivots = S.kern, [], [], []
-        for e in Matrix.identity(field, n).enc:
-            if kern.nonzero(kern.reduce(e, rows, pivots)):
-                generators.append(kern.decode(e, n))
-                rows, pivots = kern.echelon(rows + [v for (v,) in _s_closure(S, [e], s)], n)
-        if len(pivots) != n or s * len(generators) != n:
-            raise InvariantError("K-basis construction failed to exhaust the space")
+        K = FiniteField(field.p, field.k * s)
+    units = Matrix.identity(field, n).enc
+    generators = units if s == 1 else _k_basis(S, s, units)  # a K-basis of F^n
+    if s * len(generators) != n:
+        raise InvariantError("K-basis construction failed to exhaust the space")
     kernels, images = _power_chains(N)
     segre = _segre(kernels, n, s)
-    return KStructure(s, K, tuple(generators), S, N, segre,
+    return KStructure(s, K, tuple(S.kern.decode(e, n) for e in generators), S, N, segre,
                       _jordan_chains(S, N, s, segre, kernels), kernels, images)
 
 

@@ -5,9 +5,9 @@ K = F[S] attached to that component's semisimple part, from the kernel
 and image chains of N_K that ``build_k_structure`` formed once:
 
 * invariant subspaces of the component operator are exactly the
-  K-subspaces invariant under the nilpotent part N_K -- walked once when K
-  is finite and small enough (``KStructure.invariant``), the kernel chain,
-  which is the hyperinvariant lattice, when N_K is cyclic, and provably an
+  K-subspaces invariant under the nilpotent part N_K -- walked once on F^n
+  when K is finite and small enough (``KStructure.invariant``), the kernel
+  chain (the hyperinvariant lattice) when N_K is cyclic, and provably an
   infinite family otherwise (two or more Jordan blocks over an infinite field);
 * hyperinvariant subspaces over K are the closure of the kernel and image
   chains of N_K under sum and intersection, read off in closed form: with

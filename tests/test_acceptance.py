@@ -8,12 +8,14 @@ arithmetic) and the stated runtime budgets are enforced with
 
 import json
 import time
+from itertools import product
 from random import Random
 
 from invlat import (
     Matrix,
     block_diag,
     chinv_lattice,
+    companion,
     classify_all,
     full_space,
     gf_build,
@@ -283,6 +285,29 @@ def test_chinv_complete_beyond_the_unit_cap():
         hinv, inv = hinv_lattice(A).member_set(), inv_lattice(A).member_set()
         assert hinv <= rc.member_set() <= inv, lam
         assert len(hinv) == members - extra, lam
+
+
+def _least_irreducible(F, d):
+    """The first monic irreducible of degree d over F, its lower coefficients
+    in the order of ``F.elements()``."""
+    for c in product(tuple(F.elements()), repeat=d):
+        f = Poly(F, c + (F.one(),))
+        if is_irreducible(f):
+            return f
+
+
+def test_engine_matches_oracle_over_a_gf4_and_a_gf9_base():
+    # K = F[S] of degree 2 or 3 over F = GF(4) or GF(9): seeded conjugates of
+    # the primary block structures with n <= 4, and a sum with a linear factor
+    for F in (gf_build(2, 2), gf_build(3, 2)):
+        p2, p3 = _least_irreducible(F, 2), _least_irreducible(F, 3)
+        for p, blocks in ((p2, (1, 1)), (p2, (2,)), (p3, (1,))):
+            inst = random_instance(F, p.degree * sum(blocks), "companion-primary", 5,
+                                   factor_poly=p, blocks=blocks)
+            (ca,) = analyze_operator(inst.matrix).components
+            assert ca.kstruct.s == p.degree and ca.kstruct.segre == blocks
+            _engine_oracle_match(inst.matrix)
+        _engine_oracle_match(block_diag(F, [companion(p2), Matrix(F, [[F.one()]])]))
 
 
 def test_criterion_6_extended_shoda_equivalence():

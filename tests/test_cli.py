@@ -524,17 +524,34 @@ def test_inseparable_trusted_hint_exit_code(tmp_path, capsys):
 
 def test_degree_two_factor_over_gf4_exit_code(tmp_path, capsys):
     # [[0, a], [1, 1]] over GF(4) has the irreducible characteristic polynomial
-    # x^2 + x + a: its K would be an extension of GF(4), which is refused
+    # x^2 + x + a: its K is an extension of GF(4), named GF(2^4) in reports
     inp = tmp_path / "gf4.json"
     inp.write_text(json.dumps({"field": {"kind": "finite", "p": 2, "k": 2},
                                "rows": [[[0, 0], [0, 1]], [[1, 0], [1, 0]]]}))
-    for command in ("shoda", "analyze", "lattice-hinv"):
+    for command in ("shoda", "analyze", "lattice-hinv", "verify"):
+        out = tmp_path / f"{command}.json"
+        assert main(["--input", str(inp), "--command", command, "--out", str(out)]) == 0, command
+        payload = json.loads(out.read_text())
+        if command == "analyze":
+            (comp,) = payload["components"]
+            assert comp["s"] == 2 and comp["segre_k"] == [1]
+            assert comp["field_k"] == {"kind": "finite", "p": 2, "k": 4, "modulus": [1, 1, 0, 0, 1]}
+            assert payload["lattices"]["invariant"]["member_count"] == 2
+        if command == "verify":
+            assert payload["match"] is True
+
+
+def test_k_beyond_the_search_order_exit_code(tmp_path, capsys):
+    # [[0, a], [1, 0]] over GF(4093^2) has the irreducible x^2 - a: K would be
+    # named GF(4093^4), whose order is beyond fields.MAX_SEARCH_ORDER
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps({"field": {"kind": "finite", "p": 4093, "k": 2},
+                               "rows": [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]}))
+    for command in ("shoda", "analyze", "lattice-inv"):
         capsys.readouterr()
         assert main(["--input", str(inp), "--command", command]) == 2, command
-        assert capsys.readouterr().err == (
-            "input error: extension of an extension field is not supported: "
-            "base field GF(2^2)[x^2+x+1] with degree-2 factor\n"
-        ), command
+        assert capsys.readouterr().err.startswith(
+            "input error: GF(4093^4): no modulus search beyond order 16777216"), command
 
 
 def test_nonpositive_caps_rejected(tmp_path):

@@ -15,12 +15,13 @@ from invlat.decomposition import (
     primary_decomposition,
     segre_characteristic,
 )
-from invlat.errors import InseparableFactorError, InvariantError
+from invlat.errors import InfiniteFieldError, InseparableFactorError, InvariantError
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.kernels import row_kernel
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
 from invlat.poly import Factorization, Poly, factor, parse_poly
-from invlat.subspace import enumerate_all_subspaces, image_basis, kernel_basis, span
+from invlat.subspace import (enumerate_all_subspaces, image_basis, kernel_basis, span,
+                             subspace_count)
 
 from fixtures import (
     GOLD_4_A,
@@ -197,50 +198,83 @@ def test_chain_rows_refuse_a_closure_that_drops_a_row(monkeypatch, A, p, r):
         ks.chain_rows
 
 
-def _corrupted_entry(J):
-    """J with alpha added to its entry (1, 0)."""
-    rows = [list(r) for r in J.rows]
-    rows[1][0] += J.field.generator()
-    return Matrix(J.field, rows)
-
-
-def _reversed_blocks(P, s):
-    """P with the rows of each block of s reversed: coefficients highest first."""
-    rows = [r for i in range(0, P.nrows, s) for r in P.enc[i : i + s][::-1]]
-    return Matrix.encoded(P.field, rows, P.ncols)
-
-
-@pytest.mark.parametrize("mutation", ["corrupted J", "reversed packing"])
-@pytest.mark.parametrize("A, p, r", _cases_over_an_extension()[:2], ids=["GOLD_8", "GF(9)"])
-def test_walk_certificate_refuses_a_wrong_jordan_matrix(monkeypatch, A, p, r, mutation):
-    # finite K, s = 2: the walk of the J-invariant K-subspaces is refused by
-    # N B = B f_form(J) before any member is mapped to F^n
+@pytest.mark.parametrize("dropped", ["first", "last"])
+@pytest.mark.parametrize("A, p, r", [
+    (GOLD_8_A, "x^2+x+1", 3),
+    (block_diag(F3, [companion(parse_poly(f, F3)) for f in ("x^4+2x^2+1", "x^2+1")]), "x^2+1", 2),
+], ids=["GOLD_8", "GF(9)"])
+def test_walk_certificate_refuses_a_walk_that_drops_a_k_line(monkeypatch, A, p, r, dropped):
+    # finite K, s = 2, segre (3,1) and (2,1): a walk that misses the first or
+    # last K-line of N^-1 U / U wherever there are several reaches some member
+    # from too few lower covers; the check raises, so it holds under python -O
     import invlat.decomposition as decomposition
 
-    ks = _k_structure(A, p, r)
-    jordan_matrix, f_form = decomposition._jordan_matrix, decomposition.f_form
-    if mutation == "corrupted J":
-        monkeypatch.setattr(decomposition, "_jordan_matrix",
-                            lambda K, sizes: _corrupted_entry(jordan_matrix(K, sizes)))
-    else:
-        monkeypatch.setattr(decomposition, "f_form",
-                            lambda X, F: _reversed_blocks(f_form(X, F), X.field.k))
-    with pytest.raises(InvariantError, match="does not carry N to the Jordan matrix"):
+    points, cut = decomposition._projective_points, {"first": slice(1, None), "last": slice(-1)}
+
+    def fewer(*args):
+        lines = points(*args)
+        return lines[cut[dropped]] if len(lines) > 1 else lines
+
+    monkeypatch.setattr(decomposition, "_projective_points", fewer)
+    with pytest.raises(InvariantError, match="not reached from each of its lower covers"):
+        _k_structure(A, p, r).invariant
+
+
+def test_walk_certificate_refuses_a_walk_that_stops_below_the_full_space(monkeypatch):
+    # N_K cyclic over K = GF(9): every member has one upper cover, and a walk
+    # that drops it at {0} checks no count, so only the full space tells
+    import invlat.decomposition as decomposition
+
+    monkeypatch.setattr(decomposition, "_projective_points", lambda *args: [])
+    with pytest.raises(InvariantError, match="misses the full space"):
+        _k_structure(*_cases_over_an_extension()[1]).invariant
+
+
+def test_walk_over_an_infinite_k_is_refused():
+    ks = _k_structure(GOLD_RAT_A, "x^2+1", 2)
+    assert ks.s == 2
+    with pytest.raises(InfiniteFieldError, match="infinite field"):
         ks.invariant
 
 
-@pytest.mark.parametrize("A, p, r", [
-    (block_diag(F2, [companion(parse_poly(f, F2)) for f in ("x^4+x^2+1", "x^2+x+1")]), "x^2+x+1", 2),
-    (companion(parse_poly("x^4+2x^2+1", F3)), "x^2+1", 2),
-], ids=["GF(4) (2,1)", "GF(9) (2)"])
-def test_walk_over_k_gives_the_invariant_subspaces_over_f(A, p, r):
+def _nilpotent_jordan(K, sizes):
+    """The nilpotent Jordan matrix over K with blocks of ``sizes``."""
+    m, start = sum(sizes), 0
+    rows = [[K.zero()] * m for _ in range(m)]
+    for t in sizes:
+        for c in range(start, start + t - 1):
+            rows[c + 1][c] = K.one()
+        start += t
+    return Matrix(K, rows)
+
+
+_F4 = FiniteField(2, 2)
+
+
+@pytest.mark.parametrize("F, p, sizes", [
+    (F2, "x^2+x+1", (2, 1)), (F3, "x^2+1", (2,)), (F3, "x^2+1", (1, 1, 1)),
+    (F3, "x^2+1", (2, 1, 1)), (F2, "x^3+x+1", (2, 1)), (F2, "x^2+x+1", (3, 2, 1)),
+    (FiniteField(5), "x^2+2", (1, 1)), (_F4, Poly(_F4, (_F4.element([0, 1]), 1, 1)), (2, 1)),
+], ids=["GF(4) (2,1)", "GF(9) (2)", "GF(9) (1,1,1)", "GF(9) (2,1,1)", "GF(8) (2,1)",
+        "GF(4) (3,2,1)", "GF(25) (1,1)", "GF(16) over GF(4) (2,1)"])
+def test_walk_over_k_gives_the_invariant_subspaces_over_f(F, p, sizes):
     # the K-subspaces that N maps into themselves are the F-subspaces that S
-    # and N, so A, map into themselves: walked over K against walked over F
-    ks = _k_structure(A, p, r)
-    assert ks.s == 2 and ks.field_k.is_finite
-    n = A.nrows
-    assert len(set(ks.invariant)) == len(ks.invariant)
-    assert set(ks.invariant) == set(enumerate_all_subspaces(A.field, n, inf, [A]))
+    # and N, so A, map into themselves, and they are as many as the subspaces
+    # of K^m that the Jordan matrix of the block sizes maps into themselves
+    p = parse_poly(p, F) if isinstance(p, str) else p
+    A = block_diag(F, [companion(p**t) for t in sizes])
+    (ca,) = analyze_operator(A).components
+    ks, n = ca.kstruct, A.nrows
+    assert ks.s == p.degree > 1 and ks.segre == sizes
+    members = set(ks.invariant)
+    assert len(members) == len(ks.invariant)
+    assert all(W.is_invariant_under(A) for W in members)
+    K = FiniteField(F.p, F.k * ks.s)
+    assert ks.field_k.order == K.order
+    assert len(members) == sum(1 for _ in enumerate_all_subspaces(
+        K, ks.k_dim, inf, [_nilpotent_jordan(K, sizes)]))
+    if subspace_count(n, F.order) <= 5000:
+        assert members == set(enumerate_all_subspaces(F, n, inf, [A]))
 
 
 def test_k_structure_8x8_golden():
