@@ -38,9 +38,9 @@ from math import inf, prod
 
 from .centralizer import certified_centralizer
 from .errors import FieldMismatchError, InfiniteFieldError, InseparableFactorError, InvariantError
-from .fields import ExtensionField, FiniteField
+from .fields import MAX_SEARCH_ORDER, ExtensionField, FiniteField
 from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
-from .poly import Poly, factor, is_separable, poly_xgcd
+from .poly import Poly, factor, format_poly, is_separable, poly_xgcd
 from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space, image_basis,
                        kernel_basis, zero_subspace)
 
@@ -438,8 +438,9 @@ def _k_basis(S, s, vectors, rows=(), pivots=()):
 def _projective_points(kern, F, s, k):
     """The K-lines of K^k, K of degree s over the finite F, one encoded F-row of
     length s k each: coordinate j is (c_j0, ..., c_j(s-1)), the coefficients of
-    sum_l c_jl alpha^l, and the first nonzero coordinate is 1."""
-    elems, zero = tuple(F.elements()), F.zero()
+    sum_l c_jl alpha^l, and the first nonzero coordinate is 1.  F is listed only
+    for k > 1: the one K-line of K^1 is the lead, and F may be huge."""
+    elems, zero = tuple(F.elements()) if k > 1 else (), F.zero()
     lead = (F.one(),) + (zero,) * (s - 1)
     return [kern.encode((zero,) * (s * i) + lead + tail)
             for i in range(k) for tail in product(elems, repeat=s * (k - 1 - i))]
@@ -457,6 +458,9 @@ def build_k_structure(S, N, p):
         K = ExtensionField(tuple(p.coeffs))
     elif field.k == 1:
         K = FiniteField(field.p, s, modulus=tuple(c.c[0] for c in p.coeffs))
+    elif field.order**s > MAX_SEARCH_ORDER:
+        raise ValueError(f"the factor {format_poly(p)} makes K = GF({field.p}^{field.k * s}), "
+                         f"beyond the supported order MAX_SEARCH_ORDER = {MAX_SEARCH_ORDER}")
     else:
         K = FiniteField(field.p, field.k * s)
     units = Matrix.identity(field, n).enc

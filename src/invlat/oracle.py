@@ -16,8 +16,9 @@ the units violating W are precisely the units of Z(A) outside U_W; so
 * otherwise Z(A) \\ U_W is searched for a unit: sampling seeded from the
   seed and W's ``sort_key`` (so the units tried do not depend on the order
   of the candidates) finds a violator quickly when one exists, and an
-  exhaustive coset scan certifies the rest (tier 2; scans beyond the unit
-  cap raise an explicit "undecided" error instead of guessing).
+  exhaustive scan of the coordinate tuples outside U_W certifies the rest
+  (tier 2; scans beyond the unit cap raise an explicit "undecided" error
+  instead of guessing).
 
 The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
 the encoded rows of the field's row kernel, for every finite field; all
@@ -36,7 +37,6 @@ from .subspace import (
     DEFAULT_SUBSPACE_CAP,
     enumerate_all_subspaces,
     kernel_basis,
-    span,
     subspace_count,
 )
 
@@ -91,7 +91,6 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
     """Subset of (invariant, non-hyperinvariant) candidates that are
     characteristic, plus scan metadata."""
     field = A.field
-    n = A.nrows
     d = Z.dim
     q = field.order
     tier1_cap = _TIER1_CAP_GF2 if q == 2 else _TIER1_CAP_OTHER
@@ -115,63 +114,34 @@ def _classify_characteristic(A, Z, candidates, cap_units, seed):
         if UW.dim == d:
             certified.add(W)  # all of Z stabilizes W
             continue
-        found = False
         rng = Random(f"{seed}:{W.sort_key()}")
-        for _ in range(_SAMPLE_TRIES):
-            coords = tuple(elems[rng.randrange(q)] for _ in range(d))
-            if UW.member(coords):
-                continue
-            B = Z.combination(coords)
-            tested += 1
-            if rank(B) == n:
-                found = True  # a unit moving W
-                break
+        draws = (tuple(elems[rng.randrange(q)] for _ in range(d)) for _ in range(_SAMPLE_TRIES))
+        found, count = _unit_outside(Z, UW, draws)
+        tested += count
         if found:
             continue
         # exhaustive scan of Z \ U_W (every possible violator lives there)
         outside = q**d - q**UW.dim
         if outside > cap_units:
-            raise UndecidedError(
-                f"undecided at this scale: {outside} centralizer elements outside the "
-                f"stabilizer of a candidate exceed cap {cap_units}"
-            )
-        comp = _complement_basis(UW, field, d)
-        uw_vectors = [(field.zero(),) * d, *_nonzero_combos(UW.basis, field)]
-        for c_coords in _nonzero_combos(comp, field):
-            for u in uw_vectors:
-                coords = tuple(a + b for a, b in zip(c_coords, u))
-                B = Z.combination(coords)
-                tested += 1
-                if rank(B) == n:
-                    found = True
-                    break
-            if found:
-                break
+            raise UndecidedError(f"undecided at this scale: {outside} centralizer elements "
+                                 f"outside the stabilizer of a candidate exceed cap {cap_units}")
+        found, count = _unit_outside(Z, UW, product(elems, repeat=d))
+        tested += count
         if not found:
             certified.add(W)
     return certified, ("stabilizer-subalgebra", tested)
 
 
-def _complement_basis(U, field, d):
-    """Coordinate vectors extending U's basis to all of F^d."""
-    comp = []
-    for j in range(d):
-        e = tuple(field.one() if t == j else field.zero() for t in range(d))
-        if not span(list(U.basis) + comp, field, d).member(e):
-            comp.append(e)
-    return comp
-
-
-def _nonzero_combos(vectors, field):
-    elems = tuple(field.elements())
-    for coords in product(elems, repeat=len(vectors)):
-        if not any(coords):
-            continue
-        v = None
-        for c, row in zip(coords, vectors):
-            scaled = tuple(c * a for a in row)
-            v = scaled if v is None else tuple(x + y for x, y in zip(v, scaled))
-        yield v
+def _unit_outside(Z, UW, tuples):
+    """Whether one of the coordinate tuples outside U_W gives a unit of Z (a
+    unit moving W), and how many such tuples were tested; stops at the first."""
+    tested = 0
+    for coords in tuples:
+        if not UW.member(coords):
+            tested += 1
+            if rank(Z.combination(coords)) == Z.matrix.nrows:
+                return True, tested
+    return False, tested
 
 
 def _closed_under_ops(members, n, field, findings, label, pair_cap=300_000):

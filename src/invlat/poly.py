@@ -356,6 +356,13 @@ def factor(f, *, hint=None, seed=0):
     Finite fields need no hint.  Over Q a hint (iterable of (Poly, mult))
     is verified and used; without one, squarefree splitting plus rational
     roots handles everything whose root-free parts have degree <= 3.
+
+    Each factor is irreducible by how it was found, so none is tested again:
+    a distinct-degree piece has only factors of its degree d, which the
+    equal-degree split returns; over Q, a root-free part of degree <= 3 has no
+    linear factor, as the root search found none.  Hinted factors of degree
+    <= 3 are tested (``_verified_hint``); every factorization is checked
+    monic, pairwise coprime and of product f.
     """
     if not f.is_monic:
         raise ValueError("factor() requires a monic polynomial")
@@ -387,10 +394,6 @@ def _verify_factorization(f, result):
     for a, b in combinations([p for p, _ in result.factors], 2):
         if poly_gcd(a, b).degree != 0:
             raise FactorHintError(f"factors {a!r} and {b!r} are not coprime")
-    for p, _ in result.factors:
-        # a trusted hint vouches only for its factors of degree > 3
-        if not (result.trusted and p.degree > 3) and not is_irreducible(p):
-            raise FactorHintError(f"claimed factor {p!r} is reducible")
 
 
 def _squarefree_decomposition(f):
@@ -567,6 +570,9 @@ def _verified_hint(f, hint, seed):
     trusted = any(p.degree > 3 for p, _ in pairs)
     result = Factorization(tuple(pairs), trusted=trusted, seed=seed)
     _verify_factorization(f, result)
+    for p, _ in pairs:  # a trusted hint vouches only for its factors of degree > 3
+        if p.degree <= 3 and not is_irreducible(p):
+            raise FactorHintError(f"claimed factor {p!r} is reducible")
     return result
 
 

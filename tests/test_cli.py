@@ -320,6 +320,16 @@ def test_huge_prime_field_answers_quickly(tmp_path):
         assert main(["--input", str(path), "--field", field, "--command", command,
                      "--out", str(tmp_path / "o.json")]) == code
         assert time.perf_counter() - t0 < 10
+    # x^2 + 1 is irreducible mod 2^61 - 1: one K-line, found without listing F
+    path.write_text(json.dumps({"rows": [[0, -1], [1, 0]]}))
+    for command, code in (("shoda", 0), ("analyze", 0), ("lattice-inv", 0), ("lattice-hinv", 0),
+                          ("lattice-chinv", 0), ("verify", 4)):
+        t0 = time.perf_counter()
+        assert main(["--input", str(path), "--field", field, "--command", command,
+                     "--out", str(tmp_path / f"{command}.json")]) == code, command
+        assert time.perf_counter() - t0 < 10, command
+    report = json.loads((tmp_path / "lattice-inv.json").read_text())["report"]
+    assert report["complete"] and report["member_count"] == 2
     field = json.dumps({"kind": "finite", "p": 2**89 - 1})  # beyond the exact prime test
     assert main(["--input", str(path), "--field", field, "--command", "shoda"]) == 2
 
@@ -550,8 +560,10 @@ def test_k_beyond_the_search_order_exit_code(tmp_path, capsys):
     for command in ("shoda", "analyze", "lattice-inv"):
         capsys.readouterr()
         assert main(["--input", str(inp), "--command", command]) == 2, command
-        assert capsys.readouterr().err.startswith(
-            "input error: GF(4093^4): no modulus search beyond order 16777216"), command
+        err = capsys.readouterr().err
+        assert err.startswith("input error: the factor [1,0]x^2+[0,4092] makes K = GF(4093^4), "
+                              "beyond the supported order MAX_SEARCH_ORDER = 16777216"), command
+        assert "give the modulus" not in err, command
 
 
 def test_nonpositive_caps_rejected(tmp_path):

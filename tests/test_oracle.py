@@ -158,3 +158,20 @@ def test_tier2_sampling_does_not_depend_on_candidate_order():
     reversed_ = _classify_characteristic(GOLD_8_A, Z, candidates[::-1], 8, 0)
     assert listed[1][0] == "stabilizer-subalgebra" and listed[1][1] > 0
     assert listed == reversed_
+
+
+def test_tier2_exhaustive_scan_certifies_gold_4():
+    from invlat.errors import UndecidedError
+
+    # Z(GOLD_4_A) has q^d = 64 elements, 32 of them outside the stabilizer of
+    # the one characteristic, non-hyperinvariant candidate: cap 40 puts the
+    # whole centralizer on tier 2, and the scan of those 32 certifies it
+    rep = classify_all(GOLD_4_A, cap_units=40)
+    assert rep.unit_mode == "stabilizer-subalgebra"
+    assert rep.units_tested == 1040
+    assert rep.characteristic == classify_all(GOLD_4_A).characteristic
+    assert len(rep.characteristic) == 7
+    with pytest.raises(UndecidedError) as info:
+        classify_all(GOLD_4_A, cap_units=31)
+    assert str(info.value) == ("undecided at this scale: 32 centralizer elements outside the "
+                               "stabilizer of a candidate exceed cap 31")

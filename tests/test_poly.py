@@ -207,7 +207,7 @@ def test_bad_hints_rejected():
     with pytest.raises(FactorHintError):
         factor(f, hint=[(P(QQ, "x^2+1"), 1)])  # wrong product
     g = P(QQ, "x^2-1")
-    with pytest.raises(FactorHintError):
+    with pytest.raises(FactorHintError, match="is reducible"):
         factor(g, hint=[(P(QQ, "x^2-1"), 1)])  # reducible "factor"
     # degrees are compared before any power is expanded
     with pytest.raises(FactorHintError, match="do not add up"):
