@@ -350,7 +350,8 @@ def test_analyze_output_bytes_pinned(tmp_path):
 
 def test_lattice_and_verify_output_bytes_pinned(tmp_path):
     # sha256 of the lattice-* and verify reports as the element loop wrote
-    # them: GF(2), Q and GF(4) (the K of GOLD_8) run in their row kernels
+    # them: GF(2), Q and GF(4) (the K of GOLD_8) run in their row kernels;
+    # GOLD_8's verify also pins the oracle's classes and their findings
     expected = {
         ("GOLD_4", "lattice-inv"): "0952f45b682b333687e27d63167f67df8f31a44270cf9161b7d21816ac027b8c",
         ("GOLD_4", "lattice-hinv"): "ec41f9d6c32718f884ad42c394198df774437c75b8680f7da4de7bd8ef5485b1",
@@ -359,6 +360,7 @@ def test_lattice_and_verify_output_bytes_pinned(tmp_path):
         ("GOLD_8", "lattice-inv"): "c791362326a52f32e8391ed2a74aa6a389d416809aa4e18682b6e92d48633d20",
         ("GOLD_8", "lattice-hinv"): "6a4399105b500450852a9b7df732de202915fb0cea4a005bf48c413c48c64ef7",
         ("GOLD_8", "lattice-chinv"): "e2bd0759333062f57ba4ed7fb8b27cc8bd14fa0f9b20cebaec16b8a6359a5f21",
+        ("GOLD_8", "verify"): "362d0210a33c84fdfd811fff7d2c3aba6aaa1ed86a1117f7dc9df1d8156ad76b",
         ("GOLD_RAT", "lattice-inv"): "01d47718abb140e1518fcdad3cc49c6ec9cbcd895ce3796985c69db917087384",
         ("GOLD_RAT", "lattice-hinv"): "1d86448d8aee6b3782ba072e4a2d59b2dc0fecf6b571cd2adac4f20c1c3f0824",
         ("GOLD_RAT", "lattice-chinv"): "1f62975fdf63130fdae1bd866033f2490f1e1d1df5e0db12e967cedbc0fb2821",

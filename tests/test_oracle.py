@@ -175,3 +175,35 @@ def test_tier2_exhaustive_scan_certifies_gold_4():
         classify_all(GOLD_4_A, cap_units=31)
     assert str(info.value) == ("undecided at this scale: 32 centralizer elements outside the "
                                "stabilizer of a candidate exceed cap 31")
+
+
+def _findings_with_one_dropped(monkeypatch, A):
+    """k -> classify_all(A)'s findings when its walk loses the k-th invariant
+    subspace, for each k in walk order."""
+    import invlat.oracle as oracle
+
+    walk = list(oracle.enumerate_all_subspaces(A.field, A.nrows, 10**6, [A]))
+    findings = {}
+    for k in range(len(walk)):
+        monkeypatch.setattr(oracle, "enumerate_all_subspaces",
+                            lambda *args, k=k: iter(walk[:k] + walk[k + 1:]))
+        findings[k] = classify_all(A).findings
+    return findings
+
+
+def test_closure_findings_on_a_walk_missing_an_inner_member(monkeypatch):
+    # GOLD_4_A's 11 invariant subspaces in walk order have dimensions
+    # 0,1,1,1,2,2,2,3,3,3,4; a walk that drops an inner one leaves each class
+    # either closed or missing a meet or a join, which its finding names
+    every = tuple(f"{label}: not closed under" for label in
+                  ("invariant", "hyperinvariant", "characteristic"))
+    expected = {
+        1: tuple(f"{f} intersection" for f in every),
+        4: ("invariant: not closed under intersection",),
+        6: ("invariant: not closed under sum",),
+        9: tuple(f"{f} sum" for f in every),
+    }
+    findings = _findings_with_one_dropped(monkeypatch, GOLD_4_A)
+    assert len(findings) == 11
+    for k in range(1, 10):
+        assert findings[k] == expected.get(k, ()), k
