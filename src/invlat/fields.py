@@ -394,6 +394,7 @@ class FiniteField:
         return f"GF({self.p}^{self.k})[{_format_terms(self.modulus, 'x')}]"
 
 
+@cache  # once per (modulus, p): a K built from a proven factor is not re-tested
 def _is_irreducible(c, p):
     """Irreducibility of the int coefficient tuple c over GF(p) (``poly.is_irreducible``).
 

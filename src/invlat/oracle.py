@@ -22,7 +22,10 @@ the units violating W are precisely the units of Z(A) outside U_W; so
 
 The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
 the encoded rows of the field's row kernel, for every finite field; all
-other row reduction runs in that kernel as well.
+other row reduction runs in that kernel as well.  Closure of each class
+under sum and intersection is certified by the subspace layer's
+``build_lattice``, with one sum per pair of members; a class that fails
+gets a finding naming the missing zero, full space, sum or meet.
 """
 
 import time
@@ -31,10 +34,11 @@ from itertools import product
 from random import Random
 
 from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, unit_elements
-from .errors import InfiniteFieldError, UndecidedError
+from .errors import ClosureError, InfiniteFieldError, UndecidedError
 from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, rank
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
+    build_lattice,
     enumerate_all_subspaces,
     kernel_basis,
     subspace_count,
@@ -145,24 +149,18 @@ def _unit_outside(Z, UW, tuples):
 
 
 def _closed_under_ops(members, n, field, findings, label, pair_cap=300_000):
-    """Verify closure under sum and intersection; append findings on failure."""
-    mset = set(members)
-    total = subspace_count(n, field.order)
-    if len(members) == total:
+    """Certify closure under sum and intersection with ``build_lattice``, one
+    sum per pair; append a finding on failure."""
+    if len(members) == subspace_count(n, field.order):
         return  # the full lattice of subspaces is trivially closed
     pairs = len(members) * (len(members) - 1) // 2
     if pairs > pair_cap:
         findings.append(f"{label}: closure check skipped ({pairs} pairs over budget)")
         return
-    mlist = list(members)
-    for i in range(len(mlist)):
-        for j in range(i + 1, len(mlist)):
-            if mlist[i].sum(mlist[j]) not in mset:
-                findings.append(f"{label}: not closed under sum")
-                return
-            if mlist[i].intersect(mlist[j]) not in mset:
-                findings.append(f"{label}: not closed under intersection")
-                return
+    try:
+        build_lattice(members)
+    except ClosureError as err:
+        findings.append(f"{label}: {str(err).split(':')[0]}")
 
 
 def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNIT_CAP, seed=0):

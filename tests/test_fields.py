@@ -212,6 +212,21 @@ def test_finite_field_modulus_validation():
     assert F == gf_build(2, 2)
 
 
+def test_a_modulus_is_tested_once(monkeypatch):
+    # a component's K is named by a factor already proven irreducible: the
+    # test of a (modulus, p) pair runs once, and a reducible one still fails
+    import invlat.poly
+
+    calls = []
+    test = invlat.poly.is_irreducible
+    monkeypatch.setattr(invlat.poly, "is_irreducible", lambda f: calls.append(f) or test(f))
+    for _ in range(2):
+        assert FiniteField(7, 3, modulus=(5, 0, 0, 1)).order == 343  # 2 is no cube mod 7
+        with pytest.raises(ValueError, match="not irreducible"):
+            FiniteField(7, 3, modulus=(6, 0, 0, 1))  # x^3 - 1 has the root 1
+    assert len(calls) == 2
+
+
 def test_constant_embedding_and_fraction_coercion():
     F = gf_build(3)
     assert F.element(5) == F.element(2)

@@ -207,3 +207,43 @@ def test_closure_findings_on_a_walk_missing_an_inner_member(monkeypatch):
     assert len(findings) == 11
     for k in range(1, 10):
         assert findings[k] == expected.get(k, ()), k
+
+
+def test_closure_findings_on_a_walk_missing_zero_or_the_full_space(monkeypatch):
+    # every class holds 0 and V, so each one lacking it says so, the chain-
+    # shaped hyperinvariant and characteristic classes included
+    findings = _findings_with_one_dropped(monkeypatch, GOLD_4_A)
+    for k, bound in ((0, "zero subspace"), (10, "full space")):
+        assert findings[k] == tuple(f"{label}: lattice misses the {bound}" for label in
+                                    ("invariant", "hyperinvariant", "characteristic")), k
+
+
+def test_build_lattice_and_the_pairwise_reference_judge_oracle_lists_alike():
+    # the oracle's invariant lists of seeded operators, whole and with each
+    # member dropped in turn: the one-sum-per-pair certificate and the
+    # sum-and-intersection reference accept and refuse the same lists, with
+    # the same covers, so the engine and the oracle can share the certificate
+    from invlat.errors import ClosureError
+    from invlat.subspace import build_lattice
+
+    from fixtures import pairwise_lattice
+
+    def outcome(build, members):
+        try:
+            return build(members)
+        except ClosureError:
+            return None
+
+    cases = [(F2, 4, "general", seed) for seed in (0, 1, 3, 5)]
+    cases += [(F2, 4, "nilpotent-partition", seed) for seed in (1, 4)]
+    cases += [(F3, 3, "general", 2)] + [(F3, 3, "nilpotent-partition", seed) for seed in (0, 1)]
+    accepted = refused = 0
+    for field, n, style, seed in cases:
+        walk = list(classify_all(random_instance(field, n, style, seed).matrix).invariant)
+        for k in range(-1, len(walk)):
+            members = walk if k < 0 else walk[:k] + walk[k + 1:]
+            got = outcome(build_lattice, members)
+            assert got == outcome(pairwise_lattice, members), (field, style, seed, k)
+            accepted += got is not None
+            refused += got is None
+    assert accepted > 2 * len(cases) and refused > 2 * len(cases)
