@@ -16,7 +16,8 @@ emit deterministic JSON (and optionally DOT).  Commands:
 
 Exit codes: 0 success, 2 input error, 3 verification mismatch, 4 scale
 cap exceeded, 5 internal invariant violated (a self-check on a computed
-result failed: a defect to report, never a property of the input).
+result, or the lattice certificate on the engine's output, failed: a defect
+to report, never a property of the input).
 """
 
 import argparse
@@ -28,6 +29,7 @@ from .centralizer import DEFAULT_UNIT_CAP
 from .decomposition import analyze_operator
 from .errors import (
     CapExceededError,
+    ClosureError,
     FactorHintError,
     FieldMismatchError,
     InfiniteFieldError,
@@ -295,7 +297,7 @@ def main(argv=None):
     except (CapExceededError, UndecidedError) as exc:
         print(f"scale cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InvariantError as exc:
+    except (InvariantError, ClosureError) as exc:  # dot wraps its own ClosureError
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (

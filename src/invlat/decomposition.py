@@ -377,7 +377,7 @@ class KStructure:
         exactly (Q^k - 1)/(Q - 1) lower covers, its K-hyperplanes that hold
         N U (Q = |K|, k = dim_K U/NU).  Distinct lines give distinct covers,
         so every lower cover of a reached member is reached, and down from
-        the full space every member is.  ``inv_lattice`` checks each against A.
+        the full space every member is.  The lattice driver checks each against A.
         """
         F, n, s, K = self.N.field, self.N.nrows, self.s, self.field_k
         if not K.is_finite:

@@ -25,8 +25,7 @@ and image chains of N_K that ``build_k_structure`` formed once:
   Z_K(N_K) is Z(A_i), A_i the restriction, which certifies the direct sum
   against Z(A): every X commuting with A commutes with p_i(A)^k_i, so it
   maps each primary component V_i into itself, and
-  Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis.  As
-  inv's, hinv's members in F^n are checked invariant under A;
+  Z(A) = Z(A_1) + ... + Z(A_r) block diagonally in the primary basis;
 * characteristic subspaces equal the hyperinvariant ones whenever K has
   more than two elements; for K = GF(2) the block-size witness (two
   distinct block sizes, each exactly once, differing by at least two)
@@ -36,14 +35,15 @@ and image chains of N_K that ``build_k_structure`` formed once:
   closed form and certified by seeded units (``_unit_span``), so no unit
   group is walked.
 
-Each lattice is a rule for one component, run on every component by one
-driver (``_report``).  Components combine by direct sums because the
-primary factors are coprime; closure and covers are proved per component
-(``_assemble``).
+Each lattice is a rule for one component, naming its members, run on every
+component by one driver (``_report``), which reuses ``hyperinvariant_lattice``
+and checks every report's members in F^n invariant under A.  Components
+combine by direct sums because the primary factors are coprime; closure and
+covers are proved per component (``_assemble``).
 Reports carry provenance notes describing the fact used at each step.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress, product
 from math import prod
 from random import Random
@@ -205,7 +205,7 @@ def _unit_draws(L, K, m, seed):
             yield c
 
 
-def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None, shared=None):
+def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None, lattice=None):
     """The direct sums W_1 + ... + W_r, one W_c from each factor: the sorted
     member tuple, its aligned flags, and (within ``detail_cap``) the Lattice.
 
@@ -216,13 +216,12 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
     sums are taken summand by summand: the product is closed once every
     factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
     (prod M_c)^2), and its covers are the pairs of tuples that differ in
-    one summand only, where they are a cover of that factor.  ``shared[c]``,
-    when given and not None, returns the c-th factor's Lattice already built.
+    one summand only, where they are a cover of that factor.  ``lattice(c, f)``,
+    when given, returns the c-th factor's Lattice in place of ``build_lattice(f)``.
     """
     lats = None
     if detail_cap is None or prod(map(len, factors)) <= detail_cap:
-        lats = [get() if get else build_lattice(f, flags=fl)
-                for f, fl, get in zip(factors, factor_flags, shared or [None] * len(factors))]
+        lats = [lattice(c, f) if lattice else build_lattice(f) for c, f in enumerate(factors)]
         factors = [lat.members for lat in lats]
     rows = [[embed(c, w) for w in f] for c, f in enumerate(factors)]
     tuples = {}
@@ -267,22 +266,29 @@ def _report(kind, A, ana, sum_note, component):
     ``component(ca, provenance, notes)`` appends its provenance and notes and
     returns, in the component's own coordinates, its members, their flags
     (a dict, or None), ``finite`` (True, None when the lattice is finite but
-    over a cap, False), whether the members are all of its lattice, and
-    None or a function returning their Lattice built once per analysis.  The
+    over a cap, False), and whether the members are all of its lattice.  The
     components combine by direct sums (``_assemble``): the whole is infinite
     if one part is, finite if every part is, and complete if every part is.
+    Its members in F^n are checked invariant under A.
     """
     provenance, notes = [], []
     if len(ana.components) > 1:
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
-    factors, factor_flags, finites, completes, shared = zip(*parts)
+    factors, factor_flags, finites, completes = zip(*parts)
     kern, n = row_kernel(A.field), A.nrows
     bases = [kern.prepare(ca.component.subspace.enc) for ca in ana.components]
+
+    def lattice(c, f):  # the hyperinvariant members' Lattice is built once per analysis
+        ks = ana.components[c].kstruct
+        return ks.hyperinvariant_lattice if f is ks.hyperinvariant else build_lattice(f)
+
     members, flags, lat = _assemble(
         factors, factor_flags, lambda c, w: kern.matmul(w.enc, bases[c], n),
-        A.field, n, DETAIL_CAP, notes, shared,
+        A.field, n, DETAIL_CAP, notes, lattice,
     )
+    if not all(W.is_invariant_under(A) for W in members):
+        raise InvariantError("engine produced a non-invariant subspace")
     finite = False if False in finites else None if None in finites else True
     return LatticeReport(
         kind=kind, finite=finite, complete=all(completes), members=members, lattice=lat,
@@ -307,13 +313,13 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            return ks.invariant, None, True, True, None
+            return ks.invariant, None, True, True
         if len(ks.segre) <= 1:  # the kernel chain, which is the hyperinvariant lattice
             provenance.append(
                 f"component {pname}: nilpotent part is cyclic over K, "
                 "so its invariant subspaces form the kernel chain"
             )
-            return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
+            return ks.hyperinvariant, None, True, True
         if ks.field_k.is_finite:  # the kernel chain is a part of the lattice
             notes.append(
                 f"component {pname}: finite lattice not materialized "
@@ -326,12 +332,9 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
                 "Jordan blocks over an infinite field); kernel chain reported"
             )
             finite = False
-        return ks.kernels, None, finite, False, None
+        return ks.kernels, None, finite, False
 
-    rep = _report("invariant", A, ana, _DIRECT_SUM, component)
-    if not all(W.is_invariant_under(A) for W in rep.members):
-        raise InvariantError("engine produced a non-invariant subspace")
-    return rep
+    return _report("invariant", A, ana, _DIRECT_SUM, component)
 
 
 def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
@@ -346,13 +349,9 @@ def hinv_lattice(A, *, hint=None, seed=0, analysis=None):
         )
         # certified on ker N_K^j and im N_K^j against Z_K(N_K) = Z(A_i); Z(A)
         # is block diagonal over the components, so that covers the direct sums
-        ks = ca.kstruct
-        return ks.hyperinvariant, None, True, True, lambda: ks.hyperinvariant_lattice
+        return ca.kstruct.hyperinvariant, None, True, True
 
-    rep = _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
-    if not all(W.is_invariant_under(A) for W in rep.members):
-        raise InvariantError("engine produced a non-invariant subspace")
-    return rep
+    return _report("hyperinvariant", A, ana, _DIRECT_SUM, component)
 
 
 def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, analysis=None):
@@ -395,8 +394,7 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
                 complete = False
         hset = set(local)
         flags = {w: "hyperinvariant" if w in hset else "characteristic-only" for w in members}
-        shared = lambda: replace(ks.hyperinvariant_lattice, flags=("hyperinvariant",) * len(local))
-        return members, flags, True, complete, shared if members is local else None
+        return members, flags, True, complete
 
     return _report(
         "characteristic", A, ana,

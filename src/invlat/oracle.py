@@ -36,6 +36,7 @@ from random import Random
 from .centralizer import DEFAULT_UNIT_CAP, centralizer_basis, unit_elements
 from .errors import ClosureError, InfiniteFieldError, UndecidedError
 from .matrix import Matrix, inverse, mat_vec, minimal_polynomial, rank
+from .poly import Poly
 from .subspace import (
     DEFAULT_SUBSPACE_CAP,
     build_lattice,
@@ -54,6 +55,7 @@ __all__ = [
 _TIER1_CAP_GF2 = 1 << 16
 _TIER1_CAP_OTHER = 10_000
 _SAMPLE_TRIES = 2_000
+_CLOSURE_PAIR_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,13 @@ def _unit_outside(Z, UW, tuples):
     return False, tested
 
 
-def _closed_under_ops(members, n, field, findings, label, pair_cap=300_000):
+def _closed_under_ops(members, n, field, findings, label):
     """Certify closure under sum and intersection with ``build_lattice``, one
     sum per pair; append a finding on failure."""
     if len(members) == subspace_count(n, field.order):
         return  # the full lattice of subspaces is trivially closed
     pairs = len(members) * (len(members) - 1) // 2
-    if pairs > pair_cap:
+    if pairs > _CLOSURE_PAIR_CAP:
         findings.append(f"{label}: closure check skipped ({pairs} pairs over budget)")
         return
     try:
@@ -217,15 +219,7 @@ class RandomInstance:
 
 
 def _jordan_nilpotent(field, partition):
-    n = sum(partition)
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * n for _ in range(n)]
-    pos = 0
-    for t in partition:
-        for i in range(1, t):
-            rows[pos + i][pos + i - 1] = one
-        pos += t
-    return Matrix(field, rows)
+    return _canonical_primary(field, Poly.x(field), partition)  # companion(x) is (0)
 
 
 def _canonical_primary(field, p, blocks):

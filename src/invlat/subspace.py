@@ -303,7 +303,7 @@ class Lattice:
 
 
 def build_lattice(subspaces, flags=None):
-    """Assemble a Lattice, verifying distinctness, bounds and closure.
+    """Assemble a Lattice, verifying distinctness, bounds and closure (else ``ClosureError``).
 
     ``flags`` maps Subspace -> str (optional).  One sum per pair proves
     closure, meets and covers.  Members are sorted by dimension first, so
@@ -320,9 +320,9 @@ def build_lattice(subspaces, flags=None):
     """
     members = list(subspaces)
     if len(set(members)) != len(members):
-        raise ValueError("duplicate subspaces in lattice construction")
+        raise ClosureError("duplicate subspaces in lattice construction")
     if not members:
-        raise ValueError("empty lattice")
+        raise ClosureError("empty lattice")
     field, n = members[0].field, members[0].n
     for s in members:
         if s.field != field or s.n != n:

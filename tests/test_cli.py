@@ -311,6 +311,47 @@ def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert err == "internal invariant violated: S + N != A\n"
 
 
+def test_failed_lattice_certificate_on_engine_output_exit_code(tmp_path, monkeypatch, capsys):
+    # a walk that loses an inner member of GOLD_4_A's invariant lattice fails
+    # build_lattice's closure certificate inside the engine: a defect, exit 5
+    from invlat.decomposition import KStructure
+
+    walk = KStructure.invariant.func
+    monkeypatch.setattr(KStructure, "invariant", property(lambda ks: (w := walk(ks))[:4] + w[5:]))
+    inp = write_matrix(tmp_path, GOLD_4_A)
+    assert main(["--input", inp, "--command", "lattice-inv"]) == 5
+    assert capsys.readouterr().err == ("internal invariant violated: not closed under "
+                                       "intersection: <e2, e3, e4> ∩ <e1, e2, e3>\n")
+
+
+def test_verify_reports_a_walk_repeating_a_member_as_a_mismatch(tmp_path, monkeypatch, capsys):
+    import invlat.oracle as oracle
+
+    walk = list(oracle.enumerate_all_subspaces(GOLD_4_A.field, 4, 10**6, [GOLD_4_A]))
+    monkeypatch.setattr(oracle, "enumerate_all_subspaces", lambda *args: iter(walk + walk[3:4]))
+    code, payload = run(tmp_path, GOLD_4_A, "verify")
+    assert code == 3
+    assert payload["oracle"]["findings"] == [
+        "invariant: duplicate subspaces in lattice construction"]
+    assert capsys.readouterr().err.endswith("verification mismatch: engine != oracle\n")
+
+
+@pytest.mark.parametrize("members, reason", [
+    (lambda recs: recs + recs[3:4], "duplicate subspaces in lattice construction"),
+    (lambda recs: [], "empty lattice"),
+], ids=["repeated", "empty"])
+def test_dot_refuses_a_lattice_json_that_is_no_lattice(tmp_path, capsys, members, reason):
+    code, payload = run(tmp_path, GOLD_4_A, "lattice-chinv")
+    assert code == 0
+    lattice = payload["report"]["lattice"]
+    lattice["members"] = members(lattice["members"])
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(lattice))
+    capsys.readouterr()
+    assert main(["--input", str(path), "--command", "dot"]) == 2
+    assert capsys.readouterr().err == f"input error: the members do not form a lattice: {reason}\n"
+
+
 def test_huge_prime_field_answers_quickly(tmp_path):
     path = tmp_path / "rows.json"
     path.write_text(json.dumps({"rows": [[1, 2], [3, 4]]}))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -671,6 +672,23 @@ def test_hinv_checks_its_members_against_A(monkeypatch):
         [v[::-1] for v in chain_span(self, index).basis], F3, A.nrows))
     with pytest.raises(InvariantError, match="non-invariant subspace"):
         hinv_lattice(A)
+
+
+def test_chinv_checks_its_members_against_A(monkeypatch):
+    # the lattice driver checks every kind of report against A: an inner
+    # hyperinvariant member that N moves, with its Lattice rebuilt (a chain
+    # stays closed), is refused by chinv as by hinv, not reported
+    ana = analyze_operator(GOLD_RAT_A)
+    ks = ana.components[0].kstruct
+    zero, inner, full = ks.hyperinvariant
+    planes = (span(e_rows(4, pair, QQ), QQ, 4) for pair in itertools.combinations(range(1, 5), 2))
+    moved = next(W for W in planes if not W.is_invariant_under(ks.N))
+    assert moved.dim == inner.dim
+    monkeypatch.setitem(vars(ks), "hyperinvariant", (zero, moved, full))
+    monkeypatch.delitem(vars(ks), "hyperinvariant_lattice", raising=False)
+    for lattice in (chinv_lattice, hinv_lattice):
+        with pytest.raises(InvariantError, match="engine produced a non-invariant subspace"):
+            lattice(GOLD_RAT_A, analysis=ana)
 
 
 def _matrix_sum_draws(L, K, m, seed, draws):

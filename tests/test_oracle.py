@@ -209,6 +209,17 @@ def test_closure_findings_on_a_walk_missing_an_inner_member(monkeypatch):
         assert findings[k] == expected.get(k, ()), k
 
 
+def test_a_walk_repeating_a_member_is_a_closure_finding(monkeypatch):
+    # build_lattice refuses a repeated member as it refuses a missing meet:
+    # with a ClosureError, which the oracle reports as a finding
+    import invlat.oracle as oracle
+
+    walk = list(oracle.enumerate_all_subspaces(F2, 4, 10**6, [GOLD_4_A]))
+    monkeypatch.setattr(oracle, "enumerate_all_subspaces", lambda *args: iter(walk + walk[3:4]))
+    assert classify_all(GOLD_4_A).findings == (
+        "invariant: duplicate subspaces in lattice construction",)
+
+
 def test_closure_findings_on_a_walk_missing_zero_or_the_full_space(monkeypatch):
     # every class holds 0 and V, so each one lacking it says so, the chain-
     # shaped hyperinvariant and characteristic classes included
