@@ -12,8 +12,6 @@ from .centralizer import (
     DEFAULT_UNIT_CAP,
     CentralizerBasis,
     centralizer_basis,
-    is_characteristic,
-    is_hyperinvariant,
     unit_elements,
 )
 from .decomposition import (

@@ -1,24 +1,21 @@
-"""The commutant algebra Z(A), its units, and the membership predicates.
+"""The commutant algebra Z(A) and its units.
 
 ``centralizer_basis`` solves AX = XA as an n^2-dimensional homogeneous
 linear system, built and reduced on encoded rows; the enumeration oracle
-and ``is_characteristic`` use it.  The lattice engine reads Z_K(N_K) off
-the Jordan chains instead (``KStructure.commutant``), and
-``certified_centralizer`` certifies such a supplied basis: its elements
-commute with the matrix, are independent, and are as many as dim Z.
-A subspace is hyperinvariant when every basis element of Z(A) maps it
-into itself (linearity makes basis checking sufficient), and
-characteristic when A and every *invertible* element of Z(A) do.
-``is_characteristic`` decides the latter by definition, walking the unit
-group: ``unit_elements`` runs over all coordinate tuples of the basis and
-keeps the nonsingular ones, so it is exact but only available over
-finite fields within a configured cap.  The lattice engine does not walk
-units; it reads their span off the Jordan structure (``lattices``).
+uses it.  The lattice engine reads Z_K(N_K) off the Jordan chains instead
+(``KStructure.commutant``), and ``certified_centralizer`` certifies such a
+supplied basis: its elements commute with the matrix, are independent,
+and are as many as dim Z.  ``unit_elements`` runs over all coordinate
+tuples of the basis and keeps the nonsingular ones, so it is exact but
+only available over finite fields within a configured cap; the oracle's
+``classify_all``, the one classifier that checks characteristic membership
+by definition, walks it.  The lattice engine does not walk units; it reads
+their span off the Jordan structure (``lattices``).
 """
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InfiniteFieldError, InvariantError, UndecidedError
+from .errors import CapExceededError, InfiniteFieldError, InvariantError
 from .matrix import Matrix
 from .subspace import Subspace, kernel_basis
 
@@ -27,8 +24,6 @@ __all__ = [
     "centralizer_basis",
     "certified_centralizer",
     "unit_elements",
-    "is_hyperinvariant",
-    "is_characteristic",
     "DEFAULT_UNIT_CAP",
 ]
 
@@ -144,30 +139,3 @@ def unit_elements(Z, cap=DEFAULT_UNIT_CAP):
             yield from walk(t + 1, [kern.submul(a, minus_one, b) for a, b in zip(acc, M)])
 
     yield from walk(0, Matrix.zeros(field, n).enc)
-
-
-def is_hyperinvariant(W, A, Z=None):
-    """True iff BW <= W for every element of the centralizer of A."""
-    if Z is None:
-        Z = centralizer_basis(A)
-    return all(W.is_invariant_under(B) for B in Z.elements)
-
-
-def is_characteristic(W, A, Z=None, cap=DEFAULT_UNIT_CAP):
-    """True iff AW <= W and BW <= W for every invertible B commuting with A.
-
-    Walks ``unit_elements``: over an infinite field or beyond the cap it is
-    undecidable here and raises (the engine's theorem dispatch covers those).
-    """
-    if not W.is_invariant_under(A):
-        return False
-    if Z is None:
-        Z = centralizer_basis(A)
-    if is_hyperinvariant(W, A, Z):
-        return True
-    try:
-        return all(W.is_invariant_under(B) for B in unit_elements(Z, cap))
-    except CapExceededError as exc:
-        raise UndecidedError(
-            f"undecided at this scale: unit enumeration needs {exc.count} > cap {exc.cap}"
-        ) from exc

@@ -100,7 +100,8 @@ def shoda_witness(segre):
 
 
 def characteristic_dispatch(field_k, segre):
-    """Booleans deciding whether characteristic non-hyperinvariant members exist."""
+    """Whether K = GF(2), the block-size witness (or None), and whether both
+    hold, which decides whether characteristic non-hyperinvariant members exist."""
     k_is_gf2 = field_k.is_finite and field_k.order == 2
     witness = shoda_witness(segre)
     return {
@@ -363,12 +364,13 @@ def chinv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, a
         pname = format_poly(ca.component.factor)
         local = ks.hyperinvariant
         members, complete = local, True  # unless a witness adds members
-        if not (ks.field_k.is_finite and ks.field_k.order == 2):
+        disp = characteristic_dispatch(ks.field_k, ks.segre)
+        if not disp["field_k_is_gf2"]:
             provenance.append(
                 f"component {pname}: K has more than two elements, so every characteristic "
                 "subspace is hyperinvariant"
             )
-        elif (witness := shoda_witness(ks.segre)) is None:
+        elif (witness := disp["shoda_witness"]) is None:
             provenance.append(
                 f"component {pname}: K = GF(2) but no block-size witness (two sizes, each "
                 "exactly once, gap at least two), so characteristic = hyperinvariant"

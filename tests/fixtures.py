@@ -8,7 +8,7 @@ GOLD_4: 4x4 over GF(2), minimal polynomial (x+1)^3.
 from fractions import Fraction
 from math import gcd, lcm
 
-from invlat.centralizer import centralizer_basis, is_hyperinvariant
+from invlat.centralizer import centralizer_basis
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
 from invlat.kernels import _convolve, _dot, _ElementRows, _int_matmul
@@ -88,7 +88,7 @@ def per_member_centralizer_check(ca):
     component checked against each of its basis elements.  Returns the basis."""
     Ai = ca.component.restriction
     Z = centralizer_basis(Ai)
-    if not all(is_hyperinvariant(W, Ai, Z) for W in ca.kstruct.hyperinvariant):
+    if not all(W.is_invariant_under(B) for W in ca.kstruct.hyperinvariant for B in Z.elements):
         raise InvariantError("engine produced a non-hyperinvariant subspace")
     return Z
 

@@ -2,22 +2,17 @@ from itertools import product
 
 import pytest
 
-from invlat.centralizer import (
-    centralizer_basis,
-    is_characteristic,
-    is_hyperinvariant,
-    unit_elements,
-)
+from invlat.centralizer import centralizer_basis, unit_elements
 from invlat.decomposition import analyze_operator
-from invlat.errors import InfiniteFieldError, UndecidedError
+from invlat.errors import InfiniteFieldError
 from invlat.fields import QQ, gf_build
 from invlat.lattices import _unit_span
 from invlat.matrix import Matrix, block_diag, companion, inverse, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import full_space, span, zero_subspace
+from invlat.subspace import span
 
-from fixtures import GOLD_4_N, GOLD_RAT_A, e_rows, F2, F3
+from fixtures import GOLD_4_N, GOLD_RAT_A, F2, F3
 
 
 def nilpotent_jordan(field, partition):
@@ -143,63 +138,10 @@ def test_closed_form_unit_span_matches_unit_walk():
                 assert unit_walk_span(Z3, stop=dim_z).dim == dim_z, lam
 
 
-def test_characteristic_beyond_cap_is_undecided():
-    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)  # characteristic, not hyperinvariant
-    with pytest.raises(UndecidedError) as exc:
-        is_characteristic(odd, GOLD_4_N, cap=63)
-    assert str(exc.value) == "undecided at this scale: unit enumeration needs 64 > cap 63"
-    assert is_characteristic(odd, GOLD_4_N, cap=64)
-    # <e1> is invariant under the zero map but not under all of Z = M_2(Q)
-    line = span(e_rows(2, [1], QQ), QQ, 2)
-    with pytest.raises(InfiniteFieldError):
-        is_characteristic(line, Matrix.zeros(QQ, 2))
-
-
 def test_unit_elements_rejects_infinite_field():
     Z = centralizer_basis(GOLD_RAT_A)
     with pytest.raises(InfiniteFieldError, match="infinite field"):
         next(unit_elements(Z))
-
-
-def test_hyperinvariant_examples():
-    W = span(e_rows(4, [3, 4], QQ), QQ, 4)
-    assert is_hyperinvariant(W, GOLD_RAT_A)
-    assert is_hyperinvariant(full_space(F2, 4), GOLD_4_N)
-    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)  # <e2+e4, e3>
-    assert not is_hyperinvariant(odd, GOLD_4_N)
-
-
-def test_characteristic_examples():
-    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)
-    assert is_characteristic(odd, GOLD_4_N)
-    # same shape over GF(3): no longer characteristic
-    N3 = nilpotent_jordan(F3, (3, 1))
-    odd3 = span([(0, 1, 0, 1), (0, 0, 1, 0)], F3, 4)
-    assert not is_characteristic(odd3, N3)
-    assert is_characteristic(zero_subspace(F2, 4), GOLD_4_N)
-    assert is_characteristic(full_space(F2, 4), GOLD_4_N)
-
-
-def test_hinv_subset_chinv_subset_inv_small():
-    from invlat.subspace import enumerate_all_subspaces
-    from invlat.matrix import mat_vec
-
-    N = GOLD_4_N
-    Z = centralizer_basis(N)
-    inv = hinv = chinv = 0
-    for W in enumerate_all_subspaces(F2, 4):
-        is_inv = all(W.member(mat_vec(N, r)) for r in W.basis)
-        h = is_hyperinvariant(W, N, Z)
-        c = is_characteristic(W, N, Z)
-        if h:
-            assert c
-        if c:
-            assert is_inv
-        inv += is_inv
-        hinv += h
-        chinv += c
-    assert hinv <= chinv <= inv
-    assert hinv == 6 and chinv == 7
 
 
 def test_centralizer_unchanged_by_adding_semisimple_constraint():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from invlat.centralizer import centralizer_basis
 from invlat.decomposition import KStructure, analyze_operator
 from invlat.errors import ClosureError, InvariantError
 from invlat.fields import QQ, gf_build
@@ -54,6 +55,9 @@ def test_hinv_lattice_rational_golden():
         span(e_rows(4, [3, 4], QQ), QQ, 4),
         full_space(QQ, 4),
     }
+    # by definition, against Z(A) solved as a 16-unknown system
+    Z = centralizer_basis(GOLD_RAT_A)
+    assert all(W.is_invariant_under(B) for W in rep.members for B in Z.elements)
 
 
 def test_inv_lattice_single_jordan_block_chain():

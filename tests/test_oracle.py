@@ -12,9 +12,6 @@ from fixtures import GOLD_4_A, GOLD_4_N, e_rows, F2, F3
 
 
 def test_oracle_4x4_golden_full_classification():
-    rep = classify_all(GOLD_4_A)
-    assert rep.total_subspaces == 67
-    assert len(rep.invariant) >= 7
     expected_h = {
         zero_subspace(F2, 4),
         span(e_rows(4, [3], F2), F2, 4),
@@ -23,11 +20,18 @@ def test_oracle_4x4_golden_full_classification():
         span(e_rows(4, [2, 3, 4], F2), F2, 4),
         full_space(F2, 4),
     }
-    assert set(rep.hyperinvariant) == expected_h
-    assert set(rep.characteristic) == expected_h | {
-        span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)
-    }
-    assert rep.findings == ()
+    # GOLD_4_A = I + GOLD_4_N: one centralizer, so the same three classes
+    for A in (GOLD_4_A, GOLD_4_N):
+        rep = classify_all(A)
+        assert rep.total_subspaces == 67
+        assert len(rep.invariant) >= 7
+        assert set(rep.hyperinvariant) == expected_h
+        assert set(rep.characteristic) == expected_h | {
+            span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)  # <e2+e4, e3>
+        }
+        assert set(rep.characteristic) <= set(rep.invariant)
+        assert all(W.is_invariant_under(A) for W in rep.invariant)
+        assert rep.findings == ()
 
 
 def test_oracle_identity_matrix():
@@ -55,8 +59,11 @@ def test_oracle_nesting_on_gf3():
     )
     rep = classify_all(N3)
     assert set(rep.hyperinvariant) <= set(rep.characteristic) <= set(rep.invariant)
-    # over GF(3) no characteristic non-hyperinvariant members
+    # over GF(3) no characteristic non-hyperinvariant members: <e2+e4, e3>,
+    # characteristic for this shape over GF(2), is invariant only
     assert set(rep.characteristic) == set(rep.hyperinvariant)
+    odd3 = span([(0, 1, 0, 1), (0, 0, 1, 0)], F3, 4)
+    assert odd3 in rep.invariant and odd3 not in rep.characteristic
     assert rep.findings == ()
 
 
@@ -171,6 +178,8 @@ def test_tier2_exhaustive_scan_certifies_gold_4():
     assert rep.units_tested == 1040
     assert rep.characteristic == classify_all(GOLD_4_A).characteristic
     assert len(rep.characteristic) == 7
+    # a cap of exactly the 32 scanned elements still decides
+    assert classify_all(GOLD_4_A, cap_units=32).characteristic == rep.characteristic
     with pytest.raises(UndecidedError) as info:
         classify_all(GOLD_4_A, cap_units=31)
     assert str(info.value) == ("undecided at this scale: 32 centralizer elements outside the "
