@@ -4,15 +4,15 @@ import pytest
 
 from invlat.centralizer import centralizer_basis, unit_elements
 from invlat.decomposition import analyze_operator
-from invlat.errors import InfiniteFieldError
+from invlat.errors import InfiniteFieldError, UndecidedError
 from invlat.fields import QQ, gf_build
-from invlat.lattices import _unit_span
+from invlat.lattices import _unit_span, hinv_lattice
 from invlat.matrix import Matrix, block_diag, companion, inverse, rank
-from invlat.oracle import random_instance
+from invlat.oracle import classify_all, random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import span
+from invlat.subspace import enumerate_all_subspaces, full_space, span, zero_subspace
 
-from fixtures import GOLD_4_N, GOLD_RAT_A, F2, F3
+from fixtures import GOLD_4_N, GOLD_RAT_A, e_rows, F2, F3
 
 
 def nilpotent_jordan(field, partition):
@@ -138,10 +138,61 @@ def test_closed_form_unit_span_matches_unit_walk():
                 assert unit_walk_span(Z3, stop=dim_z).dim == dim_z, lam
 
 
+def test_characteristic_beyond_cap_is_undecided():
+    # characteristic membership is decided by the oracle alone; <e2+e4, e3> is
+    # its one characteristic, non-hyperinvariant candidate for GOLD_4_N, with
+    # 32 centralizer elements outside its stabilizer
+    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)
+    with pytest.raises(UndecidedError) as exc:
+        classify_all(GOLD_4_N, cap_units=31)
+    assert str(exc.value) == ("undecided at this scale: 32 centralizer elements outside the "
+                              "stabilizer of a candidate exceed cap 31")
+    assert odd in classify_all(GOLD_4_N, cap_units=32).characteristic
+    # <e1> is invariant under the zero map but not under all of Z = M_2(Q)
+    with pytest.raises(InfiniteFieldError):
+        classify_all(Matrix.zeros(QQ, 2))
+
+
 def test_unit_elements_rejects_infinite_field():
     Z = centralizer_basis(GOLD_RAT_A)
     with pytest.raises(InfiniteFieldError, match="infinite field"):
         next(unit_elements(Z))
+
+
+def test_hyperinvariant_examples():
+    W = span(e_rows(4, [3, 4], QQ), QQ, 4)
+    assert W in hinv_lattice(GOLD_RAT_A).members
+    assert all(W.is_invariant_under(B) for B in centralizer_basis(GOLD_RAT_A).elements)
+    rep = classify_all(GOLD_4_N)
+    assert full_space(F2, 4) in rep.hyperinvariant
+    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)  # <e2+e4, e3>
+    assert odd not in rep.hyperinvariant
+
+
+def test_characteristic_examples():
+    odd = span([(0, 1, 0, 1), (0, 0, 1, 0)], F2, 4)
+    rep = classify_all(GOLD_4_N)
+    assert odd in rep.characteristic
+    # same shape over GF(3): no longer characteristic
+    N3 = nilpotent_jordan(F3, (3, 1))
+    odd3 = span([(0, 1, 0, 1), (0, 0, 1, 0)], F3, 4)
+    assert odd3 not in classify_all(N3).characteristic
+    assert zero_subspace(F2, 4) in rep.characteristic
+    assert full_space(F2, 4) in rep.characteristic
+
+
+def test_hinv_subset_chinv_subset_inv_small():
+    from invlat.matrix import mat_vec
+
+    N = GOLD_4_N
+    rep = classify_all(N)
+    hinv, chinv = set(rep.hyperinvariant), set(rep.characteristic)
+    # the invariant class, by definition over all 67 subspaces of GF(2)^4
+    inv = {W for W in enumerate_all_subspaces(F2, 4)
+           if all(W.member(mat_vec(N, r)) for r in W.basis)}
+    assert set(rep.invariant) == inv
+    assert hinv <= chinv <= inv
+    assert len(hinv) == 6 and len(chinv) == 7
 
 
 def test_centralizer_unchanged_by_adding_semisimple_constraint():
