@@ -546,6 +546,11 @@ class OperatorAnalysis:
     def single_component(self):
         return len(self.components) == 1
 
+    @cached_property
+    def _direct_sums(self):
+        """``lattices._report``'s products on this analysis, by the ids of A and the factors."""
+        return {}
+
 
 def analyze_operator(A, *, hint=None, seed=0):
     """Factor m_A, split into primary components, decompose each one."""

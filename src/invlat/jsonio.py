@@ -45,24 +45,29 @@ def dumps(obj, indent="\n"):
     one pass.  ``obj`` holds dicts with str keys, lists, tuples, strs, ints,
     bools and None; anything else raises TypeError.  ``indent`` is the
     newline and spaces that open each line at this depth."""
-    if isinstance(obj, str):
+    t = type(obj)  # exact types first; a subclass is written as its base, below
+    if t is str:
         return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if t is dict:
+        if not obj:
+            return "{}"
+        items = [f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj)]
+        return "{" + ",".join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        return "[" + ",".join([inner + dumps(v, inner) for v in obj]) + indent + "]"
     if obj is None:
         return "null"
     if obj is True or obj is False:
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj))
-        return "{" + ",".join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + ",".join(inner + dumps(v, inner) for v in obj) + indent + "]"
+    if isinstance(obj, (str, int)):
+        return _quote(obj) if isinstance(obj, str) else int.__repr__(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        return dumps(dict(obj) if isinstance(obj, dict) else list(obj), indent)
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 

@@ -17,11 +17,11 @@ and image chains of N_K that ``build_k_structure`` formed once:
   Longstaff, Linear Algebra Appl. 17, 1977).  ``KStructure.hyperinvariant``
   reads each W(r) off the Jordan chain basis, where every kernel and image
   is a coordinate subspace and W(r) the span of the union of intersections
-  of their index sets, once per analysis, and hinv and chinv share its
-  members and their Lattice (``hyperinvariant_lattice``, closure re-checked
-  once).  It certifies them on the generators: ker N_K^j and im N_K^j are
-  checked invariant under Z_K(N_K), read off the same chains in closed form
-  and certified (``KStructure.commutant``), and + and meet keep that.
+  of their index sets, once per analysis, and hinv and chinv (and inv, where
+  it equals hinv) share its members and their direct sum.  It certifies
+  them on the generators: ker N_K^j and im N_K^j are checked invariant
+  under Z_K(N_K), read off the same chains in closed form and certified
+  (``KStructure.commutant``), and + and meet keep that.
   Z_K(N_K) is Z(A_i), A_i the restriction, which certifies the direct sum
   against Z(A): every X commuting with A commutes with p_i(A)^k_i, so it
   maps each primary component V_i into itself, and
@@ -36,10 +36,11 @@ and image chains of N_K that ``build_k_structure`` formed once:
   group is walked.
 
 Each lattice is a rule for one component, naming its members, run on every
-component by one driver (``_report``), which reuses ``hyperinvariant_lattice``
-and checks every report's members in F^n invariant under A.  Components
-combine by direct sums because the primary factors are coprime; closure and
-covers are proved per component (``_assemble``).
+component by one driver (``_report``).  Components combine by direct sums
+because the primary factors are coprime; closure and covers are proved per
+component (``_assemble``), each distinct product once per analysis, with
+``hyperinvariant_lattice`` reused and its members in F^n checked invariant
+under A; reports naming the same component members share it.
 Reports carry provenance notes describing the fact used at each step.
 """
 
@@ -206,21 +207,21 @@ def _unit_draws(L, K, m, seed):
             yield c
 
 
-def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=None, lattice=None):
-    """The direct sums W_1 + ... + W_r, one W_c from each factor: the sorted
-    member tuple, its aligned flags, and (within ``detail_cap``) the Lattice.
+def _assemble(factors, embed, field, n, detail_cap=None, lattice=None):
+    """The direct sums W_1 + ... + W_r, one W_c from each factor, unflagged: the
+    factors in Lattice order, the sorted members, the tuple of factor indices of
+    each, and (within ``detail_cap``, else None) the covers.
 
-    ``factors[c]`` lists subspaces in the c-th summand's own coordinates,
-    ``factor_flags[c]`` maps them to labels (or is None), and ``embed(c, w)``
-    gives encoded rows spanning w inside F^n.  The rank of each sum re-checks that
-    the summands are independent, so sum and intersection of two direct
-    sums are taken summand by summand: the product is closed once every
-    factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
-    (prod M_c)^2), and its covers are the pairs of tuples that differ in
-    one summand only, where they are a cover of that factor.  ``lattice(c, f)``,
+    ``factors[c]`` lists subspaces in the c-th summand's own coordinates and
+    ``embed(c, w)`` gives encoded rows spanning w inside F^n.  The rank of each
+    sum re-checks that the summands are independent, so sum and intersection
+    of two direct sums are taken summand by summand: the product is closed
+    once every factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
+    (prod M_c)^2), and its covers are the pairs of tuples that differ in one
+    summand only, where they are a cover of that factor.  ``lattice(c, f)``,
     when given, returns the c-th factor's Lattice in place of ``build_lattice(f)``.
     """
-    lats = None
+    lats = covers = None
     if detail_cap is None or prod(map(len, factors)) <= detail_cap:
         lats = [lattice(c, f) if lattice else build_lattice(f) for c, f in enumerate(factors)]
         factors = [lat.members for lat in lats]
@@ -232,33 +233,25 @@ def _assemble(factors, factor_flags, embed, field, n, detail_cap=None, notes=Non
         if s.dim != sum(map(len, parts)):
             raise InvariantError("component subspaces are not independent")
         tuples[s] = combo
-    members = sorted(tuples, key=lambda s: s.sort_key())
-    flags = None
-    if factor_flags[0] is not None:
-        flags = tuple(
-            "characteristic-only"
-            if any(factor_flags[c][factors[c][i]] == "characteristic-only"
-                   for c, i in enumerate(tuples[s]))
-            else "hyperinvariant"
-            for s in members
-        )
-    if lats is None:
-        notes.append(
-            f"Hasse structure and closure re-check skipped for {len(members)} members "
-            f"(detail cap {detail_cap}); member list is complete"
-        )
-        return tuple(members), flags, None
-    if members[-1].dim != n:
-        raise ClosureError("lattice misses the full space")
-    index = {tuples[s]: k for k, s in enumerate(members)}
-    covers = sorted(
-        (k, index[t[:c] + (j,) + t[c + 1 :]])
-        for t, k in index.items()
-        for c, lat in enumerate(lats)
-        for i, j in lat.covers
-        if t[c] == i
-    )
-    return tuple(members), flags, Lattice(tuple(members), tuple(covers), flags)
+    members = tuple(sorted(tuples, key=lambda s: s.sort_key()))
+    if lats is not None:
+        if members[-1].dim != n:
+            raise ClosureError("lattice misses the full space")
+        index = {tuples[s]: k for k, s in enumerate(members)}
+        covers = tuple(sorted((k, index[t[:c] + (j,) + t[c + 1 :]]) for t, k in index.items()
+                              for c, lat in enumerate(lats) for i, j in lat.covers if t[c] == i))
+    return factors, members, tuples, covers
+
+
+def _flagged(assembled, factor_flags):
+    """An ``_assemble`` product's members, their flags from ``factor_flags`` (dicts
+    on the factors, or None), and its Lattice if it has covers."""
+    factors, members, tuples, covers = assembled
+    flags = None if factor_flags[0] is None else tuple(
+        "characteristic-only" if any(factor_flags[c][factors[c][i]] == "characteristic-only"
+                                     for c, i in enumerate(tuples[s])) else "hyperinvariant"
+        for s in members)
+    return members, flags, None if covers is None else Lattice(members, covers, flags)
 
 
 def _report(kind, A, ana, sum_note, component):
@@ -270,26 +263,32 @@ def _report(kind, A, ana, sum_note, component):
     over a cap, False), and whether the members are all of its lattice.  The
     components combine by direct sums (``_assemble``): the whole is infinite
     if one part is, finite if every part is, and complete if every part is.
-    Its members in F^n are checked invariant under A.
+    Each distinct product is assembled, and its members in F^n checked invariant
+    under A, once per analysis; each report applies its own flags (``_flagged``).
     """
     provenance, notes = [], []
     if len(ana.components) > 1:
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
     factors, factor_flags, finites, completes = zip(*parts)
-    kern, n = row_kernel(A.field), A.nrows
-    bases = [kern.prepare(ca.component.subspace.enc) for ca in ana.components]
+    key = (id(A), *map(id, factors))
+    if key not in ana._direct_sums:  # held with A and the factors, so the ids stay theirs
+        kern, n = row_kernel(A.field), A.nrows
+        bases = [kern.prepare(ca.component.subspace.enc) for ca in ana.components]
 
-    def lattice(c, f):  # the hyperinvariant members' Lattice is built once per analysis
-        ks = ana.components[c].kstruct
-        return ks.hyperinvariant_lattice if f is ks.hyperinvariant else build_lattice(f)
+        def lattice(c, f):  # the hyperinvariant members' Lattice is built once per analysis
+            ks = ana.components[c].kstruct
+            return ks.hyperinvariant_lattice if f is ks.hyperinvariant else build_lattice(f)
 
-    members, flags, lat = _assemble(
-        factors, factor_flags, lambda c, w: kern.matmul(w.enc, bases[c], n),
-        A.field, n, DETAIL_CAP, notes, lattice,
-    )
-    if not all(W.is_invariant_under(A) for W in members):
-        raise InvariantError("engine produced a non-invariant subspace")
+        assembled = _assemble(factors, lambda c, w: kern.matmul(w.enc, bases[c], n),
+                              A.field, n, DETAIL_CAP, lattice)
+        if not all(W.is_invariant_under(A) for W in assembled[1]):
+            raise InvariantError("engine produced a non-invariant subspace")
+        ana._direct_sums[key] = A, factors, assembled
+    members, flags, lat = _flagged(ana._direct_sums[key][2], factor_flags)
+    if lat is None:
+        notes.append(f"Hasse structure and closure re-check skipped for {len(members)} members "
+                     f"(detail cap {DETAIL_CAP}); member list is complete")
     finite = False if False in finites else None if None in finites else True
     return LatticeReport(
         kind=kind, finite=finite, complete=all(completes), members=members, lattice=lat,
@@ -314,7 +313,13 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            return ks.invariant, None, True, True
+            # only a cyclic N_K has no invariant subspaces but hinv's; the complete walk
+            # holds those, so at equal counts inv reports hinv's tuple, sharing its product
+            if len(ks.segre) > 1 or len(ks.invariant) != len(ks.hyperinvariant):
+                return ks.invariant, None, True, True
+            if not set(ks.hyperinvariant) <= set(ks.invariant):
+                raise InvariantError("a hyperinvariant member is missing from the invariant walk")
+            return ks.hyperinvariant, None, True, True
         if len(ks.segre) <= 1:  # the kernel chain, which is the hyperinvariant lattice
             provenance.append(
                 f"component {pname}: nilpotent part is cyclic over K, "
@@ -442,5 +447,4 @@ def direct_sum_lattices(lattices, matrices=None):
             dict(zip(lat.members, lat.flags or ("hyperinvariant",) * len(lat.members)))
             for lat in lattices
         ]
-    members, _, lat = _assemble([lat.members for lat in lattices], factor_flags, embed, field, n)
-    return lat
+    return _flagged(_assemble([lat.members for lat in lattices], embed, field, n), factor_flags)[2]

@@ -19,7 +19,7 @@ from invlat.lattices import (
 from invlat.matrix import Matrix, block_diag, companion, inverse, rank
 from invlat.oracle import random_instance
 from invlat.poly import parse_poly
-from invlat.subspace import Lattice, build_lattice, full_space, span, zero_subspace
+from invlat.subspace import Lattice, Subspace, build_lattice, full_space, span, zero_subspace
 
 from fixtures import (
     GOLD_4_A,
@@ -730,8 +730,8 @@ def test_encoded_unit_draws_match_the_matrix_sums(monkeypatch):
 
 def test_component_lattice_is_built_once_per_analysis(monkeypatch):
     # hinv and chinv share each non-witness component's Lattice, and inv shares
-    # it where N_K is cyclic and inv reports the kernel chain; a witness
-    # component's characteristic lattice and an enumerated one are their own
+    # it where N_K is cyclic (the kernel chain, or a walk that finds no more);
+    # a witness component's characteristic lattice and a larger walk are their own
     import invlat.decomposition
 
     built = []
@@ -746,7 +746,7 @@ def test_component_lattice_is_built_once_per_analysis(monkeypatch):
     for A, witnesses, inv_own in (
         (block_diag(QQ, [GOLD_RAT_A, x2, Matrix(QQ, [[2]])]), 0, 1),  # blocks (2,1) over Q(i)
         (block_diag(QQ, [GOLD_RAT_A, Matrix(QQ, [[2]])]), 0, 0),  # every N_K cyclic
-        (block_diag(F3, [companion(parse_poly("x^2", F3)), Matrix(F3, [[1]])]), 0, 2),
+        (block_diag(F3, [companion(parse_poly("x^2", F3)), Matrix(F3, [[1]])]), 0, 0),
         (block_diag(F2, [GOLD_4_A, GOLD_8_A]), 1, 0),  # inv over the detail cap builds none
     ):
         ana = analyze_operator(A)
@@ -763,6 +763,71 @@ def test_component_lattice_is_built_once_per_analysis(monkeypatch):
         if all(len(ca.kstruct.segre) == 1 for ca in ana.components):
             assert inv.lattice.members == hinv.lattice.members
             assert inv.lattice.covers == hinv.lattice.covers
+
+
+def test_reports_sharing_a_product_match_fresh_analyses(monkeypatch):
+    # one analysis, the three reports in every order: each equals the report of
+    # a fresh analysis (members, flags, covers, provenance, notes, completeness),
+    # so chinv's flags never reach hinv through the product they share; a product
+    # is assembled, and its members checked against A, once per distinct tuple
+    # of component members
+    import invlat.lattices
+
+    assemble, is_invariant_under = invlat.lattices._assemble, Subspace.is_invariant_under
+    assembled, checked = [], []
+
+    def counted_assemble(*args, **kwargs):
+        assembled.append(assemble(*args, **kwargs))
+        return assembled[-1]
+
+    def counted_check(W, B):
+        if B is A:
+            checked.append(W)
+        return is_invariant_under(W, B)
+
+    N3 = block_diag(F3, [Matrix(F3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]]), Matrix(F3, [[0]])])
+    q3, q3_hint = q_three_components()
+    kinds = (inv_lattice, hinv_lattice, chinv_lattice)
+    for name, A, hint, products in (
+        ("GOLD_4", GOLD_4_A, None, 3),  # inv's walk, hinv, chinv with a witness
+        ("GOLD_8", GOLD_8_A, None, 2),  # K = GF(4): chinv is hinv's
+        ("GOLD_RAT", GOLD_RAT_A, None, 1),  # cyclic: inv is hinv's too
+        ("GF(3) (3,1)", N3, None, 2),
+        ("Q, three components", q3, q3_hint, 1),
+    ):
+        fresh = {fn: fn(A, hint=hint) for fn in kinds}
+        for order in itertools.permutations(kinds):
+            ana = analyze_operator(A, hint=hint)
+            assembled.clear()
+            checked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(invlat.lattices, "_assemble", counted_assemble)
+                m.setattr(Subspace, "is_invariant_under", counted_check)
+                reports = {fn: fn(A, analysis=ana) for fn in order}
+            for fn in kinds:
+                assert reports[fn] == fresh[fn], (name, order, fn.__name__)
+            assert len(assembled) == products, (name, order)
+            assert sorted(checked, key=Subspace.sort_key) == sorted(
+                (W for _, members, _, _ in assembled for W in members), key=Subspace.sort_key)
+            assert set(checked) == {W for rep in reports.values() for W in rep.members}
+
+
+def test_inv_refuses_an_equal_count_walk_missing_a_hyperinvariant_member(monkeypatch):
+    # where inv's walk has as many members as hinv, inv reports hinv's tuple only
+    # once every hyperinvariant member is found in the walk
+    J3 = Matrix(F2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    ana = analyze_operator(J3)
+    ks = ana.components[0].kstruct
+    assert inv_lattice(J3, analysis=ana).members == ks.hyperinvariant
+    walk = list(ks.invariant)
+    assert len(walk) == len(ks.hyperinvariant) == 4
+    i = next(k for k, W in enumerate(walk) if W.dim == 1)
+    walk[i] = span([(1, 0, 0)], F2, 3)  # not ker N = <e3>
+    ana = analyze_operator(J3)
+    ks = ana.components[0].kstruct
+    monkeypatch.setitem(vars(ks), "invariant", tuple(walk))
+    with pytest.raises(InvariantError, match="missing from the invariant walk"):
+        inv_lattice(J3, analysis=ana)
 
 
 def test_one_analysis_walks_a_witness_component_once(monkeypatch):
