@@ -40,11 +40,15 @@ __all__ = [
 ]
 
 
-def dumps(obj, indent="\n"):
+def dumps(obj):
     """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, written in
     one pass.  ``obj`` holds dicts with str keys, lists, tuples, strs, ints,
-    bools and None; anything else raises TypeError.  ``indent`` is the
-    newline and spaces that open each line at this depth."""
+    bools and None; anything else raises TypeError."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, indent):  # recursing by its private name, so a rebound dumps sees one call
+    """``dumps`` at the depth whose lines open with ``indent``, a newline and spaces."""
     t = type(obj)  # exact types first; a subclass is written as its base, below
     if t is str:
         return _quote(obj)
@@ -54,12 +58,12 @@ def dumps(obj, indent="\n"):
     if t is dict:
         if not obj:
             return "{}"
-        items = [f"{inner}{_quote(k)}: {dumps(obj[k], inner)}" for k in sorted(obj)]
+        items = [f"{inner}{_quote(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj)]
         return "{" + ",".join(items) + indent + "}"
     if t is list or t is tuple:
         if not obj:
             return "[]"
-        return "[" + ",".join([inner + dumps(v, inner) for v in obj]) + indent + "]"
+        return "[" + ",".join([inner + _dumps(v, inner) for v in obj]) + indent + "]"
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -67,7 +71,7 @@ def dumps(obj, indent="\n"):
     if isinstance(obj, (str, int)):
         return _quote(obj) if isinstance(obj, str) else int.__repr__(obj)
     if isinstance(obj, (dict, list, tuple)):
-        return dumps(dict(obj) if isinstance(obj, dict) else list(obj), indent)
+        return _dumps(dict(obj) if isinstance(obj, dict) else list(obj), indent)
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 

@@ -5,9 +5,11 @@ K = F[S] attached to that component's semisimple part, from the kernel
 and image chains of N_K that ``build_k_structure`` formed once:
 
 * invariant subspaces of the component operator are exactly the
-  K-subspaces invariant under the nilpotent part N_K -- walked once on F^n
-  when K is finite and small enough (``KStructure.invariant``), the kernel
-  chain (the hyperinvariant lattice) when N_K is cyclic, and provably an
+  K-subspaces invariant under the nilpotent part N_K -- the kernel chain
+  (the hyperinvariant lattice) when N_K is cyclic, which the exact count
+  from the Segre characteristic (``invariant_counts``) proves complete;
+  else found once on F^n when K is finite and small enough
+  (``KStructure.invariant``, checked against that count); and provably an
   infinite family otherwise (two or more Jordan blocks over an infinite field);
 * hyperinvariant subspaces over K are the closure of the kernel and image
   chains of N_K under sum and intersection, read off in closed form: with
@@ -49,7 +51,7 @@ from itertools import compress, product
 from math import prod
 from random import Random
 
-from .decomposition import analyze_operator
+from .decomposition import analyze_operator, invariant_counts
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
 from .kernels import row_kernel
 from .matrix import Matrix, minimal_polynomial
@@ -313,13 +315,12 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            # only a cyclic N_K has no invariant subspaces but hinv's; the complete walk
-            # holds those, so at equal counts inv reports hinv's tuple, sharing its product
-            if len(ks.segre) > 1 or len(ks.invariant) != len(ks.hyperinvariant):
-                return ks.invariant, None, True, True
-            if not set(ks.hyperinvariant) <= set(ks.invariant):
-                raise InvariantError("a hyperinvariant member is missing from the invariant walk")
-            return ks.hyperinvariant, None, True, True
+            # hinv's members, distinct and invariant, are all once they are as many as the
+            # Segre count gives (only a cyclic N_K has so few); inv then shares their product
+            total = sum(invariant_counts(ks.segre, ks.field_k.order)[0])
+            if len(ks.segre) == 1 and total == len(ks.hyperinvariant):
+                return ks.hyperinvariant, None, True, True
+            return ks.invariant, None, True, True
         if len(ks.segre) <= 1:  # the kernel chain, which is the hyperinvariant lattice
             provenance.append(
                 f"component {pname}: nilpotent part is cyclic over K, "

@@ -24,12 +24,14 @@ The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
 the encoded rows of the field's row kernel, for every finite field; all
 other row reduction runs in that kernel as well.  Closure of each class
 under sum and intersection is certified by the subspace layer's
-``build_lattice``, with one sum per pair of members; a class that fails
-gets a finding naming the missing zero, full space, sum or meet.
+``build_lattice``, with one sum per pair of members, once per distinct
+member list (classes that coincide share it); a class that fails gets a
+finding naming the missing zero, full space, sum or meet.
 """
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from random import Random
 
@@ -150,19 +152,19 @@ def _unit_outside(Z, UW, tuples):
     return False, tested
 
 
-def _closed_under_ops(members, n, field, findings, label):
+def _closure_finding(members, n, field):
     """Certify closure under sum and intersection with ``build_lattice``, one
-    sum per pair; append a finding on failure."""
+    sum per pair; the finding on failure, without its class label, else None."""
     if len(members) == subspace_count(n, field.order):
-        return  # the full lattice of subspaces is trivially closed
+        return None  # the full lattice of subspaces is trivially closed
     pairs = len(members) * (len(members) - 1) // 2
     if pairs > _CLOSURE_PAIR_CAP:
-        findings.append(f"{label}: closure check skipped ({pairs} pairs over budget)")
-        return
+        return f"closure check skipped ({pairs} pairs over budget)"
     try:
         build_lattice(members)
     except ClosureError as err:
-        findings.append(f"{label}: {str(err).split(':')[0]}")
+        return str(err).split(":")[0]
+    return None
 
 
 def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNIT_CAP, seed=0):
@@ -186,9 +188,11 @@ def classify_all(A, *, cap_subspaces=DEFAULT_SUBSPACE_CAP, cap_units=DEFAULT_UNI
     # self-consistency: the three classes nest and are closed
     if not (hset <= set(char) <= set(invariant)):
         findings.append("class nesting violated")
-    _closed_under_ops(invariant, n, field, findings, "invariant")
-    _closed_under_ops(hyper, n, field, findings, "hyperinvariant")
-    _closed_under_ops(char, n, field, findings, "characteristic")
+    closure = cache(lambda members: _closure_finding(members, n, field))  # once per list
+    for label, members in (("invariant", invariant), ("hyperinvariant", hyper),
+                           ("characteristic", char)):
+        if finding := closure(tuple(members)):
+            findings.append(f"{label}: {finding}")
     key = lambda s: s.sort_key()
     return OracleReport(
         matrix=A,

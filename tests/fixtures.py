@@ -19,6 +19,17 @@ F2 = gf_build(2)
 F3 = gf_build(3)
 
 
+def partitions(n, cap=None):
+    """The partitions of n with parts at most ``cap``, parts in descending order."""
+    cap = cap or n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
 def newton_semisimple(A, p):
     """Reference semisimple part of A (p(A)^r = 0, p separable), independent
     of the polynomial iteration: the matrix Newton iteration

@@ -47,19 +47,10 @@ from fixtures import (
     F2,
     F3,
     newton_semisimple,
+    partitions,
 )
 
 F5 = gf_build(5)
-
-
-def _partitions(n, cap=None):
-    cap = cap or n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 def _expected_hinv_4():
@@ -232,7 +223,7 @@ def test_criterion_5_oracle_equivalence():
     checked = 0
     for field, nmax in ((F2, 5), (F3, 4)):
         for n in range(1, nmax + 1):
-            for lam in _partitions(n):
+            for lam in partitions(n):
                 _engine_oracle_match(_jordan_nilpotent(field, lam))
                 checked += 1
     for seed in range(50):
@@ -329,12 +320,12 @@ def test_criterion_6_extended_shoda_equivalence():
     # nilpotent family: p = x (degree 1)
     for field, nmax in ((F2, 5), (F3, 4)):
         for n in range(1, nmax + 1):
-            for lam in _partitions(n):
+            for lam in partitions(n):
                 check(_jordan_nilpotent(field, lam), field, 1, lam)
     # degree-2 primary family over GF(2): p = x^2+x+1, n <= 6
     p = parse_poly("x^2+x+1", F2)
     for total in (1, 2, 3):
-        for blocks in _partitions(total):
+        for blocks in partitions(total):
             inst = random_instance(
                 F2, 2 * total, "companion-primary", 11, factor_poly=p, blocks=blocks
             )

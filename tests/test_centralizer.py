@@ -12,7 +12,7 @@ from invlat.oracle import classify_all, random_instance
 from invlat.poly import parse_poly
 from invlat.subspace import enumerate_all_subspaces, full_space, span, zero_subspace
 
-from fixtures import GOLD_4_N, GOLD_RAT_A, e_rows, F2, F3
+from fixtures import GOLD_4_N, GOLD_RAT_A, e_rows, F2, F3, partitions
 
 
 def nilpotent_jordan(field, partition):
@@ -43,16 +43,6 @@ def test_centralizer_of_single_jordan_block_matches_bruteforce():
             if B @ J == J @ B:
                 count += 1
         assert count == 2**Z.dim
-
-
-def partitions(n, cap=None):
-    cap = cap or n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 def test_centralizer_dimension_formula_small_partitions():

@@ -664,6 +664,27 @@ def test_analyze_and_verify_pass_the_seed_to_chinv(tmp_path, monkeypatch):
         assert code == 0 and seeds == [5], command
 
 
+def test_one_write_is_one_call_of_dumps(tmp_path, monkeypatch):
+    # a wrapper rebound under the name dumps in every invlat namespace that holds
+    # it, as an outside tracer does, sees one call per write: the writer recurses
+    # through a private name
+    import sys
+
+    from invlat import jsonio
+
+    calls, real = [], jsonio.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("invlat") and getattr(mod, "dumps", None) is real:
+            monkeypatch.setattr(mod, "dumps", counted)
+    code, _ = run(tmp_path, GOLD_4_A, "analyze")
+    assert code == 0 and len(calls) == 1
+
+
 def test_dumps_matches_the_stdlib_writer():
     # the one-pass writer of --out against json.dumps(sort_keys=True,
     # indent=2) on nested payloads, bools beside the ints they equal

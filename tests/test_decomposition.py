@@ -11,6 +11,7 @@ import pytest
 from invlat.decomposition import (
     analyze_operator,
     build_k_structure,
+    invariant_counts,
     jordan_chevalley,
     primary_decomposition,
     segre_characteristic,
@@ -19,9 +20,10 @@ from invlat.errors import InfiniteFieldError, InseparableFactorError, InvariantE
 from invlat.fields import QQ, ExtensionField, FiniteField
 from invlat.kernels import row_kernel
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
+from invlat.oracle import classify_all, random_instance
 from invlat.poly import Factorization, Poly, factor, parse_poly
-from invlat.subspace import (enumerate_all_subspaces, image_basis, kernel_basis, span,
-                             subspace_count)
+from invlat.subspace import (build_lattice, enumerate_all_subspaces, image_basis, kernel_basis,
+                             span, subspace_count)
 
 from fixtures import (
     GOLD_4_A,
@@ -37,6 +39,7 @@ from fixtures import (
     F2,
     F3,
     newton_semisimple,
+    partitions,
 )
 
 
@@ -275,6 +278,62 @@ def test_walk_over_k_gives_the_invariant_subspaces_over_f(F, p, sizes):
         K, ks.k_dim, inf, [_nilpotent_jordan(K, sizes)]))
     if subspace_count(n, F.order) <= 5000:
         assert members == set(enumerate_all_subspaces(F, n, inf, [A]))
+
+
+@pytest.mark.parametrize("F, nmax", [(F2, 6), (F3, 4), (_F4, 4)], ids=["GF(2)", "GF(3)", "GF(4)"])
+def test_invariant_counts_match_the_oracle(F, nmax):
+    # the Segre counts against classify_all, which shares no code with them, on
+    # every partition: the invariant members by dimension and, where the
+    # pairwise certificate is cheap, the covers among them
+    for n in range(1, nmax + 1):
+        for lam in partitions(n):
+            A = random_instance(F, n, "nilpotent-partition", n, partition=lam).matrix
+            members, edges = invariant_counts(lam, F.order)
+            invariant = classify_all(A).invariant
+            by_dim = tuple(sum(1 for W in invariant if W.dim == d) for d in range(n + 1))
+            assert by_dim == members, lam
+            if len(invariant) <= 300:
+                assert len(build_lattice(invariant).covers) == edges, lam
+
+
+@pytest.mark.parametrize("q, lam", [
+    (2, (2, 2, 2, 1)), (2, (3, 2, 1, 1)), (2, (3, 3, 1)), (2, (2, 1, 1, 1, 1)),
+    (2, (2, 2, 1, 1, 1)), (2, (3, 1, 1, 1, 1)), (2, (2, 1, 1, 1, 1, 1)), (2, (1,) * 6),
+    (2, (1,) * 7), (3, (3, 2, 1)), (3, (1,) * 4), (3, (2, 1, 1)), (3, (1,) * 5), (3, (2, 2, 1)),
+    (3, (2, 1, 1, 1)),
+], ids=str)
+def test_cover_walk_over_f_matches_the_enumeration(q, lam):
+    # s = 1: the cover walk, whichever method invariant picks for the shape,
+    # gives the N-invariant subspaces, as many as the Segre counts, each once
+    F, n = FiniteField(q), sum(lam)
+    ks = analyze_operator(random_instance(F, n, "nilpotent-partition", 1, partition=lam)
+                          .matrix).components[0].kstruct
+    assert ks.s == 1 and ks.segre == lam
+    walk = ks._cover_walk()
+    assert len(set(walk)) == len(walk) == sum(invariant_counts(lam, q)[0])
+    assert set(walk) == set(enumerate_all_subspaces(F, n, inf, [ks.N])) == set(ks.invariant)
+
+
+@pytest.mark.parametrize("A, branch", [
+    (random_instance(F2, 8, "nilpotent-partition", 1, partition=(5, 3)).matrix, "walk"),
+    (GOLD_4_A, "enumeration"),  # (3,1): E = 16 >= 67 / 8
+    (GOLD_8_A, "walk"),  # s = 2
+], ids=["GF(2) (5,3)", "GOLD_4", "GOLD_8"])
+def test_invariant_refuses_a_walk_that_drops_one_member(monkeypatch, A, branch):
+    # each branch is checked against the Segre counts by dimension with a plain
+    # raise, so the check holds under python -O; only the branch the shape takes
+    # drops a member, so the test also pins the choice
+    import invlat.decomposition as decomposition
+
+    drop = lambda members: members[:3] + members[4:]
+    if branch == "walk":
+        walk = decomposition.KStructure._cover_walk
+        monkeypatch.setattr(decomposition.KStructure, "_cover_walk", lambda ks: drop(walk(ks)))
+    else:
+        monkeypatch.setattr(decomposition, "enumerate_all_subspaces",
+                            lambda *args: iter(drop(list(enumerate_all_subspaces(*args)))))
+    with pytest.raises(InvariantError, match="not as many, by dimension"):
+        analyze_operator(A).components[0].kstruct.invariant
 
 
 def test_k_structure_8x8_golden():

@@ -812,22 +812,36 @@ def test_reports_sharing_a_product_match_fresh_analyses(monkeypatch):
             assert set(checked) == {W for rep in reports.values() for W in rep.members}
 
 
-def test_inv_refuses_an_equal_count_walk_missing_a_hyperinvariant_member(monkeypatch):
-    # where inv's walk has as many members as hinv, inv reports hinv's tuple only
-    # once every hyperinvariant member is found in the walk
+@pytest.mark.parametrize("F, t", [(F2, 6), (F3, 5), (gf_build(5), 4)],
+                         ids=["GF(2) J6", "GF(3) J5", "GF(5) J4"])
+def test_inv_on_a_cyclic_component_reports_hinv_without_a_walk(F, t):
+    # hinv's kernel chain has as many members as the Segre count gives, so it is
+    # the whole invariant lattice, and no invariant subspace is walked
+    J = Matrix(F, [[F.one() if i == j + 1 else F.zero() for j in range(t)] for i in range(t)])
+    ana = analyze_operator(J)
+    ks = ana.components[0].kstruct
+    rep = inv_lattice(J, analysis=ana)
+    assert rep.members == ks.hyperinvariant and len(rep.members) == t + 1 and rep.complete
+    assert "invariant" not in vars(ks)
+
+
+def test_inv_refuses_counts_off_by_one_on_a_cyclic_component(monkeypatch):
+    # with one member too many counted, hinv's chain no longer proves itself
+    # complete, and the walk it falls back on is refused by the same counts
+    import invlat.decomposition as decomposition
+    import invlat.lattices as lattices
+
     J3 = Matrix(F2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    ana = analyze_operator(J3)
-    ks = ana.components[0].kstruct
-    assert inv_lattice(J3, analysis=ana).members == ks.hyperinvariant
-    walk = list(ks.invariant)
-    assert len(walk) == len(ks.hyperinvariant) == 4
-    i = next(k for k, W in enumerate(walk) if W.dim == 1)
-    walk[i] = span([(1, 0, 0)], F2, 3)  # not ker N = <e3>
-    ana = analyze_operator(J3)
-    ks = ana.components[0].kstruct
-    monkeypatch.setitem(vars(ks), "invariant", tuple(walk))
-    with pytest.raises(InvariantError, match="missing from the invariant walk"):
-        inv_lattice(J3, analysis=ana)
+    counts = decomposition.invariant_counts
+
+    def off_by_one(segre, Q):
+        members, edges = counts(segre, Q)
+        return (members[0], members[1] + 1, *members[2:]), edges
+
+    for module in (decomposition, lattices):
+        monkeypatch.setattr(module, "invariant_counts", off_by_one)
+    with pytest.raises(InvariantError, match="not as many, by dimension"):
+        inv_lattice(J3)
 
 
 def test_one_analysis_walks_a_witness_component_once(monkeypatch):
