@@ -103,15 +103,14 @@ def _load_matrix(args):
     return matrix_from_json(obj, field=field)
 
 
-def _shoda(ca):
-    """The Shoda witness and dispatch verdict of one component."""
-    ks = ca.kstruct
-    disp = characteristic_dispatch(ks.field_k, ks.segre)
+def _shoda(comp):
+    """The Shoda witness and dispatch verdict of one primary component, off its K and Segre."""
+    disp = characteristic_dispatch(comp.field_k, comp.segre)
     witness = disp["shoda_witness"]
     return {
         "witness": [witness.big, witness.small] if witness else None,
         "field_k_is_gf2": disp["field_k_is_gf2"],
-        "deg_p_is_1": ks.s == 1,
+        "deg_p_is_1": comp.factor.degree == 1,
         "characteristic_non_hyperinvariant_possible": disp["possible"],
     }
 
@@ -127,7 +126,7 @@ def _component_report(ca):
         "N": matrix_to_json(ca.jc.N)["rows"],
         "certificate": format_poly(ca.jc.certificate),
         "k_generators": [[entry_to_json(field, e) for e in g] for g in ks.generators],
-        "shoda": _shoda(ca),
+        "shoda": _shoda(ca.component),
     }
 
 
@@ -189,8 +188,8 @@ def _cmd_lattice(A, ana, args, kind):
 
 
 def _cmd_shoda(A, ana, args):
-    comps = [{"factor": format_poly(ca.component.factor), "segre_k": ca.kstruct.segre,
-              **_shoda(ca)} for ca in ana.components]
+    comps = [{"factor": format_poly(c.factor), "segre_k": c.segre, **_shoda(c)}
+             for c in (ca.component for ca in ana.components)]
     payload = {
         "command": "shoda",
         "seed": args.seed,

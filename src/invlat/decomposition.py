@@ -2,22 +2,24 @@
 
 For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
 
-* ``primary_decomposition`` produces the components V_i = ker p_i(A)^{k_i}
-  together with the restriction A_i of A to V_i (k_i: p_i^(k_i-1)(A_i) != 0).
+* ``primary_decomposition`` produces the components V_i = ker p_i(A)^{k_i},
+  the restriction A_i of A to V_i, K = F[x]/(p_i) (s = deg p_i, named once)
+  and the kernels ker P^j, P = p_i(A_i), j < k_i: ker P^(k_i-1) < V_i proves
+  k_i, and as P = N_i u, u a unit (``analyze_operator``), their dimensions
+  over s give the Segre characteristic of N_K.
 * ``analyze_operator`` splits A = S + N (S semisimple, N nilpotent,
   SN = NS) once, on F^n, with S = q(A): Newton's iteration q <- q - r(q)
   r'(q)^{-1} mod m on polynomials, from q = x with r = p_1 ... p_r
   separable, needs ceil(log2 max k_i) steps (Couty, Esterle & Zarouf 2011).
   S_i is read off S as A_i off A, N_i = A_i - S_i, with the one check
-  (q mod p_i^{k_i})(A_i) = S_i; ``jordan_chevalley`` splits one p-primary matrix.
+  (q mod p_i^{k_i})(A_i) = S_i; S and each S_i are formed on first use.
+  ``jordan_chevalley`` splits one p-primary matrix.
 * ``build_k_structure`` makes F^n a vector space over K = F[S] (a field,
-  as p is irreducible; s = deg p), on F^n itself: K acts with the class of
-  x as S, so the K-subspaces are the F-subspaces that S maps into itself,
-  and N acts as a K-linear map N_K.  One pass over the powers of N gives
-  ker N^j and im N^j over F, which are the K-subspaces ker N_K^j, im N_K^j;
-  the Segre characteristic of N_K is read off their dimensions over s, and
-  the Jordan chains of N_K, each vector with its S-closure
-  (v, S v, ..., S^(s-1) v), off the kernels.  The S-closed chain vectors,
+  as p is irreducible), on F^n itself: K acts with the class of x as S, so
+  the K-subspaces are the F-subspaces that S maps into itself, and N acts
+  as a K-linear map N_K, whose ker N_K^j and im N_K^j are ker P^j and im P^j.
+  The Jordan chains of N_K, each vector with its S-closure (v, S v, ...,
+  S^(s-1) v), are read off the kernels.  The S-closed chain vectors,
   checked to be a basis in which every kernel and image is a coordinate
   subspace (``KStructure.chain_rows``), give Z_F(A_i) = Z_K(N_K) in closed
   form (``KStructure.commutant``, certified against A_i) and the
@@ -64,13 +66,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """One primary summand V_i = ker p(A)^k with A restricted to it."""
+    """One primary summand V_i = ker p(A)^k, A restricted to it, K and P = p(A_i)."""
 
     factor: Poly
     multiplicity: int
     subspace: Subspace  # V_i inside F^n, canonical basis
     restriction: Matrix  # A_i in the V_i basis (dim x dim)
     power: Poly  # factor ** multiplicity, the minimal polynomial of A_i
+    field_k: object  # K = F[x]/(p), named by ``_field_k``
+    powers: tuple  # P^j for j = 0, ..., k
+    kernels: tuple  # ker P^j = ker N_K^j for j = 0, ..., k
+    segre: tuple  # of N_K, read off the kernel dimensions over s
 
     @property
     def dim(self):
@@ -80,25 +86,22 @@ class PrimaryComponent:
 def primary_decomposition(A, factorization):
     """Components of V under A for a verified ``Factorization`` of m_A, whose
     ``powers`` p^k give the kernels ker p(A)^k.  Each p must be irreducible:
-    then p^k(A_i) = 0 leaves m_(A_i) = p^j, j <= k, and p^(k-1)(A_i) != 0
+    then p^k(A_i) = 0 leaves m_(A_i) = p^j, j <= k, and ker p(A_i)^(k-1) < V_i
     gives j = k; with the direct-sum check this proves prod p^k = m_A."""
     if not A.is_square:
         raise ValueError("primary decomposition requires a square matrix")
-    n = A.nrows
-    comps = []
-    total = 0
-    all_rows = []
+    n, comps, all_rows = A.nrows, [], []
     for (p, k), pk in zip(factorization, factorization.powers):
         V = kernel_basis(poly_at_matrix(pk, A))
         if V.is_zero:
             raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
         Ai = _restriction(A, V)
-        if poly_at_matrix(pk // p, Ai).is_zero:
-            raise ValueError("factorization inconsistent with the minimal polynomial")
-        comps.append(PrimaryComponent(p, k, V, Ai, pk))
-        total += V.dim
+        P = poly_at_matrix(p, Ai) if k > 1 else Matrix.zeros(A.field, V.dim)  # V_i = ker p(A)
+        powers, kernels = _power_chains(P, k)
+        comps.append(PrimaryComponent(p, k, V, Ai, pk, _field_k(A.field, p), powers, kernels,
+                                      _segre(kernels, V.dim, p.degree)))
         all_rows.extend(V.enc)
-    if total != n or Subspace.from_rows(A.field, n, all_rows).dim != n:
+    if len(all_rows) != n or Subspace.from_rows(A.field, n, all_rows).dim != n:
         raise ValueError("factorization inconsistent with the minimal polynomial")
     return comps
 
@@ -118,20 +121,20 @@ def _restriction(M, V):
 @dataclass(frozen=True)
 class JCDecomposition:
     """A = S + N with S semisimple, N nilpotent, SN = NS; S = certificate(A),
-    as ``_split`` makes it and ``analyze_operator`` checks per component."""
+    as ``_split`` makes it and ``ComponentAnalysis.jc`` checks per component."""
 
     S: Matrix
     N: Matrix
     certificate: Poly
 
-    def verify(self, A, p):
-        """The laws S + N = A, SN = NS, N^n = 0 and p(S) = 0 (p separable)."""
-        n = A.nrows
+    def verify(self, A, p, r):
+        """The laws S + N = A, SN = NS, N^r = 0 and p(S) = 0 (p separable), r the
+        largest multiplicity: N = (x - q)(A) and p | x - q, so p^r(A) = 0 gives it."""
         if self.S + self.N != A:
             raise InvariantError("S + N != A")
         if self.S @ self.N != self.N @ self.S:
             raise InvariantError("S and N do not commute")
-        if not (self.N ** n).is_zero:
+        if not (self.N ** r).is_zero:
             raise InvariantError("N is not nilpotent")
         if not poly_at_matrix(p, self.S).is_zero:
             raise InvariantError("p(S) != 0")
@@ -151,7 +154,7 @@ def jordan_chevalley(A, p, r):
     pr = p**r
     if not poly_at_matrix(pr, A).is_zero:
         raise ValueError("input contract violated: p(A)^r != 0")
-    return _split(A, _semisimple_polynomial(p, pr), p)
+    return _split(A, _semisimple_polynomial(p, pr), p, r)
 
 
 def _separable(p):
@@ -182,30 +185,34 @@ def _semisimple_polynomial(rad, m):
     raise InvariantError("Newton iteration failed to terminate")
 
 
-def _split(A, q, p):
-    """The verified decomposition S = q(A), N = A - S of A, with p(S) = 0 (p
+def _split(A, q, p, r):
+    """The verified decomposition S = q(A), N = A - S of A, p^r(A) = 0, p(S) = 0 (p
     separable); S = q(A) holds as S is made so, and is not evaluated again."""
     S = poly_at_matrix(q, A)
     dec = JCDecomposition(S, A - S, q)
-    dec.verify(A, p)
+    dec.verify(A, p, r)
     return dec
 
 
 # ----------------------------------------------------------------------
 
 
-def _power_chains(N):
-    """ker N^j and im N^j for j = 0, ..., r, with N^r the first zero power."""
-    K, n = N.field, N.nrows
-    P = Matrix.identity(K, n)
-    kernels, images = [zero_subspace(K, n)], [full_space(K, n)]
-    while kernels[-1].dim < n:
+def _power_chains(P, k=None):
+    """P^j and ker P^j for j = 0, ..., k, P^k = 0: a given k is checked by
+    ker P^(k-1) < F^n, and P^k is not formed; else k is the first such j."""
+    F, n = P.field, P.nrows
+    powers, kernels = [Matrix.identity(F, n)], [zero_subspace(F, n)]
+    while len(kernels) < k if k else kernels[-1].dim < n:
         if len(kernels) > n:
             raise ValueError("matrix is not nilpotent")
-        P = P @ N
-        kernels.append(kernel_basis(P))
-        images.append(image_basis(P))
-    return tuple(kernels), tuple(images)
+        powers.append(powers[-1] @ P)
+        kernels.append(kernel_basis(powers[-1]))
+    if k:
+        if kernels[-1].dim == n:
+            raise ValueError("factorization inconsistent with the minimal polynomial")
+        powers.append(Matrix.zeros(F, n))
+        kernels.append(full_space(F, n))
+    return tuple(powers), tuple(kernels)
 
 
 def _segre(kernels, n, s=1):
@@ -220,7 +227,7 @@ def _segre(kernels, n, s=1):
 
 def segre_characteristic(N):
     """Jordan block sizes of a nilpotent matrix, largest first."""
-    return _segre(_power_chains(N)[0], N.nrows)
+    return _segre(_power_chains(N)[1], N.nrows)
 
 
 @cache
@@ -261,13 +268,13 @@ class KStructure:
     K-object is held on F^n.  ``S`` and ``N`` are the component's parts
     (a verified decomposition: SN = NS, p(S) = 0); ``generators`` are the
     scanned unit vectors outside the K-span of those before them, for
-    reports.  ``kernels`` / ``images`` are ker N^j / im N^j over F for
-    j = 0, ..., r (N^r = 0); N commutes with S, so they are the K-subspaces
-    ker N_K^j / im N_K^j, every lattice is read off them, and the powers
-    of N are formed here once.  ``segre`` is the Segre characteristic of
-    N_K, read off the kernel dimensions over s, and ``chains`` the Jordan
-    chains (g, N g, ...) of N_K, each vector held as its S-closure
-    (v, S v, ..., S^(s-1) v), encoded; chain i follows ``segre[i]``.
+    reports.  ``kernels`` / ``images`` are ker P^j / im P^j over F for
+    P = p(S + N) = N u (u a unit, ``analyze_operator``) and j = 0, ..., r
+    (N^r = 0): the K-subspaces ker N_K^j / im N_K^j, off which every lattice
+    is read.  ``segre`` is the Segre characteristic of N_K, read off the
+    kernel dimensions over s, and ``chains`` the Jordan chains (g, N g, ...)
+    of N_K, each vector held as its S-closure (v, S v, ..., S^(s-1) v),
+    encoded; chain i follows ``segre[i]``.
     ``invariant`` (inv's members, which chinv filters), ``chain_rows``,
     ``commutant`` and ``hyperinvariant`` are formed once per analysis, on
     first use.
@@ -516,39 +523,48 @@ def _projective_points(kern, F, s, k):
             for i in range(k) for tail in product(elems, repeat=s * (k - 1 - i))]
 
 
-def build_k_structure(S, N, p):
-    """K-structure of the space for a verified decomposition (S, N) and factor p;
-    K is only named: F (s = 1), Q[t]/(p), GF(p^s) mod p, or GF(p^(ks)) over GF(p^k)."""
+def _field_k(field, p):
+    """K = F[x]/(p), named: F (s = 1), Q[t]/(p), GF(p^s) mod p, or GF(p^(ks)) over GF(p^k)."""
+    s = p.degree
+    if s == 1:
+        return field
+    if not field.is_finite:
+        return ExtensionField(tuple(p.coeffs))
+    if field.k == 1:
+        return FiniteField(field.p, s, modulus=tuple(c.c[0] for c in p.coeffs))
+    if field.order**s > MAX_SEARCH_ORDER:
+        raise ValueError(f"the factor {format_poly(p)} makes K = GF({field.p}^{field.k * s}), "
+                         f"beyond the supported order MAX_SEARCH_ORDER = {MAX_SEARCH_ORDER}")
+    return FiniteField(field.p, field.k * s)
+
+
+def build_k_structure(S, N, p, component=None):
+    """K-structure of the space for a verified decomposition (S, N) and factor p:
+    K and the chain of P = p(S + N) are the ``component``'s (A_i = S + N) if given."""
     field, n, s = S.field, S.nrows, p.degree
     if not poly_at_matrix(p, S).is_zero:
         raise ValueError("p(S) != 0: not a valid semisimple part for this factor")
-    if s == 1:
-        K = field
-    elif not field.is_finite:
-        K = ExtensionField(tuple(p.coeffs))
-    elif field.k == 1:
-        K = FiniteField(field.p, s, modulus=tuple(c.c[0] for c in p.coeffs))
-    elif field.order**s > MAX_SEARCH_ORDER:
-        raise ValueError(f"the factor {format_poly(p)} makes K = GF({field.p}^{field.k * s}), "
-                         f"beyond the supported order MAX_SEARCH_ORDER = {MAX_SEARCH_ORDER}")
+    if component is None:
+        powers, kernels = _power_chains(poly_at_matrix(p, S + N))
+        K, segre = _field_k(field, p), _segre(kernels, n, s)
     else:
-        K = FiniteField(field.p, field.k * s)
+        K, powers, kernels, segre = (component.field_k, component.powers, component.kernels,
+                                     component.segre)
     units = Matrix.identity(field, n).enc
     generators = units if s == 1 else _k_basis(S, s, units)  # a K-basis of F^n
     if s * len(generators) != n:
         raise InvariantError("K-basis construction failed to exhaust the space")
-    kernels, images = _power_chains(N)
-    segre = _segre(kernels, n, s)
     return KStructure(s, K, tuple(S.kern.decode(e, n) for e in generators), S, N, segre,
-                      _jordan_chains(S, N, s, segre, kernels), kernels, images)
+                      _jordan_chains(S, N, s, segre, kernels), kernels,
+                      (full_space(field, n), *map(image_basis, powers[1:])))
 
 
 def _jordan_chains(S, N, s, segre, kernels):
     """The Jordan chains of N_K, each vector as its S-closure: for each block
-    size t (descending), a vector of height exactly t outside ker N^(t-1) and
-    the K-span of the chains so far, the F-span of their S-closures;
-    chain = (v, Nv, ...).  The S-closures of all chains must span F^n, and
-    are s sum t = n vectors, so they are a basis."""
+    size t (descending), a vector of ker N^t outside ker N^(t-1) and the K-span
+    of the chains so far, the F-span of their S-closures; chain = (v, Nv, ...,
+    N^(t-1) v), and N^t v = 0 is checked.  The S-closures of all chains must
+    span F^n, and are s sum t = n vectors, so they are a basis."""
     kern, n = N.kern, N.nrows
     chains = []
     chosen = []  # the S-closure of every vector of every chain so far
@@ -559,8 +575,10 @@ def _jordan_chains(S, N, s, segre, kernels):
         if pick is None:
             raise InvariantError("Jordan chain extraction failed")
         chain = [pick]
-        for _ in range(t - 1):
+        for _ in range(t):
             chain += kern.matmul(chain[-1:], N.cols, n)
+        if kern.nonzero(chain.pop()):
+            raise InvariantError("a Jordan chain does not end in ker N")
         blocks = tuple(kern.freeze(block) for block in zip(*_s_closure(S, chain, s)))
         chains.append(blocks)
         chosen.extend(v for block in blocks for v in block)
@@ -599,8 +617,20 @@ def _chain_commutant(S, rows):
 @dataclass(frozen=True)
 class ComponentAnalysis:
     component: PrimaryComponent
-    jc: JCDecomposition  # of the restricted matrix A_i
-    kstruct: KStructure
+    whole: object  # the analysis's split of A, formed on its first call
+
+    @cached_property
+    def jc(self):  # of A_i: S_i, N_i restrict S, N, so the laws hold; q_i(A_i) is computed apart
+        comp, whole = self.component, self.whole()
+        Ai, qi = comp.restriction, whole.certificate % comp.power
+        Si = _restriction(whole.S, comp.subspace)
+        if poly_at_matrix(qi, Ai) != Si:
+            raise InvariantError("certificate q(A) != S on a primary component")
+        return JCDecomposition(Si, Ai - Si, qi)
+
+    @cached_property
+    def kstruct(self):
+        return build_k_structure(self.jc.S, self.jc.N, self.component.factor, self.component)
 
 
 @dataclass(frozen=True)
@@ -609,8 +639,10 @@ class OperatorAnalysis:
     min_poly: Poly
     factorization: object
     components: tuple
-    S: Matrix  # semisimple part q(A) on F^n
-    N: Matrix
+    whole: object  # the verified split A = S + N on F^n, formed on its first call
+
+    S = property(lambda self: self.whole().S)  # semisimple part q(A) on F^n
+    N = property(lambda self: self.whole().N)
 
     @property
     def single_component(self):
@@ -623,7 +655,12 @@ class OperatorAnalysis:
 
 
 def analyze_operator(A, *, hint=None, seed=0):
-    """Factor m_A, split into primary components, decompose each one."""
+    """Factor m_A and split it into primary components, each with K and the Segre
+    characteristic of N_K; the split S + N and the components' ``jc`` and
+    ``kstruct`` are formed on first read, once per analysis.  p = p_i is
+    separable and p(S_i) = 0, so p(A_i) = N_i (p'(S_i) + N_i w) = N_i u, w a
+    polynomial in S_i, N_i; u commutes with N_i and is a unit, p'(S_i) being
+    one (p' is prime to p) and N_i w nilpotent: ker/im p(A_i)^j = ker/im N_K^j."""
     if not A.is_square:
         raise ValueError("square matrix required")
     m = minimal_polynomial(A)
@@ -631,15 +668,7 @@ def analyze_operator(A, *, hint=None, seed=0):
     comps = primary_decomposition(A, fact)
     # the factors are coprime, so their product is separable once each one is
     rad = prod((_separable(comp.factor) for comp in comps), start=Poly.one(A.field))
-    q = _semisimple_polynomial(rad, m)
-    whole = _split(A, q, rad)  # S + N = A, SN = NS, N nilpotent and rad(S) = 0 on F^n
-    analyses = []
-    for comp in comps:
-        # S_i, N_i restrict S, N, so those laws hold; q_i(A_i) is computed apart
-        Ai, qi = comp.restriction, q % comp.power
-        Si = _restriction(whole.S, comp.subspace)
-        if poly_at_matrix(qi, Ai) != Si:
-            raise InvariantError("certificate q(A) != S on a primary component")
-        dec = JCDecomposition(Si, Ai - Si, qi)
-        analyses.append(ComponentAnalysis(comp, dec, build_k_structure(Si, dec.N, comp.factor)))
-    return OperatorAnalysis(A, m, fact, tuple(analyses), whole.S, whole.N)
+    r = max(comp.multiplicity for comp in comps)
+    # S + N = A, SN = NS, N^r = 0 and rad(S) = 0 on F^n
+    whole = cache(lambda: _split(A, _semisimple_polynomial(rad, m), rad, r))
+    return OperatorAnalysis(A, m, fact, tuple(ComponentAnalysis(c, whole) for c in comps), whole)

@@ -2,7 +2,7 @@
 
 The computation is per primary component, over the commutative field
 K = F[S] attached to that component's semisimple part, from the kernel
-and image chains of N_K that ``build_k_structure`` formed once:
+and image chains of N_K, those of p(A_i), formed once per component:
 
 * invariant subspaces of the component operator are exactly the
   K-subspaces invariant under the nilpotent part N_K -- the kernel chain
@@ -339,6 +339,7 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
                 "Jordan blocks over an infinite field); kernel chain reported"
             )
             finite = False
+        ks.chain_rows  # certifies them as ker N_K^j, read off the chain of p(A_i)
         return ks.kernels, None, finite, False
 
     return _report("invariant", A, ana, _DIRECT_SUM, component)

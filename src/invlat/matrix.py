@@ -160,14 +160,14 @@ class Matrix:
             raise ValueError("matrix power requires a square matrix")
         if e < 0:
             return inverse(self) ** (-e)
-        acc = Matrix.identity(self.field, self.nrows)
-        base = self
+        acc, base = None, self  # by binary powers, with no square past the last bit
         while e:
             if e & 1:
-                acc = acc @ base
-            base = base @ base
+                acc = base if acc is None else acc @ base
             e >>= 1
-        return acc
+            if e:
+                base = base @ base
+        return Matrix.identity(self.field, self.nrows) if acc is None else acc
 
     def __eq__(self, other):
         return (

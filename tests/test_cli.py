@@ -575,6 +575,48 @@ def test_inseparable_trusted_hint_exit_code(tmp_path, capsys):
         )
 
 
+def test_wrong_hint_multiplicity_exit_code(tmp_path, capsys):
+    # m = (x^2-2)^2 (x-1): a hint whose degrees add up but whose multiplicities
+    # are wrong is refused as input, before any component is formed
+    x2, x1 = parse_poly("x^2-2", QQ), parse_poly("x-1", QQ)
+    inp = write_matrix(tmp_path, block_diag(QQ, [companion(x2 ** 2), companion(x1)]))
+    for command in ("shoda", "analyze"):
+        capsys.readouterr()
+        assert main(["--input", inp, "--command", command,
+                     "--hint", '[["x^2-2",1],["x-1",3]]']) == 2, command
+        assert capsys.readouterr().err == (
+            "input error: product of factors does not reproduce the input\n")
+
+
+@pytest.mark.parametrize("command", ["shoda", "analyze", "verify", "lattice-inv",
+                                     "lattice-hinv", "lattice-chinv"])
+def test_split_and_k_structure_formed_only_when_read(monkeypatch, tmp_path, command):
+    # shoda reads K and the Segre characteristic off the primary decomposition:
+    # it forms neither the Jordan-Chevalley split nor a K-structure; every
+    # other command forms the split once and one K-structure per component
+    import invlat.decomposition as decomposition
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_semisimple_polynomial", "_split", "build_k_structure"):
+        monkeypatch.setattr(decomposition, name, counted(name, getattr(decomposition, name)))
+    x1, x = parse_poly("x+1", gf_build(2)), parse_poly("x", gf_build(2))
+    for A, components in ((GOLD_4_A, 1), (block_diag(gf_build(2), [companion(x1 ** 2),
+                                                                     companion(x)]), 2)):
+        calls.clear()
+        code, payload = run(tmp_path, A, command)
+        assert code == 0 and payload is not None
+        expected = {} if command == "shoda" else {
+            "_semisimple_polynomial": 1, "_split": 1, "build_k_structure": components}
+        assert calls == expected
+
+
 def test_degree_two_factor_over_gf4_exit_code(tmp_path, capsys):
     # [[0, a], [1, 1]] over GF(4) has the irreducible characteristic polynomial
     # x^2 + x + a: its K is an extension of GF(4), named GF(2^4) in reports

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from itertools import product
 from math import inf, prod
 from pathlib import Path
 
@@ -17,11 +19,11 @@ from invlat.decomposition import (
     segre_characteristic,
 )
 from invlat.errors import InfiniteFieldError, InseparableFactorError, InvariantError
-from invlat.fields import QQ, ExtensionField, FiniteField
+from invlat.fields import QQ, ExtensionField, FiniteField, gf_build
 from invlat.kernels import row_kernel
 from invlat.matrix import Matrix, block_diag, companion, inverse, mat_vec, poly_at_matrix
 from invlat.oracle import classify_all, random_instance
-from invlat.poly import Factorization, Poly, factor, parse_poly
+from invlat.poly import Factorization, Poly, factor, is_irreducible, parse_poly
 from invlat.subspace import (build_lattice, enumerate_all_subspaces, image_basis, kernel_basis,
                              span, subspace_count)
 
@@ -143,7 +145,7 @@ def test_jc_verify_rejects_tampered_s_under_python_O():
         dec = jordan_chevalley(GOLD_4_A, p, 3)
         bad = JCDecomposition(dec.S + Matrix.identity(F2, 4), dec.N, dec.certificate)
         try:
-            bad.verify(GOLD_4_A, p)
+            bad.verify(GOLD_4_A, p, 3)
         except AssertionError as exc:
             print("rejected:", exc)
         """
@@ -506,20 +508,30 @@ def test_component_read_off_fault_is_refused_by_the_certificate(monkeypatch, tmp
     from invlat.cli import main
     from invlat.jsonio import matrix_to_json
 
+    path = tmp_path / "m.json"
     for A in (_gf3_three_components(), _q_with_a_quadratic_factor()):
         S = analyze_operator(A).S
         assert S != A
+        path.write_text(json.dumps(matrix_to_json(A)))
+        capsys.readouterr()
+        assert main(["--input", str(path), "--command", "shoda"]) == 0
+        shoda = capsys.readouterr().out
         with monkeypatch.context() as m:
             _tampered_read_off(m, S)
-            with pytest.raises(InvariantError, match="certificate"):
-                analyze_operator(A)
+            # the certificate runs wherever S_i is formed: on the first read of jc
+            ana = analyze_operator(A)
+            assert ana.S == S
+            for ca in ana.components:
+                with pytest.raises(InvariantError, match="certificate"):
+                    ca.jc
             # through the command line: an internal invariant (5), not input (2)
-            path = tmp_path / "m.json"
-            path.write_text(json.dumps(matrix_to_json(A)))
-            capsys.readouterr()
-            assert main(["--input", str(path), "--command", "shoda"]) == 5
-            err = capsys.readouterr().err
-            assert err.startswith("internal invariant violated: certificate"), err
+            for command in ("analyze", "lattice-hinv"):
+                assert main(["--input", str(path), "--command", command]) == 5, command
+                err = capsys.readouterr().err
+                assert err.startswith("internal invariant violated: certificate"), err
+            # shoda forms no S_i, and reports what it does untampered
+            assert main(["--input", str(path), "--command", "shoda"]) == 0
+            assert capsys.readouterr().out == shoda
 
 
 def test_analyze_operator_rational_golden():
@@ -560,6 +572,74 @@ def _unit_triangular_conjugator(field, n, rng):
     U = Matrix(field, [[1 if i == j else rng.randrange(-1, 2) if j > i else 0
                         for j in range(n)] for i in range(n)])
     return L @ U
+
+
+def _first_irreducible(field, d):
+    """The first monic irreducible of degree d over the finite ``field``, in element order."""
+    return next(f for cs in product(list(field.elements()), repeat=d)
+                if is_irreducible(f := Poly(field, (*cs, field.one()))))
+
+
+def _p_chain_cases():
+    """Seeded conjugates of direct sums of companion matrices of prime powers,
+    each with a factor of multiplicity k >= 2."""
+    F4, F9 = gf_build(2, 2), gf_build(3, 2)
+    cases = [
+        (QQ, ["x^2+1", "x^2+1"], [2, 1]),
+        (QQ, ["x^2-2", "x-1"], [2, 1]),
+        (F2, ["x^2+x+1", "x^2+x+1", "x+1", "x+1"], [2, 1, 3, 1]),
+        (F3, ["x^2+1", "x^2+1", "x+1"], [2, 2, 2]),
+    ]
+    cases = [(F, [parse_poly(f, F) for f in fs], ts) for F, fs, ts in cases]
+    for F in (F4, F9):
+        q = _first_irreducible(F, 2)
+        cases.append((F, [q, q, parse_poly("x+1", F)], [2, 1, 3]))
+    for seed, (F, fs, ts) in enumerate(cases):
+        A0 = block_diag(F, [companion(f ** t) for f, t in zip(fs, ts)])
+        P = _unit_triangular_conjugator(F, A0.nrows, random.Random(seed))
+        yield P @ A0 @ inverse(P)
+
+
+@pytest.mark.parametrize("A", list(_p_chain_cases()),
+                         ids=["Q (x^2+1)^2", "Q (x^2-2)^2 (x-1)", "GF(2)", "GF(3) (x^2+1)^2",
+                              "GF(4)", "GF(9)"])
+def test_p_chain_segre_matches_the_nilpotent_part(A):
+    # the Segre characteristic read off ker p(A_i)^j in primary_decomposition is
+    # the K-structure's and that of N_i over F, each size taken once of its s
+    ana = analyze_operator(A)
+    assert any(ca.component.multiplicity >= 2 for ca in ana.components)
+    for ca in ana.components:
+        comp, ks = ca.component, ca.kstruct
+        assert comp.segre == ks.segre == segre_characteristic(ca.jc.N)[:: ks.s]
+        assert comp.segre[0] == comp.multiplicity and ks.field_k is comp.field_k
+        powers = [Matrix.identity(A.field, comp.dim)]
+        while not powers[-1].is_zero:
+            powers.append(powers[-1] @ ca.jc.N)
+        assert ks.kernels == comp.kernels == tuple(kernel_basis(P) for P in powers)
+        assert ks.images == tuple(image_basis(P) for P in powers)
+
+
+def test_k_structure_refuses_a_tampered_p_chain():
+    # the kernels are taken from the chain of p(A_i), not from N: a chain vector
+    # g of length t with N^t g != 0, or a kernel missing a vector, is refused
+    N = Matrix(F2, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # N e1 = e2: blocks (2, 1)
+    (comp,) = primary_decomposition(N, factor(parse_poly("x^2", F2)))
+    S, x = Matrix.zeros(F2, 3), parse_poly("x", F2)
+    assert comp.segre == (2, 1) and comp.kernels[1] == span(e_rows(3, [2, 3], F2), F2, 3)
+    assert build_k_structure(S, N, x, comp).chain_rows
+    # ker N^1 = <e2, e3> replaced by <e1, e3>: the size-1 chain would start at e1
+    wrong = replace(comp, kernels=(comp.kernels[0], span(e_rows(3, [1, 3], F2), F2, 3),
+                                   comp.kernels[2]))
+    with pytest.raises(InvariantError, match="does not end in ker N"):
+        build_k_structure(S, N, x, wrong)
+    for A in (GOLD_4_A, GOLD_8_A, _gf3_three_components(), _q_with_a_quadratic_factor()):
+        for ca in analyze_operator(A).components:
+            comp = ca.component
+            for j in range(1, comp.multiplicity):
+                W = span(comp.kernels[j].basis[1:], A.field, comp.dim)
+                short = replace(comp, kernels=(*comp.kernels[:j], W, *comp.kernels[j + 1:]))
+                with pytest.raises(InvariantError):
+                    build_k_structure(ca.jc.S, ca.jc.N, comp.factor, short).chain_rows
 
 
 def test_jordan_chevalley_laws_on_several_components_hypothesis():
