@@ -11,8 +11,8 @@ companion matrix of (x^2+x+1)^2 shows K = GF(4), where the closure of
 each chain vector spans one K-line of F^4.
 """
 
-from invlat import Matrix, companion, gf_build, jordan_chevalley, minimal_polynomial, parse_poly
-from invlat.decomposition import build_k_structure
+from invlat import (Matrix, analyze_operator, companion, gf_build, jordan_chevalley,
+                    minimal_polynomial, parse_poly)
 from invlat.kernels import row_kernel
 
 F2 = gf_build(2)
@@ -49,14 +49,13 @@ for row in dec.N.rows:
     print("  ", [str(e) for e in row])
 print("certificate q with q(A) = S:", dec.certificate)
 
-ks = build_k_structure(dec.S, dec.N, parse_poly("x+1", F2))
+ks = analyze_operator(A).components[0].kstruct
 print("\nSegre characteristic of N:", ks.segre)
 print("Jordan chains (generator first):")
 print_chains(ks)
 
 p = parse_poly("x^2+x+1", F2)
-dec = jordan_chevalley(companion(p ** 2), p, 2)
-ks = build_k_structure(dec.S, dec.N, p)
+ks = analyze_operator(companion(p ** 2)).components[0].kstruct
 print("\n(x^2+x+1)^2: K =", ks.field_k, "and the Segre characteristic over K is", ks.segre)
 print("Jordan chains over K, each vector with its S-closure {v, S v}:")
 print_chains(ks)

@@ -14,10 +14,11 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   S_i is read off S as A_i off A, N_i = A_i - S_i, with the one check
   (q mod p_i^{k_i})(A_i) = S_i; S and each S_i are formed on first use.
   ``jordan_chevalley`` splits one p-primary matrix.
-* ``build_k_structure`` makes F^n a vector space over K = F[S] (a field,
-  as p is irreducible), on F^n itself: K acts with the class of x as S, so
-  the K-subspaces are the F-subspaces that S maps into itself, and N acts
-  as a K-linear map N_K, whose ker N_K^j and im N_K^j are ker P^j and im P^j.
+* ``build_k_structure`` makes a component's F^n a vector space over
+  K = F[S] (a field, as p is irreducible), on F^n itself: K acts with the
+  class of x as S, so the K-subspaces are the F-subspaces that S maps into
+  itself, and N acts as a K-linear map N_K, whose ker N_K^j and im N_K^j
+  are the component's ker P^j and im P^j.
   The Jordan chains of N_K, each vector with its S-closure (v, S v, ...,
   S^(s-1) v), are read off the kernels.  The S-closed chain vectors,
   checked to be a basis in which every kernel and image is a coordinate
@@ -25,10 +26,12 @@ For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
   form (``KStructure.commutant``, certified against A_i) and the
   hyperinvariant subspaces of N_K (``KStructure.hyperinvariant``, Fillmore,
   Herrero & Longstaff), each formed once per analysis, with no
-  intersection and no n^2-unknown solve.  ``KStructure.invariant``
-  enumerates the N_K-invariant subspaces on F^n or walks them one K-line
-  (the F-span of an S-closure) at a time, whichever their exact counts
-  (``invariant_counts``) make cheaper: no K element is formed.
+  intersection and no n^2-unknown solve.  ``KStructure.invariant`` holds
+  every route to the N_K-invariant subspaces: on a cyclic N_K the kernel
+  chain that ``hyperinvariant`` holds, else an enumeration on F^n or a walk
+  one K-line (the F-span of an S-closure) at a time, whichever their exact
+  counts (``invariant_counts``) make cheaper, each checked against those
+  counts: no K element is formed.
 
 Everything is exact and deterministic; all stated invariants are checked
 before a value is returned.
@@ -46,8 +49,8 @@ from .errors import FieldMismatchError, InfiniteFieldError, InseparableFactorErr
 from .fields import MAX_SEARCH_ORDER, ExtensionField, FiniteField
 from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
 from .poly import Poly, factor, format_poly, is_separable, poly_xgcd
-from .subspace import (Subspace, build_lattice, enumerate_all_subspaces, full_space,
-                       gaussian_binomial, image_basis, kernel_basis, subspace_count, zero_subspace)
+from .subspace import (Subspace, enumerate_all_subspaces, full_space, gaussian_binomial,
+                       image_basis, kernel_basis, subspace_count, zero_subspace)
 
 __all__ = [
     "PrimaryComponent",
@@ -197,22 +200,17 @@ def _split(A, q, p, r):
 # ----------------------------------------------------------------------
 
 
-def _power_chains(P, k=None):
-    """P^j and ker P^j for j = 0, ..., k, P^k = 0: a given k is checked by
-    ker P^(k-1) < F^n, and P^k is not formed; else k is the first such j."""
+def _power_chains(P, k):
+    """P^j and ker P^j for j = 0, ..., k, P^k = 0: k is checked by
+    ker P^(k-1) < F^n, and P^k is not formed."""
     F, n = P.field, P.nrows
     powers, kernels = [Matrix.identity(F, n)], [zero_subspace(F, n)]
-    while len(kernels) < k if k else kernels[-1].dim < n:
-        if len(kernels) > n:
-            raise ValueError("matrix is not nilpotent")
+    for _ in range(k - 1):
         powers.append(powers[-1] @ P)
         kernels.append(kernel_basis(powers[-1]))
-    if k:
-        if kernels[-1].dim == n:
-            raise ValueError("factorization inconsistent with the minimal polynomial")
-        powers.append(Matrix.zeros(F, n))
-        kernels.append(full_space(F, n))
-    return tuple(powers), tuple(kernels)
+    if kernels[-1].dim == n:
+        raise ValueError("factorization inconsistent with the minimal polynomial")
+    return (*powers, Matrix.zeros(F, n)), (*kernels, full_space(F, n))
 
 
 def _segre(kernels, n, s=1):
@@ -227,7 +225,10 @@ def _segre(kernels, n, s=1):
 
 def segre_characteristic(N):
     """Jordan block sizes of a nilpotent matrix, largest first."""
-    return _segre(_power_chains(N)[1], N.nrows)
+    kernels = [kernel_basis(N**j) for j in range(N.nrows + 1)]
+    if kernels[-1].dim < N.nrows:
+        raise ValueError("matrix is not nilpotent")
+    return _segre(kernels, N.nrows)
 
 
 @cache
@@ -266,9 +267,11 @@ class KStructure:
     K = F[x]/(p), s = deg p, acts with the class alpha of x as S, so a
     K-subspace is exactly an F-subspace that S maps into itself, and every
     K-object is held on F^n.  ``S`` and ``N`` are the component's parts
-    (a verified decomposition: SN = NS, p(S) = 0); ``generators`` are the
-    scanned unit vectors outside the K-span of those before them, for
-    reports.  ``kernels`` / ``images`` are ker P^j / im P^j over F for
+    (a verified decomposition: SN = NS, p(S) = 0); K, ``kernels``, ``segre``
+    and the powers behind ``images`` are taken from its ``PrimaryComponent``,
+    the one place they are formed.  ``generators`` are the scanned unit
+    vectors outside the K-span of those before them, for reports.
+    ``kernels`` / ``images`` are ker P^j / im P^j over F for
     P = p(S + N) = N u (u a unit, ``analyze_operator``) and j = 0, ..., r
     (N^r = 0): the K-subspaces ker N_K^j / im N_K^j, off which every lattice
     is read.  ``segre`` is the Segre characteristic of N_K, read off the
@@ -401,9 +404,10 @@ class KStructure:
     @cached_property
     def invariant(self):
         """The N_K-invariant K-subspaces (K finite) as F-subspaces, found once per
-        analysis, after the caller has checked its cap, by the cheaper of two
-        exact methods.
+        analysis, after the caller has checked its cap.
 
+        A cyclic N_K has only the kernel chain: ``hyperinvariant`` itself is
+        returned.  Otherwise the cheaper of two exact methods finds them.
         For s = 1 (K = F), N is enumerated over all C = ``subspace_count(n, q)``
         RREF candidates when the cover count E of ``invariant_counts`` is at
         least C / 8, and the covers are walked otherwise (for s > 1, always).
@@ -425,17 +429,19 @@ class KStructure:
         (``_projective_points``); no K element is formed.  Each cover's
         S-closure is inserted into U's echelon (``_insert``).
 
-        Certificate: the members are distinct and N_K-invariant (the lattice
-        driver checks each against A), and as many in each K-dimension as
-        ``invariant_counts`` gives, so they are all.  The walk also checks that
-        the full space is reached, and each U != 0 from exactly
-        (Q^k - 1)/(Q - 1) lower covers (Q = |K|, k = dim_K U/NU).
+        Certificate, on every route: the members are distinct and N_K-invariant
+        (the lattice driver checks each against A), and as many in each
+        K-dimension as ``invariant_counts`` gives, so they are all.  The walk
+        also checks that the full space is reached, and each U != 0 from
+        exactly (Q^k - 1)/(Q - 1) lower covers (Q = |K|, k = dim_K U/NU).
         """
         F, n, s, K = self.N.field, self.N.nrows, self.s, self.field_k
         if not K.is_finite:
             raise InfiniteFieldError(f"infinite field: cannot walk the subspaces over {K!r}")
         counts, edges = invariant_counts(self.segre, K.order)
-        if s == 1 and 8 * edges >= subspace_count(n, K.order):
+        if len(self.segre) == 1:  # cyclic: the kernel chain, which is ``hyperinvariant``
+            members = self.hyperinvariant
+        elif s == 1 and 8 * edges >= subspace_count(n, K.order):
             members = list(enumerate_all_subspaces(F, n, inf, [self.N]))
         else:
             members = self._cover_walk()
@@ -474,11 +480,6 @@ class KStructure:
         if not walk[-1].is_full:
             raise InvariantError("the walk of the N_K-invariant subspaces misses the full space")
         return walk
-
-    @cached_property
-    def hyperinvariant_lattice(self):
-        """``hyperinvariant`` as a Lattice, built (closure re-checked) once per analysis."""
-        return build_lattice(self.hyperinvariant)
 
 
 def _s_closure(S, rows, s):
@@ -538,25 +539,21 @@ def _field_k(field, p):
     return FiniteField(field.p, field.k * s)
 
 
-def build_k_structure(S, N, p, component=None):
-    """K-structure of the space for a verified decomposition (S, N) and factor p:
-    K and the chain of P = p(S + N) are the ``component``'s (A_i = S + N) if given."""
-    field, n, s = S.field, S.nrows, p.degree
+def build_k_structure(S, N, component):
+    """K-structure of the ``component``'s space for a verified decomposition
+    (S, N) of A_i = S + N: K, the Segre characteristic and the chain P^j,
+    ker P^j of P = p(A_i) are the component's, p its factor."""
+    field, n, p = S.field, S.nrows, component.factor
+    s, segre, kernels = p.degree, component.segre, component.kernels
     if not poly_at_matrix(p, S).is_zero:
         raise ValueError("p(S) != 0: not a valid semisimple part for this factor")
-    if component is None:
-        powers, kernels = _power_chains(poly_at_matrix(p, S + N))
-        K, segre = _field_k(field, p), _segre(kernels, n, s)
-    else:
-        K, powers, kernels, segre = (component.field_k, component.powers, component.kernels,
-                                     component.segre)
     units = Matrix.identity(field, n).enc
     generators = units if s == 1 else _k_basis(S, s, units)  # a K-basis of F^n
     if s * len(generators) != n:
         raise InvariantError("K-basis construction failed to exhaust the space")
-    return KStructure(s, K, tuple(S.kern.decode(e, n) for e in generators), S, N, segre,
-                      _jordan_chains(S, N, s, segre, kernels), kernels,
-                      (full_space(field, n), *map(image_basis, powers[1:])))
+    return KStructure(s, component.field_k, tuple(S.kern.decode(e, n) for e in generators), S, N,
+                      segre, _jordan_chains(S, N, s, segre, kernels), kernels,
+                      (full_space(field, n), *map(image_basis, component.powers[1:])))
 
 
 def _jordan_chains(S, N, s, segre, kernels):
@@ -630,7 +627,7 @@ class ComponentAnalysis:
 
     @cached_property
     def kstruct(self):
-        return build_k_structure(self.jc.S, self.jc.N, self.component.factor, self.component)
+        return build_k_structure(self.jc.S, self.jc.N, self.component)
 
 
 @dataclass(frozen=True)
@@ -650,8 +647,9 @@ class OperatorAnalysis:
 
     @cached_property
     def _direct_sums(self):
-        """``lattices._report``'s products on this analysis, by the ids of A and the factors."""
-        return {}
+        """``lattices._report``'s products on this analysis, by A and the factors'
+        members, and its factor Lattices, by their members."""
+        return {}, {}
 
 
 def analyze_operator(A, *, hint=None, seed=0):

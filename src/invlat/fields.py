@@ -207,22 +207,16 @@ class GFElem:
     def __repr__(self):
         return self.field.format_element(self)
 
-    # k = 1 computes on c[0] directly (prime-field Matrix arithmetic)
-
     def __add__(self, other):
         if not self._check(other):
             return NotImplemented
         f = self.field
-        if f.k == 1:
-            return GFElem(f, ((self.c[0] + other.c[0]) % f.p,))
         return GFElem(f, tuple((a + b) % f.p for a, b in zip(self.c, other.c)))
 
     def __sub__(self, other):
         if not self._check(other):
             return NotImplemented
         f = self.field
-        if f.k == 1:
-            return GFElem(f, ((self.c[0] - other.c[0]) % f.p,))
         return GFElem(f, tuple((a - b) % f.p for a, b in zip(self.c, other.c)))
 
     def __neg__(self):
@@ -233,10 +227,7 @@ class GFElem:
         if not self._check(other):
             return NotImplemented
         f = self.field
-        p = f.p
-        if f.k == 1:
-            return GFElem(f, (self.c[0] * other.c[0] % p,))
-        return GFElem(f, tuple(x % p for x in _mulmod(self.c, other.c, f.modulus)))
+        return GFElem(f, tuple(x % f.p for x in _mulmod(self.c, other.c, f.modulus)))
 
     def inverse(self):
         f = self.field

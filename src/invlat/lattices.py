@@ -5,12 +5,12 @@ K = F[S] attached to that component's semisimple part, from the kernel
 and image chains of N_K, those of p(A_i), formed once per component:
 
 * invariant subspaces of the component operator are exactly the
-  K-subspaces invariant under the nilpotent part N_K -- the kernel chain
-  (the hyperinvariant lattice) when N_K is cyclic, which the exact count
-  from the Segre characteristic (``invariant_counts``) proves complete;
-  else found once on F^n when K is finite and small enough
-  (``KStructure.invariant``, checked against that count); and provably an
-  infinite family otherwise (two or more Jordan blocks over an infinite field);
+  K-subspaces invariant under the nilpotent part N_K -- found once on F^n
+  when K is finite and small enough (``KStructure.invariant``, checked
+  against their exact count from the Segre characteristic; a cyclic N_K
+  has only the kernel chain, the hyperinvariant lattice); else the kernel
+  chain is reported: all of them when N_K is cyclic, and part of a provably
+  infinite family with two or more Jordan blocks over an infinite field;
 * hyperinvariant subspaces over K are the closure of the kernel and image
   chains of N_K under sum and intersection, read off in closed form: with
   t_1 < ... < t_m the distinct block sizes of N_K they are the sums
@@ -40,9 +40,10 @@ and image chains of N_K, those of p(A_i), formed once per component:
 Each lattice is a rule for one component, naming its members, run on every
 component by one driver (``_report``).  Components combine by direct sums
 because the primary factors are coprime; closure and covers are proved per
-component (``_assemble``), each distinct product once per analysis, with
-``hyperinvariant_lattice`` reused and its members in F^n checked invariant
-under A; reports naming the same component members share it.
+component (``_assemble``), each distinct product once per analysis, keyed
+on the component members, with each distinct factor Lattice built once and
+its members in F^n checked invariant under A; reports naming the same
+component members share it.
 Reports carry provenance notes describing the fact used at each step.
 """
 
@@ -51,7 +52,7 @@ from itertools import compress, product
 from math import prod
 from random import Random
 
-from .decomposition import analyze_operator, invariant_counts
+from .decomposition import analyze_operator
 from .errors import CapExceededError, ClosureError, InvariantError, UndecidedError
 from .kernels import row_kernel
 from .matrix import Matrix, minimal_polynomial
@@ -209,7 +210,7 @@ def _unit_draws(L, K, m, seed):
             yield c
 
 
-def _assemble(factors, embed, field, n, detail_cap=None, lattice=None):
+def _assemble(factors, embed, field, n, detail_cap=None, lattice=build_lattice):
     """The direct sums W_1 + ... + W_r, one W_c from each factor, unflagged: the
     factors in Lattice order, the sorted members, the tuple of factor indices of
     each, and (within ``detail_cap``, else None) the covers.
@@ -220,12 +221,12 @@ def _assemble(factors, embed, field, n, detail_cap=None, lattice=None):
     of two direct sums are taken summand by summand: the product is closed
     once every factor passes ``build_lattice`` (sum over c of M_c^2 pairs, not
     (prod M_c)^2), and its covers are the pairs of tuples that differ in one
-    summand only, where they are a cover of that factor.  ``lattice(c, f)``,
-    when given, returns the c-th factor's Lattice in place of ``build_lattice(f)``.
+    summand only, where they are a cover of that factor.  ``lattice(f)`` gives
+    each factor's Lattice.
     """
     lats = covers = None
     if detail_cap is None or prod(map(len, factors)) <= detail_cap:
-        lats = [lattice(c, f) if lattice else build_lattice(f) for c, f in enumerate(factors)]
+        lats = list(map(lattice, factors))
         factors = [lat.members for lat in lats]
     rows = [[embed(c, w) for w in f] for c, f in enumerate(factors)]
     tuples = {}
@@ -265,29 +266,28 @@ def _report(kind, A, ana, sum_note, component):
     over a cap, False), and whether the members are all of its lattice.  The
     components combine by direct sums (``_assemble``): the whole is infinite
     if one part is, finite if every part is, and complete if every part is.
-    Each distinct product is assembled, and its members in F^n checked invariant
-    under A, once per analysis; each report applies its own flags (``_flagged``).
+    Each distinct product, keyed on A and the component members, is assembled
+    from factor Lattices built once per distinct member tuple, and its members
+    in F^n checked invariant under A, once per analysis; each report applies
+    its own flags (``_flagged``).
     """
     provenance, notes = [], []
     if len(ana.components) > 1:
         provenance.append(f"coprime primary factors: {sum_note}")
     parts = [component(ca, provenance, notes) for ca in ana.components]
     factors, factor_flags, finites, completes = zip(*parts)
-    key = (id(A), *map(id, factors))
-    if key not in ana._direct_sums:  # held with A and the factors, so the ids stay theirs
+    products, lattices = ana._direct_sums
+    key = (A, *map(tuple, factors))
+    if key not in products:
         kern, n = row_kernel(A.field), A.nrows
         bases = [kern.prepare(ca.component.subspace.enc) for ca in ana.components]
-
-        def lattice(c, f):  # the hyperinvariant members' Lattice is built once per analysis
-            ks = ana.components[c].kstruct
-            return ks.hyperinvariant_lattice if f is ks.hyperinvariant else build_lattice(f)
-
-        assembled = _assemble(factors, lambda c, w: kern.matmul(w.enc, bases[c], n),
-                              A.field, n, DETAIL_CAP, lattice)
+        assembled = _assemble(
+            key[1:], lambda c, w: kern.matmul(w.enc, bases[c], n), A.field, n, DETAIL_CAP,
+            lambda f: lattices[f] if f in lattices else lattices.setdefault(f, build_lattice(f)))
         if not all(W.is_invariant_under(A) for W in assembled[1]):
             raise InvariantError("engine produced a non-invariant subspace")
-        ana._direct_sums[key] = A, factors, assembled
-    members, flags, lat = _flagged(ana._direct_sums[key][2], factor_flags)
+        products[key] = assembled
+    members, flags, lat = _flagged(products[key], factor_flags)
     if lat is None:
         notes.append(f"Hasse structure and closure re-check skipped for {len(members)} members "
                      f"(detail cap {DETAIL_CAP}); member list is complete")
@@ -315,11 +315,6 @@ def inv_lattice(A, *, hint=None, seed=0, cap_subspaces=DEFAULT_SUBSPACE_CAP, ana
             "semisimple part"
         )
         if ks.field_k.is_finite and subspace_count(ks.k_dim, ks.field_k.order) <= cap_subspaces:
-            # hinv's members, distinct and invariant, are all once they are as many as the
-            # Segre count gives (only a cyclic N_K has so few); inv then shares their product
-            total = sum(invariant_counts(ks.segre, ks.field_k.order)[0])
-            if len(ks.segre) == 1 and total == len(ks.hyperinvariant):
-                return ks.hyperinvariant, None, True, True
             return ks.invariant, None, True, True
         if len(ks.segre) <= 1:  # the kernel chain, which is the hyperinvariant lattice
             provenance.append(

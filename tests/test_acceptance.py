@@ -27,7 +27,7 @@ from invlat import (
     zero_subspace,
 )
 from invlat.cli import main
-from invlat.decomposition import analyze_operator, build_k_structure
+from invlat.decomposition import analyze_operator
 from invlat.fields import QQ, FiniteField
 from invlat.jsonio import matrix_to_json
 from invlat.oracle import _jordan_nilpotent, random_instance
@@ -101,7 +101,7 @@ def test_criterion_2_gf2_8x8_golden():
     dec = jordan_chevalley(GOLD_8_A, p, 3)
     assert dec.S == GOLD_8_S
     assert dec.N == GOLD_8_N
-    ks = build_k_structure(dec.S, dec.N, p)
+    ks = analyze_operator(GOLD_8_A).components[0].kstruct
     assert isinstance(ks.field_k, FiniteField) and ks.field_k.order == 4
     assert ks.segre == (3, 1)
     hrep = hinv_lattice(GOLD_8_A)

@@ -163,9 +163,7 @@ def test_jc_verify_rejects_tampered_s_under_python_O():
 
 
 def test_k_structure_rational_golden():
-    p = parse_poly("x^2+1", QQ)
-    dec = jordan_chevalley(GOLD_RAT_A, p, 2)
-    ks = build_k_structure(dec.S, dec.N, p)
+    ks = analyze_operator(GOLD_RAT_A).components[0].kstruct
     assert ks.s == 2
     assert isinstance(ks.field_k, ExtensionField)
     assert ks.k_dim == 2
@@ -176,27 +174,24 @@ def test_k_structure_rational_golden():
     decode = row_kernel(QQ).decode
     (chain,) = ks.chains
     assert [[decode(v, 4) for v in block] for block in chain] == [
-        [e1, mat_vec(dec.S, e1)], [e3, mat_vec(dec.S, e3)]]
+        [e1, mat_vec(ks.S, e1)], [e3, mat_vec(ks.S, e3)]]
     assert ks.chain_span({(0, 0)}) == span(e_rows(4, [1, 2], QQ), QQ, 4)
 
 
 def _cases_over_an_extension():
-    """(A, p, r): K = GF(4) of GOLD_8, K = GF(9) from (x^2+1)^2 over GF(3), and
-    K = Q(i) of GOLD_RAT."""
-    return [(GOLD_8_A, "x^2+x+1", 3), (companion(parse_poly("x^4+2x^2+1", F3)), "x^2+1", 2),
-            (GOLD_RAT_A, "x^2+1", 2)]
+    """Primary operators: K = GF(4) of GOLD_8, K = GF(9) from (x^2+1)^2 over
+    GF(3), and K = Q(i) of GOLD_RAT."""
+    return [GOLD_8_A, companion(parse_poly("x^4+2x^2+1", F3)), GOLD_RAT_A]
 
 
-def _k_structure(A, p, r):
-    p = parse_poly(p, A.field)
-    dec = jordan_chevalley(A, p, r)
-    return build_k_structure(dec.S, dec.N, p)
+def _k_structure(A):
+    return analyze_operator(A).components[0].kstruct
 
 
-@pytest.mark.parametrize("A, p, r", _cases_over_an_extension(), ids=["GOLD_8", "GF(9)", "GOLD_RAT"])
-def test_chain_rows_refuse_a_closure_that_drops_a_row(monkeypatch, A, p, r):
+@pytest.mark.parametrize("A", _cases_over_an_extension(), ids=["GOLD_8", "GF(9)", "GOLD_RAT"])
+def test_chain_rows_refuse_a_closure_that_drops_a_row(monkeypatch, A):
     # the bottom of the first chain loses S N^(t-1) g: ker N misses a dimension
-    ks = _k_structure(A, p, r)
+    ks = _k_structure(A)
     (*top, bottom), *rest = ks.chains
     monkeypatch.setitem(vars(ks), "chains", ((*top, bottom[:-1]), *rest))
     with pytest.raises(InvariantError, match="ker N_K\\^1 is not the span of its Jordan chain"):
@@ -204,11 +199,10 @@ def test_chain_rows_refuse_a_closure_that_drops_a_row(monkeypatch, A, p, r):
 
 
 @pytest.mark.parametrize("dropped", ["first", "last"])
-@pytest.mark.parametrize("A, p, r", [
-    (GOLD_8_A, "x^2+x+1", 3),
-    (block_diag(F3, [companion(parse_poly(f, F3)) for f in ("x^4+2x^2+1", "x^2+1")]), "x^2+1", 2),
+@pytest.mark.parametrize("A", [
+    GOLD_8_A, block_diag(F3, [companion(parse_poly(f, F3)) for f in ("x^4+2x^2+1", "x^2+1")]),
 ], ids=["GOLD_8", "GF(9)"])
-def test_walk_certificate_refuses_a_walk_that_drops_a_k_line(monkeypatch, A, p, r, dropped):
+def test_walk_certificate_refuses_a_walk_that_drops_a_k_line(monkeypatch, A, dropped):
     # finite K, s = 2, segre (3,1) and (2,1): a walk that misses the first or
     # last K-line of N^-1 U / U wherever there are several reaches some member
     # from too few lower covers; the check raises, so it holds under python -O
@@ -222,21 +216,22 @@ def test_walk_certificate_refuses_a_walk_that_drops_a_k_line(monkeypatch, A, p, 
 
     monkeypatch.setattr(decomposition, "_projective_points", fewer)
     with pytest.raises(InvariantError, match="not reached from each of its lower covers"):
-        _k_structure(A, p, r).invariant
+        _k_structure(A).invariant
 
 
 def test_walk_certificate_refuses_a_walk_that_stops_below_the_full_space(monkeypatch):
     # N_K cyclic over K = GF(9): every member has one upper cover, and a walk
-    # that drops it at {0} checks no count, so only the full space tells
+    # that drops it at {0} checks no count, so only the full space tells (the
+    # walk is called itself: ``invariant`` reads a cyclic N_K off ``hyperinvariant``)
     import invlat.decomposition as decomposition
 
     monkeypatch.setattr(decomposition, "_projective_points", lambda *args: [])
     with pytest.raises(InvariantError, match="misses the full space"):
-        _k_structure(*_cases_over_an_extension()[1]).invariant
+        _k_structure(_cases_over_an_extension()[1])._cover_walk()
 
 
 def test_walk_over_an_infinite_k_is_refused():
-    ks = _k_structure(GOLD_RAT_A, "x^2+1", 2)
+    ks = _k_structure(GOLD_RAT_A)
     assert ks.s == 2
     with pytest.raises(InfiniteFieldError, match="infinite field"):
         ks.invariant
@@ -274,6 +269,7 @@ def test_walk_over_k_gives_the_invariant_subspaces_over_f(F, p, sizes):
     members = set(ks.invariant)
     assert len(members) == len(ks.invariant)
     assert all(W.is_invariant_under(A) for W in members)
+    assert set(ks._cover_walk()) == members  # also where ``invariant`` reads a cyclic N_K off hinv
     K = FiniteField(F.p, F.k * ks.s)
     assert ks.field_k.order == K.order
     assert len(members) == sum(1 for _ in enumerate_all_subspaces(
@@ -338,10 +334,23 @@ def test_invariant_refuses_a_walk_that_drops_one_member(monkeypatch, A, branch):
         analyze_operator(A).components[0].kstruct.invariant
 
 
+@pytest.mark.parametrize("A", [
+    Matrix(F3, [[1 if i == j + 1 else 0 for j in range(4)] for i in range(4)]),
+    companion(parse_poly("x^4+2x^2+1", F3)),
+], ids=["GF(3) J4", "GF(9) (2)"])
+def test_invariant_refuses_a_cyclic_chain_that_drops_one_member(monkeypatch, A):
+    # on a cyclic N_K, invariant reads the kernel chain off hyperinvariant and
+    # certifies it by the same Segre counts as the walk and the enumeration
+    ks = analyze_operator(A).components[0].kstruct
+    assert len(ks.segre) == 1
+    zero, dropped, *rest = ks.hyperinvariant
+    monkeypatch.setitem(vars(ks), "hyperinvariant", (zero, *rest))
+    with pytest.raises(InvariantError, match="not as many, by dimension"):
+        ks.invariant
+
+
 def test_k_structure_8x8_golden():
-    p = parse_poly("x^2+x+1", F2)
-    dec = jordan_chevalley(GOLD_8_A, p, 3)
-    ks = build_k_structure(dec.S, dec.N, p)
+    ks = _k_structure(GOLD_8_A)
     assert ks.s == 2
     assert isinstance(ks.field_k, FiniteField)
     assert ks.field_k.order == 4  # K isomorphic to GF(4)
@@ -352,19 +361,15 @@ def test_k_structure_8x8_golden():
 
 
 def test_k_structure_4x4_golden():
-    p = parse_poly("x+1", F2)
-    dec = jordan_chevalley(GOLD_4_A, p, 3)
-    ks = build_k_structure(dec.S, dec.N, p)
+    ks = _k_structure(GOLD_4_A)
     assert ks.s == 1
     assert ks.field_k == F2
     assert ks.segre == (3, 1)
 
 
 def test_f_segre_is_k_segre_repeated_s_times():
-    p = parse_poly("x^2+x+1", F2)
-    dec = jordan_chevalley(GOLD_8_A, p, 3)
-    ks = build_k_structure(dec.S, dec.N, p)
-    f_segre = segre_characteristic(dec.N)
+    ks = _k_structure(GOLD_8_A)
+    f_segre = segre_characteristic(ks.N)
     assert f_segre == (3, 3, 1, 1)
     expected = tuple(sorted([part for part in ks.segre for _ in range(ks.s)], reverse=True))
     assert f_segre == expected
@@ -374,9 +379,7 @@ def test_k_linearity_of_nilpotent_part():
     # K = F[S] acts as the polynomials in S: N(a v) = a(N v) for a = c_0 + c_1 S,
     # and the kernels and images of N are K-subspaces, the ones S maps into itself
     rng = random.Random(17)
-    p = parse_poly("x^2+x+1", F2)
-    dec = jordan_chevalley(GOLD_8_A, p, 3)
-    ks = build_k_structure(dec.S, dec.N, p)
+    ks = _k_structure(GOLD_8_A)
     I = Matrix.identity(F2, 8)
     for _ in range(50):
         lam = I * rng.randrange(2) + ks.S * rng.randrange(2)
@@ -386,14 +389,8 @@ def test_k_linearity_of_nilpotent_part():
 
 
 def test_segre_consistency_invariants():
-    cases = [
-        (GOLD_RAT_A, parse_poly("x^2+1", QQ), 2),
-        (GOLD_8_A, parse_poly("x^2+x+1", F2), 3),
-        (GOLD_4_A, parse_poly("x+1", F2), 3),
-    ]
-    for A, p, r in cases:
-        dec = jordan_chevalley(A, p, r)
-        ks = build_k_structure(dec.S, dec.N, p)
+    for A, r in ((GOLD_RAT_A, 2), (GOLD_8_A, 3), (GOLD_4_A, 3)):
+        ks = _k_structure(A)
         assert ks.s * sum(ks.segre) == A.nrows
         assert ks.segre[0] == r
 
@@ -624,14 +621,14 @@ def test_k_structure_refuses_a_tampered_p_chain():
     # g of length t with N^t g != 0, or a kernel missing a vector, is refused
     N = Matrix(F2, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # N e1 = e2: blocks (2, 1)
     (comp,) = primary_decomposition(N, factor(parse_poly("x^2", F2)))
-    S, x = Matrix.zeros(F2, 3), parse_poly("x", F2)
+    S = Matrix.zeros(F2, 3)
     assert comp.segre == (2, 1) and comp.kernels[1] == span(e_rows(3, [2, 3], F2), F2, 3)
-    assert build_k_structure(S, N, x, comp).chain_rows
+    assert build_k_structure(S, N, comp).chain_rows
     # ker N^1 = <e2, e3> replaced by <e1, e3>: the size-1 chain would start at e1
     wrong = replace(comp, kernels=(comp.kernels[0], span(e_rows(3, [1, 3], F2), F2, 3),
                                    comp.kernels[2]))
     with pytest.raises(InvariantError, match="does not end in ker N"):
-        build_k_structure(S, N, x, wrong)
+        build_k_structure(S, N, wrong)
     for A in (GOLD_4_A, GOLD_8_A, _gf3_three_components(), _q_with_a_quadratic_factor()):
         for ca in analyze_operator(A).components:
             comp = ca.component
@@ -639,7 +636,7 @@ def test_k_structure_refuses_a_tampered_p_chain():
                 W = span(comp.kernels[j].basis[1:], A.field, comp.dim)
                 short = replace(comp, kernels=(*comp.kernels[:j], W, *comp.kernels[j + 1:]))
                 with pytest.raises(InvariantError):
-                    build_k_structure(ca.jc.S, ca.jc.N, comp.factor, short).chain_rows
+                    build_k_structure(ca.jc.S, ca.jc.N, short).chain_rows
 
 
 def test_jordan_chevalley_laws_on_several_components_hypothesis():

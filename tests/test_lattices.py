@@ -689,7 +689,6 @@ def test_chinv_checks_its_members_against_A(monkeypatch):
     moved = next(W for W in planes if not W.is_invariant_under(ks.N))
     assert moved.dim == inner.dim
     monkeypatch.setitem(vars(ks), "hyperinvariant", (zero, moved, full))
-    monkeypatch.delitem(vars(ks), "hyperinvariant_lattice", raising=False)
     for lattice in (chinv_lattice, hinv_lattice):
         with pytest.raises(InvariantError, match="engine produced a non-invariant subspace"):
             lattice(GOLD_RAT_A, analysis=ana)
@@ -732,7 +731,7 @@ def test_component_lattice_is_built_once_per_analysis(monkeypatch):
     # hinv and chinv share each non-witness component's Lattice, and inv shares
     # it where N_K is cyclic (the kernel chain, or a walk that finds no more);
     # a witness component's characteristic lattice and a larger walk are their own
-    import invlat.decomposition
+    import invlat.lattices
 
     built = []
 
@@ -741,7 +740,6 @@ def test_component_lattice_is_built_once_per_analysis(monkeypatch):
         return build_lattice(members, flags)
 
     monkeypatch.setattr(invlat.lattices, "build_lattice", counted)
-    monkeypatch.setattr(invlat.decomposition, "build_lattice", counted)
     x2 = companion(parse_poly("x^2+1", QQ))
     for A, witnesses, inv_own in (
         (block_diag(QQ, [GOLD_RAT_A, x2, Matrix(QQ, [[2]])]), 0, 1),  # blocks (2,1) over Q(i)
@@ -812,24 +810,71 @@ def test_reports_sharing_a_product_match_fresh_analyses(monkeypatch):
             assert set(checked) == {W for rep in reports.values() for W in rep.members}
 
 
+def test_chinv_twice_on_one_analysis_assembles_its_product_once(monkeypatch):
+    # products are keyed on the component members, not on the list objects that
+    # hold them: chinv's witness members, filtered afresh on each call, reuse
+    # the product the first call assembled
+    import invlat.lattices
+
+    assemble, assembled = invlat.lattices._assemble, []
+
+    def counted(*args, **kwargs):
+        assembled.append(assemble(*args, **kwargs))
+        return assembled[-1]
+
+    monkeypatch.setattr(invlat.lattices, "_assemble", counted)
+    ana = analyze_operator(GOLD_4_A)
+    first, second = (chinv_lattice(GOLD_4_A, analysis=ana) for _ in range(2))
+    assert len(assembled) == 1
+    assert first == second and "characteristic-only" in first.member_flags
+
+
+def test_components_with_equal_members_build_one_factor_lattice(monkeypatch):
+    # Q diag(1, 2): the components x - 1 and x - 2 both have the members {0} and
+    # the line in their own coordinates, so one factor Lattice serves both, and
+    # each report equals that of a fresh analysis
+    import invlat.lattices
+
+    A, kinds = Matrix(QQ, [[1, 0], [0, 2]]), (inv_lattice, hinv_lattice, chinv_lattice)
+    fresh = {fn: fn(A) for fn in kinds}
+    ana = analyze_operator(A)
+    first, second = (ca.kstruct.hyperinvariant for ca in ana.components)
+    assert first == second and first is not second
+    built = []
+
+    def counted(members, flags=None):
+        built.append(members)
+        return build_lattice(members, flags)
+
+    monkeypatch.setattr(invlat.lattices, "build_lattice", counted)
+    for fn in kinds:
+        assert fn(A, analysis=ana) == fresh[fn], fn.__name__
+    assert built == [first]
+
+
 @pytest.mark.parametrize("F, t", [(F2, 6), (F3, 5), (gf_build(5), 4)],
                          ids=["GF(2) J6", "GF(3) J5", "GF(5) J4"])
-def test_inv_on_a_cyclic_component_reports_hinv_without_a_walk(F, t):
+def test_inv_on_a_cyclic_component_reports_hinv_without_a_walk(monkeypatch, F, t):
     # hinv's kernel chain has as many members as the Segre count gives, so it is
-    # the whole invariant lattice, and no invariant subspace is walked
+    # the whole invariant lattice, and no invariant subspace is walked or enumerated
+    import invlat.decomposition as decomposition
+
+    ran = []
+    monkeypatch.setattr(KStructure, "_cover_walk", lambda self: ran.append("walk"))
+    monkeypatch.setattr(decomposition, "enumerate_all_subspaces",
+                        lambda *args: ran.append("enumeration"))
     J = Matrix(F, [[F.one() if i == j + 1 else F.zero() for j in range(t)] for i in range(t)])
     ana = analyze_operator(J)
     ks = ana.components[0].kstruct
     rep = inv_lattice(J, analysis=ana)
     assert rep.members == ks.hyperinvariant and len(rep.members) == t + 1 and rep.complete
-    assert "invariant" not in vars(ks)
+    assert ran == [] and ks.invariant is ks.hyperinvariant
 
 
 def test_inv_refuses_counts_off_by_one_on_a_cyclic_component(monkeypatch):
     # with one member too many counted, hinv's chain no longer proves itself
-    # complete, and the walk it falls back on is refused by the same counts
+    # complete, and the count check refuses it
     import invlat.decomposition as decomposition
-    import invlat.lattices as lattices
 
     J3 = Matrix(F2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     counts = decomposition.invariant_counts
@@ -838,8 +883,7 @@ def test_inv_refuses_counts_off_by_one_on_a_cyclic_component(monkeypatch):
         members, edges = counts(segre, Q)
         return (members[0], members[1] + 1, *members[2:]), edges
 
-    for module in (decomposition, lattices):
-        monkeypatch.setattr(module, "invariant_counts", off_by_one)
+    monkeypatch.setattr(decomposition, "invariant_counts", off_by_one)
     with pytest.raises(InvariantError, match="not as many, by dimension"):
         inv_lattice(J3)
 
