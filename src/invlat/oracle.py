@@ -1,6 +1,6 @@
 """Ground-truth classifier by exhaustive enumeration.
 
-``classify_all`` walks every subspace of F^n and sorts it into the
+``classify_all`` accounts for every subspace of F^n and sorts it into the
 invariant / hyperinvariant / characteristic classes by direct definition
 checking: invariance is the cheap first gate, the centralizer basis
 decides hyperinvariance, and unit checks run only on the invariant
@@ -20,13 +20,15 @@ the units violating W are precisely the units of Z(A) outside U_W; so
   (tier 2; scans beyond the unit cap raise an explicit "undecided" error
   instead of guessing).
 
-The walk over subspaces is ``enumerate_all_subspaces`` filtered by A, on
-the encoded rows of the field's row kernel, for every finite field; all
-other row reduction runs in that kernel as well.  Closure of each class
-under sum and intersection is certified by the subspace layer's
-``build_lattice``, with one sum per pair of members, once per distinct
-member list (classes that coincide share it); a class that fails gets a
-finding naming the missing zero, full space, sum or meet.
+The invariance gate is ``enumerate_all_subspaces`` filtered by A, on the
+encoded rows of the field's row kernel, for every finite field: it walks
+every RREF shape, skips the row choices whose spin under A leaves the
+pivot set (no A-invariant subspace holds them) and checks A on each
+candidate left; all other row reduction runs in that kernel as well.
+Closure of each class under sum and intersection is certified by the
+subspace layer's ``build_lattice``, with one sum per pair of members, once
+per distinct member list (classes that coincide share it); a class that
+fails gets a finding naming the missing zero, full space, sum or meet.
 """
 
 import time

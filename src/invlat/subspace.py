@@ -11,9 +11,13 @@ demand, for ordering and its sort key, both kept once made.  Membership,
 invariance, containment, sums and intersections (the Zassenhaus
 stacked-basis trick) eliminate on the encoded rows.  Enumeration walks
 RREF shapes (dimension, pivot-column set, free entries) on encoded rows,
-so every subspace appears exactly once; given matrices, it keeps the
-subspaces invariant under them, reducing each encoded row image against
-the candidate's rows.
+so every subspace appears exactly once; given matrices, it drops each row
+choice v whose hull H(v) (its spin: the least subspace holding v that the
+matrices map into itself) has a pivot column off the pivot set, and keeps
+the subspaces invariant under them, reducing each encoded row image
+against the candidate's rows.  No invariant W is lost: v in W gives
+H(v) <= W, and a pivot of H(v), the first nonzero coordinate of one of
+its vectors, is then a pivot of W.
 ``build_lattice`` certifies a finite lattice from one sum per pair of
 members: the sums give closure under sum and the containment order, and
 Grassmann's formula on that order proves each meet, with no intersection
@@ -21,6 +25,7 @@ computed.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 from math import prod
 
@@ -236,10 +241,13 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
 
     Walks all RREF shapes in the field's row kernel; the field must be
     finite, the total count must stay within ``cap``, and the count walked
-    is checked against it.  Per pivot set, each basis row's choices are
-    encoded once, with their images under the matrices; a candidate is one
-    choice per row, and it survives when every image reduces to zero
-    against its rows.
+    is checked against it.  Each basis row is a projective point (lead 1 in
+    its pivot column), encoded once with its images under the matrices.
+    For 1 < dim < n a pivot set keeps a point v only if its hull H(v) has
+    every pivot column in the set (see above; H(v) is spun from v once per
+    point, as in Parker's Meat-Axe, 1984).  A candidate is one kept choice
+    per row, and it survives when every image reduces to zero against its
+    rows.
     """
     if not field.is_finite:
         raise InfiniteFieldError("infinite field: cannot enumerate subspaces over " + repr(field))
@@ -256,24 +264,42 @@ def enumerate_all_subspaces(field, n, cap=DEFAULT_SUBSPACE_CAP, invariant_under=
     # F^1 has no free entries: skip listing a possibly huge field
     elems = tuple(field.elements()) if n > 1 else ()
     zero, one = field.zero(), field.one()
+    # supports[m][i]: the nonzero entries of product(elems, repeat=m)[i], the tail
+    # of points[n - 1 - m][i]; in every mask, column j is bit n - 1 - j
+    supports = [[0]]
+    for m in range(1, n):
+        supports.append([(k and 1 << m - 1) | s for k in range(len(elems)) for s in supports[-1]])
+    points = []  # points[p]: (element row, encoded row, encoded images), lead 1 at p
+    for p in range(n):
+        rows = [(zero,) * p + (one,) + tail for tail in product(elems, repeat=n - 1 - p)]
+        points.append([(r, v, [matmul([v], c, n)[0] for c in cols])
+                       for r, v in zip(rows, map(kern.encode, rows))])
+    # a point's images by its frozen encoded row, for the spin (only 1 < d < n prunes)
+    spin = {freeze([v])[0]: w for pts in points for _, v, w in pts} if cols and n > 2 else {}
+
+    @cache
+    def hull(p, i):  # the pivot columns of the spin of points[p][i], as a bitmask
+        rows, piv = [points[p][i][1]], [p]  # each row reduced against the earlier ones
+        for w in rows:  # rows grows as it is walked: each new row, a point, is spun too
+            for x in spin[freeze([w])[0]]:
+                x = reduce(x, rows, piv)
+                if nonzero(x):
+                    x, lead = kern.echelon([x], n)
+                    rows += x
+                    piv += lead
+        return sum(1 << n - 1 - j for j in piv)
+
     yield zero_subspace(field, n)
     walked = 1
     for d in range(1, n + 1):
         for piv in combinations(range(n), d):
-            choices = []  # per basis row: (element row, encoded row, encoded images)
-            for p in piv:
-                free = [j for j in range(p + 1, n) if j not in piv]
-                row_choices = []
-                for values in product(elems, repeat=len(free)):
-                    row = [zero] * n
-                    row[p] = one
-                    for j, x in zip(free, values):
-                        row[j] = x
-                    v = kern.encode(row)
-                    row_choices.append((tuple(row), v, [matmul([v], c, n)[0] for c in cols]))
-                choices.append(row_choices)
-            walked += prod(map(len, choices))
-            for combo in product(*choices):
+            mask = sum(1 << n - 1 - p for p in piv)
+            # per row, the points[p] with zeros at the other pivots, as indices
+            index = [[i for i, s in enumerate(supports[n - 1 - p]) if not s & mask] for p in piv]
+            walked += prod(map(len, index))
+            if cols and 1 < d < n:
+                index = [[i for i in row if not hull(p, i) & ~mask] for p, row in zip(piv, index)]
+            for combo in product(*([points[p][i] for i in row] for p, row in zip(piv, index))):
                 rows = [c[1] for c in combo]
                 if not any(nonzero(reduce(w, rows, piv)) for c in combo for w in c[2]):
                     yield Subspace(field, n, tuple(c[0] for c in combo), piv, freeze(rows))

@@ -266,6 +266,14 @@ def test_engine_matches_oracle_gf2_nilpotent_5_3():
     assert rc.member_set() == set(classify_all(A).characteristic)
 
 
+def test_engine_matches_oracle_gf2_n8_witnesses():
+    # n = 8, all three classes: Shoda witnesses whose characteristic lattice
+    # is larger than the hyperinvariant one
+    for lam in ((5, 3), (6, 2), (5, 2, 1)):
+        rep = _engine_oracle_match(_jordan_nilpotent(F2, lam))
+        assert set(rep.characteristic) > set(rep.hyperinvariant), lam
+
+
 def test_chinv_complete_beyond_the_unit_cap():
     # dim Z = 22 and 26, over the 2^20 unit cap a unit walk would need
     for lam, members, extra in (((4, 2, 1, 1), 14, 2), ((3, 2, 2, 1), 9, 1)):

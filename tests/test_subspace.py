@@ -13,7 +13,9 @@ from invlat.errors import (
 )
 from invlat.fields import QQ, gf_build
 from invlat.kernels import TABLE_LIMIT, _ElementRows, row_kernel
-from invlat.matrix import Matrix, rref
+from invlat.matrix import Matrix, block_diag, companion, rref
+from invlat.oracle import random_instance
+from invlat.poly import parse_poly
 from invlat.subspace import (
     Subspace,
     build_lattice,
@@ -172,6 +174,21 @@ def test_filtered_enumeration_matches_reference_walk():
             for mats in ((), (M,), (U1,), (N,), (U1, U2), (M, N)):
                 got = list(enumerate_all_subspaces(field, n, invariant_under=mats))
                 assert got == _reference_walk(field, n, mats), (field, n, mats)
+    # GF(2)^5 and GF(2)^6, where the spin filter drops the most row choices:
+    # cyclic companions of one and of two irreducibles, a conjugate of the
+    # nilpotent (3,2,1) and a pair of upper triangular matrices
+    def comp(*factors):
+        return block_diag(F2, [companion(parse_poly(f, F2)) for f in factors])
+
+    U1, U2 = (Matrix(F2, [[rng.randrange(2) if j >= i else 0 for j in range(5)]
+                          for i in range(5)]) for _ in range(2))
+    for mats in ((comp("x^6+x+1"),), (comp("x^3+x+1", "x^3+x^2+1"),),
+                 (random_instance(F2, 6, "nilpotent-partition", 3, partition=(3, 2, 1)).matrix,),
+                 (U1, U2)):
+        n = mats[0].nrows
+        got = list(enumerate_all_subspaces(F2, n, invariant_under=mats))
+        want = _reference_walk(F2, n, mats)
+        assert got == want and [W.basis for W in got] == [W.basis for W in want], mats
 
 
 def test_enumeration_checks_walked_count(monkeypatch):
