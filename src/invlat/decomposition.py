@@ -2,11 +2,12 @@
 
 For a square A over F with minimal polynomial m = p_1^{k_1} ... p_r^{k_r}:
 
-* ``primary_decomposition`` produces the components V_i = ker p_i(A)^{k_i},
-  the restriction A_i of A to V_i, K = F[x]/(p_i) (s = deg p_i, named once)
-  and the kernels ker P^j, P = p_i(A_i), j < k_i: ker P^(k_i-1) < V_i proves
-  k_i, and as P = N_i u, u a unit (``analyze_operator``), their dimensions
-  over s give the Segre characteristic of N_K.
+* ``primary_decomposition`` proves m = m_A from the ranks of p_i(A)^j,
+  j <= k_i (their kernels add up to F^n and grow at j = k_i), and reads the
+  Segre characteristic of N_K off them, as p_i(A_i) = N_i u, u a unit
+  (``analyze_operator``).  K = F[x]/(p_i) (s = deg p_i), V_i = ker p_i(A)^{k_i},
+  the restriction A_i and the kernels ker p_i(A_i)^j, checked against those
+  ranks, are formed on first read, once.
 * ``analyze_operator`` splits A = S + N (S semisimple, N nilpotent,
   SN = NS) once, on F^n, with S = q(A): Newton's iteration q <- q - r(q)
   r'(q)^{-1} mod m on polynomials, from q = x with r = p_1 ... p_r
@@ -47,7 +48,7 @@ from operator import itemgetter
 from .centralizer import certified_centralizer
 from .errors import FieldMismatchError, InfiniteFieldError, InseparableFactorError, InvariantError
 from .fields import MAX_SEARCH_ORDER, ExtensionField, FiniteField
-from .matrix import Matrix, inverse, minimal_polynomial, poly_at_matrix
+from .matrix import Matrix, _krylov_minimal_polynomial, inverse, poly_at_matrix
 from .poly import Poly, factor, format_poly, is_separable, poly_xgcd
 from .subspace import (Subspace, enumerate_all_subspaces, full_space, gaussian_binomial,
                        image_basis, kernel_basis, subspace_count, zero_subspace)
@@ -69,44 +70,60 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimaryComponent:
-    """One primary summand V_i = ker p(A)^k, A restricted to it, K and P = p(A_i)."""
+    """V_i = ker p(A)^k, with N_K's Segre characteristic read off the rank chain
+    of p(A).  K (``field_k``), V_i (``subspace``: the kernel of the chain's
+    echelon of p(A)^k), A_i (``restriction``), P^j (``powers``, P = p(A_i)) and
+    ker P^j = ker N_K^j (``kernels``, checked against the ranks) are formed on first read."""
 
     factor: Poly
     multiplicity: int
-    subspace: Subspace  # V_i inside F^n, canonical basis
-    restriction: Matrix  # A_i in the V_i basis (dim x dim)
     power: Poly  # factor ** multiplicity, the minimal polynomial of A_i
-    field_k: object  # K = F[x]/(p), named by ``_field_k``
-    powers: tuple  # P^j for j = 0, ..., k
-    kernels: tuple  # ker P^j = ker N_K^j for j = 0, ..., k
-    segre: tuple  # of N_K, read off the kernel dimensions over s
+    segre: tuple  # of N_K, read off ``nullities`` over s
+    matrix: Matrix  # A on F^n
+    nullities: tuple  # dim ker p(A)^j on F^n (= on V_i), j = 0, ..., k
+    top: Matrix  # the nonzero RREF rows of p(A)^k, whose kernel is V_i
 
-    @property
-    def dim(self):
-        return self.subspace.dim
+    dim = property(lambda self: self.nullities[-1])
+    field_k = cached_property(lambda self: _field_k(self.matrix.field, self.factor))  # K = F[x]/(p)
+    subspace = cached_property(lambda self: kernel_basis(self.top))
+    restriction = cached_property(lambda self: _restriction(self.matrix, self.subspace))
+    powers = cached_property(lambda self: self._chain[0])  # P^j for j = 0, ..., k
+    kernels = cached_property(lambda self: self._chain[1])  # ker P^j for j = 0, ..., k
+
+    @cached_property
+    def _chain(self):
+        Ai, k = self.restriction, self.multiplicity
+        P = poly_at_matrix(self.factor, Ai) if k > 1 else Matrix.zeros(Ai.field, Ai.nrows)
+        powers, kernels = _power_chains(P, k)  # P = 0 for k = 1: V_i = ker p(A)
+        if tuple(W.dim for W in kernels) != self.nullities:
+            raise InvariantError("a kernel of p(A_i)^j disagrees with the rank of p(A)^j")
+        return powers, kernels
 
 
 def primary_decomposition(A, factorization):
-    """Components of V under A for a verified ``Factorization`` of m_A, whose
-    ``powers`` p^k give the kernels ker p(A)^k.  Each p must be irreducible:
-    then p^k(A_i) = 0 leaves m_(A_i) = p^j, j <= k, and ker p(A_i)^(k-1) < V_i
-    gives j = k; with the direct-sum check this proves prod p^k = m_A."""
+    """Components of F^n under A for a verified ``Factorization`` m = prod p^k
+    (pairwise coprime, each p irreducible), and the proof that m = m_A.
+
+    Per factor, P = p(A) and the RREF of each P^j, j <= k, the RREF of the
+    last one's rows times P (deg p + k - 1 products), give d_j = dim ker P^j:
+    the whole certificate.  Kernels of coprime polynomials in A are
+    independent (Bezout), so sum d_k = n gives F^n = (+) ker p^k(A), m(A) = 0
+    and m_A = prod p^j, j <= k; d_(k-1) < d_k rules out j < k.  P is invertible
+    on the other components, so ``segre`` is read off d_j = dim ker p(A_i)^j."""
     if not A.is_square:
         raise ValueError("primary decomposition requires a square matrix")
-    n, comps, all_rows = A.nrows, [], []
-    for (p, k), pk in zip(factorization, factorization.powers):
-        V = kernel_basis(poly_at_matrix(pk, A))
-        if V.is_zero:
-            raise ValueError(f"factor {p!r} does not divide the minimal polynomial")
-        Ai = _restriction(A, V)
-        P = poly_at_matrix(p, Ai) if k > 1 else Matrix.zeros(A.field, V.dim)  # V_i = ker p(A)
-        powers, kernels = _power_chains(P, k)
-        comps.append(PrimaryComponent(p, k, V, Ai, pk, _field_k(A.field, p), powers, kernels,
-                                      _segre(kernels, V.dim, p.degree)))
-        all_rows.extend(V.enc)
-    if len(all_rows) != n or Subspace.from_rows(A.field, n, all_rows).dim != n:
+    field, kern, n, chains = A.field, A.kern, A.nrows, []
+    for p, k in factorization:
+        P, rows, nullities = poly_at_matrix(p, A), None, [0]
+        for _ in range(k):
+            rows = kern.echelon(P.enc if rows is None else kern.matmul(rows, P.right, n), n)[0]
+            nullities.append(n - len(rows))
+        chains.append((tuple(nullities), Matrix.encoded(field, rows, n)))
+    if (sum(d[-1] for d, _ in chains) != n or any(d[-2] == d[-1] for d, _ in chains)
+            or len({p for p, _ in factorization}) < len(chains)):  # distinct irreducibles: coprime
         raise ValueError("factorization inconsistent with the minimal polynomial")
-    return comps
+    return [PrimaryComponent(p, k, pk, _segre(d, p.degree), A, d, top)
+            for (p, k), pk, (d, top) in zip(factorization, factorization.powers, chains)]
 
 
 def _restriction(M, V):
@@ -201,24 +218,21 @@ def _split(A, q, p, r):
 
 
 def _power_chains(P, k):
-    """P^j and ker P^j for j = 0, ..., k, P^k = 0: k is checked by
-    ker P^(k-1) < F^n, and P^k is not formed."""
+    """P^j and ker P^j for j = 0, ..., k; P^k = 0 is given, and not formed."""
     F, n = P.field, P.nrows
-    powers, kernels = [Matrix.identity(F, n)], [zero_subspace(F, n)]
+    powers = [Matrix.identity(F, n)]
     for _ in range(k - 1):
         powers.append(powers[-1] @ P)
-        kernels.append(kernel_basis(powers[-1]))
-    if kernels[-1].dim == n:
-        raise ValueError("factorization inconsistent with the minimal polynomial")
-    return (*powers, Matrix.zeros(F, n)), (*kernels, full_space(F, n))
+    return ((*powers, Matrix.zeros(F, n)),
+            (zero_subspace(F, n), *map(kernel_basis, powers[1:]), full_space(F, n)))
 
 
-def _segre(kernels, n, s=1):
-    """Block sizes over K, largest first, s = dim_F K: (dim ker N^j - dim ker
-    N^(j-1)) / s = ge[j-1] blocks have size >= j."""
-    ge = [(b.dim - a.dim) // s for a, b in zip(kernels, kernels[1:])] + [0]
+def _segre(dims, s=1):
+    """Block sizes over K, largest first, s = dim_F K, off dims[j] = dim ker N^j up
+    to N^j = 0: (dims[j] - dims[j-1]) / s = ge[j-1] blocks have size >= j."""
+    ge = [(b - a) // s for a, b in zip(dims, dims[1:])] + [0]
     parts = [j for j in range(len(ge) - 1, 0, -1) for _ in range(ge[j - 1] - ge[j])]
-    if s * sum(parts) != n:
+    if s * sum(parts) != dims[-1]:
         raise InvariantError("Segre characteristic does not sum to the dimension")
     return tuple(parts)
 
@@ -228,7 +242,7 @@ def segre_characteristic(N):
     kernels = [kernel_basis(N**j) for j in range(N.nrows + 1)]
     if kernels[-1].dim < N.nrows:
         raise ValueError("matrix is not nilpotent")
-    return _segre(kernels, N.nrows)
+    return _segre([W.dim for W in kernels])
 
 
 @cache
@@ -655,7 +669,8 @@ class OperatorAnalysis:
 
 
 def analyze_operator(A, *, hint=None, seed=0):
-    """Factor m_A and split it into primary components, each with K and the Segre
+    """Factor m_A, the Krylov m proved by ``primary_decomposition``'s rank chain
+    (no m(A) is evaluated), into primary components, each with K and the Segre
     characteristic of N_K; the split S + N and the components' ``jc`` and
     ``kstruct`` are formed on first read, once per analysis.  p = p_i is
     separable and p(S_i) = 0, so p(A_i) = N_i (p'(S_i) + N_i w) = N_i u, w a
@@ -663,9 +678,12 @@ def analyze_operator(A, *, hint=None, seed=0):
     one (p' is prime to p) and N_i w nilpotent: ker/im p(A_i)^j = ker/im N_K^j."""
     if not A.is_square:
         raise ValueError("square matrix required")
-    m = minimal_polynomial(A)
+    m = _krylov_minimal_polynomial(A)
     fact = factor(m, hint=hint, seed=seed)
-    comps = primary_decomposition(A, fact)
+    try:
+        comps = primary_decomposition(A, fact)
+    except ValueError as exc:  # m is the Krylov routine's, not input: a defect
+        raise InvariantError(str(exc)) from None
     # the factors are coprime, so their product is separable once each one is
     rad = prod((_separable(comp.factor) for comp in comps), start=Poly.one(A.field))
     r = max(comp.multiplicity for comp in comps)

@@ -11,7 +11,7 @@ Horner's rule on the polynomial's encoded coefficients) and row reduction
 run in the kernel and build their results from its output.
 ``minimal_polynomial`` grows one Krylov echelon per basis vector on
 encoded rows, takes each annihilator from the echelon's encoded row, and
-evaluates m(A) at the whole matrix once, to certify it.
+certifies m by m(A) = 0 (an analysis proves the Krylov m by ranks instead).
 """
 
 from bisect import bisect
@@ -253,12 +253,19 @@ def poly_at_matrix(f, A):
 
 
 def minimal_polynomial(A):
-    """Least-degree monic m with m(A) = 0: the lcm of the annihilators of the
-    e_i that the m so far does not annihilate.  The rows (A^j e_i | e_j) are
-    reduced in turn into one echelon of unit-pivot rows, A^(j+1) e_i being one
-    ``matmul`` row on A's prepared columns, the rows of A^T; the first whose
-    left part vanishes holds the annihilator of e_i in its right part.  m is
-    re-verified at A."""
+    """Least-degree monic m with m(A) = 0, re-verified at A by Horner's rule
+    (``analyze_operator`` proves the Krylov m by the ranks of p(A)^j instead)."""
+    m = _krylov_minimal_polynomial(A)
+    if not poly_at_matrix(m, A).is_zero:
+        raise InvariantError("minimal polynomial self-check failed")
+    return m
+
+
+def _krylov_minimal_polynomial(A):
+    """Unchecked m: the lcm of the annihilators of the e_i that the m so far does
+    not annihilate.  The rows (A^j e_i | e_j) are reduced in turn into one
+    echelon of unit-pivot rows, A^(j+1) e_i being one ``matmul`` row on A's
+    columns; the first whose left part vanishes holds e_i's annihilator."""
     if not A.is_square:
         raise ValueError("minimal polynomial requires a square matrix")
     field, kern, n = A.field, A.kern, A.nrows
@@ -282,8 +289,6 @@ def minimal_polynomial(A):
             pivots.insert(k, c)
             v = kern.matmul([v], at, n)[0]
         m = poly_lcm(m, Poly.encoded(field, kern.tail(r, n)).monic())
-    if not poly_at_matrix(m, A).is_zero:
-        raise InvariantError("minimal polynomial self-check failed")
     return m
 
 

@@ -340,7 +340,8 @@ class Factorization:
     @cached_property
     def powers(self):
         """p**m for each factor (p, m), in order, formed once: ``expand``
-        multiplies them and the primary decomposition reuses them."""
+        multiplies them, and each primary component keeps its own, by which the
+        Jordan-Chevalley certificate is reduced; p**m(A) is never evaluated."""
         return tuple(p**m for p, m in self.factors)
 
     def expand(self):

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -591,10 +592,12 @@ def test_wrong_hint_multiplicity_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["shoda", "analyze", "verify", "lattice-inv",
                                      "lattice-hinv", "lattice-chinv"])
 def test_split_and_k_structure_formed_only_when_read(monkeypatch, tmp_path, command):
-    # shoda reads K and the Segre characteristic off the primary decomposition:
-    # it forms neither the Jordan-Chevalley split nor a K-structure; every
-    # other command forms the split once and one K-structure per component
+    # shoda reads K and the Segre characteristic off the rank chain of each p(A):
+    # it forms no component basis, restriction or kernel chain, and neither the
+    # Jordan-Chevalley split nor a K-structure; every other command forms the
+    # split once, and each component's basis, restriction, chain and K-structure once
     import invlat.decomposition as decomposition
+    from invlat.decomposition import PrimaryComponent
 
     calls = {}
 
@@ -604,17 +607,60 @@ def test_split_and_k_structure_formed_only_when_read(monkeypatch, tmp_path, comm
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_semisimple_polynomial", "_split", "build_k_structure"):
+    for name in ("_semisimple_polynomial", "_split", "build_k_structure", "kernel_basis",
+                 "_restriction", "_power_chains"):
         monkeypatch.setattr(decomposition, name, counted(name, getattr(decomposition, name)))
+    # each component's basis and restriction of A, through the lazy fields' own functions
+    for name in ("subspace", "restriction"):
+        lazy = cached_property(counted(name, vars(PrimaryComponent)[name].func))
+        lazy.__set_name__(PrimaryComponent, name)
+        monkeypatch.setattr(PrimaryComponent, name, lazy)
     x1, x = parse_poly("x+1", gf_build(2)), parse_poly("x", gf_build(2))
-    for A, components in ((GOLD_4_A, 1), (block_diag(gf_build(2), [companion(x1 ** 2),
-                                                                     companion(x)]), 2)):
+    for A, multiplicities in ((GOLD_4_A, [3]), (block_diag(gf_build(2), [companion(x1 ** 2),
+                                                                         companion(x)]), [2, 1])):
         calls.clear()
         code, payload = run(tmp_path, A, command)
         assert code == 0 and payload is not None
-        expected = {} if command == "shoda" else {
-            "_semisimple_polynomial": 1, "_split": 1, "build_k_structure": components}
-        assert calls == expected
+        if command == "shoda":
+            assert calls == {}
+            continue
+        # in decomposition, kernel_basis forms each V_i and its ker p(A_i)^j, 0 < j < k,
+        # and _restriction each A_i and S_i
+        components = len(multiplicities)
+        assert {name: calls.pop(name) for name in ("kernel_basis", "_restriction")} == {
+            "kernel_basis": sum(multiplicities), "_restriction": 2 * components}
+        assert calls == {"_semisimple_polynomial": 1, "_split": 1, "subspace": components,
+                         "restriction": components, "_power_chains": components,
+                         "build_k_structure": components}
+
+
+@pytest.mark.parametrize("fault", ["dropped x", "overstated exponent", "coprime extra factor"])
+@pytest.mark.parametrize("field", [QQ, gf_build(3)], ids=repr)
+def test_rank_chain_proves_the_minimal_polynomial(monkeypatch, tmp_path, capsys, field, fault):
+    # an analysis evaluates no m(A): the ranks of p(A)^j are its one proof that
+    # the Krylov routine's m is m_A, and an m that fails it is a defect (exit 5).
+    # A lost x leaves the kernels short of F^n; x^3 (x+1) has ker A^2 = ker A^3;
+    # and x^2+1 is prime to m_A, so ker (A^2+1) = 0
+    import invlat.decomposition as decomposition
+    import invlat.matrix as matrix
+    from invlat.decomposition import analyze_operator
+
+    x, x1 = parse_poly("x", field), parse_poly("x+1", field)
+    A = companion(x ** 2 * x1)
+    if fault == "dropped x":
+        lcm = matrix.poly_lcm
+        monkeypatch.setattr(matrix, "poly_lcm", lambda f, g: lcm(f, g) // x)
+    else:
+        extra = x if fault == "overstated exponent" else parse_poly("x^2+1", field)
+        krylov = decomposition._krylov_minimal_polynomial
+        monkeypatch.setattr(decomposition, "_krylov_minimal_polynomial", lambda M: krylov(M) * extra)
+    with pytest.raises(InvariantError, match="inconsistent with the minimal polynomial"):
+        analyze_operator(A)
+    inp = write_matrix(tmp_path, A)
+    for command in ("analyze", "shoda"):
+        capsys.readouterr()
+        assert main(["--input", inp, "--command", command]) == 5, command
+        assert capsys.readouterr().err.startswith("internal invariant violated: "), command
 
 
 def test_degree_two_factor_over_gf4_exit_code(tmp_path, capsys):

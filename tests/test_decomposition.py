@@ -127,6 +127,9 @@ def test_primary_decomposition_rejects_inconsistent_factorization():
     for bad in ([(x1, 3), (x, 1)], [(x, 1), (x1, 3)]):
         with pytest.raises(ValueError, match="inconsistent"):
             primary_decomposition(A, Factorization(tuple(bad)))
+    # a repeated factor: on diag(0, 1), ker A twice has the dimensions of F^2
+    with pytest.raises(ValueError, match="inconsistent"):
+        primary_decomposition(Matrix(F2, [[0, 0], [0, 1]]), Factorization(((x, 1), (x, 1))))
 
 
 def test_jc_verify_rejects_tampered_s_under_python_O():
@@ -445,7 +448,7 @@ def test_analyze_operator_splits_and_finds_m_once(monkeypatch, A):
     # components read S_i off S, and none changes basis
     import invlat.decomposition as decomposition
 
-    calls = {"minimal_polynomial": 0, "verify": 0, "inverse": 0}
+    calls = {"_krylov_minimal_polynomial": 0, "verify": 0, "inverse": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -453,14 +456,14 @@ def test_analyze_operator_splits_and_finds_m_once(monkeypatch, A):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("minimal_polynomial", "inverse"):
+    for name in ("_krylov_minimal_polynomial", "inverse"):
         monkeypatch.setattr(decomposition, name, counted(name, getattr(decomposition, name)))
     monkeypatch.setattr(decomposition.JCDecomposition, "verify",
                         counted("verify", decomposition.JCDecomposition.verify))
     ana = analyze_operator(A)
     wide = sum(1 for ca in ana.components if ca.kstruct.s > 1)
     assert len(ana.components) > 1 and wide == 1
-    assert calls == {"minimal_polynomial": 1, "verify": 1, "inverse": 0}
+    assert calls == {"_krylov_minimal_polynomial": 1, "verify": 1, "inverse": 0}
 
 
 def test_k_structure_over_k_equal_f_has_no_change_of_basis():
@@ -597,9 +600,12 @@ def _p_chain_cases():
         yield P @ A0 @ inverse(P)
 
 
-@pytest.mark.parametrize("A", list(_p_chain_cases()),
-                         ids=["Q (x^2+1)^2", "Q (x^2-2)^2 (x-1)", "GF(2)", "GF(3) (x^2+1)^2",
-                              "GF(4)", "GF(9)"])
+_over_p_chain_cases = pytest.mark.parametrize(
+    "A", list(_p_chain_cases()),
+    ids=["Q (x^2+1)^2", "Q (x^2-2)^2 (x-1)", "GF(2)", "GF(3) (x^2+1)^2", "GF(4)", "GF(9)"])
+
+
+@_over_p_chain_cases
 def test_p_chain_segre_matches_the_nilpotent_part(A):
     # the Segre characteristic read off ker p(A_i)^j in primary_decomposition is
     # the K-structure's and that of N_i over F, each size taken once of its s
@@ -624,9 +630,11 @@ def test_k_structure_refuses_a_tampered_p_chain():
     S = Matrix.zeros(F2, 3)
     assert comp.segre == (2, 1) and comp.kernels[1] == span(e_rows(3, [2, 3], F2), F2, 3)
     assert build_k_structure(S, N, comp).chain_rows
-    # ker N^1 = <e2, e3> replaced by <e1, e3>: the size-1 chain would start at e1
-    wrong = replace(comp, kernels=(comp.kernels[0], span(e_rows(3, [1, 3], F2), F2, 3),
-                                   comp.kernels[2]))
+    # ker N^1 = <e2, e3> replaced by <e1, e3>: the size-1 chain would start at e1;
+    # the kernels are lazy, so the tampered ones are set on a fresh copy
+    wrong = replace(comp)
+    vars(wrong)["kernels"] = (comp.kernels[0], span(e_rows(3, [1, 3], F2), F2, 3),
+                              comp.kernels[2])
     with pytest.raises(InvariantError, match="does not end in ker N"):
         build_k_structure(S, N, wrong)
     for A in (GOLD_4_A, GOLD_8_A, _gf3_three_components(), _q_with_a_quadratic_factor()):
@@ -634,9 +642,34 @@ def test_k_structure_refuses_a_tampered_p_chain():
             comp = ca.component
             for j in range(1, comp.multiplicity):
                 W = span(comp.kernels[j].basis[1:], A.field, comp.dim)
-                short = replace(comp, kernels=(*comp.kernels[:j], W, *comp.kernels[j + 1:]))
+                short = replace(comp)
+                vars(short)["kernels"] = (*comp.kernels[:j], W, *comp.kernels[j + 1:])
                 with pytest.raises(InvariantError):
                     build_k_structure(ca.jc.S, ca.jc.N, short).chain_rows
+
+
+@_over_p_chain_cases
+def test_lazy_p_chain_is_checked_against_the_ranks(monkeypatch, A):
+    # ker p(A_i)^j is formed on first read and must have the dimension of
+    # ker p(A)^j that the rank chain gave: a kernel that loses a vector is
+    # refused when first read, through ``kernels`` or ``powers`` alike
+    import invlat.decomposition as decomposition
+
+    power_chains = decomposition._power_chains
+
+    def losing(P, k):
+        powers, kernels = power_chains(P, k)
+        lost = span(kernels[1].basis[1:], P.field, P.nrows)
+        return powers, (kernels[0], lost, *kernels[2:])
+
+    ana = analyze_operator(A)
+    monkeypatch.setattr(decomposition, "_power_chains", losing)
+    wide = [ca.component for ca in ana.components if ca.component.multiplicity >= 2]
+    assert wide
+    for comp in wide:
+        for name in ("kernels", "powers"):
+            with pytest.raises(InvariantError, match="disagrees with the rank of p"):
+                getattr(replace(comp), name)
 
 
 def test_jordan_chevalley_laws_on_several_components_hypothesis():
